@@ -28,7 +28,6 @@ from .errors import (
     VolumeFormatError,
 )
 from .icp import IcpConfig, IcpResult, icp_register
-from .kdtree import KdTree
 from .markers import MarkerSet, read_marker_csv, write_marker_csv
 from .mesh import TriangleMesh, marching_cubes, write_obj, write_stl
 from .rigid import (
@@ -69,7 +68,6 @@ __all__ = [
     "IcpConfig",
     "IcpResult",
     "InsufficientMarkersError",
-    "KdTree",
     "MarkerSet",
     "NoMatchError",
     "PointCorrespondences",

@@ -17,7 +17,6 @@ import numpy as np
 
 from .config import ConfigError, format_float, format_kv, kv_float, kv_int, parse_kv_text, require_keys
 from .errors import InsufficientMarkersError
-from .kdtree import KdTree
 from .markers import MarkerSet
 from .rigid import (
     PointCorrespondences,
@@ -27,9 +26,9 @@ from .rigid import (
     transform_to_json_dict,
 )
 
-# Below this many target points a brute-force scan beats tree overhead; the
-# results are identical either way (exact search, lowest-index tie break).
-BRUTE_FORCE_LIMIT = 32
+# Query-target pairs scanned per block by the nearest-neighbour search;
+# bounds the temporaries when both point sets are large.
+_SCAN_BLOCK = 1 << 16
 
 _ICP_KEYS = ("max_iterations", "rmsd_delta_tolerance")
 
@@ -86,19 +85,21 @@ class IcpResult:
         }
 
 
-def _nearest_indices(query: np.ndarray, target: np.ndarray, tree: KdTree | None) -> tuple[np.ndarray, np.ndarray]:
-    if tree is None:
-        deltas = query[:, None, :] - target[None, :, :]
+def _nearest_indices(query: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest target index and squared distance per query point (exact scan).
+
+    The first minimum wins, so the lowest target index breaks ties.
+    """
+    idx = np.empty(len(query), dtype=np.intp)
+    nearest_sq = np.empty(len(query), dtype=np.float64)
+    block = max(1, _SCAN_BLOCK // len(target))
+    for start in range(0, len(query), block):
+        deltas = query[start : start + block, None, :] - target[None, :, :]
         dist_sq = np.sum(deltas * deltas, axis=2)
-        idx = np.argmin(dist_sq, axis=1)  # first minimum: lowest index wins ties
-        return idx, np.sqrt(dist_sq[np.arange(len(query)), idx])
-    idx = np.empty(len(query), dtype=np.int64)
-    dist = np.empty(len(query), dtype=np.float64)
-    for row, point in enumerate(query):
-        ((payload, d),) = tree.nearest(point, 1)
-        idx[row] = payload
-        dist[row] = d
-    return idx, dist
+        nearest = np.argmin(dist_sq, axis=1)
+        idx[start : start + block] = nearest
+        nearest_sq[start : start + block] = dist_sq[np.arange(len(nearest)), nearest]
+    return idx, nearest_sq
 
 
 def icp_register(
@@ -121,19 +122,13 @@ def icp_register(
         raise InsufficientMarkersError(len(tgt))
     _check_not_collinear(src)
 
-    tree = None
-    if len(tgt) >= BRUTE_FORCE_LIMIT:
-        tree = KdTree(dim=3)
-        for index, point in enumerate(tgt):
-            tree.insert(point, index)
-
     transform = config.initial_transform
     history: list[float] = []
     converged = False
     for iteration in range(config.max_iterations):
         mapped = transform.apply(src)
-        match_idx, match_dist = _nearest_indices(mapped, tgt, tree)
-        rmsd = float(np.sqrt(np.mean(match_dist * match_dist)))
+        match_idx, match_sq = _nearest_indices(mapped, tgt)
+        rmsd = float(np.sqrt(np.mean(match_sq)))
         history.append(rmsd)
         if len(history) >= 2 and abs(history[-2] - rmsd) < config.rmsd_delta_tolerance:
             converged = True

@@ -1,12 +1,13 @@
 """Rigid transforms and closed-form point-set alignment.
 
-``absolute_orientation`` solves the least-squares rigid fit with Horn's
-quaternion method: build the 3x3 cross-covariance of the centered point sets,
-lift it to the symmetric 4x4 profile matrix, and take the eigenvector of the
-largest eigenvalue as the rotation quaternion. Because quaternions
-parameterize SO(3) only, the result is always a proper rotation
-(det = +1) — reflections cannot leak in, even when the unconstrained optimum
-would be one.
+``fit_rigid_stack`` solves least-squares rigid fits with Horn's quaternion
+method, a whole stack of point-set pairs at once: build the 3x3
+cross-covariance of each centered pair, lift it to the symmetric 4x4 profile
+matrix, and take the eigenvector of the largest eigenvalue as the rotation
+quaternion. Because quaternions parameterize SO(3) only, the result is always
+a proper rotation (det = +1) — reflections cannot leak in, even when the
+unconstrained optimum would be one. ``absolute_orientation`` is its
+single-pair case.
 """
 
 from __future__ import annotations
@@ -128,13 +129,93 @@ class PointCorrespondences:
         return len(self.source)
 
 
-def _check_not_collinear(points: np.ndarray) -> None:
-    centered = points - points.mean(axis=0)
+def _collinear(centered: np.ndarray) -> np.ndarray:
+    """True where a centered point set (..., m, 3) spans no plane."""
     extents = np.linalg.svd(centered, compute_uv=False)
-    if extents[0] == 0.0 or extents[1] < COLLINEARITY_RATIO * extents[0]:
+    return (extents[..., 0] == 0.0) | (extents[..., 1] < COLLINEARITY_RATIO * extents[..., 0])
+
+
+def _check_not_collinear(points: np.ndarray) -> None:
+    if _collinear(points - points.mean(axis=0)):
         raise DegenerateGeometryError(
             "source points are collinear; rotation is not determined"
         )
+
+
+def apply_rigid_stack(
+    rotation: np.ndarray, translation: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """Apply each of N transforms, (N, 3, 3) and (N, 3), to points.
+
+    ``points`` is either one set per transform, (N, m, 3), or a single (m, 3)
+    set shared by all of them; the result is (N, m, 3). Written out
+    elementwise, so a row's bits do not depend on N.
+    """
+    rows = rotation[:, None, :, :]
+    mapped = points[..., 0:1] * rows[..., 0] + points[..., 1:2] * rows[..., 1]
+    mapped += points[..., 2:3] * rows[..., 2]
+    return mapped + translation[:, None, :]
+
+
+def fit_rigid_stack(
+    source: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares rigid fits of every ``source[i]`` onto ``target[i]``.
+
+    Takes two stacks of paired point sets, (N, m, 3) each, and solves all N
+    fits with one batched Horn solve. Returns ``(rotation (N, 3, 3),
+    translation (N, 3), rmsd (N,), aligned (N,))``. ``aligned`` is False
+    where the source points are collinear; those rows carry no fit. Raises
+    ValueError if an aligned fit's rotation is not proper and orthonormal
+    within ORTHONORMALITY_TOL, the check RigidTransform makes.
+
+    The small products are written out elementwise rather than handed to
+    BLAS, so a fit's bits do not depend on N or on how the stack is laid out:
+    solving a set alone or inside a stack gives the identical result.
+    """
+    src = np.asarray(source, dtype=np.float64)
+    dst = np.asarray(target, dtype=np.float64)
+    n_points = src.shape[-2]
+    src_centroid = np.add.reduce(src, axis=-2) / n_points
+    dst_centroid = np.add.reduce(dst, axis=-2) / n_points
+    src_centered = src - src_centroid[:, None, :]
+    dst_centered = dst - dst_centroid[:, None, :]
+    aligned = ~_collinear(src_centered)
+    products = src_centered[:, :, :, None] * dst_centered[:, :, None, :]
+    covariance = np.add.reduce(products, axis=1)
+
+    # A single fit is evaluated in Python floats, which round exactly like
+    # float64 arrays without numpy's per-call overhead.
+    pairs = covariance.reshape(-1, 9)
+    sxx, sxy, sxz, syx, syy, syz, szx, szy, szz = pairs[0].tolist() if len(pairs) == 1 else pairs.T
+    profile = [
+        sxx + syy + szz, syz - szy, szx - sxz, sxy - syx,
+        syz - szy, sxx - syy - szz, sxy + syx, szx + sxz,
+        szx - sxz, sxy + syx, syy - sxx - szz, syz + szy,
+        sxy - syx, szx + sxz, syz + szy, szz - sxx - syy,
+    ]
+    profile = np.array(profile).T.reshape(-1, 4, 4)
+    eigvals, eigvecs = np.linalg.eigh(profile)
+    quaternion = eigvecs[np.arange(len(eigvecs)), :, np.argmax(eigvals, axis=-1)]
+    quaternion = quaternion / np.sqrt(np.vecdot(quaternion, quaternion))[:, None]
+    rotation = rotation_from_quaternion(quaternion)
+
+    gram = np.swapaxes(rotation, -1, -2) @ rotation
+    drift = np.abs(gram - np.eye(3)).max(axis=(1, 2))
+    det_error = np.abs(np.linalg.det(rotation) - 1.0)
+    improper = aligned & ~((drift <= ORTHONORMALITY_TOL) & (det_error <= ORTHONORMALITY_TOL))
+    if improper.any():
+        bad = int(np.argmax(improper))
+        raise ValueError(
+            f"fit {bad} is not a proper rotation "
+            f"(drift {drift[bad]:.3e}, det {1.0 + det_error[bad]!r})"
+        )
+
+    translation = dst_centroid - np.add.reduce(rotation * src_centroid[:, None, :], axis=-1)
+    residuals = apply_rigid_stack(rotation, translation, src) - dst
+    squared = np.add.reduce(residuals * residuals, axis=-1)
+    rmsd = np.sqrt(np.add.reduce(squared, axis=-1) / n_points)
+    return rotation, translation, rmsd, aligned
 
 
 def absolute_orientation(corr: PointCorrespondences) -> tuple[RigidTransform, float]:
@@ -142,36 +223,16 @@ def absolute_orientation(corr: PointCorrespondences) -> tuple[RigidTransform, fl
 
     Returns the optimal proper transform and the rmsd of the fitted residuals.
     Raises DegenerateGeometryError when the source points are collinear.
+    This is the single-set case of :func:`fit_rigid_stack`.
     """
-    src = corr.source
-    dst = corr.target
-    _check_not_collinear(src)
-
-    src_centroid = src.mean(axis=0)
-    dst_centroid = dst.mean(axis=0)
-    m = (src - src_centroid).T @ (dst - dst_centroid)
-
-    sxx, sxy, sxz = m[0]
-    syx, syy, syz = m[1]
-    szx, szy, szz = m[2]
-    profile = np.array(
-        [
-            [sxx + syy + szz, syz - szy, szx - sxz, sxy - syx],
-            [syz - szy, sxx - syy - szz, sxy + syx, szx + sxz],
-            [szx - sxz, sxy + syx, syy - sxx - szz, syz + szy],
-            [sxy - syx, szx + sxz, syz + szy, szz - sxx - syy],
-        ],
-        dtype=np.float64,
+    rotation, translation, rmsd, aligned = fit_rigid_stack(
+        corr.source[None], corr.target[None]
     )
-    eigvals, eigvecs = np.linalg.eigh(profile)
-    quaternion = eigvecs[:, np.argmax(eigvals)]
-    rotation = rotation_from_quaternion(quaternion / np.linalg.norm(quaternion))
-
-    translation = dst_centroid - rotation @ src_centroid
-    transform = RigidTransform(rotation=rotation, translation=translation)
-    residuals = transform.apply(src) - dst
-    rmsd = float(np.sqrt(np.mean(np.sum(residuals * residuals, axis=1))))
-    return transform, rmsd
+    if not aligned[0]:
+        raise DegenerateGeometryError(
+            "source points are collinear; rotation is not determined"
+        )
+    return RigidTransform(rotation=rotation[0], translation=translation[0]), float(rmsd[0])
 
 
 def transform_to_json_dict(transform: RigidTransform, rmsd: float | None = None) -> dict:

@@ -1,10 +1,12 @@
 """Triangle-shape registration of sparse marker sets.
 
 Every 3-subset of detected device markers is stored as a scale-normalized
-shape key in a k-d tree. To register, each CT-side triangle looks up its
-nearest shape keys, verifies absolute scale, aligns the vertex-corresponded
-triangles with the closed-form solver (trying the normal-flip variant), and
-the candidate whose transform best explains *all* CT markers wins.
+shape key in a columnar table. To register, the keys of all CT-side triangles
+are computed at once and each takes its k shape-nearest stored keys from one
+exact distance matrix. Candidates failing the absolute-scale check are masked
+out. Every survivor's vertex pairings (the permutations its edge-length ties
+allow, then the normal-flip variant) are solved in stacked closed-form fits,
+and the candidate whose transform best explains *all* CT markers wins.
 
 Shape keys: with edge lengths e1 >= e3 >= e2 (e1 longest, e2 shortest), the
 key is (r2, r3) = (e2/e1, e3/e1), which is invariant to rigid motion and
@@ -29,9 +31,13 @@ from .config import (
     require_keys,
 )
 from .errors import DegenerateTriangleError, InsufficientMarkersError, NoMatchError
-from .kdtree import KdTree
 from .markers import MarkerSet
-from .rigid import PointCorrespondences, RigidTransform, absolute_orientation
+from .rigid import (
+    PointCorrespondences,
+    RigidTransform,
+    apply_rigid_stack,
+    fit_rigid_stack,
+)
 
 # A triangle with area below this fraction of e1^2 has no stable shape key.
 DEGENERACY_RATIO = 1e-6
@@ -109,20 +115,50 @@ class IndexedTriangle:
 
 
 def _edge_lengths(points: np.ndarray) -> np.ndarray:
-    """Edge lengths where edge i is opposite vertex i."""
-    return np.array(
-        [
-            float(np.linalg.norm(points[1] - points[2])),
-            float(np.linalg.norm(points[2] - points[0])),
-            float(np.linalg.norm(points[0] - points[1])),
-        ]
-    )
+    """Edge lengths where edge i is opposite vertex i; (..., 3, 3) -> (..., 3).
+
+    ``vecdot`` takes the same scalar dot product as ``np.linalg.norm`` of
+    one edge vector, so every length is bit-identical to that norm.
+    """
+    diff = points[..., [1, 2, 0], :] - points[..., [2, 0, 1], :]
+    return np.sqrt(np.vecdot(diff, diff))
+
+
+def _canonical_perms(edges: np.ndarray) -> np.ndarray:
+    """Vertex order (opp-longest, opp-shortest, opp-middle) per row; ties by index."""
+    descending = np.argsort(-edges, axis=-1, kind="stable")
+    return descending[..., [0, 2, 1]]
 
 
 def _canonical_perm(edges: np.ndarray) -> tuple[int, int, int]:
-    """Vertex order (opp-longest, opp-shortest, opp-middle); ties by index."""
-    desc = sorted(range(3), key=lambda i: (-edges[i], i))
-    return (desc[0], desc[2], desc[1])
+    """Canonical vertex order of one triangle's edge lengths."""
+    a, b, c = _canonical_perms(np.asarray(edges)[None])[0]
+    return (int(a), int(b), int(c))
+
+
+def _triangle_shapes(
+    points: np.ndarray, degeneracy_ratio: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shape keys of a stack of triangles (N, 3, 3).
+
+    Returns ``(perm (N, 3), key (N, 2), e1 (N,), shaped (N,))`` where
+    ``perm`` is the canonical vertex order and ``key`` holds (r2, r3).
+    ``shaped`` is False for degenerate rows: coincident points, area below
+    ``degeneracy_ratio * e1**2``, or edge ratios that round to no triangle
+    (r2 + r3 <= 1). Their keys are meaningless.
+    """
+    edges = _edge_lengths(points)
+    e1 = edges.max(axis=-1)
+    u = points[:, 1] - points[:, 0]
+    v = points[:, 2] - points[:, 0]
+    # u x v, term for term as np.cross evaluates it
+    normal = u[:, [1, 2, 0]] * v[:, [2, 0, 1]] - u[:, [2, 0, 1]] * v[:, [1, 2, 0]]
+    area = 0.5 * np.sqrt(np.vecdot(normal, normal))
+    perm = _canonical_perms(edges)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        key = edges[np.arange(len(edges))[:, None], perm[:, 1:]] / e1[:, None]
+    shaped = (e1 > 0.0) & ~(area < degeneracy_ratio * e1 * e1) & (key[:, 0] + key[:, 1] > 1.0)
+    return perm, key, e1, shaped
 
 
 def triangle_key(
@@ -137,39 +173,94 @@ def triangle_key(
     ``degeneracy_ratio * e1**2`` (collinear points included).
     """
     points = np.array([p1, p2, p3], dtype=np.float64)
-    edges = _edge_lengths(points)
-    e1 = float(edges.max())
-    if e1 <= 0.0:
-        raise DegenerateTriangleError("coincident points have no triangle shape")
-    area = 0.5 * float(np.linalg.norm(np.cross(points[1] - points[0], points[2] - points[0])))
-    if area < degeneracy_ratio * e1 * e1:
+    _, key, e1, shaped = _triangle_shapes(points[None], degeneracy_ratio)
+    longest = float(e1[0])
+    if not shaped[0]:
+        if not longest > 0.0:
+            raise DegenerateTriangleError("coincident points have no triangle shape")
+        area = 0.5 * float(np.linalg.norm(np.cross(points[1] - points[0], points[2] - points[0])))
         raise DegenerateTriangleError(
             f"triangle too thin: area {area:.6g} < {degeneracy_ratio:g} * e1^2"
+            if area < degeneracy_ratio * longest * longest
+            else "triangle too thin: its edge ratios round to a straight line"
         )
-    perm = _canonical_perm(edges)
-    return TriangleKey(r2=float(edges[perm[1]] / e1), r3=float(edges[perm[2]] / e1), e1=e1)
+    return TriangleKey(r2=float(key[0, 0]), r3=float(key[0, 1]), e1=longest)
+
+
+# Entries per block when scanning shape distances and scoring candidates;
+# bounds the temporaries when both marker sets are large.
+_SCAN_BLOCK = 1 << 14
+
+
+def _nearest_keys(
+    queries: np.ndarray, keys: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact k nearest stored keys per query row, by (distance, insertion order).
+
+    Returns ``(index (Q, k'), distance (Q, k'))`` with k' = min(k, len(keys)).
+    Distances are ``sqrt(delta @ delta)`` bit for bit. A quick elementwise
+    squared distance picks, per row, every key within a relative 1e-9 of the
+    k'-th smallest; only those are measured exactly and ranked, so rounding
+    in the quick pass cannot change the result.
+    """
+    count = min(k, len(keys))
+    index = np.empty((len(queries), count), dtype=np.intp)
+    distance = np.empty((len(queries), count), dtype=np.float64)
+    if count == 0:
+        return index, distance
+    block = max(1, _SCAN_BLOCK // len(keys))
+    for start in range(0, len(queries), block):
+        chunk = queries[start : start + block]
+        quick = chunk[:, 0, None] - keys[:, 0]
+        quick *= quick
+        dy = chunk[:, 1, None] - keys[:, 1]
+        dy *= dy
+        quick += dy
+        kth = np.partition(quick, count - 1, axis=1)[:, count - 1]
+        rows, cols = np.nonzero(quick <= kth[:, None] * (1.0 + 1e-9))
+        delta = chunk[rows] - keys[cols]
+        exact = np.sqrt(np.vecdot(delta, delta))
+        order = np.lexsort((cols, exact, rows))
+        per_row = np.bincount(rows, minlength=len(chunk))
+        rank = np.arange(len(order)) - (np.cumsum(per_row) - per_row)[rows[order]]
+        keep = order[rank < count]
+        index[start : start + block] = cols[keep].reshape(-1, count)
+        distance[start : start + block] = exact[keep].reshape(-1, count)
+    return index, distance
 
 
 class TriangleTable:
     """All triangles over the device markers seen so far, searchable by shape.
 
-    Keys live in a k-d tree over (r2, r3); shape distance is Euclidean there.
+    Columnar storage in insertion order (the triples completed by each new
+    marker): ``keys`` (T, 2) holds (r2, r3), ``e1`` (T,) the longest edges
+    and ``indices`` (T, 3) the marker indices in canonical order. Shape
+    distance is Euclidean in (r2, r3).
     """
 
     def __init__(self, degeneracy_ratio: float = DEGENERACY_RATIO):
         self.markers: list[np.ndarray] = []
         self.degeneracy_ratio = float(degeneracy_ratio)
         self.degenerate_skipped = 0
-        self._tree = KdTree(dim=2)
+        self.keys = np.zeros((0, 2), dtype=np.float64)
+        self.e1 = np.zeros(0, dtype=np.float64)
+        self.indices = np.zeros((0, 3), dtype=np.intp)
 
     @property
     def n_triangles(self) -> int:
-        return len(self._tree)
+        return len(self.e1)
 
     def marker_array(self) -> np.ndarray:
         if not self.markers:
             return np.zeros((0, 3), dtype=np.float64)
         return np.array(self.markers, dtype=np.float64)
+
+    def _triangle(self, row: int) -> IndexedTriangle:
+        """The stored triangle at ``row`` (insertion order)."""
+        a, b, c = (int(i) for i in self.indices[row])
+        r2, r3 = (float(v) for v in self.keys[row])
+        key = TriangleKey(r2=r2, r3=r3, e1=float(self.e1[row]))
+        return IndexedTriangle(marker_indices=(a, b, c), key=key)
 
     def triangle_points(self, triangle: IndexedTriangle) -> np.ndarray:
         return np.array([self.markers[i] for i in triangle.marker_indices], dtype=np.float64)
@@ -185,59 +276,125 @@ class TriangleTable:
             raise ValueError("marker must be finite")
         new_index = len(self.markers)
         self.markers.append(pt.copy())
-        inserted = 0
-        for a, b in itertools.combinations(range(new_index), 2):
-            triple = (a, b, new_index)
-            points = np.array([self.markers[i] for i in triple])
-            try:
-                key = triangle_key(*points, degeneracy_ratio=self.degeneracy_ratio)
-            except DegenerateTriangleError:
-                self.degenerate_skipped += 1
-                continue
-            perm = _canonical_perm(_edge_lengths(points))
-            canonical = (triple[perm[0]], triple[perm[1]], triple[perm[2]])
-            self._tree.insert(
-                np.array([key.r2, key.r3]), IndexedTriangle(marker_indices=canonical, key=key)
-            )
-            inserted += 1
-        return inserted
+        if new_index < 2:
+            return 0
+        first, second = np.triu_indices(new_index, k=1)  # combinations order
+        triples = np.stack([first, second, np.full_like(first, new_index)], axis=1)
+        points = self.marker_array()[triples]
+        perm, key, e1, shaped = _triangle_shapes(points, self.degeneracy_ratio)
+        canonical = _permute_rows(triples, perm)
+        self.degenerate_skipped += int(np.count_nonzero(~shaped))
+        self.keys = np.concatenate([self.keys, key[shaped]])
+        self.e1 = np.concatenate([self.e1, e1[shaped]])
+        self.indices = np.concatenate([self.indices, canonical[shaped]])
+        return int(np.count_nonzero(shaped))
 
     def query_nearest(self, key: TriangleKey, k: int) -> list[tuple[IndexedTriangle, float]]:
-        """k shape-nearest stored triangles as (triangle, shape distance)."""
-        return self._tree.nearest(np.array([key.r2, key.r3]), k)  # type: ignore[return-value]
+        """k shape-nearest stored triangles as (triangle, shape distance).
+
+        Ordered by (distance, insertion order); fewer than ``k`` when the
+        table is smaller.
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        index, distance = _nearest_keys(np.array([[key.r2, key.r3]]), self.keys, k)
+        return [(self._triangle(row), float(d)) for row, d in zip(index[0], distance[0])]
 
 
-def _tie_partition(edges_by_position: np.ndarray, epsilon: float) -> list[list[int]]:
-    """Group canonical positions whose edge lengths tie within epsilon.
+# Device-side position permutations consistent with edge-length ties, in the
+# order they are tried, by tie code: +1 when e1 and e3 tie, +2 when e3 and e2
+# tie (chained, so both flags tie all three). Positions are canonical:
+# (opp-longest, opp-shortest, opp-middle).
+_TIE_PERMUTATIONS = (
+    ((0, 1, 2),),
+    ((0, 1, 2), (2, 1, 0)),
+    ((0, 1, 2), (0, 2, 1)),
+    tuple(itertools.permutations(range(3))),
+)
+_TIE_COUNT = np.array([len(p) for p in _TIE_PERMUTATIONS])
+_TIE_TABLE = np.array([p + ((0, 1, 2),) * (6 - len(p)) for p in _TIE_PERMUTATIONS])
 
-    Positions are (0, 1, 2) = (opp-longest, opp-shortest, opp-middle); the
-    chaining runs over lengths sorted descending (e1, e3, e2)."""
-    order = [0, 2, 1]  # positions sorted by their edge length, descending
-    groups: list[list[int]] = [[order[0]]]
-    for prev, cur in zip(order, order[1:]):
-        if abs(edges_by_position[prev] - edges_by_position[cur]) <= epsilon:
-            groups[-1].append(cur)
-        else:
-            groups.append([cur])
-    return groups
+
+def _tie_codes(ct_edges: np.ndarray, dev_edges: np.ndarray, tie_epsilon: float | None) -> np.ndarray:
+    """Tie code per candidate from both sides' canonical edges (e1, e2, e3).
+
+    Edges tie within ``tie_epsilon``, by default 1e-6 * e1 of their own
+    triangle (exact-arithmetic ties only). A tie on either side counts.
+    """
+    first = np.zeros(len(ct_edges), dtype=bool)
+    second = np.zeros(len(ct_edges), dtype=bool)
+    for edges in (ct_edges, dev_edges):
+        eps = 1e-6 * edges[:, 0] if tie_epsilon is None else tie_epsilon
+        first |= np.abs(edges[:, 0] - edges[:, 2]) <= eps
+        second |= np.abs(edges[:, 2] - edges[:, 1]) <= eps
+    return first.astype(np.intp) + 2 * second.astype(np.intp)
 
 
-def _merge_partitions(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    parent = list(range(3))
+def _permute_rows(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """rows[i][perm[i]] for stacks (N, 3, ...) and orders (N, 3)."""
+    return rows[np.arange(len(perm))[:, None], perm]
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for group in itertools.chain(a, b):
-        for other in group[1:]:
-            parent[find(other)] = find(group[0])
-    merged: dict[int, list[int]] = {}
-    for pos in range(3):
-        merged.setdefault(find(pos), []).append(pos)
-    return [merged[root] for root in sorted(merged, key=lambda r: min(merged[r]))]
+def _canonical_triangles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triangles (N, 3, 3) reordered canonically, with their edges by position."""
+    edges = _edge_lengths(points)
+    perm = _canonical_perms(edges)
+    return _permute_rows(points, perm), _permute_rows(edges, perm)
+
+
+def _best_pairings(
+    ct: np.ndarray, dev: np.ndarray, codes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve every tie permutation of every candidate in one stacked fit.
+
+    ``ct`` and ``dev`` are canonical triangles (C, 3, 3). Keeps, per
+    candidate, the first permutation with the lowest fit rmsd and returns
+    ``(paired device points, rotation, translation, rmsd)`` for it. Raises
+    DegenerateTriangleError when a candidate has no alignable pairing.
+    """
+    counts = _TIE_COUNT[codes]
+    owner = np.repeat(np.arange(len(codes)), counts)
+    slot = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    perms = _TIE_TABLE[codes[owner], slot]
+    targets = _permute_rows(dev[owner], perms)
+    rotation, translation, rmsd, aligned = fit_rigid_stack(ct[owner], targets)
+    if not aligned.all():
+        raise DegenerateTriangleError("no alignable vertex pairing (degenerate triangle)")
+    by_slot = np.full((len(codes), 6), np.inf)
+    by_slot[owner, slot] = rmsd
+    chosen = np.cumsum(counts) - counts + np.argmin(by_slot, axis=1)
+    return _permute_rows(dev, perms[chosen]), rotation[chosen], translation[chosen], rmsd[chosen]
+
+
+# Target order that exchanges the two vertices adjacent to the longest
+# source edge, by the index of the vertex opposite that edge.
+_FLIP_ORDER = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+
+
+def _with_flip(
+    source: np.ndarray,
+    target: np.ndarray,
+    rotation: np.ndarray,
+    translation: np.ndarray,
+    rmsd: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Re-solve each fit with its mirrored pairing and keep the better one.
+
+    ``rotation``, ``translation`` and ``rmsd`` are the aligned fits of
+    ``source`` onto ``target`` (stacks of 3-point sets); the exchanged
+    pairing has the same sources, so it aligns too. Returns the kept
+    ``(rotation, translation, rmsd, flipped)``.
+    """
+    opposite = np.argmax(_edge_lengths(source), axis=-1)
+    exchanged = _permute_rows(target, _FLIP_ORDER[opposite])
+    flip_rotation, flip_translation, flip_rmsd, _ = fit_rigid_stack(source, exchanged)
+    flipped = flip_rmsd < rmsd
+    return (
+        np.where(flipped[:, None, None], flip_rotation, rotation),
+        np.where(flipped[:, None], flip_translation, translation),
+        np.where(flipped, flip_rmsd, rmsd),
+        flipped,
+    )
 
 
 def _tie_permutations(
@@ -248,22 +405,9 @@ def _tie_permutations(
     Both triangles are already in canonical order. With no ties this is just
     the identity; an equilateral pair yields all 6 permutations.
     """
-    ct_edges = _edge_lengths(ct_points)
-    dev_edges = _edge_lengths(dev_points)
-    eps_ct = 1e-6 * ct_edges.max() if tie_epsilon is None else tie_epsilon
-    eps_dev = 1e-6 * dev_edges.max() if tie_epsilon is None else tie_epsilon
-    groups = _merge_partitions(
-        _tie_partition(ct_edges, eps_ct), _tie_partition(dev_edges, eps_dev)
-    )
-    perms: list[tuple[int, int, int]] = []
-    for group_perms in itertools.product(
-        *(itertools.permutations(group) for group in groups)
-    ):
-        mapping = {}
-        for group, permuted in zip(groups, group_perms):
-            mapping.update(zip(group, permuted))
-        perms.append((mapping[0], mapping[1], mapping[2]))
-    return perms
+    ct_edges = _edge_lengths(np.asarray(ct_points, dtype=np.float64))[None]
+    dev_edges = _edge_lengths(np.asarray(dev_points, dtype=np.float64))[None]
+    return list(_TIE_PERMUTATIONS[int(_tie_codes(ct_edges, dev_edges, tie_epsilon)[0])])
 
 
 def canonical_correspondence(
@@ -275,25 +419,18 @@ def canonical_correspondence(
 
     When edge lengths tie within ``tie_epsilon`` (default 1e-6 * e1, i.e.
     exact-arithmetic ties only), every permutation consistent with the tie is
-    tried and the one with the lowest alignment rmsd wins.
+    tried and the one with the lowest alignment rmsd wins. Raises
+    DegenerateTriangleError when the CT triangle is collinear and ValueError
+    on non-finite points.
     """
-    ct = np.asarray(ct_triangle, dtype=np.float64).reshape(3, 3)
-    dev = np.asarray(dev_triangle, dtype=np.float64).reshape(3, 3)
-    ct_canonical = ct[list(_canonical_perm(_edge_lengths(ct)))]
-    dev_canonical = dev[list(_canonical_perm(_edge_lengths(dev)))]
-
-    best: tuple[float, tuple[int, int, int]] | None = None
-    for perm in _tie_permutations(ct_canonical, dev_canonical, tie_epsilon):
-        candidate = dev_canonical[list(perm)]
-        try:
-            _, rmsd = absolute_orientation(PointCorrespondences(ct_canonical, candidate))
-        except Exception:
-            continue
-        if best is None or rmsd < best[0]:
-            best = (rmsd, perm)
-    if best is None:
-        raise DegenerateTriangleError("no alignable vertex pairing (degenerate triangle)")
-    return PointCorrespondences(ct_canonical, dev_canonical[list(best[1])])
+    pair = PointCorrespondences(
+        np.asarray(ct_triangle, dtype=np.float64).reshape(3, 3),
+        np.asarray(dev_triangle, dtype=np.float64).reshape(3, 3),
+    )
+    ct, ct_edges = _canonical_triangles(pair.source[None])
+    dev, dev_edges = _canonical_triangles(pair.target[None])
+    paired, _, _, _ = _best_pairings(ct, dev, _tie_codes(ct_edges, dev_edges, tie_epsilon))
+    return PointCorrespondences(ct[0], paired[0])
 
 
 def align_with_flip(corr: PointCorrespondences) -> tuple[RigidTransform, float, bool]:
@@ -311,20 +448,11 @@ def align_with_flip(corr: PointCorrespondences) -> tuple[RigidTransform, float, 
     triangle_key(*corr.source)
     triangle_key(*corr.target)
 
-    plain_transform, plain_rmsd = absolute_orientation(corr)
-
-    # Vertices adjacent to the longest source edge = the two not opposite it.
-    opposite = _canonical_perm(_edge_lengths(corr.source))[0]
-    swap = [i for i in range(3) if i != opposite]
-    exchanged = corr.target.copy()
-    exchanged[[swap[0], swap[1]]] = exchanged[[swap[1], swap[0]]]
-    flip_transform, flip_rmsd = absolute_orientation(
-        PointCorrespondences(corr.source, exchanged)
-    )
-
-    if flip_rmsd < plain_rmsd:
-        return flip_transform, flip_rmsd, True
-    return plain_transform, plain_rmsd, False
+    source, target = corr.source[None], corr.target[None]
+    rotation, translation, rmsd, _ = fit_rigid_stack(source, target)
+    rotation, translation, rmsd, flipped = _with_flip(source, target, rotation, translation, rmsd)
+    transform = RigidTransform(rotation=rotation[0], translation=translation[0])
+    return transform, float(rmsd[0]), bool(flipped[0])
 
 
 @dataclass(eq=False)
@@ -349,11 +477,27 @@ class RegistrationResult:
         }
 
 
-def _all_marker_rmsd(transform: RigidTransform, ct_points: np.ndarray, dev_points: np.ndarray) -> float:
-    mapped = transform.apply(ct_points)
-    deltas = mapped[:, None, :] - dev_points[None, :, :]
-    nearest_sq = np.min(np.sum(deltas * deltas, axis=2), axis=1)
-    return float(np.sqrt(np.mean(nearest_sq)))
+def _all_marker_rmsd(
+    rotation: np.ndarray, translation: np.ndarray, ct_points: np.ndarray, dev_points: np.ndarray
+) -> np.ndarray:
+    """RMS nearest-device-marker distance over all CT markers, per transform.
+
+    Takes a stack of transforms, (C, 3, 3) and (C, 3). Scores them in blocks
+    and scans one device marker at a time, so the temporaries stay near
+    _SCAN_BLOCK entries rather than (C, n, m).
+    """
+    rmsd = np.empty(len(rotation))
+    block = max(1, _SCAN_BLOCK // len(ct_points))
+    for start in range(0, len(rotation), block):
+        stop = start + block
+        mapped = apply_rigid_stack(rotation[start:stop], translation[start:stop], ct_points)
+        x, y, z = (np.ascontiguousarray(mapped[..., axis]) for axis in range(3))
+        nearest_sq = np.full(x.shape, np.inf)
+        for px, py, pz in dev_points:
+            dx, dy, dz = x - px, y - py, z - pz
+            np.minimum(nearest_sq, dx * dx + dy * dy + dz * dz, out=nearest_sq)
+        rmsd[start:stop] = np.sqrt(np.add.reduce(nearest_sq, axis=-1) / len(ct_points))
+    return rmsd
 
 
 def register(
@@ -368,7 +512,7 @@ def register(
     scale_tolerance_mm are rejected. Each survivor is vertex-corresponded and
     aligned (with flip correction), and candidates are ranked by the RMS
     nearest-device-marker distance over *all* CT markers, tie-broken by
-    (rmsd, shape_distance, marker indices).
+    (rmsd, shape_distance, marker indices), then by CT triple and shape rank.
 
     Raises InsufficientMarkersError (< 3 CT markers), DegenerateTriangleError
     (no CT triple carries a shape), or NoMatchError (no candidate survives).
@@ -381,55 +525,45 @@ def register(
     if table.n_triangles == 0:
         raise NoMatchError("no device triangles stored (need at least 3 device markers)")
 
-    dev_points = table.marker_array()
-    best: tuple[float, float, tuple[int, int, int], RegistrationResult] | None = None
-    best_rejected: tuple[float, float] | None = None  # (shape_distance, scale gap)
-    degenerate_ct = 0
-    n_triples = 0
-
-    for triple in itertools.combinations(range(len(ct_points)), 3):
-        n_triples += 1
-        ct_triangle = ct_points[list(triple)]
-        try:
-            ct_key = triangle_key(*ct_triangle, degeneracy_ratio=config.degeneracy_ratio)
-        except DegenerateTriangleError:
-            degenerate_ct += 1
-            continue
-        for candidate, shape_distance in table.query_nearest(ct_key, config.k):
-            scale_gap = abs(ct_key.e1 - candidate.key.e1)
-            if scale_gap > config.scale_tolerance_mm:
-                if best_rejected is None or shape_distance < best_rejected[0]:
-                    best_rejected = (shape_distance, scale_gap)
-                continue
-            corr = canonical_correspondence(
-                ct_triangle, table.triangle_points(candidate), config.tie_epsilon_mm
-            )
-            transform, _, flipped = align_with_flip(corr)
-            rmsd = _all_marker_rmsd(transform, ct_points, dev_points)
-            rank = (rmsd, shape_distance, candidate.marker_indices)
-            if best is None or rank < (best[0], best[1], best[2]):
-                best = (
-                    rmsd,
-                    shape_distance,
-                    candidate.marker_indices,
-                    RegistrationResult(
-                        transform=transform,
-                        matched_triangle=candidate,
-                        shape_distance=shape_distance,
-                        rmsd=rmsd,
-                        flipped=flipped,
-                    ),
-                )
-
-    if degenerate_ct == n_triples:
+    triples = np.array(list(itertools.combinations(range(len(ct_points)), 3)), dtype=np.intp)
+    ct_triangles = ct_points[triples]
+    _, ct_keys, ct_e1, shaped = _triangle_shapes(ct_triangles, config.degeneracy_ratio)
+    if not shaped.any():
         raise DegenerateTriangleError("every CT marker triple is degenerate")
-    if best is None:
-        detail = ""
-        if best_rejected is not None:
-            detail = (
-                f"; best rejected candidate: shape distance {best_rejected[0]:.6g}, "
-                f"longest-edge gap {best_rejected[1]:.6g} mm exceeds tolerance "
-                f"{config.scale_tolerance_mm:g} mm"
-            )
-        raise NoMatchError("no device triangle passed scale verification" + detail)
-    return best[3]
+
+    # Candidates in the order (CT triple, shape rank); the winner's final
+    # tie-break keeps that order.
+    rows = np.flatnonzero(shaped)
+    nearest, distance = _nearest_keys(ct_keys[rows], table.keys, config.k)
+    cand_row = np.repeat(rows, nearest.shape[1])
+    cand_tri = nearest.ravel()
+    cand_distance = distance.ravel()
+    scale_gap = np.abs(ct_e1[cand_row] - table.e1[cand_tri])
+    passed = ~(scale_gap > config.scale_tolerance_mm)
+    if not passed.any():
+        rejected = int(np.argmin(cand_distance))
+        raise NoMatchError(
+            "no device triangle passed scale verification"
+            f"; best rejected candidate: shape distance {cand_distance[rejected]:.6g}, "
+            f"longest-edge gap {scale_gap[rejected]:.6g} mm exceeds tolerance "
+            f"{config.scale_tolerance_mm:g} mm"
+        )
+    cand_row, cand_tri, cand_distance = cand_row[passed], cand_tri[passed], cand_distance[passed]
+
+    dev_points = table.marker_array()
+    ct, ct_edges = _canonical_triangles(ct_triangles[cand_row])
+    dev, dev_edges = _canonical_triangles(dev_points[table.indices[cand_tri]])
+    codes = _tie_codes(ct_edges, dev_edges, config.tie_epsilon_mm)
+    paired, rotation, translation, rmsd = _best_pairings(ct, dev, codes)
+    rotation, translation, _, flipped = _with_flip(ct, paired, rotation, translation, rmsd)
+    score = _all_marker_rmsd(rotation, translation, ct_points, dev_points)
+
+    indices = table.indices[cand_tri]
+    best = int(np.lexsort((indices[:, 2], indices[:, 1], indices[:, 0], cand_distance, score))[0])
+    return RegistrationResult(
+        transform=RigidTransform(rotation=rotation[best], translation=translation[best]),
+        matched_triangle=table._triangle(int(cand_tri[best])),
+        shape_distance=float(cand_distance[best]),
+        rmsd=float(score[best]),
+        flipped=bool(flipped[best]),
+    )

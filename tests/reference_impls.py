@@ -1,12 +1,19 @@
 """Independent reference implementations used only as test oracles.
 
 Deliberately written with different algorithms and traversal orders than the
-package so that agreement is evidence, not tautology.
+package so that agreement is evidence, not tautology. Where a reference
+shares a package kernel, its section says which and why.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+
+from fidreg.errors import DegenerateTriangleError, InsufficientMarkersError, NoMatchError
+from fidreg.rigid import PointCorrespondences, RigidTransform, absolute_orientation
+from fidreg.triangles import DEGENERACY_RATIO, RegistrationConfig, TriangleKey, _all_marker_rmsd
 
 
 def kabsch_svd(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -28,17 +35,28 @@ def kabsch_svd(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return R, t
 
 
-def brute_force_knn(
-    points: list[np.ndarray], query: np.ndarray, k: int
-) -> list[tuple[float, int]]:
-    """Exact kNN over insertion order: (distance, insertion index) ascending."""
-    query = np.asarray(query, dtype=np.float64)
-    scored = [
-        (float(np.linalg.norm(np.asarray(p, dtype=np.float64) - query)), i)
-        for i, p in enumerate(points)
-    ]
-    scored.sort()
-    return scored[:k]
+def brute_force_icp(
+    src: np.ndarray, tgt: np.ndarray, config
+) -> tuple[list[float], RigidTransform]:
+    """Point-to-point ICP from the identity over a full distance matrix.
+
+    Returns (rmsd history, final transform) under icp_register's stopping
+    rules. The fit is the package's absolute_orientation.
+    """
+    n = len(src)
+    transform = RigidTransform.identity()
+    history: list[float] = []
+    for iteration in range(config.max_iterations):
+        mapped = transform.apply(src)
+        d2 = np.sum((mapped[:, None] - tgt[None]) ** 2, axis=2)
+        idx = np.argmin(d2, axis=1)
+        history.append(float(np.sqrt(np.mean(d2[np.arange(n), idx]))))
+        if len(history) >= 2 and abs(history[-2] - history[-1]) < config.rmsd_delta_tolerance:
+            break
+        if iteration == config.max_iterations - 1:
+            break
+        transform, _ = absolute_orientation(PointCorrespondences(src, tgt[idx]))
+    return history, transform
 
 
 _NEIGHBOR_CACHE: dict[int, list[tuple[int, int, int]]] = {}
@@ -110,3 +128,231 @@ def splitmix64_reference(seed: int, count: int) -> list[int]:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Triangle registration, one candidate at a time.
+#
+# The per-candidate formulation of fidreg.triangles.register(): shape keys
+# one triangle at a time, an exhaustive shape-distance scan per CT triple,
+# tie permutations from union-find over tie groups, then one fit per
+# permutation and per flip. Only the rigid fit and the all-marker score come
+# from the package, called with a stack of one: their rounding cannot be
+# reproduced by a different formula, and in noise-free scenes ranking ties
+# are decided at that rounding.
+# ---------------------------------------------------------------------------
+
+
+def loop_edge_lengths(points: np.ndarray) -> np.ndarray:
+    """Edge lengths where edge i is opposite vertex i."""
+    return np.array(
+        [
+            float(np.linalg.norm(points[1] - points[2])),
+            float(np.linalg.norm(points[2] - points[0])),
+            float(np.linalg.norm(points[0] - points[1])),
+        ]
+    )
+
+
+def loop_canonical_perm(edges: np.ndarray) -> tuple[int, int, int]:
+    desc = sorted(range(3), key=lambda i: (-edges[i], i))
+    return (desc[0], desc[2], desc[1])
+
+
+def loop_triangle_key(points: np.ndarray, degeneracy_ratio: float = DEGENERACY_RATIO) -> TriangleKey:
+    points = np.asarray(points, dtype=np.float64)
+    edges = loop_edge_lengths(points)
+    e1 = float(edges.max())
+    if e1 <= 0.0:
+        raise DegenerateTriangleError("coincident points have no triangle shape")
+    area = 0.5 * float(np.linalg.norm(np.cross(points[1] - points[0], points[2] - points[0])))
+    if area < degeneracy_ratio * e1 * e1:
+        raise DegenerateTriangleError(
+            f"triangle too thin: area {area:.6g} < {degeneracy_ratio:g} * e1^2"
+        )
+    perm = loop_canonical_perm(edges)
+    return TriangleKey(r2=float(edges[perm[1]] / e1), r3=float(edges[perm[2]] / e1), e1=e1)
+
+
+def _tie_partition(edges_by_position: np.ndarray, epsilon: float) -> list[list[int]]:
+    order = [0, 2, 1]  # positions sorted by their edge length, descending
+    groups: list[list[int]] = [[order[0]]]
+    for prev, cur in zip(order, order[1:]):
+        if abs(edges_by_position[prev] - edges_by_position[cur]) <= epsilon:
+            groups[-1].append(cur)
+        else:
+            groups.append([cur])
+    return groups
+
+
+def _merge_partitions(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    parent = list(range(3))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for group in itertools.chain(a, b):
+        for other in group[1:]:
+            parent[find(other)] = find(group[0])
+    merged: dict[int, list[int]] = {}
+    for pos in range(3):
+        merged.setdefault(find(pos), []).append(pos)
+    return [merged[root] for root in sorted(merged, key=lambda r: min(merged[r]))]
+
+
+def loop_tie_permutations(
+    ct_points: np.ndarray, dev_points: np.ndarray, tie_epsilon: float | None
+) -> list[tuple[int, int, int]]:
+    ct_edges = loop_edge_lengths(ct_points)
+    dev_edges = loop_edge_lengths(dev_points)
+    eps_ct = 1e-6 * ct_edges.max() if tie_epsilon is None else tie_epsilon
+    eps_dev = 1e-6 * dev_edges.max() if tie_epsilon is None else tie_epsilon
+    groups = _merge_partitions(
+        _tie_partition(ct_edges, eps_ct), _tie_partition(dev_edges, eps_dev)
+    )
+    perms: list[tuple[int, int, int]] = []
+    for group_perms in itertools.product(*(itertools.permutations(group) for group in groups)):
+        mapping = {}
+        for group, permuted in zip(groups, group_perms):
+            mapping.update(zip(group, permuted))
+        perms.append((mapping[0], mapping[1], mapping[2]))
+    return perms
+
+
+def loop_canonical_correspondence(
+    ct_triangle: np.ndarray, dev_triangle: np.ndarray, tie_epsilon: float | None = None
+) -> PointCorrespondences:
+    ct = np.asarray(ct_triangle, dtype=np.float64).reshape(3, 3)
+    dev = np.asarray(dev_triangle, dtype=np.float64).reshape(3, 3)
+    ct_canonical = ct[list(loop_canonical_perm(loop_edge_lengths(ct)))]
+    dev_canonical = dev[list(loop_canonical_perm(loop_edge_lengths(dev)))]
+
+    best: tuple[float, tuple[int, int, int]] | None = None
+    for perm in loop_tie_permutations(ct_canonical, dev_canonical, tie_epsilon):
+        candidate = dev_canonical[list(perm)]
+        try:
+            _, rmsd = absolute_orientation(PointCorrespondences(ct_canonical, candidate))
+        except Exception:
+            continue
+        if best is None or rmsd < best[0]:
+            best = (rmsd, perm)
+    if best is None:
+        raise DegenerateTriangleError("no alignable vertex pairing (degenerate triangle)")
+    return PointCorrespondences(ct_canonical, dev_canonical[list(best[1])])
+
+
+def loop_align_with_flip(corr: PointCorrespondences, degeneracy_ratio: float = DEGENERACY_RATIO):
+    """(transform, rmsd, flipped), solving the given and the exchanged pairing."""
+    loop_triangle_key(corr.source, degeneracy_ratio)
+    loop_triangle_key(corr.target, degeneracy_ratio)
+    plain_transform, plain_rmsd = absolute_orientation(corr)
+    opposite = loop_canonical_perm(loop_edge_lengths(corr.source))[0]
+    swap = [i for i in range(3) if i != opposite]
+    exchanged = corr.target.copy()
+    exchanged[[swap[0], swap[1]]] = exchanged[[swap[1], swap[0]]]
+    flip_transform, flip_rmsd = absolute_orientation(PointCorrespondences(corr.source, exchanged))
+    if flip_rmsd < plain_rmsd:
+        return flip_transform, flip_rmsd, True
+    return plain_transform, plain_rmsd, False
+
+
+def loop_register(
+    ct_points: np.ndarray,
+    device_points: np.ndarray,
+    config: RegistrationConfig | None = None,
+    table_degeneracy_ratio: float = DEGENERACY_RATIO,
+    align_degeneracy_ratio: float = DEGENERACY_RATIO,
+) -> dict:
+    """register() as a loop over CT triples and their shape-nearest candidates.
+
+    ``device_points`` are inserted in row order, as TriangleTable would
+    store them. ``align_degeneracy_ratio`` is the ratio the flip step
+    re-validates both triangles with. Returns the fields of
+    RegistrationResult.to_json_dict() plus the RigidTransform; raises the
+    errors register() raises, with the same messages.
+    """
+    if config is None:
+        config = RegistrationConfig()
+    ct_points = np.asarray(ct_points, dtype=np.float64)
+    device_points = np.asarray(device_points, dtype=np.float64)
+    if len(ct_points) < 3:
+        raise InsufficientMarkersError(found=len(ct_points))
+
+    stored: list[tuple[tuple[int, int, int], TriangleKey]] = []
+    for new in range(len(device_points)):
+        for a, b in itertools.combinations(range(new), 2):
+            triple = (a, b, new)
+            points = device_points[list(triple)]
+            try:
+                key = loop_triangle_key(points, table_degeneracy_ratio)
+            except DegenerateTriangleError:
+                continue
+            perm = loop_canonical_perm(loop_edge_lengths(points))
+            stored.append((tuple(triple[i] for i in perm), key))
+    if not stored:
+        raise NoMatchError("no device triangles stored (need at least 3 device markers)")
+
+    def query(probe: TriangleKey) -> list[tuple[tuple[int, int, int], TriangleKey, float]]:
+        point = np.array([probe.r2, probe.r3])
+        ranked = []
+        for seq, (indices, key) in enumerate(stored):
+            delta = point - np.array([key.r2, key.r3])
+            ranked.append((float(np.sqrt(float(delta @ delta))), seq, indices, key))
+        ranked.sort(key=lambda entry: (entry[0], entry[1]))
+        return [(indices, key, distance) for distance, _, indices, key in ranked[: config.k]]
+
+    best = None
+    best_rejected: tuple[float, float] | None = None
+    degenerate_ct = 0
+    n_triples = 0
+    for triple in itertools.combinations(range(len(ct_points)), 3):
+        n_triples += 1
+        ct_triangle = ct_points[list(triple)]
+        try:
+            ct_key = loop_triangle_key(ct_triangle, config.degeneracy_ratio)
+        except DegenerateTriangleError:
+            degenerate_ct += 1
+            continue
+        for indices, key, shape_distance in query(ct_key):
+            scale_gap = abs(ct_key.e1 - key.e1)
+            if scale_gap > config.scale_tolerance_mm:
+                if best_rejected is None or shape_distance < best_rejected[0]:
+                    best_rejected = (shape_distance, scale_gap)
+                continue
+            corr = loop_canonical_correspondence(
+                ct_triangle, device_points[list(indices)], config.tie_epsilon_mm
+            )
+            transform, _, flipped = loop_align_with_flip(corr, align_degeneracy_ratio)
+            rmsd = float(
+                _all_marker_rmsd(
+                    transform.rotation[None], transform.translation[None], ct_points, device_points
+                )[0]
+            )
+            rank = (rmsd, shape_distance, indices)
+            if best is None or rank < best[0]:
+                best = (
+                    rank,
+                    {
+                        "transform": transform,
+                        "matched_marker_indices": list(indices),
+                        "shape_distance": shape_distance,
+                        "rmsd": rmsd,
+                        "flipped": flipped,
+                    },
+                )
+
+    if degenerate_ct == n_triples:
+        raise DegenerateTriangleError("every CT marker triple is degenerate")
+    if best is None:
+        detail = ""
+        if best_rejected is not None:
+            detail = (
+                f"; best rejected candidate: shape distance {best_rejected[0]:.6g}, "
+                f"longest-edge gap {best_rejected[1]:.6g} mm exceeds tolerance "
+                f"{config.scale_tolerance_mm:g} mm"
+            )
+        raise NoMatchError("no device triangle passed scale verification" + detail)
+    return best[1]

@@ -3,9 +3,11 @@ import pytest
 
 from fidreg.config import ConfigError
 from fidreg.errors import DegenerateGeometryError, InsufficientMarkersError
-from fidreg.icp import BRUTE_FORCE_LIMIT, IcpConfig, icp_register
+from fidreg.icp import IcpConfig, icp_register
 from fidreg.markers import MarkerSet
 from fidreg.rigid import RigidTransform, axis_angle_rotation, rotation_angle
+
+from reference_impls import brute_force_icp
 
 
 def scene(seed, n, angle, shift_mm):
@@ -71,28 +73,30 @@ def test_reported_transform_matches_final_rmsd():
 
 
 def test_tree_path_agrees_with_brute_force_reference():
-    # enough targets to cross BRUTE_FORCE_LIMIT and exercise the k-d tree
-    n = BRUTE_FORCE_LIMIT + 8
+    # a 40-marker scene: the exact scan must match the reference at this size too
+    n = 40
     source, target, _ = scene(11, n, 0.4, 15.0)
     config = IcpConfig(max_iterations=50)
     result = icp_register(source, target, config)
 
-    src, tgt = source.points, target.points
-    transform = RigidTransform.identity()
-    history = []
-    from fidreg.rigid import PointCorrespondences, absolute_orientation
+    history, transform = brute_force_icp(source.points, target.points, config)
 
-    for iteration in range(config.max_iterations):
-        mapped = transform.apply(src)
-        d2 = np.sum((mapped[:, None] - tgt[None]) ** 2, axis=2)
-        idx = np.argmin(d2, axis=1)
-        history.append(float(np.sqrt(np.mean(d2[np.arange(n), idx]))))
-        if len(history) >= 2 and abs(history[-2] - history[-1]) < config.rmsd_delta_tolerance:
-            break
-        if iteration == config.max_iterations - 1:
-            break
-        transform, _ = absolute_orientation(PointCorrespondences(src, tgt[idx]))
+    assert result.rmsd_history == history
+    np.testing.assert_allclose(result.transform.rotation, transform.rotation, atol=1e-15)
+    np.testing.assert_allclose(result.transform.translation, transform.translation, atol=1e-15)
 
+
+def test_large_sorted_target_set_matches_brute_force_reference():
+    # 4000 targets on a curve increasing in x, y and z, in that order: sorted
+    # input, the worst case for an unbalanced search tree
+    x = np.arange(4000.0) * 0.25
+    targets = np.stack([x, x * x / 400.0, 10.0 * np.sqrt(x)], axis=1)
+    motion = RigidTransform(axis_angle_rotation([0.2, 0.1, 1.0], 0.01), np.array([0.4, -0.3, 0.2]))
+    source = motion.apply(targets[::160])
+    config = IcpConfig(max_iterations=30)
+    result = icp_register(MarkerSet("ct", source), MarkerSet("device", targets), config)
+    history, transform = brute_force_icp(source, targets, config)
+    assert len(history) > 2
     assert result.rmsd_history == history
     np.testing.assert_allclose(result.transform.rotation, transform.rotation, atol=1e-15)
     np.testing.assert_allclose(result.transform.translation, transform.translation, atol=1e-15)

@@ -1,0 +1,223 @@
+"""register() against its per-candidate formulation (reference_impls).
+
+Both sides see the same CT markers and device markers in the same insertion
+order. The winning triangle, the flip flag and the shape distance must be
+identical; the transform and rmsd must agree within 1e-9; failures must
+raise the same error with the same message.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from fidreg.bench import SceneSpec, generate_scene
+from fidreg.errors import DegenerateTriangleError, DomainError
+from fidreg.markers import MarkerSet
+from fidreg.rigid import axis_angle_rotation
+from fidreg.triangles import (
+    _SCAN_BLOCK,
+    RegistrationConfig,
+    TriangleTable,
+    _all_marker_rmsd,
+    register,
+)
+
+from reference_impls import loop_register
+
+
+def outcome(ct_points, device_points, config):
+    """(package result or error, loop result or error) for one scene."""
+    table = TriangleTable()
+    for point in device_points:
+        table.insert_marker(point)
+    try:
+        got = register(MarkerSet("ct", ct_points), table, config)
+    except DomainError as exc:
+        got = exc
+    try:
+        want = loop_register(ct_points, device_points, config)
+    except DomainError as exc:
+        want = exc
+    return got, want
+
+
+def assert_same(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want), f"got {got!r}, want {want!r}"
+        assert str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), f"got {got!r}, want a registration"
+    assert list(got.matched_triangle.marker_indices) == want["matched_marker_indices"]
+    assert got.flipped == want["flipped"]
+    assert got.shape_distance == want["shape_distance"]
+    assert abs(got.rmsd - want["rmsd"]) <= 1e-9
+    np.testing.assert_allclose(got.transform.rotation, want["transform"].rotation, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(
+        got.transform.translation, want["transform"].translation, rtol=0, atol=1e-9
+    )
+
+
+def check(ct_points, device_points, config=None):
+    got, want = outcome(ct_points, device_points, config or RegistrationConfig())
+    assert_same(got, want)
+    return got
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 2.0])
+def test_generated_scenes_with_dropouts_and_decoys(sigma):
+    cases = itertools.product(range(3, 9), [(0, 0), (1, 2), (2, 1)], range(4))
+    for n, (dropout, decoys), seed in cases:
+        if n - dropout < 3:
+            continue
+        spec = SceneSpec(
+            n_markers=n,
+            noise_sigma_mm=sigma,
+            dropout_count=dropout,
+            decoy_count=decoys,
+            seed=9000 + 100 * n + 10 * dropout + seed,
+        )
+        ct, device, _ = generate_scene(spec)
+        check(ct.points, device.points)
+
+
+def polygon(sides, radius, lift=0.0):
+    angles = 2.0 * np.pi * np.arange(sides) / sides
+    return np.stack([radius * np.cos(angles), radius * np.sin(angles), lift * np.cos(3 * angles)], axis=1)
+
+
+@pytest.mark.parametrize("tie_epsilon", [0.0, 0.5, 5.0])
+def test_symmetric_layouts_with_edge_ties(tie_epsilon):
+    # regular polygons give isosceles and equilateral triangles whose edges
+    # tie exactly (noise 0) or within tie_epsilon_mm (noise 0.05 mm)
+    rng = np.random.default_rng(4242)
+    layouts = [polygon(3, 60.0), polygon(4, 60.0), polygon(5, 70.0, 8.0), polygon(6, 50.0)]
+    layouts.append(np.vstack([polygon(3, 60.0), polygon(3, 30.0, 5.0) + [0.0, 0.0, 40.0]]))
+    config = RegistrationConfig(tie_epsilon_mm=tie_epsilon)
+    for layout, noise, mirrored in itertools.product(layouts, [0.0, 0.05], [False, True]):
+        rotation = axis_angle_rotation(rng.normal(size=3), rng.uniform(0.1, 3.0))
+        device = layout @ rotation.T + rng.uniform(-50.0, 50.0, 3)
+        if mirrored:
+            device = device * np.array([1.0, 1.0, -1.0])
+        device = device + rng.normal(0.0, noise, device.shape)
+        check(layout, device[rng.permutation(len(device))], config)
+
+
+def test_k_larger_than_the_table():
+    rng = np.random.default_rng(77)
+    for n_device, k in [(3, 5), (4, 50), (5, 10)]:
+        ct = rng.uniform(-80.0, 80.0, (5, 3))
+        device = ct[:n_device] @ axis_angle_rotation([0.3, 1.0, 0.2], 1.1).T + 12.0
+        device = device + rng.normal(0.0, 0.5, device.shape)
+        check(ct, device, RegistrationConfig(k=k))
+
+
+def test_degenerate_ct_triples_are_skipped_or_reported():
+    rng = np.random.default_rng(91)
+    # three collinear CT markers: their triple is degenerate, the rest are not
+    ct = np.vstack([[[0.0, 0.0, 0.0], [40.0, 0.0, 0.0], [80.0, 0.0, 0.0]], rng.uniform(-60, 60, (3, 3))])
+    device = ct @ axis_angle_rotation([1.0, 0.0, 1.0], 0.7).T - 20.0
+    got = check(ct, device)
+    assert got.rmsd < 1e-9
+    # all CT triples degenerate
+    line = np.outer(np.arange(5.0), [3.0, 1.0, 2.0])
+    got = check(line, device)
+    assert "every CT marker triple is degenerate" in str(got)
+
+
+def test_no_match_reports_the_same_best_rejected_candidate():
+    for seed in range(5):
+        spec = SceneSpec(n_markers=6, noise_sigma_mm=2.0, decoy_count=2, seed=700 + seed)
+        ct, device, _ = generate_scene(spec)
+        got = check(ct.points, device.points * 1.5, RegistrationConfig(scale_tolerance_mm=0.01))
+        assert "best rejected candidate" in str(got)
+
+
+def test_insufficient_and_empty_inputs():
+    ct = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
+    check(ct[:2], ct)
+    check(ct, ct[:2])
+
+
+INTEGER_LAYOUTS = [
+    np.array([[0, 0, 0], [40, 0, 0], [40, 40, 0], [0, 40, 0]]),  # square
+    np.array([[0, 0, 0], [30, 0, 0], [30, 40, 0], [0, 40, 0]]),  # 3-4-5 rectangle
+    np.array([[0, 30, 0], [-20, 0, 0], [20, 0, 0], [0, 0, 25]]),  # isosceles, long base
+    np.array([[0, 40, 0], [-10, 0, 0], [10, 0, 0], [0, 10, 30]]),  # isosceles, short base
+    np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) * 20,  # equilateral faces
+    np.array([[0, 0, 0], [40, 0, 0], [40, 40, 0], [0, 40, 0], [20, 20, 30]]),  # pyramid
+]
+EXACT_MOTIONS = [
+    np.eye(3),
+    np.diag([-1.0, -1.0, 1.0]),  # half-turn about z
+    np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),  # quarter-turn
+    np.diag([1.0, 1.0, -1.0]),  # mirror: no proper motion fits
+]
+
+
+@pytest.mark.parametrize("config", [
+    RegistrationConfig(),
+    RegistrationConfig(k=1),
+    RegistrationConfig(k=2, tie_epsilon_mm=0.0),
+])
+def test_exact_ties_in_noise_free_integer_scenes(config):
+    # integer coordinates under exact motions make fit residuals and shape
+    # distances tie exactly, so each tie-break rule decides the winner:
+    # insertion order in the shape kNN, first lowest-rmsd tie permutation,
+    # flip only when strictly better, then (rmsd, shape distance, indices)
+    for layout, motion in itertools.product(INTEGER_LAYOUTS, EXACT_MOTIONS):
+        layout = layout.astype(np.float64)
+        device = layout @ motion.T + np.array([7.0, -3.0, 11.0])
+        check(layout, device, config)
+        check(layout, device[::-1], config)
+
+
+def test_scale_gate_boundary_and_rejected_ties():
+    ct = np.array([[0.0, 0.0, 0.0], [30.0, 0.0, 0.0], [30.0, 40.0, 0.0]])
+    # longest edges 50 and 55 mm: a gap of exactly the 5 mm tolerance passes
+    got = check(ct, ct * 1.1)
+    assert got.shape_distance == 0.0
+    # two rejected candidates with the same shape distance (power-of-two
+    # scales keep the key bit-identical): the first in shape order is named
+    device = np.vstack([ct * 2.0, ct * 4.0 + 1000.0])
+    got = check(ct, device, RegistrationConfig(scale_tolerance_mm=1.0))
+    assert "longest-edge gap 50 mm" in str(got)
+
+
+def test_configured_degeneracy_ratio_is_used_throughout():
+    # area / e1^2 is about 1e-7: a shape under degeneracy_ratio = 1e-9, not
+    # under the 1e-6 default, so aligning it must use the configured ratio
+    sliver = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [50.0, 2e-5, 0.0]])
+    config = RegistrationConfig(degeneracy_ratio=1e-9)
+    table = TriangleTable(degeneracy_ratio=1e-9)
+    for point in sliver:
+        table.insert_marker(point)
+    result = register(MarkerSet("ct", sliver), table, config)
+    assert result.rmsd < 1e-9
+    assert_same(result, loop_register(sliver, sliver, config, 1e-9, align_degeneracy_ratio=1e-9))
+    # the loop re-validated both triangles at the default ratio and failed
+    with pytest.raises(DegenerateTriangleError, match="too thin"):
+        loop_register(sliver, sliver, config, 1e-9)
+
+
+def test_scenes_large_enough_to_span_several_scan_blocks():
+    # the shape kNN scans the (CT triple, stored triangle) distances in
+    # blocks of _SCAN_BLOCK entries; these scenes need several blocks
+    for n, sigma, seed in [(12, 0.0, 1201), (14, 1.0, 1401)]:
+        spec = SceneSpec(n_markers=n, noise_sigma_mm=sigma, dropout_count=1, decoy_count=2, seed=seed)
+        ct, device, _ = generate_scene(spec)
+        assert math.comb(n, 3) * math.comb(len(device.points), 3) > 2 * _SCAN_BLOCK
+        check(ct.points, device.points)
+
+
+def test_candidate_scores_do_not_depend_on_the_block_they_fall_in():
+    rng = np.random.default_rng(31)
+    ct, device = rng.uniform(-100, 100, (9, 3)), rng.uniform(-100, 100, (11, 3))
+    count = 3 * _SCAN_BLOCK // len(ct) + 5
+    rotation = np.stack([axis_angle_rotation(axis, 0.7) for axis in rng.normal(size=(count, 3))])
+    translation = rng.uniform(-20, 20, (count, 3))
+    scores = _all_marker_rmsd(rotation, translation, ct, device)
+    for row in [0, 1, count // 2, count - 1]:
+        single = _all_marker_rmsd(rotation[row : row + 1], translation[row : row + 1], ct, device)
+        assert single[0] == scores[row]

@@ -8,6 +8,7 @@ from fidreg.rigid import (
     RigidTransform,
     absolute_orientation,
     axis_angle_rotation,
+    fit_rigid_stack,
     compose,
     inverse,
     rotation_angle,
@@ -106,6 +107,21 @@ def test_collinear_sources_rejected():
     line = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]])
     with pytest.raises(DegenerateGeometryError):
         absolute_orientation(PointCorrespondences(line, line))
+
+
+def test_stacked_fits_match_single_fits_bit_for_bit():
+    rng = SplitMix64(19)
+    for m in (3, 9, 40):
+        src = random_points(rng, 6 * m).reshape(6, m, 3)
+        dst = src @ random_transform(rng).rotation.T + rng.normals(18 * m).reshape(6, m, 3)
+        src[4] = np.outer(np.arange(m), [1.0, 2.0, 3.0])  # collinear: not aligned
+        rotation, translation, rmsd, aligned = fit_rigid_stack(src, dst)
+        assert aligned.tolist() == [True, True, True, True, False, True]
+        for i in (0, 3, 5):
+            single, single_rmsd = absolute_orientation(PointCorrespondences(src[i], dst[i]))
+            assert np.array_equal(single.rotation, rotation[i])
+            assert np.array_equal(single.translation, translation[i])
+            assert single_rmsd == rmsd[i]
 
 
 def test_minimum_three_points():

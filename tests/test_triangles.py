@@ -167,6 +167,33 @@ def test_query_nearest_matches_exhaustive_shape_distance():
         )
 
 
+def test_query_nearest_ties_break_by_insertion_order():
+    table = TriangleTable()
+    probe = triangle_key(np.zeros(3), np.array([40.0, 0.0, 0.0]), np.array([40.0, 40.0, 0.0]))
+    assert table.query_nearest(probe, k=3) == []
+    for corner in [[0.0, 0.0, 0.0], [40.0, 0.0, 0.0], [40.0, 40.0, 0.0], [0.0, 40.0, 0.0]]:
+        table.insert_marker(np.array(corner))
+    # a square's four triangles are congruent: identical keys, tied distances
+    stored = [tuple(int(i) for i in row) for row in table.indices]
+    got = table.query_nearest(probe, k=10)
+    assert [d for _, d in got] == [0.0] * 4
+    assert [c.marker_indices for c, _ in got] == stored
+    assert [c.marker_indices for c, _ in table.query_nearest(probe, k=2)] == stored[:2]
+    with pytest.raises(ValueError, match="k must be"):
+        table.query_nearest(probe, k=0)
+
+
+def test_sliver_whose_edge_ratios_round_to_a_line_is_degenerate():
+    # legs of exactly 0.5 and a longest edge of 1: r2 + r3 rounds to 1, so the
+    # key would describe no triangle even though the area gate passes
+    a, b, c = np.zeros(3), np.array([1.0, 0.0, 0.0]), np.array([0.5, 1e-9, 0.0])
+    with pytest.raises(DegenerateTriangleError, match="too thin"):
+        triangle_key(a, b, c, degeneracy_ratio=1e-12)
+    table = TriangleTable(degeneracy_ratio=1e-12)
+    assert [table.insert_marker(p) for p in (a, b, c)] == [0, 0, 0]
+    assert table.degenerate_skipped == 1
+
+
 def test_stored_indices_are_canonically_ordered():
     rng = np.random.default_rng(11)
     table = TriangleTable()
@@ -189,6 +216,19 @@ def test_canonical_correspondence_unscrambles_vertex_order():
             corr = canonical_correspondence(ct[list(ct_perm)], dev[list(dev_perm)])
             _, rmsd = absolute_orientation(corr)
             assert rmsd < 1e-9
+
+
+def test_canonical_correspondence_errors():
+    tri = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 7.0, 0.0]])
+    line = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [20.0, 0.0, 0.0]])
+    with pytest.raises(DegenerateTriangleError, match="no alignable vertex pairing"):
+        canonical_correspondence(line, tri)
+    # a malformed input is an error of its own, not a degenerate pairing
+    broken = tri.copy()
+    broken[1, 0] = np.nan
+    for ct, dev in ((broken, tri), (tri, broken)):
+        with pytest.raises(ValueError, match="finite"):
+            canonical_correspondence(ct, dev)
 
 
 def test_equilateral_ties_try_all_six_pairings():
