@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bench import (
@@ -40,6 +41,16 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise FormatError(message)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _read_text(path) -> str:
@@ -179,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out", help="output mesh (.stl binary or .obj ASCII)")
     p.add_argument(
         "--iso",
-        type=float,
+        type=_finite_float,
         default=SKIN_ISO_HU,
         help=f"iso level in HU (default {SKIN_ISO_HU:g}, the air/skin boundary)",
     )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc_tables import EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
+from ._mc_tables import EDGE_CORNERS, TRI_TABLE
 from .config import format_float
 from .errors import DegenerateGeometryError
 from .volume import Volume
@@ -45,6 +45,25 @@ CORNER_OFFSETS = (
 )
 
 WELD_TOLERANCE_MM = 1e-9
+
+
+def _edge_geometry() -> tuple[np.ndarray, np.ndarray]:
+    """Per cube edge: its axis and its lower corner's (di, dj, dk) offset."""
+    axis = np.empty(12, dtype=np.int64)
+    lower = np.empty((12, 3), dtype=np.int64)
+    for edge, (ca, cb) in enumerate(EDGE_CORNERS):
+        oa, ob = CORNER_OFFSETS[ca], CORNER_OFFSETS[cb]
+        axis[edge] = next(a for a in range(3) if oa[a] != ob[a])
+        lower[edge] = min(oa, ob)
+    return axis, lower
+
+
+_EDGE_AXIS, _EDGE_LOWER = _edge_geometry()
+# TRI_TABLE as a (256, 15) array padded with -1, plus each row's length.
+_TRI_COUNTS = np.array([len(row) for row in TRI_TABLE], dtype=np.int64)
+_TRI_EDGES = np.full((256, 15), -1, dtype=np.int8)
+for _case, _row in enumerate(TRI_TABLE):
+    _TRI_EDGES[_case, : len(_row)] = _row
 
 
 @dataclass(eq=False)
@@ -114,87 +133,78 @@ def marching_cubes(volume: Volume, iso_hu: float) -> TriangleMesh:
             "volume must span at least 2 voxels per axis to form cells"
         )
     iso = float(iso_hu)
+    if not np.isfinite(iso):
+        raise ValueError(f"iso level must be finite, got {iso_hu!r}")
 
-    below = volume.voxels < iso
-    # Case index per cell, vectorised: bit c set when corner c is below iso.
-    case = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.uint16)
+    # Case index per cell, bit c set when corner c is below iso.  Every array
+    # follows the volume's memory order, so the corner views stream.
+    below = (volume.voxels < iso).view(np.uint8)
+    order = "F" if below.flags.f_contiguous else "C"
+    case = np.empty((nx - 1, ny - 1, nz - 1), dtype=np.uint8, order=order)
+    temp = np.empty_like(case)
     for bit, (di, dj, dk) in enumerate(CORNER_OFFSETS):
         corner = below[di : di + nx - 1, dj : dj + ny - 1, dk : dk + nz - 1]
-        case |= corner.astype(np.uint16) << bit
-
-    active = (case != 0) & (case != 255)
-    # Linearise x-fastest so cells come out in scan order.
-    lin = np.flatnonzero(active.transpose(2, 1, 0).ravel())
+        if bit == 0:
+            np.copyto(case, corner)
+        else:
+            np.left_shift(corner, bit, out=temp)
+            case |= temp
+    del below
+    # Active cells (case neither 0 nor 255; case - 1 wraps 0 to 255),
+    # linearised x-fastest so cells come out in scan order.
+    np.subtract(case, 1, out=temp)
+    lin = np.flatnonzero(temp.transpose(2, 1, 0).reshape(-1) < 254)
     if lin.size == 0:
         return empty_mesh()
+    cell_case = case.transpose(2, 1, 0).reshape(-1)[lin]
+    del case, temp  # the full-size arrays go before the per-edge work
     ci = lin % (nx - 1)
     cj = (lin // (nx - 1)) % (ny - 1)
     ck = lin // ((nx - 1) * (ny - 1))
 
-    values = volume.voxels
-    spacing = volume.spacing
-    origin = volume.origin
+    # Every triangle corner as (cell, edge), cells in scan order and each
+    # cell's edges in table order; key each edge by its lower grid corner.
+    rows = _TRI_EDGES[cell_case]
+    edges = rows[rows >= 0]
+    base = np.repeat(ci + nx * (cj + ny * ck), _TRI_COUNTS[cell_case])
+    lower_step = _EDGE_LOWER @ np.array((1, nx, nx * ny))
+    keys = (base + lower_step[edges]) * 3 + _EDGE_AXIS[edges]
 
-    vertex_rows: list[tuple[float, float, float]] = []
-    index_of_edge: dict[tuple[int, int, int, int], int] = {}
-    face_rows: list[tuple[int, int, int]] = []
+    # Vertex slots in order of first use, as a walk over the corners would
+    # hand them out.
+    unique_keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    slot_order, rank = _first_use_rank(first)
+    faces = rank[inverse].reshape(-1, 3)
 
-    def edge_vertex(i: int, j: int, k: int, edge: int) -> int:
-        ca, cb = EDGE_CORNERS[edge]
-        oa, ob = CORNER_OFFSETS[ca], CORNER_OFFSETS[cb]
-        pa = (i + oa[0], j + oa[1], k + oa[2])
-        pb = (i + ob[0], j + ob[1], k + ob[2])
-        if pb < pa:
-            pa, pb = pb, pa
-        axis = 0 if pa[0] != pb[0] else (1 if pa[1] != pb[1] else 2)
-        key = (axis, pa[0], pa[1], pa[2])
-        slot = index_of_edge.get(key)
-        if slot is not None:
-            return slot
-        va = float(values[pa])
-        vb = float(values[pb])
-        t = (iso - va) / (vb - va)
-        coord = [float(pa[0]), float(pa[1]), float(pa[2])]
-        coord[axis] += t
-        slot = len(vertex_rows)
-        vertex_rows.append(
-            (
-                origin[0] + coord[0] * spacing[0],
-                origin[1] + coord[1] * spacing[1],
-                origin[2] + coord[2] * spacing[2],
-            )
-        )
-        index_of_edge[key] = slot
-        return slot
-
-    for i, j, k, cell_case in zip(ci, cj, ck, case[ci, cj, ck]):
-        i, j, k = int(i), int(j), int(k)
-        row = TRI_TABLE[cell_case]
-        for t0 in range(0, len(row), 3):
-            face_rows.append(
-                (
-                    edge_vertex(i, j, k, row[t0]),
-                    edge_vertex(i, j, k, row[t0 + 1]),
-                    edge_vertex(i, j, k, row[t0 + 2]),
-                )
-            )
-
-    vertices = np.array(vertex_rows, dtype=np.float64)
-    faces = np.array(face_rows, dtype=np.int64)
+    # Interpolate each edge from its lower corner a toward b, in the float64
+    # steps of the scalar formula: t = (iso - va) / (vb - va), coord = a + t.
+    vertex_keys = unique_keys[slot_order]
+    axis = vertex_keys % 3
+    lower = vertex_keys // 3
+    a = np.stack((lower % nx, (lower // nx) % ny, lower // (nx * ny)))
+    b = a + np.eye(3, dtype=np.int64)[:, axis]
+    va = volume.voxels[tuple(a)].astype(np.float64)
+    vb = volume.voxels[tuple(b)].astype(np.float64)
+    grid = a.T.astype(np.float64)
+    grid[np.arange(len(grid)), axis] += (iso - va) / (vb - va)
+    vertices = np.asarray(volume.origin) + grid * np.asarray(volume.spacing)
 
     # Weld coincident vertices (iso hitting a grid value makes edge vertices
     # land on the shared corner) and drop faces that collapse.
     quantised = np.round(vertices / WELD_TOLERANCE_MM) * WELD_TOLERANCE_MM
-    _, first, inverse = np.unique(
-        quantised, axis=0, return_index=True, return_inverse=True
-    )
-    if len(first) < len(vertices):
-        # Keep first-occurrence order so output stays scan-ordered.
-        order = np.argsort(first, kind="stable")
-        rank = np.empty(len(first), dtype=np.int64)
-        rank[order] = np.arange(len(first))
+    by_value = np.lexsort(quantised.T)
+    ordered = quantised[by_value]
+    starts = np.ones(len(vertices), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    if not starts.all():
+        group = np.empty(len(vertices), dtype=np.int64)
+        group[by_value] = np.cumsum(starts) - 1
+        # lexsort is stable, so a group's first sorted entry is its first use;
+        # keep first-use order so output stays scan-ordered.
+        first = by_value[starts]
+        _, rank = _first_use_rank(first)
         vertices = vertices[np.sort(first)]
-        faces = rank[inverse][faces]
+        faces = rank[group][faces]
         keep = (
             (faces[:, 0] != faces[:, 1])
             & (faces[:, 1] != faces[:, 2])
@@ -211,6 +221,15 @@ def marching_cubes(volume: Volume, iso_hu: float) -> TriangleMesh:
         vertices = vertices[used]
         faces = remap[faces]
     return TriangleMesh(vertices, faces)
+
+
+def _first_use_rank(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For np.unique's ``return_index`` output: the unique entries in order of
+    first use, and each unique entry's position in that order."""
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    return order, rank
 
 
 STL_HEADER = ("fidreg mesh; " + ORIENTATION_NOTE).encode("ascii")[:80]

@@ -162,9 +162,9 @@ def read_volume(path) -> Volume:
 
     nx, ny, nz = dims
     expected = 2 * nx * ny * nz
-    payload = blob[pos:]
-    if len(payload) != expected:
-        raise TruncationError(expected, len(payload))
+    if len(blob) - pos != expected:
+        raise TruncationError(expected, len(blob) - pos)
 
-    voxels = np.frombuffer(payload, dtype="<i2").reshape(dims, order="F")
+    # A read-only view of the file's bytes, so neither this nor Volume copies.
+    voxels = np.frombuffer(blob, dtype="<i2", offset=pos).reshape(dims, order="F")
     return Volume(dims=dims, spacing=spacing, origin=origin, voxels=voxels)

@@ -8,12 +8,22 @@ shares a package kernel, its section says which and why.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import numpy as np
 
-from fidreg.errors import DegenerateTriangleError, InsufficientMarkersError, NoMatchError
+from fidreg._mc_tables import EDGE_CORNERS, TRI_TABLE
+from fidreg.errors import (
+    DegenerateGeometryError,
+    DegenerateTriangleError,
+    InsufficientMarkersError,
+    NoMatchError,
+)
+from fidreg.mesh import CORNER_OFFSETS, WELD_TOLERANCE_MM, TriangleMesh, empty_mesh
 from fidreg.rigid import PointCorrespondences, RigidTransform, absolute_orientation
+from fidreg.segmentation import CONNECTIVITY_OFFSETS, BinaryMask, Component
 from fidreg.triangles import DEGENERACY_RATIO, RegistrationConfig, TriangleKey, _all_marker_rmsd
+from fidreg.volume import Volume
 
 
 def kabsch_svd(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,6 +124,53 @@ def flood_fill_partition(
                             stack.append((ni, nj, nk))
                 partition.add(frozenset(members))
     return partition
+
+
+def bfs_connected_components(mask: BinaryMask, connectivity: int = 26) -> list[Component]:
+    """Per-voxel breadth-first labelling over a linear-index dict.
+
+    Labels follow first-encounter x-fastest scan order, as in
+    connected_components; voxels within a component follow BFS discovery
+    order, so compare them as sets.
+    """
+    if connectivity not in CONNECTIVITY_OFFSETS:
+        raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity!r}")
+    nx, ny, nz = mask.dims
+    # x-fastest linearization: C-order ravel of the (nz, ny, nx) transpose.
+    flat = mask.bits.transpose(2, 1, 0).ravel()
+    linear = np.flatnonzero(flat)
+    if len(linear) == 0:
+        return []
+    ii = linear % nx
+    jj = (linear // nx) % ny
+    kk = linear // (nx * ny)
+    slot_of = {int(lin): s for s, lin in enumerate(linear)}
+    visited = np.zeros(len(linear), dtype=bool)
+    offsets = CONNECTIVITY_OFFSETS[connectivity]
+
+    components: list[Component] = []
+    for start in range(len(linear)):
+        if visited[start]:
+            continue
+        visited[start] = True
+        queue = deque([start])
+        member_slots = []
+        while queue:
+            slot = queue.popleft()
+            member_slots.append(slot)
+            ci, cj, ck = int(ii[slot]), int(jj[slot]), int(kk[slot])
+            for di, dj, dk in offsets:
+                ni, nj, nk = ci + di, cj + dj, ck + dk
+                if not (0 <= ni < nx and 0 <= nj < ny and 0 <= nk < nz):
+                    continue
+                neighbor = slot_of.get(ni + nx * (nj + ny * nk))
+                if neighbor is not None and not visited[neighbor]:
+                    visited[neighbor] = True
+                    queue.append(neighbor)
+        idx = np.column_stack((ii[member_slots], jj[member_slots], kk[member_slots]))
+        components.append(Component(label=len(components) + 1, voxel_indices=idx.astype(np.int64)))
+    return components
+
 
 
 def splitmix64_reference(seed: int, count: int) -> list[int]:
@@ -356,3 +413,115 @@ def loop_register(
             )
         raise NoMatchError("no device triangle passed scale verification" + detail)
     return best[1]
+
+
+def loop_marching_cubes(volume: Volume, iso_hu: float) -> TriangleMesh:
+    """Marching cubes one active cell at a time, with a dict of edge slots.
+
+    Each crossing edge gets its vertex slot the first time a triangle corner
+    asks for it, walking cells x-fastest and each cell's TRI_TABLE row in
+    order; the weld and orphan passes match marching_cubes.
+    """
+    nx, ny, nz = volume.dims
+    if min(nx, ny, nz) < 2:
+        raise DegenerateGeometryError(
+            "volume must span at least 2 voxels per axis to form cells"
+        )
+    iso = float(iso_hu)
+
+    below = volume.voxels < iso
+    # Case index per cell, vectorised: bit c set when corner c is below iso.
+    case = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.uint16)
+    for bit, (di, dj, dk) in enumerate(CORNER_OFFSETS):
+        corner = below[di : di + nx - 1, dj : dj + ny - 1, dk : dk + nz - 1]
+        case |= corner.astype(np.uint16) << bit
+
+    active = (case != 0) & (case != 255)
+    # Linearise x-fastest so cells come out in scan order.
+    lin = np.flatnonzero(active.transpose(2, 1, 0).ravel())
+    if lin.size == 0:
+        return empty_mesh()
+    ci = lin % (nx - 1)
+    cj = (lin // (nx - 1)) % (ny - 1)
+    ck = lin // ((nx - 1) * (ny - 1))
+
+    values = volume.voxels
+    spacing = volume.spacing
+    origin = volume.origin
+
+    vertex_rows: list[tuple[float, float, float]] = []
+    index_of_edge: dict[tuple[int, int, int, int], int] = {}
+    face_rows: list[tuple[int, int, int]] = []
+
+    def edge_vertex(i: int, j: int, k: int, edge: int) -> int:
+        ca, cb = EDGE_CORNERS[edge]
+        oa, ob = CORNER_OFFSETS[ca], CORNER_OFFSETS[cb]
+        pa = (i + oa[0], j + oa[1], k + oa[2])
+        pb = (i + ob[0], j + ob[1], k + ob[2])
+        if pb < pa:
+            pa, pb = pb, pa
+        axis = 0 if pa[0] != pb[0] else (1 if pa[1] != pb[1] else 2)
+        key = (axis, pa[0], pa[1], pa[2])
+        slot = index_of_edge.get(key)
+        if slot is not None:
+            return slot
+        va = float(values[pa])
+        vb = float(values[pb])
+        t = (iso - va) / (vb - va)
+        coord = [float(pa[0]), float(pa[1]), float(pa[2])]
+        coord[axis] += t
+        slot = len(vertex_rows)
+        vertex_rows.append(
+            (
+                origin[0] + coord[0] * spacing[0],
+                origin[1] + coord[1] * spacing[1],
+                origin[2] + coord[2] * spacing[2],
+            )
+        )
+        index_of_edge[key] = slot
+        return slot
+
+    for i, j, k, cell_case in zip(ci, cj, ck, case[ci, cj, ck]):
+        i, j, k = int(i), int(j), int(k)
+        row = TRI_TABLE[cell_case]
+        for t0 in range(0, len(row), 3):
+            face_rows.append(
+                (
+                    edge_vertex(i, j, k, row[t0]),
+                    edge_vertex(i, j, k, row[t0 + 1]),
+                    edge_vertex(i, j, k, row[t0 + 2]),
+                )
+            )
+
+    vertices = np.array(vertex_rows, dtype=np.float64)
+    faces = np.array(face_rows, dtype=np.int64)
+
+    # Weld coincident vertices (iso hitting a grid value makes edge vertices
+    # land on the shared corner) and drop faces that collapse.
+    quantised = np.round(vertices / WELD_TOLERANCE_MM) * WELD_TOLERANCE_MM
+    _, first, inverse = np.unique(
+        quantised, axis=0, return_index=True, return_inverse=True
+    )
+    if len(first) < len(vertices):
+        # Keep first-occurrence order so output stays scan-ordered.
+        order = np.argsort(first, kind="stable")
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[order] = np.arange(len(first))
+        vertices = vertices[np.sort(first)]
+        faces = rank[inverse][faces]
+        keep = (
+            (faces[:, 0] != faces[:, 1])
+            & (faces[:, 1] != faces[:, 2])
+            & (faces[:, 0] != faces[:, 2])
+        )
+        faces = faces[keep]
+    if faces.size == 0:
+        return empty_mesh()
+    # Drop vertices orphaned by face removal.
+    used = np.zeros(len(vertices), dtype=bool)
+    used[faces] = True
+    if not used.all():
+        remap = np.cumsum(used) - 1
+        vertices = vertices[used]
+        faces = remap[faces]
+    return TriangleMesh(vertices, faces)

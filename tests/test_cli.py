@@ -220,3 +220,23 @@ def test_register_accepts_config_file(tmp_path):
     )
     assert rc == 0
     assert json.loads((tmp_path / "o.json").read_text())["rmsd"] < 1e-6
+
+
+@pytest.mark.parametrize("iso", ["nan", "inf", "NaN", "1e999"])
+def test_mesh_rejects_non_finite_iso(phantom_volume, tmp_path, capsys, iso):
+    stl = tmp_path / "skin.stl"
+    assert main(["mesh", str(phantom_volume), str(stl), "--iso", iso]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "finite" in err
+    assert not stl.exists()
+
+
+def test_segment_rejects_non_finite_hu_min(phantom_volume, tmp_path, capsys):
+    config = tmp_path / "seg.cfg"
+    config.write_text("expected_mm3 = 27\nhu_min = nan\n")
+    out = tmp_path / "out.csv"
+    assert main(["segment", str(phantom_volume), str(config), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error: hu_min must be finite" in err
+    assert not out.exists()

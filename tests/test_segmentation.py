@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,3 +207,46 @@ def test_config_round_trip_and_validation():
         SegmentationConfig(expected_mm3=27.0, tolerance_fraction=1.0)
     with pytest.raises(ConfigError, match="positive"):
         SegmentationConfig(expected_mm3=0.0)
+
+
+def test_config_rejects_non_finite_values():
+    for value in ("inf", "nan"):
+        with pytest.raises(ConfigError, match="expected_mm3"):
+            SegmentationConfig(expected_mm3=float(value))
+        with pytest.raises(ConfigError, match="hu_min"):
+            SegmentationConfig(expected_mm3=27.0, hu_min=float(value))
+        with pytest.raises(ConfigError, match="expected_mm3"):
+            SegmentationConfig.from_text(f"expected_mm3 = {value}\n")
+        with pytest.raises(ConfigError, match="hu_min"):
+            SegmentationConfig.from_text(f"expected_mm3 = 27\nhu_min = {value}\n")
+    with pytest.raises(ConfigError, match="hu_min"):
+        SegmentationConfig(expected_mm3=27.0, hu_min=float("-inf"))
+
+
+def test_bone_block_segments_within_budget():
+    # Criterion 04's volume with a 64^3 block above hu_min: one large
+    # component that must neither slow labelling down nor pass the size filter.
+    spacing = (0.8, 0.8, 1.5)
+    origin = (-102.4, -102.4, -192.0)
+    vox = np.full((256, 256, 256), 40, dtype=np.int16)
+    vox[96:160, 100:164, 90:154] = 1200
+    corners = [
+        (20, 30, 40), (200, 40, 60), (40, 210, 30), (180, 200, 220),
+        (60, 60, 200), (220, 120, 120), (120, 20, 180), (30, 140, 100),
+    ]
+    for i, j, k in corners:
+        vox[i : i + 3, j : j + 3, k : k + 3] = 3000
+    volume = Volume((256, 256, 256), spacing, origin, vox)
+    del vox
+    config = SegmentationConfig(expected_mm3=27 * 0.8 * 0.8 * 1.5)
+    start = time.perf_counter()
+    markers = segment_markers(volume, config)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"segmentation took {elapsed:.2f} s"
+    # Labels follow scan order: ascending k, then j, then i of the first voxel.
+    expected = [
+        np.array(origin) + (np.array(c) + 1.0) * spacing
+        for c in sorted(corners, key=lambda c: (c[2], c[1], c[0]))
+    ]
+    assert len(markers) == 8
+    np.testing.assert_allclose(markers.points, expected, rtol=0, atol=1e-9)

@@ -1,0 +1,189 @@
+"""Whole-array labelling and marching cubes against their per-voxel oracles.
+
+``connected_components`` must give the labels and voxel sets of the
+breadth-first reference, with each component's voxels in scan order.
+``marching_cubes`` must give bit-identical vertices and faces to the
+per-cell loop, welded and unwelded, in either memory order of the volume.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fidreg.mesh import marching_cubes
+from fidreg.segmentation import BinaryMask, connected_components
+from fidreg.volume import Volume
+
+from reference_impls import bfs_connected_components, loop_marching_cubes
+
+
+def scan_index(voxel_indices, dims):
+    nx, ny, _ = dims
+    return voxel_indices[:, 0] + nx * (voxel_indices[:, 1] + ny * voxel_indices[:, 2])
+
+
+def assert_labelling_matches_bfs(bits, connectivity):
+    bits = np.asarray(bits, dtype=bool)
+    mask = BinaryMask(bits.shape, bits)
+    got = connected_components(mask, connectivity)
+    want = bfs_connected_components(mask, connectivity)
+    assert [c.label for c in got] == [c.label for c in want]
+    for g, w in zip(got, want):
+        assert g.voxel_indices.dtype == np.int64
+        assert {tuple(v) for v in g.voxel_indices.tolist()} == {
+            tuple(v) for v in w.voxel_indices.tolist()
+        }
+        assert g.voxel_count == w.voxel_count
+        assert np.all(np.diff(scan_index(g.voxel_indices, bits.shape)) > 0)
+    return got
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 2**48 - 1),
+    st.sampled_from([6, 18, 26]),
+    st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+    st.floats(0.05, 0.95),
+)
+def test_labelling_matches_bfs_oracle(seed, connectivity, dims, density):
+    bits = np.random.default_rng(seed).random(dims) < density
+    assert_labelling_matches_bfs(bits, connectivity)
+
+
+def serpentine(nx, ny, nz):
+    """A 1-voxel-wide serpentine: full x rows on even (j, k), joined at alternating ends."""
+    bits = np.zeros((nx, ny, nz), dtype=bool)
+    turn = 0
+    for k in range(0, nz, 2):
+        for j in range(0, ny, 2):
+            bits[:, j, k] = True
+            last_row = j + 2 >= ny
+            if not last_row:
+                bits[(nx - 1) * (turn % 2), j + 1, k] = True
+                turn += 1
+        if k + 2 < nz:
+            j_end = (ny - 1) // 2 * 2
+            bits[(nx - 1) * (turn % 2), j_end, k + 1] = True
+            turn += 1
+    return bits
+
+
+def comb(nx, ny, nz):
+    """A spine along x at the top of the grid with single-voxel teeth hanging in y."""
+    bits = np.zeros((nx, ny, nz), dtype=bool)
+    bits[:, ny - 1, nz // 2] = True
+    bits[::2, :, nz // 2] = True
+    return bits
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+@pytest.mark.parametrize("axes", [(0, 1, 2), (1, 0, 2), (2, 1, 0)])
+def test_serpentine_is_one_component(connectivity, axes):
+    # Transposed, the path's straight stretches cross x: every voxel is a run.
+    bits = serpentine(9, 7, 5).transpose(axes)
+    comps = assert_labelling_matches_bfs(bits, connectivity)
+    assert len(comps) == 1 and comps[0].voxel_count == int(bits.sum())
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_comb_is_one_component(connectivity):
+    comps = assert_labelling_matches_bfs(comb(15, 9, 3), connectivity)
+    assert len(comps) == 1
+
+
+@pytest.mark.parametrize("connectivity,expected", [(6, 63), (18, 1), (26, 1)])
+def test_checkerboard(connectivity, expected):
+    i, j, k = np.indices((5, 5, 5))
+    bits = (i + j + k) % 2 == 0
+    comps = assert_labelling_matches_bfs(bits, connectivity)
+    assert len(comps) == expected
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_full_block_lists_every_voxel_in_scan_order(connectivity):
+    dims = (6, 5, 4)
+    comps = assert_labelling_matches_bfs(np.ones(dims, dtype=bool), connectivity)
+    assert len(comps) == 1
+    np.testing.assert_array_equal(scan_index(comps[0].voxel_indices, dims), np.arange(120))
+
+
+def test_long_serpentine_converges():
+    bits = serpentine(40, 39, 21).transpose(1, 0, 2)
+    comps = connected_components(BinaryMask(bits.shape, bits), 6)
+    assert len(comps) == 1 and comps[0].voxel_count == int(bits.sum())
+
+
+def make_volume(vox, spacing, origin, fortran):
+    vox = np.asarray(vox, dtype=np.int16)
+    if fortran:
+        # The layout read_volume produces: Fortran order, read-only, uncopied.
+        vox = np.asfortranarray(vox)
+        vox.setflags(write=False)
+    return Volume(dims=vox.shape, spacing=spacing, origin=origin, voxels=vox)
+
+
+def assert_mesh_matches_loop(volume, iso):
+    got = marching_cubes(volume, iso)
+    want = loop_marching_cubes(volume, iso)
+    assert got.vertices.dtype == want.vertices.dtype
+    assert got.faces.dtype == want.faces.dtype
+    assert got.vertices.shape == want.vertices.shape
+    assert got.faces.shape == want.faces.shape
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.faces.tobytes() == want.faces.tobytes()
+    return got
+
+
+spacings = st.tuples(*[st.floats(0.05, 5.0)] * 3)
+origins = st.tuples(*[st.floats(-500.0, 500.0)] * 3)
+
+
+@settings(max_examples=80)
+@given(
+    st.integers(0, 2**48 - 1),
+    st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6)),
+    spacings,
+    origins,
+    st.booleans(),
+    st.one_of(st.integers(0, 10**6), st.floats(-1500.0, 1500.0)),
+)
+def test_marching_cubes_matches_loop_oracle(seed, dims, spacing, origin, fortran, iso_pick):
+    rng = np.random.default_rng(seed)
+    step = int(rng.integers(1, 400))
+    vox = rng.integers(-4, 5, size=dims) * step
+    if isinstance(iso_pick, int):
+        iso = float(vox.flat[iso_pick % vox.size])  # on a grid value: the weld path
+    else:
+        iso = iso_pick
+    assert_mesh_matches_loop(make_volume(vox, spacing, origin, fortran), iso)
+
+
+@pytest.mark.parametrize("fortran", [False, True])
+def test_marching_cubes_welds_like_the_loop(fortran):
+    rng = np.random.default_rng(12)
+    vox = rng.integers(0, 3, size=(9, 8, 7)) * 100
+    mesh = assert_mesh_matches_loop(
+        make_volume(vox, (0.7, 1.1, 2.5), (-40.0, 12.5, 300.0), fortran), 100.0
+    )
+    # iso sits on grid values, so vertices land on grid points and weld
+    grid = (mesh.vertices - (-40.0, 12.5, 300.0)) / (0.7, 1.1, 2.5)
+    assert np.any(np.all(np.abs(grid - np.round(grid)) < 1e-9, axis=1))
+
+
+def test_marching_cubes_matches_loop_on_a_noisy_ellipsoid():
+    n = 24
+    idx = np.indices((n, n, n), dtype=np.float64)
+    radii = np.array([9.0, 7.0, 8.0])[:, None, None, None]
+    centre = np.array([11.5, 11.0, 12.0])[:, None, None, None]
+    inside = (((idx - centre) / radii) ** 2).sum(axis=0) <= 1.0
+    vox = np.where(inside, 40, -1000) + np.random.default_rng(5).integers(-20, 21, (n, n, n))
+    volume = make_volume(vox, (0.8, 0.8, 1.5), (-9.2, -9.2, -17.25), True)
+    mesh = assert_mesh_matches_loop(volume, -300.0)
+    assert mesh.n_faces > 1000
+
+
+@pytest.mark.parametrize("iso", [float("nan"), float("inf"), float("-inf")])
+def test_marching_cubes_rejects_non_finite_iso(iso):
+    volume = make_volume(np.zeros((3, 3, 3)), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), False)
+    with pytest.raises(ValueError, match="finite"):
+        marching_cubes(volume, iso)
