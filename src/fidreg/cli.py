@@ -53,6 +53,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _join_iso_value(argv: list[str]) -> list[str]:
+    """Pass ``--iso VALUE`` on as ``--iso=VALUE`` when VALUE starts with '-'.
+
+    argparse takes a value such as ``-inf`` or ``-1e999``, which is not a
+    plain negative number, for an option and fails with "expected one
+    argument"; joined to its option it reaches ``_finite_float``.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined[-1:] == ["--iso"] and token.startswith("-") and not token.startswith("--"):
+            joined[-1] = f"--iso={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def _read_text(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -233,7 +249,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = parser.parse_args(
+                _join_iso_value(sys.argv[1:] if argv is None else list(argv))
+            )
         except SystemExit as exc:  # --help and friends exit argparse directly
             return int(exc.code or 0)
         return args.handler(args)

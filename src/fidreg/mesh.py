@@ -12,12 +12,29 @@ are pinned so output is reproducible down to vertex order:
 * each crossing edge of the voxel grid is interpolated exactly once, from its
   lower corner, and shared between the (up to four) cells that touch it, which
   keeps closed surfaces watertight;
-* vertices closer than 1e-9 mm collapse into one, and faces degenerate after
-  that collapse (repeated vertex index) are dropped.  This only happens when
-  the iso level exactly equals a grid value.
+* vertices closer than 1e-9 mm (equal after rounding to a 1e-9 mm grid)
+  collapse into the first one used, faces degenerate after that collapse
+  (repeated vertex index) are dropped, and so are vertices no face uses any
+  more.  This only happens when the iso level equals, or lies within a hair
+  of, a grid value: only a vertex within a few 1e-9 mm of a grid corner can
+  meet another vertex.
 
 Cell corners follow the usual numbering: v0..v7 at offsets (0,0,0) (1,0,0)
 (1,1,0) (0,1,0) (0,0,1) (1,0,1) (1,1,1) (0,1,1) in voxel index space.
+
+How the work is done, none of which shows in the output:
+
+* the case pass compares every voxel once, then builds each cell's corner
+  code separably (pairs along x, then y, then z) with bit di + 2*dj + 4*dk
+  for corner (di, dj, dk); the active cells' codes are renumbered to the
+  table's v0..v7 bits by a 256-entry table (bits 2<->3 and 6<->7 swap);
+* triangle corners are keyed by edge (lower grid corner, axis), and one
+  stable sort of the keys hands out vertex slots in first-use order;
+* the weld groups only candidate vertices: those whose corner gap
+  min(t, 1 - t) * spacing along their edge is at most 4e-9 mm, where t is
+  the interpolation parameter.  That is exact while every spacing exceeds
+  4e-9 mm and the grid stays within 1e6 mm of the world origin (the proof is
+  at ``_weld_candidates``); otherwise every vertex is a candidate.
 
 Ambiguous saddle cells are resolved by the plain table entry (no asymptotic
 decider), which can leave pin-hole cracks on rare configurations; fine for
@@ -26,6 +43,7 @@ display surfaces, not for CFD.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +63,10 @@ CORNER_OFFSETS = (
 )
 
 WELD_TOLERANCE_MM = 1e-9
+# Bounds under which only vertices near a grid corner can weld; see
+# _weld_candidates for the proof.
+_WELD_GAP_MM = 4 * WELD_TOLERANCE_MM
+_WELD_EXTENT_MM = 1e6
 
 
 def _edge_geometry() -> tuple[np.ndarray, np.ndarray]:
@@ -64,6 +86,13 @@ _TRI_COUNTS = np.array([len(row) for row in TRI_TABLE], dtype=np.int64)
 _TRI_EDGES = np.full((256, 15), -1, dtype=np.int8)
 for _case, _row in enumerate(TRI_TABLE):
     _TRI_EDGES[_case, : len(_row)] = _row
+# Case index of each binary corner code, whose bit di + 2*dj + 4*dk stands
+# for corner (di, dj, dk): the table numbers (1,1,0) and (0,1,0) as v2 and v3
+# (and (1,1,1), (0,1,1) as v6, v7), so bits 2 and 3 swap, and 6 and 7.
+_CASE_OF_CODE = np.zeros(256, dtype=np.uint8)
+for _bit, (_di, _dj, _dk) in enumerate(CORNER_OFFSETS):
+    _corner_set = (np.arange(256) >> (_di + 2 * _dj + 4 * _dk)) & 1
+    _CASE_OF_CODE |= (_corner_set << _bit).astype(np.uint8)
 
 
 @dataclass(eq=False)
@@ -102,13 +131,7 @@ class TriangleMesh:
 
     def face_normals(self) -> np.ndarray:
         """Unit normals per face; zero vector where a face has zero area."""
-        a = self.vertices[self.faces[:, 0]]
-        b = self.vertices[self.faces[:, 1]]
-        c = self.vertices[self.faces[:, 2]]
-        n = np.cross(b - a, c - a)
-        norms = np.linalg.norm(n, axis=1)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        return n / safe[:, None]
+        return _unit_normals(np.take(self.vertices, self.faces, axis=0))
 
     def surface_area(self) -> float:
         a = self.vertices[self.faces[:, 0]]
@@ -136,28 +159,34 @@ def marching_cubes(volume: Volume, iso_hu: float) -> TriangleMesh:
     if not np.isfinite(iso):
         raise ValueError(f"iso level must be finite, got {iso_hu!r}")
 
-    # Case index per cell, bit c set when corner c is below iso.  Every array
-    # follows the volume's memory order, so the corner views stream.
-    below = (volume.voxels < iso).view(np.uint8)
-    order = "F" if below.flags.f_contiguous else "C"
-    case = np.empty((nx - 1, ny - 1, nz - 1), dtype=np.uint8, order=order)
-    temp = np.empty_like(case)
-    for bit, (di, dj, dk) in enumerate(CORNER_OFFSETS):
-        corner = below[di : di + nx - 1, dj : dj + ny - 1, dk : dk + nz - 1]
-        if bit == 0:
-            np.copyto(case, corner)
-        else:
-            np.left_shift(corner, bit, out=temp)
-            case |= temp
+    # Corner code per cell, built separably: pairs along x, then pairs of
+    # those along y, then along z, each temporary dropped once used.  Bit
+    # di + 2*dj + 4*dk is set when corner (di, dj, dk) lies below iso.  The
+    # shifts are uint8 multiplies, which numpy vectorises; every array follows
+    # the volume's memory order, so the slices stream.  An integer voxel lies
+    # below iso exactly when it lies below ceil(iso), so the comparison stays
+    # in int16.
+    below = (volume.voxels < math.ceil(iso)).view(np.uint8)
+    code_x = below[1:] * np.uint8(2)
+    code_x |= below[:-1]
     del below
-    # Active cells (case neither 0 nor 255; case - 1 wraps 0 to 255),
-    # linearised x-fastest so cells come out in scan order.
-    np.subtract(case, 1, out=temp)
-    lin = np.flatnonzero(temp.transpose(2, 1, 0).reshape(-1) < 254)
+    code_xy = code_x[:, 1:] * np.uint8(4)
+    code_xy |= code_x[:, :-1]
+    del code_x
+    code = code_xy[:, :, 1:] * np.uint8(16)
+    code |= code_xy[:, :, :-1]
+    del code_xy
+    # Active cells (code neither 0 nor 255, which the renumbering fixes;
+    # code - 1 wraps 0 to 255), linearised x-fastest so cells come out in
+    # scan order.
+    flat = code.transpose(2, 1, 0).reshape(-1)
+    del code
+    flat -= 1
+    lin = np.flatnonzero(flat < 254)
     if lin.size == 0:
         return empty_mesh()
-    cell_case = case.transpose(2, 1, 0).reshape(-1)[lin]
-    del case, temp  # the full-size arrays go before the per-edge work
+    cell_case = _CASE_OF_CODE[flat[lin] + 1]
+    del flat  # the full-size array goes before the per-edge work
     ci = lin % (nx - 1)
     cj = (lin // (nx - 1)) % (ny - 1)
     ck = lin // ((nx - 1) * (ny - 1))
@@ -167,44 +196,58 @@ def marching_cubes(volume: Volume, iso_hu: float) -> TriangleMesh:
     rows = _TRI_EDGES[cell_case]
     edges = rows[rows >= 0]
     base = np.repeat(ci + nx * (cj + ny * ck), _TRI_COUNTS[cell_case])
-    lower_step = _EDGE_LOWER @ np.array((1, nx, nx * ny))
-    keys = (base + lower_step[edges]) * 3 + _EDGE_AXIS[edges]
+    edge_key_step = (_EDGE_LOWER @ np.array((1, nx, nx * ny))) * 3 + _EDGE_AXIS
+    keys = base * 3 + edge_key_step[edges]
 
     # Vertex slots in order of first use, as a walk over the corners would
-    # hand them out.
-    unique_keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    slot_order, rank = _first_use_rank(first)
-    faces = rank[inverse].reshape(-1, 3)
+    # hand them out.  A stable sort keeps each key's uses in corner order, so
+    # the first entry of each run of equal keys is that key's first use.
+    by_key = np.argsort(keys, kind="stable")
+    sorted_keys = keys[by_key]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    run_starts = np.flatnonzero(starts)
+    slot_order, rank = _first_use_rank(by_key[run_starts])
+    corner_slot = np.empty(len(keys), dtype=np.int64)
+    corner_slot[by_key] = np.repeat(rank, np.diff(run_starts, append=len(keys)))
+    faces = corner_slot.reshape(-1, 3)
 
     # Interpolate each edge from its lower corner a toward b, in the float64
     # steps of the scalar formula: t = (iso - va) / (vb - va), coord = a + t.
-    vertex_keys = unique_keys[slot_order]
+    vertex_keys = sorted_keys[run_starts[slot_order]]
     axis = vertex_keys % 3
     lower = vertex_keys // 3
     a = np.stack((lower % nx, (lower // nx) % ny, lower // (nx * ny)))
     b = a + np.eye(3, dtype=np.int64)[:, axis]
     va = volume.voxels[tuple(a)].astype(np.float64)
     vb = volume.voxels[tuple(b)].astype(np.float64)
+    t = (iso - va) / (vb - va)
     grid = a.T.astype(np.float64)
-    grid[np.arange(len(grid)), axis] += (iso - va) / (vb - va)
+    grid[np.arange(len(grid)), axis] += t
     vertices = np.asarray(volume.origin) + grid * np.asarray(volume.spacing)
 
     # Weld coincident vertices (iso hitting a grid value makes edge vertices
-    # land on the shared corner) and drop faces that collapse.
-    quantised = np.round(vertices / WELD_TOLERANCE_MM) * WELD_TOLERANCE_MM
+    # land on the shared corner) and drop faces that collapse.  Only vertices
+    # near a grid corner can weld (see _weld_candidates), so only they are
+    # grouped.
+    candidates = _weld_candidates(volume, t, axis)
+    quantised = vertices[candidates] / WELD_TOLERANCE_MM
+    quantised = np.round(quantised, out=quantised) * WELD_TOLERANCE_MM
     by_value = np.lexsort(quantised.T)
     ordered = quantised[by_value]
-    starts = np.ones(len(vertices), dtype=bool)
+    starts = np.ones(len(candidates), dtype=bool)
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     if not starts.all():
-        group = np.empty(len(vertices), dtype=np.int64)
-        group[by_value] = np.cumsum(starts) - 1
-        # lexsort is stable, so a group's first sorted entry is its first use;
-        # keep first-use order so output stays scan-ordered.
+        # lexsort is stable and the candidates ascend, so a group's first
+        # sorted entry is its first use: every vertex maps to that one, and
+        # the vertices that stay keep their first-use order.
         first = by_value[starts]
-        _, rank = _first_use_rank(first)
-        vertices = vertices[np.sort(first)]
-        faces = rank[group][faces]
+        target = np.arange(len(vertices))
+        target[candidates[by_value]] = candidates[first[np.cumsum(starts) - 1]]
+        stays = target == np.arange(len(vertices))
+        vertices = vertices[stays]
+        faces = (np.cumsum(stays) - 1)[target][faces]
         keep = (
             (faces[:, 0] != faces[:, 1])
             & (faces[:, 1] != faces[:, 2])
@@ -224,12 +267,68 @@ def marching_cubes(volume: Volume, iso_hu: float) -> TriangleMesh:
 
 
 def _first_use_rank(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For np.unique's ``return_index`` output: the unique entries in order of
-    first use, and each unique entry's position in that order."""
+    """Given each distinct key's first-use position, listed in key order: the
+    distinct keys in order of first use, and each key's place in that order."""
     order = np.argsort(first, kind="stable")
     rank = np.empty(len(first), dtype=np.int64)
     rank[order] = np.arange(len(first))
     return order, rank
+
+
+def _weld_candidates(volume: Volume, t: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the vertices that may weld with another vertex.
+
+    A vertex sits at grid coordinate g = a + t along edge axis e (0 <= t <= 1
+    holds for the float t too, since vb - va is exact) and at world
+    coordinate x = fl(o + fl(fl(g) * s)).  With L = max(|o| + (n - 1) * s)
+    over the axes and u = 2**-53, each coordinate is within 3.01 u L of
+    o + g s, and rounding to the weld grid moves it by at most
+    tol / 2 * (1 + u) + 2.01 u |x|.  Two vertices that weld therefore have
+    grid coordinates with |g_p - g_q| * s <= tol * (1 + u) + 10.1 u L on
+    every axis, which is below 2.2 * tol when L <= _WELD_EXTENT_MM.
+
+    Two vertices on distinct edges differ by at least min(t, 1 - t) grid
+    steps along the first one's axis e, or by a whole step along another
+    axis.  If the second edge runs along another axis, its e coordinate is an
+    integer.  If it runs along e on the same grid line, it starts a whole
+    step before or after the first, which leaves a gap of at least t or
+    1 - t.  If it runs along e on a parallel line, another coordinate differs
+    by a nonzero integer.  So while every spacing exceeds _WELD_GAP_MM
+    (> 2.2 * tol), a vertex whose corner gap min(t, 1 - t) * s_e exceeds
+    _WELD_GAP_MM welds with nothing, and grouping the other vertices alone
+    gives the full weld.  The margin between 2.2 * tol and _WELD_GAP_MM
+    absorbs the rounding of the tests below.  When either bound fails,
+    every vertex is a candidate.
+    """
+    dims = np.asarray(volume.dims) - 1
+    spacing = np.asarray(volume.spacing)
+    extent = np.abs(np.asarray(volume.origin)) + dims * spacing
+    if spacing.min() <= _WELD_GAP_MM or extent.max() > _WELD_EXTENT_MM:
+        return np.arange(len(t))
+    gap = np.minimum(t, 1.0 - t)
+    gap *= spacing[axis]
+    return np.flatnonzero(gap <= _WELD_GAP_MM)
+
+
+def _unit_normals(corners: np.ndarray) -> np.ndarray:
+    """Unit normals of (F,3,3) triangle corners; zero where a face has zero area.
+
+    The cross product and the norm are written term by term in the order
+    np.cross and np.linalg.norm use, so the result is bit-identical to
+    ``n = np.cross(b - a, c - a); n / np.linalg.norm(n, axis=1)`` with one
+    (F,3) result array and no corner copies.
+    """
+    u = corners[:, 1] - corners[:, 0]
+    v = corners[:, 2] - corners[:, 0]
+    normal = np.empty_like(u)
+    normal[:, 0] = u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1]
+    normal[:, 1] = u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2]
+    normal[:, 2] = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    del u, v
+    x, y, z = normal[:, 0], normal[:, 1], normal[:, 2]
+    norm = np.sqrt(x * x + y * y + z * z)
+    normal /= np.where(norm > 0.0, norm, 1.0)[:, None]
+    return normal
 
 
 STL_HEADER = ("fidreg mesh; " + ORIENTATION_NOTE).encode("ascii")[:80]
@@ -243,12 +342,14 @@ def write_stl(mesh: TriangleMesh, path) -> None:
             [("normal", "<f4", 3), ("corners", "<f4", (3, 3)), ("attr", "<u2")]
         ),
     )
-    record["normal"] = mesh.face_normals()
-    record["corners"] = mesh.vertices[mesh.faces]
+    corners = np.take(mesh.vertices, mesh.faces, axis=0)
+    record["corners"] = corners
+    record["normal"] = _unit_normals(corners)
+    del corners
     with open(path, "wb") as fh:
         fh.write(STL_HEADER.ljust(80, b"\x00"))
         fh.write(np.array([mesh.n_faces], dtype="<u4").tobytes())
-        fh.write(record.tobytes())
+        fh.write(memoryview(record))
 
 
 def write_obj(mesh: TriangleMesh, path) -> None:

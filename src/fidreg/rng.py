@@ -36,6 +36,11 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
 
 
+def _below(u: float, bound: int) -> int:
+    """Map a uniform ``u`` in [0, 1) to an integer in [0, bound)."""
+    return min(int(u * bound), bound - 1)
+
+
 class SplitMix64:
     """Counter-based 64-bit generator (see module docstring for the contract)."""
 
@@ -76,13 +81,19 @@ class SplitMix64:
         """Uniform integer in [0, bound)."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        u = float(self.uniforms(1)[0])
-        return min(int(u * bound), bound - 1)
+        return _below(float(self.uniforms(1)[0]), bound)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.integer(i + 1)
+        """In-place Fisher-Yates shuffle.
+
+        Draws all ``len - 1`` uniforms at once; step i applies the rule of
+        ``integer(i + 1)`` to its own uniform, so the result is the same.
+        """
+        if len(items) < 2:
+            return
+        steps = range(len(items) - 1, 0, -1)
+        for i, u in zip(steps, self.uniforms(len(items) - 1).tolist()):
+            j = _below(u, i + 1)
             items[i], items[j] = items[j], items[i]
 
     def rotation(self) -> np.ndarray:

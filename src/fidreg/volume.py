@@ -57,7 +57,8 @@ class Volume:
         if vox.shape != self.dims:
             raise ValueError(f"voxels shape {vox.shape} does not match dims {self.dims}")
         if vox.flags.writeable:
-            vox = vox.copy()
+            # Fortran order, like read_volume: the kernels linearise x-fastest.
+            vox = vox.copy(order="F")
             vox.setflags(write=False)
         self.voxels = vox
 

@@ -187,6 +187,13 @@ def splitmix64_reference(seed: int, count: int) -> list[int]:
     return out
 
 
+def loop_shuffle(rng, items: list) -> None:
+    """Fisher-Yates one element at a time, one ``integer`` draw per step."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.integer(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
 # ---------------------------------------------------------------------------
 # Triangle registration, one candidate at a time.
 #

@@ -222,14 +222,24 @@ def test_register_accepts_config_file(tmp_path):
     assert json.loads((tmp_path / "o.json").read_text())["rmsd"] < 1e-6
 
 
-@pytest.mark.parametrize("iso", ["nan", "inf", "NaN", "1e999"])
+@pytest.mark.parametrize("iso", ["nan", "inf", "NaN", "1e999", "-inf", "-1e999"])
 def test_mesh_rejects_non_finite_iso(phantom_volume, tmp_path, capsys, iso):
     stl = tmp_path / "skin.stl"
     assert main(["mesh", str(phantom_volume), str(stl), "--iso", iso]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "finite" in err
+    assert repr(iso) in err
     assert not stl.exists()
+
+
+@pytest.mark.parametrize("iso", ["-300", "-1e3", "-0.5"])
+def test_mesh_takes_negative_iso(phantom_volume, tmp_path, capsys, iso):
+    # The phantom lies above every negative level: no cell crosses it.
+    stl = tmp_path / "skin.stl"
+    assert main(["mesh", str(phantom_volume), str(stl), "--iso", iso]) == 0
+    assert "meshed 0 vertices, 0 faces" in capsys.readouterr().err
+    assert stl.stat().st_size == 84
 
 
 def test_segment_rejects_non_finite_hu_min(phantom_volume, tmp_path, capsys):

@@ -228,6 +228,31 @@ def test_stl_layout(tmp_path):
     np.testing.assert_array_equal(record["corners"], mesh.vertices[mesh.faces].astype("<f4"))
 
 
+def test_normals_round_like_numpy_cross_and_norm(tmp_path):
+    rng = np.random.default_rng(4)
+    vertices = rng.normal(size=(40, 3)) * [300.0, 2.0, 1e-3]
+    vertices[39] = vertices[38]  # face (37, 38, 39) has zero area
+    faces = np.array([rng.permutation(40)[:3] for _ in range(60)] + [[37, 38, 39]])
+    mesh = TriangleMesh(vertices, faces)
+    a, b, c = (vertices[faces[:, k]] for k in range(3))
+    n = np.cross(b - a, c - a)
+    norms = np.linalg.norm(n, axis=1)
+    want = n / np.where(norms > 0.0, norms, 1.0)[:, None]
+    assert mesh.face_normals().tobytes() == want.tobytes()
+    path = tmp_path / "soup.stl"
+    write_stl(mesh, path)
+    record = np.frombuffer(
+        path.read_bytes()[84:],
+        dtype=np.dtype([("normal", "<f4", 3), ("corners", "<f4", (3, 3)), ("attr", "<u2")]),
+    )
+    assert record["normal"].tobytes() == want.astype("<f4").tobytes()
+    assert record["corners"].tobytes() == mesh.vertices[mesh.faces].astype("<f4").tobytes()
+    assert not record["normal"][-1].any()
+
+    write_stl(empty_mesh(), path)
+    assert path.read_bytes() == STL_HEADER.ljust(80, b"\x00") + bytes(4)
+
+
 def test_stl_is_deterministic(tmp_path):
     rng = np.random.default_rng(9)
     vox = rng.integers(-500, 1500, size=(6, 6, 6)).astype(np.int16)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from fidreg.rng import SplitMix64, rotation_from_quaternion
 
-from reference_impls import splitmix64_reference
+from reference_impls import loop_shuffle, splitmix64_reference
 
 # First outputs for seed 0, straight from the published splitmix64 stream.
 SEED0_HEAD = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -74,6 +74,16 @@ def test_shuffle_is_a_permutation_and_seeded():
     assert a == b
     assert sorted(a) == items
     assert a != items  # 20 elements: identity shuffle would be astonishing
+
+
+@given(st.integers(min_value=0, max_value=(1 << 64) - 1), st.integers(0, 50))
+def test_shuffle_matches_one_draw_per_step_reference(seed, n):
+    got, want = list(range(n)), list(range(n))
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    rng.shuffle(got)
+    loop_shuffle(ref, want)
+    assert got == want
+    assert rng.raw(1)[0] == ref.raw(1)[0]  # both consumed the same draws
 
 
 def test_shuffle_small_lists_noop():

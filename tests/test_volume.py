@@ -110,3 +110,11 @@ def test_voxels_read_only():
     vol = Volume.from_voxels(np.zeros((2, 2, 2), np.int16), (1, 1, 1), (0, 0, 0))
     with pytest.raises(ValueError):
         vol.voxels[0, 0, 0] = 1
+
+
+def test_writable_input_is_copied_to_fortran_order():
+    vox = np.arange(60, dtype=np.int16).reshape(3, 4, 5)  # C order, writable
+    vol = Volume.from_voxels(vox, (1, 1, 1))
+    assert vol.voxels.flags.f_contiguous and not vol.voxels.flags.writeable
+    assert not np.shares_memory(vol.voxels, vox)
+    assert np.array_equal(vol.voxels, vox)

@@ -114,12 +114,13 @@ def test_long_serpentine_converges():
 
 
 def make_volume(vox, spacing, origin, fortran):
-    vox = np.asarray(vox, dtype=np.int16)
-    if fortran:
-        # The layout read_volume produces: Fortran order, read-only, uncopied.
-        vox = np.asfortranarray(vox)
-        vox.setflags(write=False)
-    return Volume(dims=vox.shape, spacing=spacing, origin=origin, voxels=vox)
+    # Volume keeps read-only input uncopied, so either memory order reaches
+    # the kernel; Fortran order is the layout read_volume produces.
+    vox = np.array(vox, dtype=np.int16, order="F" if fortran else "C")
+    vox.setflags(write=False)
+    volume = Volume(dims=vox.shape, spacing=spacing, origin=origin, voxels=vox)
+    assert volume.voxels.flags["F_CONTIGUOUS" if fortran else "C_CONTIGUOUS"]
+    return volume
 
 
 def assert_mesh_matches_loop(volume, iso):
@@ -180,6 +181,65 @@ def test_marching_cubes_matches_loop_on_a_noisy_ellipsoid():
     volume = make_volume(vox, (0.8, 0.8, 1.5), (-9.2, -9.2, -17.25), True)
     mesh = assert_mesh_matches_loop(volume, -300.0)
     assert mesh.n_faces > 1000
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 2**48 - 1),
+    st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6)),
+    spacings,
+    st.booleans(),
+    st.integers(-16, -6),
+    st.sampled_from([-1.0, 1.0]),
+)
+def test_marching_cubes_matches_loop_near_grid_values(seed, dims, spacing, fortran, exponent, sign):
+    # iso a hair off a grid value: vertices land within about 10**exponent
+    # grid steps of a corner, on both sides of the weld-candidate bound.
+    rng = np.random.default_rng(seed)
+    vox = rng.integers(-2, 3, size=dims) * 100
+    iso = float(vox.flat[0]) + sign * 100.0 * 10.0**exponent
+    assert_mesh_matches_loop(make_volume(vox, spacing, (3.5, -20.0, 7.25), fortran), iso)
+
+
+def near_corner_volume():
+    """Voxels of 0 and 100, and an iso 1e-6 above 0 that puts every vertex
+    1e-8 grid steps from its 0-valued corner."""
+    rng = np.random.default_rng(3)
+    return rng.integers(0, 2, size=(7, 6, 5)) * 100, 1e-6
+
+
+@pytest.mark.parametrize(
+    "spacing",
+    [(1e-10, 1e-10, 1e-10), (1.0, 1e-10, 1.0), (0.5, 0.8, 3e-9)],
+)
+@pytest.mark.parametrize("fortran", [False, True])
+def test_marching_cubes_welds_like_the_loop_at_tiny_spacing(spacing, fortran):
+    # Below the candidate bound on spacing, vertices on neighbouring grid
+    # lines weld too, however far they lie from a corner.
+    vox, near_iso = near_corner_volume()
+    volume = make_volume(vox, spacing, (0.0, 0.0, 0.0), fortran)
+    for iso in (0.0, near_iso, 50.0):
+        assert_mesh_matches_loop(volume, iso)
+
+
+@pytest.mark.parametrize(
+    "origin", [(1e9, -1e9, 1e9 - 0.5), (-1e9, 0.0, 0.0), (0.0, 0.0, 1.5e6)]
+)
+@pytest.mark.parametrize("fortran", [False, True])
+def test_marching_cubes_welds_like_the_loop_far_from_the_origin(origin, fortran):
+    # Far out, world rounding merges vertices 1e-8 mm from a corner.
+    vox, iso = near_corner_volume()
+    volume = make_volume(vox, (1.0, 0.9, 1.2), origin, fortran)
+    mesh = assert_mesh_matches_loop(volume, iso)
+    assert mesh.n_faces > 0
+
+
+@pytest.mark.parametrize("iso", [-1e6, -40000.5, -1.5, 100.5, 40000.5, 1e6])
+@pytest.mark.parametrize("fortran", [False, True])
+def test_marching_cubes_all_on_one_side_is_empty(iso, fortran):
+    vox = np.random.default_rng(8).integers(0, 2, size=(5, 4, 3)) * 100
+    mesh = assert_mesh_matches_loop(make_volume(vox, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), fortran), iso)
+    assert mesh.n_faces == 0 and mesh.n_vertices == 0
 
 
 @pytest.mark.parametrize("iso", [float("nan"), float("inf"), float("-inf")])
