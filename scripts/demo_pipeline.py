@@ -81,8 +81,7 @@ def main():
     write_marker_csv(device, out / "scene_device.csv")
 
     table = TriangleTable()
-    for point in device.points:
-        table.insert_marker(point)
+    table.insert_marker(device.points)
     result = register(ct_markers, table)
     with open(out / "registered.json", "w") as fh:
         json.dump(result.to_json_dict(), fh, indent=2)

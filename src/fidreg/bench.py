@@ -302,8 +302,7 @@ def _run_trial(spec: SceneSpec, method: str, targets_origin: np.ndarray) -> Tria
         start = time.perf_counter()
         try:
             table = TriangleTable()
-            for point in device.points:
-                table.insert_marker(point)
+            table.insert_marker(device.points)
             result = register(ct, table, RegistrationConfig())
             estimated = result.transform
             flipped = result.flipped

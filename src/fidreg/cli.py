@@ -129,8 +129,7 @@ def cmd_register(args) -> int:
         else RegistrationConfig()
     )
     table = TriangleTable(degeneracy_ratio=config.degeneracy_ratio)
-    for point in device.points:  # file order, exercising incremental inserts
-        table.insert_marker(point)
+    table.insert_marker(device.points)  # file order
     result = register(ct, table, config)
     _write_json(result.to_json_dict(), args.out)
     print(

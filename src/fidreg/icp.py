@@ -11,18 +11,19 @@ like any local method, a large initial misalignment lands in local minima.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import ConfigError, format_float, format_kv, kv_float, kv_int, parse_kv_text, require_keys
-from .errors import InsufficientMarkersError
+from .errors import DegenerateGeometryError, InsufficientMarkersError
 from .markers import MarkerSet
 from .rigid import (
-    PointCorrespondences,
     RigidTransform,
-    _check_not_collinear,
-    absolute_orientation,
+    center_sources,
+    check_proper,
+    horn_solve,
     transform_to_json_dict,
 )
 
@@ -95,10 +96,9 @@ def _nearest_indices(query: np.ndarray, target: np.ndarray) -> tuple[np.ndarray,
     block = max(1, _SCAN_BLOCK // len(target))
     for start in range(0, len(query), block):
         deltas = query[start : start + block, None, :] - target[None, :, :]
-        dist_sq = np.sum(deltas * deltas, axis=2)
-        nearest = np.argmin(dist_sq, axis=1)
-        idx[start : start + block] = nearest
-        nearest_sq[start : start + block] = dist_sq[np.arange(len(nearest)), nearest]
+        dist_sq = np.add.reduce(deltas * deltas, axis=2)
+        idx[start : start + block] = dist_sq.argmin(axis=1)
+        nearest_sq[start : start + block] = dist_sq.min(axis=1)
     return idx, nearest_sq
 
 
@@ -120,25 +120,33 @@ def icp_register(
         raise InsufficientMarkersError(len(src))
     if len(tgt) < 3:
         raise InsufficientMarkersError(len(tgt))
-    _check_not_collinear(src)
+    # The source never changes: center it and test it for collinearity once.
+    src_centroid, src_centered, aligned = center_sources(src[None])
+    if not aligned[0]:
+        raise DegenerateGeometryError("source points are collinear; rotation is not determined")
 
-    transform = config.initial_transform
+    rotation = config.initial_transform.rotation
+    translation = config.initial_transform.translation
+    fitted = False
     history: list[float] = []
     converged = False
     for iteration in range(config.max_iterations):
-        mapped = transform.apply(src)
+        mapped = src @ rotation.T + translation
         match_idx, match_sq = _nearest_indices(mapped, tgt)
-        rmsd = float(np.sqrt(np.mean(match_sq)))
+        rmsd = math.sqrt(float(np.add.reduce(match_sq)) / len(match_sq))
         history.append(rmsd)
         if len(history) >= 2 and abs(history[-2] - rmsd) < config.rmsd_delta_tolerance:
             converged = True
             break
         if iteration == config.max_iterations - 1:
             break  # cap reached; keep the transform the last rmsd describes
-        transform, _ = absolute_orientation(PointCorrespondences(src, tgt[match_idx]))
+        fit_rotation, fit_translation = horn_solve(src_centroid, src_centered, tgt[match_idx][None])
+        check_proper(fit_rotation, aligned)
+        rotation, translation = fit_rotation[0], fit_translation[0]
+        fitted = True
 
     return IcpResult(
-        transform=transform,
+        transform=RigidTransform(rotation, translation) if fitted else config.initial_transform,
         rmsd=history[-1],
         iterations_used=len(history),
         converged=converged,

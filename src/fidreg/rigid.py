@@ -8,6 +8,11 @@ quaternion. Because quaternions parameterize SO(3) only, the result is always
 a proper rotation (det = +1) — reflections cannot leak in, even when the
 unconstrained optimum would be one. ``absolute_orientation`` is its
 single-pair case.
+
+The fit is three steps that callers can also take apart: ``center_sources``
+(centroids and the collinearity test), ``horn_solve`` (rotation and
+translation) and ``check_proper``. A caller whose source stays fixed across
+fits, like ICP, centers it once.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ COMPOSE_DRIFT_TOL = 1e-12
 # Cross-line extent below this fraction of the largest extent means collinear.
 COLLINEARITY_RATIO = 1e-9
 
+_IDENTITY = np.eye(3)
+_IDENTITY.setflags(write=False)
+
 
 @dataclass(frozen=True, eq=False)
 class RigidTransform:
@@ -41,9 +49,9 @@ class RigidTransform:
             raise ValueError(f"rotation must be 3x3, got {rot.shape}")
         if trans.shape != (3,):
             raise ValueError(f"translation must be length 3, got {trans.shape}")
-        if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(trans))):
+        if not (np.isfinite(rot).all() and np.isfinite(trans).all()):
             raise ValueError("transform entries must be finite")
-        drift = np.abs(rot.T @ rot - np.eye(3)).max()
+        drift = np.abs(rot.T @ rot - _IDENTITY).max()
         if drift > ORTHONORMALITY_TOL:
             raise ValueError(f"rotation is not orthonormal (drift {drift:.3e})")
         det = float(np.linalg.det(rot))
@@ -79,7 +87,7 @@ def compose(after: RigidTransform, before: RigidTransform) -> RigidTransform:
     projection) when accumulated float drift exceeds COMPOSE_DRIFT_TOL.
     """
     rot = after.rotation @ before.rotation
-    if np.abs(rot.T @ rot - np.eye(3)).max() > COMPOSE_DRIFT_TOL:
+    if np.abs(rot.T @ rot - _IDENTITY).max() > COMPOSE_DRIFT_TOL:
         u, _, vt = np.linalg.svd(rot)
         if np.linalg.det(u @ vt) < 0:
             u[:, -1] = -u[:, -1]
@@ -135,13 +143,6 @@ def _collinear(centered: np.ndarray) -> np.ndarray:
     return (extents[..., 0] == 0.0) | (extents[..., 1] < COLLINEARITY_RATIO * extents[..., 0])
 
 
-def _check_not_collinear(points: np.ndarray) -> None:
-    if _collinear(points - points.mean(axis=0)):
-        raise DegenerateGeometryError(
-            "source points are collinear; rotation is not determined"
-        )
-
-
 def apply_rigid_stack(
     rotation: np.ndarray, translation: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
@@ -157,30 +158,32 @@ def apply_rigid_stack(
     return mapped + translation[:, None, :]
 
 
-def fit_rigid_stack(
-    source: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares rigid fits of every ``source[i]`` onto ``target[i]``.
+def center_sources(source: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The source half of a stack of rigid fits, (N, m, 3) float64.
 
-    Takes two stacks of paired point sets, (N, m, 3) each, and solves all N
-    fits with one batched Horn solve. Returns ``(rotation (N, 3, 3),
-    translation (N, 3), rmsd (N,), aligned (N,))``. ``aligned`` is False
-    where the source points are collinear; those rows carry no fit. Raises
-    ValueError if an aligned fit's rotation is not proper and orthonormal
-    within ORTHONORMALITY_TOL, the check RigidTransform makes.
-
-    The small products are written out elementwise rather than handed to
-    BLAS, so a fit's bits do not depend on N or on how the stack is laid out:
-    solving a set alone or inside a stack gives the identical result.
+    Returns ``(centroid (N, 3), centered (N, m, 3), aligned (N,))``;
+    ``aligned`` is False where the source points are collinear, so the
+    rotation is not determined. A caller fitting one source to many targets
+    computes this once and hands it to :func:`horn_solve` each time.
     """
-    src = np.asarray(source, dtype=np.float64)
-    dst = np.asarray(target, dtype=np.float64)
-    n_points = src.shape[-2]
-    src_centroid = np.add.reduce(src, axis=-2) / n_points
-    dst_centroid = np.add.reduce(dst, axis=-2) / n_points
-    src_centered = src - src_centroid[:, None, :]
-    dst_centered = dst - dst_centroid[:, None, :]
-    aligned = ~_collinear(src_centered)
+    centroid = np.add.reduce(source, axis=-2) / source.shape[-2]
+    centered = source - centroid[:, None, :]
+    return centroid, centered, ~_collinear(centered)
+
+
+def horn_solve(
+    src_centroid: np.ndarray, src_centered: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Horn's closed-form fits of centered sources onto targets, (N, m, 3).
+
+    Takes :func:`center_sources` output for the sources and returns
+    ``(rotation (N, 3, 3), translation (N, 3))``. Rows whose source is not
+    aligned carry no fit. The small products are written out elementwise
+    rather than handed to BLAS, so a fit's bits do not depend on N or on how
+    the stack is laid out.
+    """
+    dst_centroid = np.add.reduce(target, axis=-2) / src_centered.shape[-2]
+    dst_centered = target - dst_centroid[:, None, :]
     products = src_centered[:, :, :, None] * dst_centered[:, :, None, :]
     covariance = np.add.reduce(products, axis=1)
 
@@ -199,9 +202,18 @@ def fit_rigid_stack(
     quaternion = eigvecs[np.arange(len(eigvecs)), :, np.argmax(eigvals, axis=-1)]
     quaternion = quaternion / np.sqrt(np.vecdot(quaternion, quaternion))[:, None]
     rotation = rotation_from_quaternion(quaternion)
+    translation = dst_centroid - np.add.reduce(rotation * src_centroid[:, None, :], axis=-1)
+    return rotation, translation
 
+
+def check_proper(rotation: np.ndarray, aligned: np.ndarray) -> None:
+    """Raise ValueError unless every aligned fit's rotation is proper.
+
+    The test RigidTransform makes: orthonormal and det +1, each within
+    ORTHONORMALITY_TOL.
+    """
     gram = np.swapaxes(rotation, -1, -2) @ rotation
-    drift = np.abs(gram - np.eye(3)).max(axis=(1, 2))
+    drift = np.abs(gram - _IDENTITY).max(axis=(1, 2))
     det_error = np.abs(np.linalg.det(rotation) - 1.0)
     improper = aligned & ~((drift <= ORTHONORMALITY_TOL) & (det_error <= ORTHONORMALITY_TOL))
     if improper.any():
@@ -211,11 +223,36 @@ def fit_rigid_stack(
             f"(drift {drift[bad]:.3e}, det {1.0 + det_error[bad]!r})"
         )
 
-    translation = dst_centroid - np.add.reduce(rotation * src_centroid[:, None, :], axis=-1)
-    residuals = apply_rigid_stack(rotation, translation, src) - dst
+
+def fit_rmsd(
+    rotation: np.ndarray, translation: np.ndarray, source: np.ndarray, target: np.ndarray
+) -> np.ndarray:
+    """RMS residual of each fit in a stack over its own pairs, (N,)."""
+    residuals = apply_rigid_stack(rotation, translation, source) - target
     squared = np.add.reduce(residuals * residuals, axis=-1)
-    rmsd = np.sqrt(np.add.reduce(squared, axis=-1) / n_points)
-    return rotation, translation, rmsd, aligned
+    return np.sqrt(np.add.reduce(squared, axis=-1) / source.shape[-2])
+
+
+def fit_rigid_stack(
+    source: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares rigid fits of every ``source[i]`` onto ``target[i]``.
+
+    Takes two stacks of paired point sets, (N, m, 3) each, and solves all N
+    fits with one batched Horn solve. Returns ``(rotation (N, 3, 3),
+    translation (N, 3), rmsd (N,), aligned (N,))``. ``aligned`` is False
+    where the source points are collinear; those rows carry no fit. Raises
+    ValueError if an aligned fit's rotation is not proper and orthonormal
+    within ORTHONORMALITY_TOL, the check RigidTransform makes.
+
+    Solving a set alone or inside a stack gives the identical result.
+    """
+    src = np.asarray(source, dtype=np.float64)
+    dst = np.asarray(target, dtype=np.float64)
+    src_centroid, src_centered, aligned = center_sources(src)
+    rotation, translation = horn_solve(src_centroid, src_centered, dst)
+    check_proper(rotation, aligned)
+    return rotation, translation, fit_rmsd(rotation, translation, src, dst), aligned
 
 
 def absolute_orientation(corr: PointCorrespondences) -> tuple[RigidTransform, float]:

@@ -41,38 +41,64 @@ def _below(u: float, bound: int) -> int:
     return min(int(u * bound), bound - 1)
 
 
+# Outputs computed ahead per block; a draw that outruns the block starts a
+# new one at the current counter. A block costs about as much to mix as a
+# single output, and 256 hold a whole synthetic scene of up to 20 markers.
+_BLOCK = 256
+
+
+def _outputs(seed: int, after: int, n: int) -> np.ndarray:
+    """Raw outputs ``after + 1 .. after + n`` of the stream for ``seed``."""
+    with np.errstate(over="ignore"):
+        idx = np.arange(after + 1, after + 1 + n, dtype=np.uint64)
+        z = (np.uint64(seed) + idx * _GAMMA) & _MASK
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+    return z
+
+
 class SplitMix64:
     """Counter-based 64-bit generator (see module docstring for the contract)."""
 
-    __slots__ = ("seed", "_count")
+    __slots__ = ("_seed", "_count", "_block", "_block_start")
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._count = 0
+        self._seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self._count = 0  # outputs drawn so far
+        self._block = np.zeros(0, dtype=np.uint64)  # outputs _block_start + 1, ...
+        self._block_start = 0
+
+    @property
+    def seed(self) -> int:
+        return self._seed
+
+    def _take(self, n: int) -> np.ndarray:
+        """Next ``n`` raw outputs as a read-only view of the block."""
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        offset = self._count - self._block_start
+        if offset + n > len(self._block):
+            self._block = _outputs(self._seed, self._count, max(n, _BLOCK))
+            self._block.setflags(write=False)
+            self._block_start = self._count
+            offset = 0
+        self._count += n
+        return self._block[offset : offset + n]
 
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        start = self._count + 1
-        self._count += n
-        with np.errstate(over="ignore"):
-            idx = np.arange(start, start + n, dtype=np.uint64)
-            z = (np.uint64(self.seed) + idx * _GAMMA) & _MASK
-            z ^= z >> np.uint64(30)
-            z *= _MIX1
-            z ^= z >> np.uint64(27)
-            z *= _MIX2
-            z ^= z >> np.uint64(31)
-        return z
+        return self._take(n).copy()
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` doubles uniform in [0, 1)."""
-        return (self.raw(n) >> np.uint64(11)).astype(np.float64) * _U53
+        return (self._take(n) >> np.uint64(11)).astype(np.float64) * _U53
 
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normal doubles (Box-Muller, cosine branch)."""
-        r = self.raw(2 * n).reshape(n, 2) >> np.uint64(11)
+        r = self._take(2 * n).reshape(n, 2) >> np.uint64(11)
         u1 = (r[:, 0].astype(np.float64) + 1.0) * _U53
         u2 = r[:, 1].astype(np.float64) * _U53
         return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

@@ -145,8 +145,17 @@ class Component:
 
 
 def threshold_volume(volume: Volume, hu_min: float) -> BinaryMask:
-    """Voxels with HU >= hu_min."""
-    return BinaryMask(dims=volume.dims, bits=volume.voxels >= hu_min)
+    """Voxels with HU >= hu_min.
+
+    An integer voxel reaches a finite ``hu_min`` exactly when it reaches
+    ``ceil(hu_min)``, so the comparison stays in int16 rather than casting
+    every voxel to float64.
+    """
+    try:
+        bound = math.ceil(hu_min)
+    except (OverflowError, ValueError):  # infinite or nan: compare as given
+        bound = hu_min
+    return BinaryMask(dims=volume.dims, bits=volume.voxels >= bound)
 
 
 def connected_components(mask: BinaryMask, connectivity: int = 26) -> list[Component]:

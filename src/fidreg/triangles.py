@@ -5,8 +5,9 @@ shape key in a columnar table. To register, the keys of all CT-side triangles
 are computed at once and each takes its k shape-nearest stored keys from one
 exact distance matrix. Candidates failing the absolute-scale check are masked
 out. Every survivor's vertex pairings (the permutations its edge-length ties
-allow, then the normal-flip variant) are solved in stacked closed-form fits,
-and the candidate whose transform best explains *all* CT markers wins.
+allow, each with its normal-flip variant) are solved in one stacked
+closed-form fit, and the candidate whose transform best explains *all* CT
+markers wins.
 
 Shape keys: with edge lengths e1 >= e3 >= e2 (e1 longest, e2 shortest), the
 key is (r2, r3) = (e2/e1, e3/e1), which is invariant to rigid motion and
@@ -36,7 +37,10 @@ from .rigid import (
     PointCorrespondences,
     RigidTransform,
     apply_rigid_stack,
-    fit_rigid_stack,
+    center_sources,
+    check_proper,
+    fit_rmsd,
+    horn_solve,
 )
 
 # A triangle with area below this fraction of e1^2 has no stable shape key.
@@ -229,6 +233,24 @@ def _nearest_keys(
     return index, distance
 
 
+def _completed_triples(start: int, stop: int) -> np.ndarray:
+    """Triples (a, b, c), a < b < c, that markers ``start .. stop - 1`` complete.
+
+    Ordered by the newest marker c, then (a, b) in combinations order: the
+    order in which inserting the markers one at a time stores them.
+    """
+    index = np.arange(stop)
+    c, a, b = np.nonzero((index[:, None] < index) & (index < index[start:, None, None]))
+    return np.stack([a, b, c + start], axis=1)
+
+
+def _all_triples(count: int) -> np.ndarray:
+    """Every triple (a, b, c), a < b < c < count, in combinations order."""
+    index = np.arange(count)
+    a, b, c = np.nonzero((index[:, None, None] < index[:, None]) & (index[:, None] < index))
+    return np.stack([a, b, c], axis=1)
+
+
 class TriangleTable:
     """All triangles over the device markers seen so far, searchable by shape.
 
@@ -265,21 +287,28 @@ class TriangleTable:
     def triangle_points(self, triangle: IndexedTriangle) -> np.ndarray:
         return np.array([self.markers[i] for i in triangle.marker_indices], dtype=np.float64)
 
-    def insert_marker(self, point: np.ndarray) -> int:
-        """Add a detected marker; index all new triangles it completes.
+    def insert_marker(self, points: np.ndarray) -> int:
+        """Add one detected marker (3,), or a run of them (n, 3) in order.
 
-        Returns the number of triangles inserted (degenerate triples are
-        skipped and tallied in ``degenerate_skipped``).
+        Indexes every new triangle the markers complete. A run stores the
+        same table, in the same order, as inserting its points one at a time,
+        but keys all the new triples in one pass. Returns the number of
+        triangles inserted (degenerate triples are skipped and tallied in
+        ``degenerate_skipped``). Raises ValueError, leaving the table
+        unchanged, unless the points are finite and shaped (3,) or (n, 3).
         """
-        pt = np.asarray(point, dtype=np.float64).reshape(3)
-        if not np.all(np.isfinite(pt)):
+        pts = np.array(points, dtype=np.float64)
+        if pts.ndim == 1:
+            pts = pts[None]
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ValueError(f"markers must be a (3,) or (n, 3) array, got shape {np.shape(points)}")
+        if not np.isfinite(pts).all():
             raise ValueError("marker must be finite")
-        new_index = len(self.markers)
-        self.markers.append(pt.copy())
-        if new_index < 2:
+        start = len(self.markers)
+        self.markers.extend(pts)
+        triples = _completed_triples(start, len(self.markers))
+        if len(triples) == 0:
             return 0
-        first, second = np.triu_indices(new_index, k=1)  # combinations order
-        triples = np.stack([first, second, np.full_like(first, new_index)], axis=1)
         points = self.marker_array()[triples]
         perm, key, e1, shaped = _triangle_shapes(points, self.degeneracy_ratio)
         canonical = _permute_rows(triples, perm)
@@ -342,59 +371,54 @@ def _canonical_triangles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _permute_rows(points, perm), _permute_rows(edges, perm)
 
 
-def _best_pairings(
-    ct: np.ndarray, dev: np.ndarray, codes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Solve every tie permutation of every candidate in one stacked fit.
-
-    ``ct`` and ``dev`` are canonical triangles (C, 3, 3). Keeps, per
-    candidate, the first permutation with the lowest fit rmsd and returns
-    ``(paired device points, rotation, translation, rmsd)`` for it. Raises
-    DegenerateTriangleError when a candidate has no alignable pairing.
-    """
-    counts = _TIE_COUNT[codes]
-    owner = np.repeat(np.arange(len(codes)), counts)
-    slot = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-    perms = _TIE_TABLE[codes[owner], slot]
-    targets = _permute_rows(dev[owner], perms)
-    rotation, translation, rmsd, aligned = fit_rigid_stack(ct[owner], targets)
-    if not aligned.all():
-        raise DegenerateTriangleError("no alignable vertex pairing (degenerate triangle)")
-    by_slot = np.full((len(codes), 6), np.inf)
-    by_slot[owner, slot] = rmsd
-    chosen = np.cumsum(counts) - counts + np.argmin(by_slot, axis=1)
-    return _permute_rows(dev, perms[chosen]), rotation[chosen], translation[chosen], rmsd[chosen]
-
-
 # Target order that exchanges the two vertices adjacent to the longest
 # source edge, by the index of the vertex opposite that edge.
 _FLIP_ORDER = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
 
 
-def _with_flip(
+def _solve_pairings(
     source: np.ndarray,
+    source_edges: np.ndarray,
+    source_of: np.ndarray,
     target: np.ndarray,
-    rotation: np.ndarray,
-    translation: np.ndarray,
-    rmsd: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Re-solve each fit with its mirrored pairing and keep the better one.
+    codes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fit every tie pairing of every candidate, and its flip, in one stack.
 
-    ``rotation``, ``translation`` and ``rmsd`` are the aligned fits of
-    ``source`` onto ``target`` (stacks of 3-point sets); the exchanged
-    pairing has the same sources, so it aligns too. Returns the kept
-    ``(rotation, translation, rmsd, flipped)``.
+    ``source`` holds triangles (S, 3, 3) and ``source_edges`` their edge
+    lengths by vertex; candidate i pairs ``source[source_of[i]]`` with
+    ``target[i]`` (C, 3, 3) under tie code ``codes[i]``. Per candidate, keeps
+    the first tie pairing with the lowest fit rmsd, then its flip variant
+    (the two vertices adjacent to the longest source edge exchanged, the
+    pairing a reflection through the triangle's own plane induces) where
+    that fits strictly better. Each source is centered and tested for
+    collinearity once, however many fits share it.
+
+    Returns ``(paired, rotation, translation, rmsd, flipped)``: the kept
+    pairing's target points (before any flip) and the kept fit. Raises
+    DegenerateTriangleError when a candidate's source triangle is collinear.
     """
-    opposite = np.argmax(_edge_lengths(source), axis=-1)
-    exchanged = _permute_rows(target, _FLIP_ORDER[opposite])
-    flip_rotation, flip_translation, flip_rmsd, _ = fit_rigid_stack(source, exchanged)
-    flipped = flip_rmsd < rmsd
-    return (
-        np.where(flipped[:, None, None], flip_rotation, rotation),
-        np.where(flipped[:, None], flip_translation, translation),
-        np.where(flipped, flip_rmsd, rmsd),
-        flipped,
-    )
+    counts = _TIE_COUNT[codes]
+    first = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(codes)), counts)
+    slot = np.arange(len(owner)) - first[owner]
+    paired = _permute_rows(target[owner], _TIE_TABLE[codes[owner], slot])
+    pair_source = source_of[owner]
+    exchanged = _permute_rows(paired, _FLIP_ORDER[np.argmax(source_edges, axis=-1)[pair_source]])
+    centroid, centered, aligned = center_sources(source)
+    fits = np.concatenate([pair_source, pair_source])  # every pairing, then every flip
+    targets = np.concatenate([paired, exchanged])
+    rotation, translation = horn_solve(centroid[fits], centered[fits], targets)
+    check_proper(rotation, aligned[fits])
+    if not aligned[source_of].all():
+        raise DegenerateTriangleError("no alignable vertex pairing (degenerate triangle)")
+    rmsd = fit_rmsd(rotation, translation, source[fits], targets)
+    by_slot = np.full((len(codes), 6), np.inf)
+    by_slot[owner, slot] = rmsd[: len(owner)]
+    chosen = first + np.argmin(by_slot, axis=1)
+    flipped = rmsd[chosen + len(owner)] < rmsd[chosen]
+    kept = np.where(flipped, chosen + len(owner), chosen)
+    return paired[chosen], rotation[kept], translation[kept], rmsd[kept], flipped
 
 
 def _tie_permutations(
@@ -429,7 +453,8 @@ def canonical_correspondence(
     )
     ct, ct_edges = _canonical_triangles(pair.source[None])
     dev, dev_edges = _canonical_triangles(pair.target[None])
-    paired, _, _, _ = _best_pairings(ct, dev, _tie_codes(ct_edges, dev_edges, tie_epsilon))
+    codes = _tie_codes(ct_edges, dev_edges, tie_epsilon)
+    paired, _, _, _, _ = _solve_pairings(ct, ct_edges, np.zeros(1, dtype=np.intp), dev, codes)
     return PointCorrespondences(ct[0], paired[0])
 
 
@@ -448,9 +473,11 @@ def align_with_flip(corr: PointCorrespondences) -> tuple[RigidTransform, float, 
     triangle_key(*corr.source)
     triangle_key(*corr.target)
 
-    source, target = corr.source[None], corr.target[None]
-    rotation, translation, rmsd, _ = fit_rigid_stack(source, target)
-    rotation, translation, rmsd, flipped = _with_flip(source, target, rotation, translation, rmsd)
+    source = corr.source[None]
+    first = np.zeros(1, dtype=np.intp)  # one candidate, source 0, no ties
+    _, rotation, translation, rmsd, flipped = _solve_pairings(
+        source, _edge_lengths(source), first, corr.target[None], first
+    )
     transform = RigidTransform(rotation=rotation[0], translation=translation[0])
     return transform, float(rmsd[0]), bool(flipped[0])
 
@@ -525,8 +552,7 @@ def register(
     if table.n_triangles == 0:
         raise NoMatchError("no device triangles stored (need at least 3 device markers)")
 
-    triples = np.array(list(itertools.combinations(range(len(ct_points)), 3)), dtype=np.intp)
-    ct_triangles = ct_points[triples]
+    ct_triangles = ct_points[_all_triples(len(ct_points))]
     _, ct_keys, ct_e1, shaped = _triangle_shapes(ct_triangles, config.degeneracy_ratio)
     if not shaped.any():
         raise DegenerateTriangleError("every CT marker triple is degenerate")
@@ -551,11 +577,10 @@ def register(
     cand_row, cand_tri, cand_distance = cand_row[passed], cand_tri[passed], cand_distance[passed]
 
     dev_points = table.marker_array()
-    ct, ct_edges = _canonical_triangles(ct_triangles[cand_row])
+    ct, ct_edges = _canonical_triangles(ct_triangles)
     dev, dev_edges = _canonical_triangles(dev_points[table.indices[cand_tri]])
-    codes = _tie_codes(ct_edges, dev_edges, config.tie_epsilon_mm)
-    paired, rotation, translation, rmsd = _best_pairings(ct, dev, codes)
-    rotation, translation, _, flipped = _with_flip(ct, paired, rotation, translation, rmsd)
+    codes = _tie_codes(ct_edges[cand_row], dev_edges, config.tie_epsilon_mm)
+    _, rotation, translation, _, flipped = _solve_pairings(ct, ct_edges, cand_row, dev, codes)
     score = _all_marker_rmsd(rotation, translation, ct_points, dev_points)
 
     indices = table.indices[cand_tri]

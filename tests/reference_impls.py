@@ -19,8 +19,10 @@ from fidreg.errors import (
     InsufficientMarkersError,
     NoMatchError,
 )
+from fidreg.icp import IcpConfig, IcpResult
 from fidreg.mesh import CORNER_OFFSETS, WELD_TOLERANCE_MM, TriangleMesh, empty_mesh
-from fidreg.rigid import PointCorrespondences, RigidTransform, absolute_orientation
+from fidreg.rigid import PointCorrespondences, RigidTransform, _collinear, absolute_orientation
+from fidreg.rng import rotation_from_quaternion
 from fidreg.segmentation import CONNECTIVITY_OFFSETS, BinaryMask, Component
 from fidreg.triangles import DEGENERACY_RATIO, RegistrationConfig, TriangleKey, _all_marker_rmsd
 from fidreg.volume import Volume
@@ -67,6 +69,63 @@ def brute_force_icp(
             break
         transform, _ = absolute_orientation(PointCorrespondences(src, tgt[idx]))
     return history, transform
+
+
+def _loop_nearest_indices(query: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest target index and squared distance per query point, in blocks."""
+    idx = np.empty(len(query), dtype=np.intp)
+    nearest_sq = np.empty(len(query), dtype=np.float64)
+    block = max(1, (1 << 16) // len(target))
+    for start in range(0, len(query), block):
+        deltas = query[start : start + block, None, :] - target[None, :, :]
+        dist_sq = np.sum(deltas * deltas, axis=2)
+        nearest = np.argmin(dist_sq, axis=1)
+        idx[start : start + block] = nearest
+        nearest_sq[start : start + block] = dist_sq[np.arange(len(nearest)), nearest]
+    return idx, nearest_sq
+
+
+def loop_icp(source, target, config: IcpConfig | None = None) -> IcpResult:
+    """icp_register with one validated absolute_orientation fit per iteration.
+
+    Every iteration re-centers the fixed source, repeats its collinearity
+    test and builds a checked PointCorrespondences and RigidTransform. The
+    rounding of each step is the package's: agreement shows that hoisting
+    the source terms out of the loop changed no bit.
+    """
+    if config is None:
+        config = IcpConfig()
+    src = source.points
+    tgt = target.points
+    if len(src) < 3:
+        raise InsufficientMarkersError(len(src))
+    if len(tgt) < 3:
+        raise InsufficientMarkersError(len(tgt))
+    if _collinear(src - src.mean(axis=0)):
+        raise DegenerateGeometryError("source points are collinear; rotation is not determined")
+
+    transform = config.initial_transform
+    history: list[float] = []
+    converged = False
+    for iteration in range(config.max_iterations):
+        mapped = transform.apply(src)
+        match_idx, match_sq = _loop_nearest_indices(mapped, tgt)
+        rmsd = float(np.sqrt(np.mean(match_sq)))
+        history.append(rmsd)
+        if len(history) >= 2 and abs(history[-2] - rmsd) < config.rmsd_delta_tolerance:
+            converged = True
+            break
+        if iteration == config.max_iterations - 1:
+            break  # cap reached; keep the transform the last rmsd describes
+        transform, _ = absolute_orientation(PointCorrespondences(src, tgt[match_idx]))
+
+    return IcpResult(
+        transform=transform,
+        rmsd=history[-1],
+        iterations_used=len(history),
+        converged=converged,
+        rmsd_history=history,
+    )
 
 
 _NEIGHBOR_CACHE: dict[int, list[tuple[int, int, int]]] = {}
@@ -185,6 +244,54 @@ def splitmix64_reference(seed: int, count: int) -> list[int]:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+class UnbufferedSplitMix64:
+    """SplitMix64 that mixes each draw's outputs when asked for them.
+
+    The same derived draws as fidreg.rng.SplitMix64, with no block of
+    outputs computed ahead.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = int(seed) & ((1 << 64) - 1)
+        self.count = 0
+
+    def raw(self, n: int) -> np.ndarray:
+        start = self.count + 1
+        self.count += n
+        with np.errstate(over="ignore"):
+            z = np.uint64(self.seed) + np.arange(start, start + n, dtype=np.uint64) * np.uint64(
+                0x9E3779B97F4A7C15
+            )
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(0xBF58476D1CE4E5B9)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(0x94D049BB133111EB)
+            z ^= z >> np.uint64(31)
+        return z
+
+    def uniforms(self, n: int) -> np.ndarray:
+        return (self.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    def normals(self, n: int) -> np.ndarray:
+        r = self.raw(2 * n).reshape(n, 2) >> np.uint64(11)
+        u1 = (r[:, 0].astype(np.float64) + 1.0) * 2.0**-53
+        u2 = r[:, 1].astype(np.float64) * 2.0**-53
+        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+    def integer(self, bound: int) -> int:
+        return min(int(float(self.uniforms(1)[0]) * bound), bound - 1)
+
+    def shuffle(self, items: list) -> None:
+        loop_shuffle(self, items)
+
+    def rotation(self) -> np.ndarray:
+        while True:
+            q = self.normals(4)
+            norm = float(np.linalg.norm(q))
+            if norm > 1e-12:
+                return rotation_from_quaternion(q / norm)
 
 
 def loop_shuffle(rng, items: list) -> None:

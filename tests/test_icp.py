@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from fidreg.bench import SceneSpec, generate_scene
 from fidreg.config import ConfigError
 from fidreg.errors import DegenerateGeometryError, InsufficientMarkersError
 from fidreg.icp import IcpConfig, icp_register
 from fidreg.markers import MarkerSet
 from fidreg.rigid import RigidTransform, axis_angle_rotation, rotation_angle
 
-from reference_impls import brute_force_icp
+from reference_impls import brute_force_icp, loop_icp
 
 
 def scene(seed, n, angle, shift_mm):
@@ -100,6 +101,46 @@ def test_large_sorted_target_set_matches_brute_force_reference():
     assert result.rmsd_history == history
     np.testing.assert_allclose(result.transform.rotation, transform.rotation, atol=1e-15)
     np.testing.assert_allclose(result.transform.translation, transform.translation, atol=1e-15)
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got.transform.rotation, want.transform.rotation)
+    assert np.array_equal(got.transform.translation, want.transform.translation)
+    assert got.rmsd_history == want.rmsd_history
+    assert got.rmsd == want.rmsd
+    assert got.iterations_used == want.iterations_used
+    assert got.converged == want.converged
+
+
+# The scene whose first matching sends all eight sources to two targets, so
+# the fit's cross-covariance is rank-deficient and the rotation is one of a
+# family of equal optima, picked by rounding.
+RANK_DEFICIENT = SceneSpec(n_markers=8, noise_sigma_mm=1, dropout_count=1, decoy_count=2, seed=13)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [RANK_DEFICIENT]
+    + [
+        SceneSpec(n_markers=n, noise_sigma_mm=sigma, dropout_count=drop, decoy_count=2 * drop, seed=seed)
+        for n, sigma, drop, seed in [(3, 0, 0, 1), (4, 1, 1, 2), (6, 1, 0, 3), (8, 0, 1, 4), (40, 1, 0, 5)]
+    ],
+)
+@pytest.mark.parametrize("max_iterations", [1, 2, 100])
+def test_loop_matches_per_iteration_fit_bit_for_bit(spec, max_iterations):
+    ct, device, _ = generate_scene(spec)
+    config = IcpConfig(max_iterations=max_iterations)
+    assert_same_bits(icp_register(ct, device, config), loop_icp(ct, device, config))
+
+
+def test_initial_transform_is_followed_bit_for_bit():
+    source, target, truth = scene(4, 9, 0.3, 12.0)
+    start = RigidTransform(axis_angle_rotation([1.0, -2.0, 0.5], 0.2), np.array([3.0, -1.0, 2.0]))
+    for max_iterations in (1, 2, 100):
+        config = IcpConfig(max_iterations=max_iterations, initial_transform=start)
+        got = icp_register(source, target, config)
+        assert_same_bits(got, loop_icp(source, target, config))
+    assert icp_register(source, target, IcpConfig(max_iterations=1, initial_transform=start)).transform is start
 
 
 def test_insufficient_markers_either_side():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from fidreg.rng import SplitMix64, rotation_from_quaternion
 
-from reference_impls import loop_shuffle, splitmix64_reference
+from reference_impls import UnbufferedSplitMix64, loop_shuffle, splitmix64_reference
 
 # First outputs for seed 0, straight from the published splitmix64 stream.
 SEED0_HEAD = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -120,3 +120,41 @@ def test_rotation_statistics_cover_so3():
     # column-z direction should spread over the sphere, not cluster
     zs = np.array([SplitMix64(s).rotation()[:, 2] for s in range(500)])
     assert abs(zs.mean(axis=0)).max() < 0.1
+
+
+_DRAWS = st.one_of(
+    st.tuples(st.just("raw"), st.integers(0, 1500)),
+    st.tuples(st.just("uniforms"), st.integers(0, 700)),
+    st.tuples(st.just("normals"), st.integers(0, 400)),
+    st.tuples(st.just("integer"), st.integers(1, 1 << 40)),
+    st.tuples(st.just("shuffle"), st.integers(0, 60)),
+    st.tuples(st.just("rotation"), st.just(0)),
+)
+
+
+@given(st.integers(min_value=0, max_value=(1 << 64) - 1), st.lists(_DRAWS, max_size=25))
+def test_buffered_draws_match_unbuffered_reference(seed, calls):
+    # Raw counts reach past the block computed ahead, and zero-length draws
+    # sit between the others, so block refills land everywhere in a draw.
+    rng, ref = SplitMix64(seed), UnbufferedSplitMix64(seed)
+    for name, arg in calls:
+        if name == "shuffle":
+            got, want = list(range(arg)), list(range(arg))
+            rng.shuffle(got)
+            ref.shuffle(want)
+        elif name == "rotation":
+            got, want = rng.rotation(), ref.rotation()
+        elif name == "integer":
+            got, want = rng.integer(arg), ref.integer(arg)
+        else:
+            got, want = getattr(rng, name)(arg), getattr(ref, name)(arg)
+        assert np.array_equal(got, want), name
+    assert np.array_equal(rng.raw(3), ref.raw(3))
+
+
+def test_raw_returns_a_private_array():
+    rng = SplitMix64(8)
+    first = rng.raw(4)
+    first[:] = 0
+    assert int(rng.raw(1)[0]) == splitmix64_reference(8, 5)[4]
+    assert list(SplitMix64(8).raw(4)) == splitmix64_reference(8, 4)

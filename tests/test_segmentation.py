@@ -39,6 +39,30 @@ def test_threshold_is_inclusive():
     assert mask.bits[:, 0, 0].tolist() == [False, True, True]
 
 
+# Every int16 extreme and the values around a few grid levels.
+_THRESHOLD_VOXELS = np.array(
+    [-32768, -32767, -1001, -1000, -999, -1, 0, 1, 299, 300, 301, 32766, 32767], dtype=np.int16
+).reshape(13, 1, 1)
+_grid_offsets = st.builds(
+    lambda level, offset: float(level) + offset,
+    st.sampled_from([int(v) for v in _THRESHOLD_VOXELS.ravel()]),
+    st.sampled_from([-0.5, -1e-9, 0.0, 1e-9, 0.5]),
+)
+
+
+@given(
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(-40000, 40000),
+        _grid_offsets,
+        st.integers(-(1 << 70), 1 << 70),
+    )
+)
+def test_threshold_matches_float_comparison(hu_min):
+    mask = threshold_volume(make_volume(_THRESHOLD_VOXELS), hu_min)
+    assert np.array_equal(mask.bits, _THRESHOLD_VOXELS >= hu_min)
+
+
 @pytest.mark.parametrize(
     "connectivity,expected_count",
     [(6, 2), (18, 2), (26, 1)],

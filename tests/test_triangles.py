@@ -26,7 +26,9 @@ from fidreg.triangles import (
     canonical_correspondence,
     register,
     triangle_key,
+    _all_triples,
     _canonical_perm,
+    _completed_triples,
     _edge_lengths,
     _tie_permutations,
 )
@@ -143,6 +145,79 @@ def test_degenerate_triples_are_counted_not_stored():
     assert table.degenerate_skipped == 1
     assert table.insert_marker(np.array([0.0, 8.0, 0.0])) == 3
     assert table.n_triangles == 3
+
+
+# Device markers for the batch tests: a few grid positions (so coincident
+# and collinear triples are common) and free points.
+_grid_point = st.tuples(*[st.sampled_from([0.0, 10.0, 20.0])] * 3)
+_free_point = st.tuples(*[st.floats(-100, 100, allow_nan=False)] * 3)
+_marker_lists = st.lists(st.one_of(_grid_point, _free_point), max_size=14)
+
+
+@given(_marker_lists, st.lists(st.integers(0, 14), max_size=5))
+def test_batch_inserts_match_one_point_at_a_time(markers, cuts):
+    points = np.array(markers, dtype=np.float64).reshape(-1, 3)
+    single = TriangleTable()
+    single_total = sum(single.insert_marker(p) for p in points)
+    batched = TriangleTable()
+    bounds = [0, *sorted(min(c, len(points)) for c in cuts), len(points)]
+    batched_total = sum(batched.insert_marker(points[a:b]) for a, b in zip(bounds, bounds[1:]))
+    assert batched_total == single_total == batched.n_triangles
+    assert np.array_equal(batched.keys, single.keys)
+    assert np.array_equal(batched.e1, single.e1)
+    assert np.array_equal(batched.indices, single.indices)
+    assert batched.degenerate_skipped == single.degenerate_skipped
+    assert np.array_equal(batched.marker_array(), single.marker_array())
+
+
+def test_triple_indices_follow_their_documented_orders():
+    # register ranks tied candidates by CT triple in combinations order;
+    # a table stores triples by newest marker, then combinations order.
+    for count in range(12):
+        assert _all_triples(count).tolist() == [list(t) for t in itertools.combinations(range(count), 3)]
+        for start in range(count + 1):
+            expected = [[a, b, c] for c in range(start, count) for a, b in itertools.combinations(range(c), 2)]
+            assert _completed_triples(start, count).tolist() == expected
+
+
+def test_batch_inserts_match_on_a_larger_table():
+    points = np.random.default_rng(3).uniform(-50, 50, (40, 3))
+    single = TriangleTable()
+    for p in points:
+        single.insert_marker(p)
+    batched = TriangleTable()
+    for a, b in zip([0, 1, 15, 17, 33], [1, 15, 17, 33, 40]):
+        batched.insert_marker(points[a:b])
+    assert np.array_equal(batched.indices, single.indices)
+    assert np.array_equal(batched.keys, single.keys)
+    assert batched.n_triangles == 9880  # C(40, 3)
+
+
+def test_batch_insert_rejects_bad_points_and_leaves_the_table_alone():
+    table = TriangleTable()
+    table.insert_marker(np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 7.0, 2.0]]))
+    before = (table.keys.copy(), table.e1.copy(), table.indices.copy(), table.degenerate_skipped)
+    assert before[3] == 2  # the two triples holding both copies of the origin
+    for bad in (
+        np.array([[1.0, 2.0, 3.0], [np.nan, 0.0, 0.0]]),
+        np.array([[np.inf, 0.0, 0.0]]),
+        np.zeros((2, 2)),
+        np.zeros(4),
+        np.zeros((1, 1, 3)),
+    ):
+        with pytest.raises(ValueError):
+            table.insert_marker(bad)
+    with pytest.raises(ValueError, match="finite"):
+        table.insert_marker(np.array([0.0, -np.inf, 0.0]))
+    assert len(table.markers) == 4
+    assert np.array_equal(table.keys, before[0])
+    assert np.array_equal(table.e1, before[1])
+    assert np.array_equal(table.indices, before[2])
+    assert table.degenerate_skipped == before[3]
+    assert table.insert_marker(np.zeros((0, 3))) == 0
+    # C(4, 2) = 6 new triples, one of them holding both copies of the origin
+    assert table.insert_marker(np.array([[3.0, 3.0, 9.0]])) == 5
+    assert table.degenerate_skipped == 3
 
 
 def test_query_nearest_matches_exhaustive_shape_distance():
