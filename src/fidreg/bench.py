@@ -60,7 +60,7 @@ from .config import (
 from .errors import ConfigError, DomainError
 from .markers import MarkerSet
 from .icp import IcpConfig, icp_register
-from .rigid import RigidTransform, compose, inverse, rotation_angle
+from .rigid import RigidTransform, reorthonormalize, rotation_angle
 from .rng import SplitMix64
 from .triangles import RegistrationConfig, TriangleTable, register
 
@@ -324,7 +324,9 @@ def _run_trial(spec: SceneSpec, method: str, targets_origin: np.ndarray) -> Tria
     else:
         targets = np.vstack([ct.points, targets_origin])
         tre = target_registration_error(estimated, truth, targets)
-        rot_err = rotation_angle(compose(estimated, inverse(truth)).rotation)
+        # The rotation of compose(estimated, inverse(truth)), without
+        # building and validating the two transforms.
+        rot_err = rotation_angle(reorthonormalize(estimated.rotation @ truth.rotation.T))
         trans_err = float(
             np.linalg.norm(estimated.translation - truth.translation)
         )

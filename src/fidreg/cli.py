@@ -107,15 +107,14 @@ def cmd_segment(args) -> int:
 
 
 def cmd_mesh(args) -> int:
+    out = str(args.out)
+    suffix = out.lower()[-4:]
+    writers = {".stl": write_stl, ".obj": write_obj}
+    if suffix not in writers:
+        raise FormatError(f"{out}: mesh output must end in .stl or .obj")
     volume = read_volume(args.volume)
     mesh = marching_cubes(volume, args.iso)
-    out = str(args.out)
-    if out.lower().endswith(".stl"):
-        write_stl(mesh, out)
-    elif out.lower().endswith(".obj"):
-        write_obj(mesh, out)
-    else:
-        raise FormatError(f"{out}: mesh output must end in .stl or .obj")
+    writers[suffix](mesh, out)
     print(f"meshed {mesh.n_vertices} vertices, {mesh.n_faces} faces", file=sys.stderr)
     return 0
 

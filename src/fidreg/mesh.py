@@ -28,8 +28,15 @@ How the work is done, none of which shows in the output:
   code separably (pairs along x, then y, then z) with bit di + 2*dj + 4*dk
   for corner (di, dj, dk); the active cells' codes are renumbered to the
   table's v0..v7 bits by a 256-entry table (bits 2<->3 and 6<->7 swap);
-* triangle corners are keyed by edge (lower grid corner, axis), and one
-  stable sort of the keys hands out vertex slots in first-use order;
+* triangle corners are keyed by edge (lower grid corner, axis); each key is
+  packed with its corner index as ``key << b | corner``, and one plain sort
+  of the packed values hands out vertex slots in first-use order.  Key and
+  index must fit in 63 bits together, which takes about 20 GB of working
+  arrays to exceed (``_slot_key_shift`` raises ValueError there);
+* interpolation gathers each edge's two voxels from a flat Fortran-order
+  view of the voxels (a copy only for read-only input in another layout,
+  which nothing in fidreg makes) and builds the grid coordinates one
+  column at a time;
 * the weld groups only candidate vertices: those whose corner gap
   min(t, 1 - t) * spacing along their edge is at most 4e-9 mm, where t is
   the interpolation parameter.  That is exact while every spacing exceeds
@@ -131,13 +138,13 @@ class TriangleMesh:
 
     def face_normals(self) -> np.ndarray:
         """Unit normals per face; zero vector where a face has zero area."""
-        return _unit_normals(np.take(self.vertices, self.faces, axis=0))
+        cross, norm = _face_cross(self)
+        _normalise(cross, norm)
+        return np.stack(cross, axis=1)
 
     def surface_area(self) -> float:
-        a = self.vertices[self.faces[:, 0]]
-        b = self.vertices[self.faces[:, 1]]
-        c = self.vertices[self.faces[:, 2]]
-        return float(np.linalg.norm(np.cross(b - a, c - a), axis=1).sum() / 2.0)
+        _, norm = _face_cross(self)
+        return float(norm.sum() / 2.0)
 
 
 def empty_mesh() -> TriangleMesh:
@@ -195,35 +202,53 @@ def marching_cubes(volume: Volume, iso_hu: float) -> TriangleMesh:
     # cell's edges in table order; key each edge by its lower grid corner.
     rows = _TRI_EDGES[cell_case]
     edges = rows[rows >= 0]
-    base = np.repeat(ci + nx * (cj + ny * ck), _TRI_COUNTS[cell_case])
+    keys = np.repeat(ci + nx * (cj + ny * ck), _TRI_COUNTS[cell_case])
+    del rows, lin, ci, cj, ck, cell_case
     edge_key_step = (_EDGE_LOWER @ np.array((1, nx, nx * ny))) * 3 + _EDGE_AXIS
-    keys = base * 3 + edge_key_step[edges]
+    keys *= 3
+    keys += edge_key_step[edges]
+    del edges
 
     # Vertex slots in order of first use, as a walk over the corners would
-    # hand them out.  A stable sort keeps each key's uses in corner order, so
-    # the first entry of each run of equal keys is that key's first use.
-    by_key = np.argsort(keys, kind="stable")
-    sorted_keys = keys[by_key]
+    # hand them out.  Packing each key with its corner index as
+    # key << shift | corner makes every value distinct, so one plain sort
+    # orders the corners by key and, within a key, by use: the first entry of
+    # each run of equal keys is that key's first use.
+    shift = _slot_key_shift(nx * ny * nz, len(keys))
+    keys <<= shift
+    keys |= np.arange(len(keys))
+    keys.sort()
+    by_key = keys & ((1 << shift) - 1)
+    keys >>= shift  # the edge keys, now ascending
     starts = np.empty(len(keys), dtype=bool)
     starts[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
     run_starts = np.flatnonzero(starts)
     slot_order, rank = _first_use_rank(by_key[run_starts])
     corner_slot = np.empty(len(keys), dtype=np.int64)
     corner_slot[by_key] = np.repeat(rank, np.diff(run_starts, append=len(keys)))
+    del by_key
     faces = corner_slot.reshape(-1, 3)
 
     # Interpolate each edge from its lower corner a toward b, in the float64
     # steps of the scalar formula: t = (iso - va) / (vb - va), coord = a + t.
-    vertex_keys = sorted_keys[run_starts[slot_order]]
+    # va and vb come from a flat Fortran-order view of the voxels.
+    vertex_keys = keys[run_starts[slot_order]]
+    del keys, run_starts
     axis = vertex_keys % 3
     lower = vertex_keys // 3
-    a = np.stack((lower % nx, (lower // nx) % ny, lower // (nx * ny)))
-    b = a + np.eye(3, dtype=np.int64)[:, axis]
-    va = volume.voxels[tuple(a)].astype(np.float64)
-    vb = volume.voxels[tuple(b)].astype(np.float64)
+    i = lower % nx
+    j = (lower // nx) % ny
+    k = lower // (nx * ny)
+    flat = volume.voxels.reshape(-1, order="F")  # a copy unless Fortran-ordered
+    step = np.array((1, nx, nx * ny))
+    va = flat[lower].astype(np.float64)
+    vb = flat[lower + step[axis]].astype(np.float64)
     t = (iso - va) / (vb - va)
-    grid = a.T.astype(np.float64)
+    grid = np.empty((len(t), 3))
+    grid[:, 0] = i
+    grid[:, 1] = j
+    grid[:, 2] = k
     grid[np.arange(len(grid)), axis] += t
     vertices = np.asarray(volume.origin) + grid * np.asarray(volume.spacing)
 
@@ -264,6 +289,34 @@ def marching_cubes(volume: Volume, iso_hu: float) -> TriangleMesh:
         vertices = vertices[used]
         faces = remap[faces]
     return TriangleMesh(vertices, faces)
+
+
+# Largest bit length a packed slot key may reach: int64 without its sign bit.
+_SLOT_KEY_BITS = 63
+
+
+def _slot_key_shift(n_voxels: int, n_corners: int) -> int:
+    """Bits the corner index takes in the packed slot keys ``key << shift | corner``.
+
+    Edge keys ``3 * (lower corner) + axis`` lie below ``3 * n_voxels`` and
+    corner indices below ``n_corners``; raises ValueError when the two do not
+    fit in _SLOT_KEY_BITS bits together.
+
+    No real volume gets there.  Past the limit, ``3 * n_voxels * n_corners``
+    exceeds 2**62, and the slot pass holds the int16 volume (2 bytes a voxel)
+    and, at its scatter, four int64 arrays per corner (32 bytes a corner).
+    By the AM-GM inequality that is at least
+    ``2 * sqrt(2 * 32 * n_voxels * n_corners) > 2**35 / sqrt(3)`` bytes,
+    about 19.8 GB of working arrays.
+    """
+    shift = (n_corners - 1).bit_length()
+    key_bits = (3 * n_voxels - 1).bit_length()
+    if key_bits + shift > _SLOT_KEY_BITS:
+        raise ValueError(
+            f"{n_voxels} voxels and {n_corners} triangle corners need "
+            f"{key_bits + shift} bits per packed slot key; the limit is {_SLOT_KEY_BITS}"
+        )
+    return shift
 
 
 def _first_use_rank(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,42 +363,74 @@ def _weld_candidates(volume: Volume, t: np.ndarray, axis: np.ndarray) -> np.ndar
     return np.flatnonzero(gap <= _WELD_GAP_MM)
 
 
-def _unit_normals(corners: np.ndarray) -> np.ndarray:
-    """Unit normals of (F,3,3) triangle corners; zero where a face has zero area.
+def _face_cross(mesh: TriangleMesh, on_corner=None):
+    """Each face's cross product (b - a) x (c - a) as x, y, z columns, and its norm.
 
-    The cross product and the norm are written term by term in the order
-    np.cross and np.linalg.norm use, so the result is bit-identical to
-    ``n = np.cross(b - a, c - a); n / np.linalg.norm(n, axis=1)`` with one
-    (F,3) result array and no corner copies.
+    a, b and c are the face's corners.  Their coordinate columns are gathered
+    with ``take`` from a transposed copy of the vertices, so every array is
+    contiguous, and the cross product and the norm are written term by term
+    in the order np.cross and np.linalg.norm use: the bits equal
+    ``n = np.cross(b - a, c - a)`` and ``np.linalg.norm(n, axis=1)``.
+    ``on_corner(k, d, column)``, when given, receives coordinate d of corner
+    k as soon as it is gathered.
     """
-    u = corners[:, 1] - corners[:, 0]
-    v = corners[:, 2] - corners[:, 0]
-    normal = np.empty_like(u)
-    normal[:, 0] = u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1]
-    normal[:, 1] = u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2]
-    normal[:, 2] = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    coords = mesh.vertices.T.copy()
+
+    def corner(k: int) -> list[np.ndarray]:
+        index = mesh.faces[:, k].copy()
+        columns = []
+        for d in range(3):
+            columns.append(coords[d].take(index))
+            if on_corner is not None:
+                on_corner(k, d, columns[d])
+        return columns
+
+    a = corner(0)
+    u = corner(1)
+    for d in range(3):
+        u[d] -= a[d]
+    v = corner(2)
+    for d in range(3):
+        v[d] -= a[d]
+    del a
+    x = u[1] * v[2]
+    x -= u[2] * v[1]
+    y = u[2] * v[0]
+    y -= u[0] * v[2]
+    z = u[0] * v[1]
+    z -= u[1] * v[0]
     del u, v
-    x, y, z = normal[:, 0], normal[:, 1], normal[:, 2]
-    norm = np.sqrt(x * x + y * y + z * z)
-    normal /= np.where(norm > 0.0, norm, 1.0)[:, None]
-    return normal
+    return (x, y, z), np.sqrt(x * x + y * y + z * z)
+
+
+def _normalise(cross: tuple[np.ndarray, ...], norm: np.ndarray) -> None:
+    """Divide the cross-product columns by their norm in place; zero-area faces stay 0."""
+    divisor = np.where(norm > 0.0, norm, 1.0)
+    for column in cross:
+        column /= divisor
 
 
 STL_HEADER = ("fidreg mesh; " + ORIENTATION_NOTE).encode("ascii")[:80]
+_STL_RECORD = np.dtype([("normal", "<f4", 3), ("corners", "<f4", (3, 3)), ("attr", "<u2")])
 
 
 def write_stl(mesh: TriangleMesh, path) -> None:
-    """Binary little-endian STL: 80-byte header, uint32 count, 50-byte facets."""
-    record = np.zeros(
-        mesh.n_faces,
-        dtype=np.dtype(
-            [("normal", "<f4", 3), ("corners", "<f4", (3, 3)), ("attr", "<u2")]
-        ),
-    )
-    corners = np.take(mesh.vertices, mesh.faces, axis=0)
-    record["corners"] = corners
-    record["normal"] = _unit_normals(corners)
-    del corners
+    """Binary little-endian STL: 80-byte header, uint32 count, 50-byte facets.
+
+    Each coordinate column goes into the records as soon as it is gathered,
+    so no (F, 3, 3) corner array is built.
+    """
+    record = np.zeros(mesh.n_faces, dtype=_STL_RECORD)
+    corners = record["corners"]
+
+    def store(k: int, d: int, column: np.ndarray) -> None:
+        corners[:, k, d] = column
+
+    cross, norm = _face_cross(mesh, store)
+    _normalise(cross, norm)
+    for d, column in enumerate(cross):
+        record["normal"][:, d] = column
+    del cross, norm
     with open(path, "wb") as fh:
         fh.write(STL_HEADER.ljust(80, b"\x00"))
         fh.write(np.array([mesh.n_faces], dtype="<u4").tobytes())

@@ -86,13 +86,22 @@ def compose(after: RigidTransform, before: RigidTransform) -> RigidTransform:
     The rotation product is re-orthonormalized (nearest-rotation SVD
     projection) when accumulated float drift exceeds COMPOSE_DRIFT_TOL.
     """
-    rot = after.rotation @ before.rotation
+    rot = reorthonormalize(after.rotation @ before.rotation)
+    return RigidTransform(rotation=rot, translation=after.rotation @ before.translation + after.translation)
+
+
+def reorthonormalize(rot: np.ndarray) -> np.ndarray:
+    """A rotation product as :func:`compose` keeps it.
+
+    Returns ``rot`` itself, or its nearest proper rotation (SVD projection)
+    when its drift ``|rot^T rot - I|`` exceeds COMPOSE_DRIFT_TOL.
+    """
     if np.abs(rot.T @ rot - _IDENTITY).max() > COMPOSE_DRIFT_TOL:
         u, _, vt = np.linalg.svd(rot)
         if np.linalg.det(u @ vt) < 0:
             u[:, -1] = -u[:, -1]
         rot = u @ vt
-    return RigidTransform(rotation=rot, translation=after.rotation @ before.translation + after.translation)
+    return rot
 
 
 def inverse(transform: RigidTransform) -> RigidTransform:

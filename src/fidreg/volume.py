@@ -101,12 +101,12 @@ def write_volume(volume: Volume, path) -> None:
         fh.write(payload)
 
 
-def _split_header_line(blob: bytes, start: int, lineno: int) -> tuple[str, int]:
-    end = blob.find(b"\n", start)
-    if end < 0:
+def _header_line(fh, lineno: int) -> str:
+    line = fh.readline()
+    if not line.endswith(b"\n"):
         raise VolumeFormatError(f"header line {lineno}: unterminated (file too short)")
     try:
-        return blob[start:end].decode("ascii"), end + 1
+        return line[:-1].decode("ascii")
     except UnicodeDecodeError as exc:
         raise VolumeFormatError(f"header line {lineno}: not ASCII") from exc
 
@@ -120,15 +120,13 @@ def _parse_fields(line: str, tag: str, count: int, lineno: int) -> list[str]:
     return parts[1:]
 
 
-def read_volume(path) -> Volume:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-
-    magic, pos = _split_header_line(blob, 0, 1)
+def _parse_header(fh) -> tuple[tuple[int, int, int], tuple, tuple]:
+    """Read and check the six header lines; returns (dims, spacing, origin)."""
+    magic = _header_line(fh, 1)
     if magic != MAGIC:
         raise VolumeFormatError(f"header line 1: expected {MAGIC!r}, got {magic!r}")
 
-    dims_line, pos = _split_header_line(blob, pos, 2)
+    dims_line = _header_line(fh, 2)
     try:
         dims = tuple(int(f, 10) for f in _parse_fields(dims_line, "DIMS", 3, 2))
     except ValueError as exc:
@@ -136,7 +134,7 @@ def read_volume(path) -> Volume:
     if any(d <= 0 for d in dims):
         raise VolumeFormatError(f"header line 2: dims must be positive, got {dims}")
 
-    spacing_line, pos = _split_header_line(blob, pos, 3)
+    spacing_line = _header_line(fh, 3)
     try:
         spacing = tuple(float(f) for f in _parse_fields(spacing_line, "SPACING", 3, 3))
     except ValueError as exc:
@@ -144,7 +142,7 @@ def read_volume(path) -> Volume:
     if any(not np.isfinite(s) or s <= 0 for s in spacing):
         raise VolumeFormatError(f"header line 3: spacing must be positive, got {spacing}")
 
-    origin_line, pos = _split_header_line(blob, pos, 4)
+    origin_line = _header_line(fh, 4)
     try:
         origin = tuple(float(f) for f in _parse_fields(origin_line, "ORIGIN", 3, 4))
     except ValueError as exc:
@@ -152,20 +150,47 @@ def read_volume(path) -> Volume:
     if any(not np.isfinite(o) for o in origin):
         raise VolumeFormatError(f"header line 4: origin must be finite, got {origin}")
 
-    dtype_line, pos = _split_header_line(blob, pos, 5)
+    dtype_line = _header_line(fh, 5)
     (tag,) = _parse_fields(dtype_line, "DTYPE", 1, 5)
     if tag != DTYPE_TAG:
         raise VolumeFormatError(f"header line 5: unsupported dtype {tag!r} (only {DTYPE_TAG})")
 
-    data_line, pos = _split_header_line(blob, pos, 6)
+    data_line = _header_line(fh, 6)
     if data_line != "DATA":
         raise VolumeFormatError(f"header line 6: expected 'DATA', got {data_line!r}")
+    return dims, spacing, origin
 
-    nx, ny, nz = dims
-    expected = 2 * nx * ny * nz
-    if len(blob) - pos != expected:
-        raise TruncationError(expected, len(blob) - pos)
 
-    # A read-only view of the file's bytes, so neither this nor Volume copies.
-    voxels = np.frombuffer(blob, dtype="<i2", offset=pos).reshape(dims, order="F")
+def read_volume(path) -> Volume:
+    """Read a ``.vol`` file; the voxels are a read-only view of one numpy buffer.
+
+    The header lines are read one at a time, so a line may be of any length.
+    The payload goes with ``readinto`` straight into an ``np.empty`` buffer
+    of exactly the size the header asks for, looping until the buffer is
+    full or the file ends (one read returns at most about 2 GiB on Linux).
+    Like the copy ``Volume`` makes of writable input, the voxels come out in
+    Fortran order, so the x-fastest kernels read them without a copy.
+    """
+    with open(path, "rb") as fh:
+        dims, spacing, origin = _parse_header(fh)
+        nx, ny, nz = dims
+        expected = 2 * nx * ny * nz
+        try:
+            payload = np.empty(expected, dtype=np.uint8)
+        except (MemoryError, ValueError):
+            # A header asking for more than memory holds (MemoryError) or than
+            # an array can index (ValueError) is not the file's size.
+            raise TruncationError(expected, len(fh.read())) from None
+        filled = 0
+        while filled < expected:
+            count = fh.readinto(payload[filled:])
+            if not count:
+                raise TruncationError(expected, filled)
+            filled += count
+        trailing = len(fh.read())
+        if trailing:
+            raise TruncationError(expected, expected + trailing)
+
+    voxels = payload.view("<i2").reshape(dims, order="F")
+    voxels.setflags(write=False)
     return Volume(dims=dims, spacing=spacing, origin=origin, voxels=voxels)

@@ -20,7 +20,7 @@ from fidreg.errors import (
     NoMatchError,
 )
 from fidreg.icp import IcpConfig, IcpResult
-from fidreg.mesh import CORNER_OFFSETS, WELD_TOLERANCE_MM, TriangleMesh, empty_mesh
+from fidreg.mesh import CORNER_OFFSETS, STL_HEADER, WELD_TOLERANCE_MM, TriangleMesh, empty_mesh
 from fidreg.rigid import PointCorrespondences, RigidTransform, _collinear, absolute_orientation
 from fidreg.rng import rotation_from_quaternion
 from fidreg.segmentation import CONNECTIVITY_OFFSETS, BinaryMask, Component
@@ -639,3 +639,45 @@ def loop_marching_cubes(volume: Volume, iso_hu: float) -> TriangleMesh:
         vertices = vertices[used]
         faces = remap[faces]
     return TriangleMesh(vertices, faces)
+
+
+def _unit_normals(corners: np.ndarray) -> np.ndarray:
+    """Unit normals of (F,3,3) triangle corners; zero where a face has zero area.
+
+    The cross product and the norm are written term by term in the order
+    np.cross and np.linalg.norm use, so the result is bit-identical to
+    ``n = np.cross(b - a, c - a); n / np.linalg.norm(n, axis=1)`` with one
+    (F,3) result array and no corner copies.
+    """
+    u = corners[:, 1] - corners[:, 0]
+    v = corners[:, 2] - corners[:, 0]
+    normal = np.empty_like(u)
+    normal[:, 0] = u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1]
+    normal[:, 1] = u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2]
+    normal[:, 2] = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    del u, v
+    x, y, z = normal[:, 0], normal[:, 1], normal[:, 2]
+    norm = np.sqrt(x * x + y * y + z * z)
+    normal /= np.where(norm > 0.0, norm, 1.0)[:, None]
+    return normal
+
+
+def corner_array_write_stl(mesh: TriangleMesh, path) -> None:
+    """The STL writer over a whole (F, 3, 3) corner array, kept as an oracle.
+
+    Binary little-endian STL: 80-byte header, uint32 count, 50-byte facets.
+    """
+    record = np.zeros(
+        mesh.n_faces,
+        dtype=np.dtype(
+            [("normal", "<f4", 3), ("corners", "<f4", (3, 3)), ("attr", "<u2")]
+        ),
+    )
+    corners = np.take(mesh.vertices, mesh.faces, axis=0)
+    record["corners"] = corners
+    record["normal"] = _unit_normals(corners)
+    del corners
+    with open(path, "wb") as fh:
+        fh.write(STL_HEADER.ljust(80, b"\x00"))
+        fh.write(np.array([mesh.n_faces], dtype="<u4").tobytes())
+        fh.write(memoryview(record))

@@ -79,6 +79,18 @@ def test_mesh_writes_stl_and_obj(phantom_volume, tmp_path, capsys):
     assert "must end in .stl or .obj" in capsys.readouterr().err
 
 
+def test_mesh_rejects_bad_suffix_before_reading(tmp_path, capsys, monkeypatch):
+    def no_read(path):
+        raise AssertionError("the volume was read before the suffix check")
+
+    monkeypatch.setattr("fidreg.cli.read_volume", no_read)
+    out = tmp_path / "skin.ply"
+    # The volume does not exist either: the suffix is what gets reported.
+    assert main(["mesh", str(tmp_path / "missing.vol"), str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out}: mesh output must end in .stl or .obj\n"
+    assert not out.exists()
+
+
 def write_spec(tmp_path, text):
     path = tmp_path / "scene.spec"
     path.write_text(text)

@@ -1,0 +1,36 @@
+"""scripts/demo_pipeline.py end to end, and its files against the CLI's.
+
+The demo meshes and segments an in-memory phantom built from a writable
+C-ordered array, which Volume copies to Fortran order; the CLI reads the
+demo's phantom.vol back, whose voxels are a read-only view of the file
+buffer.  Both paths must write the same bytes.
+"""
+
+import runpy
+import sys
+from pathlib import Path
+
+from fidreg.cli import main
+from fidreg.segmentation import SegmentationConfig
+
+DEMO = Path(__file__).resolve().parents[1] / "scripts" / "demo_pipeline.py"
+
+
+def test_demo_outputs_match_the_cli(tmp_path, monkeypatch, capsys):
+    demo = tmp_path / "demo"
+    monkeypatch.setattr(sys, "argv", [str(DEMO), "--out-dir", str(demo)])
+    runpy.run_path(str(DEMO), run_name="__main__")
+    printed = capsys.readouterr().out
+    assert "segmented 3 markers" in printed and "wrote demo outputs" in printed
+    for name in ("phantom.vol", "markers.csv", "skin.stl", "scene_ct.csv",
+                 "scene_device.csv", "registered.json", "icp.json"):
+        assert (demo / name).is_file(), name
+
+    config = tmp_path / "segment.cfg"
+    config.write_text(SegmentationConfig(expected_mm3=27 * 0.75 * 0.75 * 1.25).to_text())
+    csv, stl = tmp_path / "markers.csv", tmp_path / "skin.stl"
+    phantom = str(demo / "phantom.vol")
+    assert main(["segment", phantom, str(config), str(csv)]) == 0
+    assert main(["mesh", phantom, str(stl), "--iso", "1500"]) == 0
+    assert csv.read_bytes() == (demo / "markers.csv").read_bytes()
+    assert stl.read_bytes() == (demo / "skin.stl").read_bytes()

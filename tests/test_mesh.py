@@ -2,18 +2,23 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fidreg._mc_tables import EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
 from fidreg.errors import DegenerateGeometryError
 from fidreg.mesh import (
     STL_HEADER,
     TriangleMesh,
+    _slot_key_shift,
     empty_mesh,
     marching_cubes,
     write_obj,
     write_stl,
 )
 from fidreg.volume import Volume
+
+from reference_impls import corner_array_write_stl
 
 
 def make_volume(voxels, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
@@ -174,6 +179,38 @@ def test_extraction_is_deterministic():
     np.testing.assert_array_equal(a.faces, b.faces)
 
 
+def test_strided_read_only_volume_meshes_like_its_copy():
+    # Neither C- nor Fortran-contiguous: Volume keeps read-only input as it is.
+    rng = np.random.default_rng(6)
+    big = rng.integers(-1000, 2000, size=(14, 9, 12)).astype(np.int16)
+    view = big[::2, 1:, ::-1]
+    view.setflags(write=False)
+    strided = Volume(view.shape, (0.7, 1.1, 0.9), (3.0, -2.0, 1.0), view)
+    assert not strided.voxels.flags.c_contiguous and not strided.voxels.flags.f_contiguous
+    copied = Volume(view.shape, (0.7, 1.1, 0.9), (3.0, -2.0, 1.0), view.copy())
+    a = marching_cubes(strided, 300.0)
+    b = marching_cubes(copied, 300.0)
+    assert a.n_faces > 0
+    assert a.vertices.tobytes() == b.vertices.tobytes()
+    assert np.array_equal(a.faces, b.faces)
+
+
+def test_slot_key_budget_boundary():
+    # Keys lie below 3 * n_voxels, corner indices below n_corners, and the
+    # packed key << shift | corner must stay below 2**63.
+    corners = 2**21  # indices 0 .. 2**21 - 1 take 21 bits
+    voxels = (2**42 - 1) // 3  # largest key 3 * voxels - 1 = 2**42 - 2 takes 42 bits
+    shift = _slot_key_shift(voxels, corners)
+    assert shift == 21
+    assert ((3 * voxels - 1) << shift | (corners - 1)) < 2**63
+    with pytest.raises(ValueError, match="64 bits per packed slot key; the limit is 63"):
+        _slot_key_shift(voxels + 1, corners)
+    with pytest.raises(ValueError, match="limit is 63"):
+        _slot_key_shift(voxels, corners + 1)
+    assert _slot_key_shift(8, 3) == 2
+    assert _slot_key_shift(256**3, 1_221_108) == 21
+
+
 def test_degenerate_grid_rejected():
     vox = np.zeros((1, 4, 4), dtype=np.int16)
     with pytest.raises(DegenerateGeometryError):
@@ -251,6 +288,41 @@ def test_normals_round_like_numpy_cross_and_norm(tmp_path):
 
     write_stl(empty_mesh(), path)
     assert path.read_bytes() == STL_HEADER.ljust(80, b"\x00") + bytes(4)
+
+
+@st.composite
+def triangle_soups(draw):
+    """Meshes of 0-12 faces, some of zero area (repeated or collinear corners)."""
+    n = draw(st.integers(3, 8))
+    coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    vertices = draw(arrays(np.float64, (n, 3), elements=coord))
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2)):
+        vertices[dst] = vertices[src]  # coincident corners
+    if draw(st.booleans()):
+        vertices[2] = 2.0 * vertices[1] - vertices[0]  # collinear corners
+    faces = draw(st.lists(st.permutations(range(n)).map(lambda p: p[:3]), max_size=12))
+    return TriangleMesh(vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))
+
+
+@given(triangle_soups())
+@example(empty_mesh())
+def test_stl_writer_matches_corner_array_oracle(tmp_path_factory, mesh):
+    folder = tmp_path_factory.mktemp("stl")
+    write_stl(mesh, folder / "streamed.stl")
+    corner_array_write_stl(mesh, folder / "oracle.stl")
+    assert (folder / "streamed.stl").read_bytes() == (folder / "oracle.stl").read_bytes()
+
+
+@given(triangle_soups())
+@example(empty_mesh())
+def test_normals_and_area_bits_match_numpy_cross_and_norm(mesh):
+    a, b, c = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
+    n = np.cross(b - a, c - a)
+    norms = np.linalg.norm(n, axis=1)
+    area = float(norms.sum() / 2.0)
+    assert np.array(mesh.surface_area()).tobytes() == np.array(area).tobytes()
+    want = n / np.where(norms > 0.0, norms, 1.0)[:, None]
+    assert mesh.face_normals().tobytes() == want.tobytes()
 
 
 def test_stl_is_deterministic(tmp_path):

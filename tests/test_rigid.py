@@ -11,6 +11,7 @@ from fidreg.rigid import (
     fit_rigid_stack,
     compose,
     inverse,
+    reorthonormalize,
     rotation_angle,
     transform_from_json_dict,
     transform_to_json_dict,
@@ -147,6 +148,27 @@ def test_long_compose_chain_stays_orthonormal():
         acc = compose(random_transform(rng), acc)
     assert np.allclose(acc.rotation @ acc.rotation.T, np.eye(3), atol=1e-12)
     assert abs(np.linalg.det(acc.rotation) - 1.0) < 1e-12
+
+
+def test_relative_rotation_matches_compose_bit_for_bit():
+    # bench._run_trial reads the rotation error without building transforms.
+    rng = SplitMix64(18)
+    for _ in range(200):
+        estimated, truth = random_transform(rng), random_transform(rng)
+        direct = reorthonormalize(estimated.rotation @ truth.rotation.T)
+        composed = compose(estimated, inverse(truth)).rotation
+        assert direct.tobytes() == composed.tobytes()
+        assert rotation_angle(direct) == rotation_angle(composed)
+
+
+def test_reorthonormalize_projects_only_past_the_drift_tolerance():
+    exact = axis_angle_rotation(np.array([1.0, 2.0, 2.0]), 0.7)
+    assert reorthonormalize(exact) is exact
+    drifted = exact * (1.0 + 1e-9)
+    projected = reorthonormalize(drifted)
+    assert np.abs(projected.T @ projected - np.eye(3)).max() < 1e-15
+    assert abs(np.linalg.det(projected) - 1.0) < 1e-15
+    assert np.allclose(projected, exact, atol=1e-14)
 
 
 @given(st.floats(min_value=0.0, max_value=np.pi))

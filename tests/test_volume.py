@@ -118,3 +118,81 @@ def test_writable_input_is_copied_to_fortran_order():
     assert vol.voxels.flags.f_contiguous and not vol.voxels.flags.writeable
     assert not np.shares_memory(vol.voxels, vox)
     assert np.array_equal(vol.voxels, vox)
+
+
+def test_read_voxels_are_read_only_fortran_view(tmp_path):
+    vox = np.arange(60, dtype=np.int16).reshape(3, 4, 5)
+    path = tmp_path / "v.vol"
+    write_volume(Volume.from_voxels(vox, (1, 1, 1)), path)
+    back = read_volume(path)
+    assert back.voxels.flags.f_contiguous and not back.voxels.flags.writeable
+    assert np.array_equal(back.voxels, vox)
+    with pytest.raises(ValueError):
+        back.voxels[0, 0, 0] = 1
+
+
+def test_oversized_payload_reports_byte_counts(tmp_path):
+    vox = np.ones((2, 2, 2), np.int16)
+    path = tmp_path / "v.vol"
+    write_volume(Volume.from_voxels(vox, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)), path)
+    path.write_bytes(path.read_bytes() + b"xx")
+    with pytest.raises(TruncationError) as err:
+        read_volume(path)
+    assert "expected 16 bytes, got 18" in str(err.value)
+
+
+def test_huge_dims_on_a_small_file_is_a_truncation(tmp_path):
+    # The header asks for 2e15 bytes; the short file is reported, not allocated.
+    vox = np.ones((2, 2, 2), np.int16)
+    path = tmp_path / "v.vol"
+    write_volume(Volume.from_voxels(vox, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)), path)
+    path.write_bytes(path.read_bytes().replace(b"DIMS 2 2 2", b"DIMS 100000 100000 100000"))
+    with pytest.raises(TruncationError) as err:
+        read_volume(path)
+    assert "expected 2000000000000000 bytes, got 16" in str(err.value)
+    # 2**65 bytes: past what an array can index, not only past memory.
+    path.write_bytes(
+        path.read_bytes().replace(b"DIMS 100000 100000 100000", b"DIMS 4294967296 4294967296 1")
+    )
+    with pytest.raises(TruncationError) as err:
+        read_volume(path)
+    assert f"expected {2**65} bytes, got 16" in str(err.value)
+
+
+def test_header_lines_longer_than_4_kib(tmp_path):
+    vox = np.arange(8, dtype=np.int16).reshape(2, 2, 2)
+    payload = vox.tobytes(order="F")
+    path = tmp_path / "v.vol"
+    # Whitespace between fields is allowed, so a padded line still parses.
+    padding = b" " * 5000
+    path.write_bytes(
+        b"VOL1\nDIMS 2 2 2\nSPACING 1 1 1\nORIGIN 0 0" + padding
+        + b"0\nDTYPE int16le\nDATA\n" + payload
+    )
+    assert np.array_equal(read_volume(path).voxels, vox)
+
+    long_tag = "X" * 6000
+    path.write_bytes(
+        b"VOL1\nDIMS 2 2 2\nSPACING 1 1 1\nORIGIN 0 0 0\nDTYPE "
+        + long_tag.encode() + b"\nDATA\n" + payload
+    )
+    with pytest.raises(VolumeFormatError, match=f"header line 5: unsupported dtype '{long_tag}'"):
+        read_volume(path)
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"", "header line 1: unterminated (file too short)"),
+        (b"VOL1\nDIMS 2 2 2\nSPACING 1 1 1\n", "header line 4: unterminated (file too short)"),
+        (b"VOL1\nDIMS 2 2 2\nSPACING 1 1 1\nORIGIN 0 0 0\nDTYPE int16le\nDATA", "header line 6: unterminated"),
+        (b"VOL1\nDIMS 2 2 \xff\n", "header line 2: not ASCII"),
+        (b"VOL1\nDIMS 2 0 2\n", "header line 2: dims must be positive"),
+    ],
+)
+def test_short_or_garbled_headers(tmp_path, blob, message):
+    path = tmp_path / "v.vol"
+    path.write_bytes(blob)
+    with pytest.raises(VolumeFormatError) as err:
+        read_volume(path)
+    assert message in str(err.value)
