@@ -41,7 +41,11 @@ How the work is done, none of which shows in the output:
   min(t, 1 - t) * spacing along their edge is at most 4e-9 mm, where t is
   the interpolation parameter.  That is exact while every spacing exceeds
   4e-9 mm and the grid stays within 1e6 mm of the world origin (the proof is
-  at ``_weld_candidates``); otherwise every vertex is a candidate.
+  at ``_weld_candidates``); otherwise every vertex is a candidate;
+* ``write_stl`` fills and writes the facet records 8192 faces at a time
+  through one reused 400 KB buffer, so the records and the float64 columns
+  they are filled from stay in cache; one buffer for the whole mesh (20 MB
+  on a 256^3 CT skin) and one write of it took about 1.6 times as long.
 
 Ambiguous saddle cells are resolved by the plain table entry (no asymptotic
 decider), which can leave pin-hole cracks on rare configurations; fine for
@@ -138,12 +142,12 @@ class TriangleMesh:
 
     def face_normals(self) -> np.ndarray:
         """Unit normals per face; zero vector where a face has zero area."""
-        cross, norm = _face_cross(self)
+        cross, norm = _face_cross(self.vertices.T.copy(), self.faces)
         _normalise(cross, norm)
         return np.stack(cross, axis=1)
 
     def surface_area(self) -> float:
-        _, norm = _face_cross(self)
+        _, norm = _face_cross(self.vertices.T.copy(), self.faces)
         return float(norm.sum() / 2.0)
 
 
@@ -363,21 +367,21 @@ def _weld_candidates(volume: Volume, t: np.ndarray, axis: np.ndarray) -> np.ndar
     return np.flatnonzero(gap <= _WELD_GAP_MM)
 
 
-def _face_cross(mesh: TriangleMesh, on_corner=None):
+def _face_cross(coords: np.ndarray, faces: np.ndarray, on_corner=None):
     """Each face's cross product (b - a) x (c - a) as x, y, z columns, and its norm.
 
-    a, b and c are the face's corners.  Their coordinate columns are gathered
-    with ``take`` from a transposed copy of the vertices, so every array is
+    a, b and c are the corners of a face in ``faces`` (F, 3).  Their
+    coordinate columns are gathered with ``take`` from ``coords``, the
+    vertices transposed to (3, V) and contiguous, so every array is
     contiguous, and the cross product and the norm are written term by term
     in the order np.cross and np.linalg.norm use: the bits equal
     ``n = np.cross(b - a, c - a)`` and ``np.linalg.norm(n, axis=1)``.
     ``on_corner(k, d, column)``, when given, receives coordinate d of corner
     k as soon as it is gathered.
     """
-    coords = mesh.vertices.T.copy()
 
     def corner(k: int) -> list[np.ndarray]:
-        index = mesh.faces[:, k].copy()
+        index = faces[:, k].copy()
         columns = []
         for d in range(3):
             columns.append(coords[d].take(index))
@@ -412,29 +416,36 @@ def _normalise(cross: tuple[np.ndarray, ...], norm: np.ndarray) -> None:
 
 STL_HEADER = ("fidreg mesh; " + ORIENTATION_NOTE).encode("ascii")[:80]
 _STL_RECORD = np.dtype([("normal", "<f4", 3), ("corners", "<f4", (3, 3)), ("attr", "<u2")])
+# Faces per STL write: 8192 records (400 KB) and their float64 columns stay
+# in cache while they are filled and written.
+_STL_CHUNK_FACES = 8192
 
 
 def write_stl(mesh: TriangleMesh, path) -> None:
     """Binary little-endian STL: 80-byte header, uint32 count, 50-byte facets.
 
-    Each coordinate column goes into the records as soon as it is gathered,
-    so no (F, 3, 3) corner array is built.
+    The facets are filled and written _STL_CHUNK_FACES at a time through one
+    reused record buffer.  Each coordinate column goes into the records as
+    soon as it is gathered, so no (F, 3, 3) corner array is built.
     """
-    record = np.zeros(mesh.n_faces, dtype=_STL_RECORD)
-    corners = record["corners"]
-
-    def store(k: int, d: int, column: np.ndarray) -> None:
-        corners[:, k, d] = column
-
-    cross, norm = _face_cross(mesh, store)
-    _normalise(cross, norm)
-    for d, column in enumerate(cross):
-        record["normal"][:, d] = column
-    del cross, norm
+    coords = mesh.vertices.T.copy()
+    buffer = np.zeros(min(mesh.n_faces, _STL_CHUNK_FACES), dtype=_STL_RECORD)
     with open(path, "wb") as fh:
         fh.write(STL_HEADER.ljust(80, b"\x00"))
         fh.write(np.array([mesh.n_faces], dtype="<u4").tobytes())
-        fh.write(memoryview(record))
+        for start in range(0, mesh.n_faces, _STL_CHUNK_FACES):
+            faces = mesh.faces[start : start + _STL_CHUNK_FACES]
+            record = buffer[: len(faces)]
+            corners = record["corners"]
+
+            def store(k: int, d: int, column: np.ndarray) -> None:
+                corners[:, k, d] = column
+
+            cross, norm = _face_cross(coords, faces, store)
+            _normalise(cross, norm)
+            for d, column in enumerate(cross):
+                record["normal"][:, d] = column
+            fh.write(memoryview(record))
 
 
 def write_obj(mesh: TriangleMesh, path) -> None:

@@ -12,7 +12,9 @@ single-pair case.
 The fit is three steps that callers can also take apart: ``center_sources``
 (centroids and the collinearity test), ``horn_solve`` (rotation and
 translation) and ``check_proper``. A caller whose source stays fixed across
-fits, like ICP, centers it once.
+fits, like ICP, centers it once; one that can settle collinearity more
+cheaply, like triangle registration, centers with ``center_points`` and asks
+``_collinear`` only about the sets it cannot settle.
 """
 
 from __future__ import annotations
@@ -167,6 +169,12 @@ def apply_rigid_stack(
     return mapped + translation[:, None, :]
 
 
+def center_points(source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centroids (N, 3) and centered points (N, m, 3) of a stack of point sets."""
+    centroid = np.add.reduce(source, axis=-2) / source.shape[-2]
+    return centroid, source - centroid[:, None, :]
+
+
 def center_sources(source: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The source half of a stack of rigid fits, (N, m, 3) float64.
 
@@ -175,8 +183,7 @@ def center_sources(source: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     rotation is not determined. A caller fitting one source to many targets
     computes this once and hands it to :func:`horn_solve` each time.
     """
-    centroid = np.add.reduce(source, axis=-2) / source.shape[-2]
-    centered = source - centroid[:, None, :]
+    centroid, centered = center_points(source)
     return centroid, centered, ~_collinear(centered)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,10 +35,12 @@ from .config import (
 from .errors import DegenerateTriangleError, InsufficientMarkersError, NoMatchError
 from .markers import MarkerSet
 from .rigid import (
+    COLLINEARITY_RATIO,
     PointCorrespondences,
     RigidTransform,
+    _collinear,
     apply_rigid_stack,
-    center_sources,
+    center_points,
     check_proper,
     fit_rmsd,
     horn_solve,
@@ -140,16 +143,23 @@ def _canonical_perm(edges: np.ndarray) -> tuple[int, int, int]:
     return (int(a), int(b), int(c))
 
 
-def _triangle_shapes(
-    points: np.ndarray, degeneracy_ratio: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+class _Shapes(NamedTuple):
+    """Shape data of a stack of triangles (N, 3, 3), one row per triangle."""
+
+    edges: np.ndarray  # (N, 3), edge i opposite vertex i
+    perm: np.ndarray  # (N, 3), canonical vertex order
+    e1: np.ndarray  # (N,), longest edge
+    area: np.ndarray  # (N,)
+    key: np.ndarray  # (N, 2), (r2, r3); meaningless where not shaped
+    shaped: np.ndarray  # (N,), False for degenerate rows
+
+
+def _triangle_shapes(points: np.ndarray, degeneracy_ratio: float) -> _Shapes:
     """Shape keys of a stack of triangles (N, 3, 3).
 
-    Returns ``(perm (N, 3), key (N, 2), e1 (N,), shaped (N,))`` where
-    ``perm`` is the canonical vertex order and ``key`` holds (r2, r3).
-    ``shaped`` is False for degenerate rows: coincident points, area below
+    A row is degenerate (``shaped`` False) for coincident points, area below
     ``degeneracy_ratio * e1**2``, or edge ratios that round to no triangle
-    (r2 + r3 <= 1). Their keys are meaningless.
+    (r2 + r3 <= 1).
     """
     edges = _edge_lengths(points)
     e1 = edges.max(axis=-1)
@@ -162,7 +172,7 @@ def _triangle_shapes(
     with np.errstate(divide="ignore", invalid="ignore"):
         key = edges[np.arange(len(edges))[:, None], perm[:, 1:]] / e1[:, None]
     shaped = (e1 > 0.0) & ~(area < degeneracy_ratio * e1 * e1) & (key[:, 0] + key[:, 1] > 1.0)
-    return perm, key, e1, shaped
+    return _Shapes(edges, perm, e1, area, key, shaped)
 
 
 def triangle_key(
@@ -177,9 +187,9 @@ def triangle_key(
     ``degeneracy_ratio * e1**2`` (collinear points included).
     """
     points = np.array([p1, p2, p3], dtype=np.float64)
-    _, key, e1, shaped = _triangle_shapes(points[None], degeneracy_ratio)
-    longest = float(e1[0])
-    if not shaped[0]:
+    shapes = _triangle_shapes(points[None], degeneracy_ratio)
+    longest = float(shapes.e1[0])
+    if not shapes.shaped[0]:
         if not longest > 0.0:
             raise DegenerateTriangleError("coincident points have no triangle shape")
         area = 0.5 * float(np.linalg.norm(np.cross(points[1] - points[0], points[2] - points[0])))
@@ -188,7 +198,8 @@ def triangle_key(
             if area < degeneracy_ratio * longest * longest
             else "triangle too thin: its edge ratios round to a straight line"
         )
-    return TriangleKey(r2=float(key[0, 0]), r3=float(key[0, 1]), e1=longest)
+    r2, r3 = shapes.key[0].tolist()
+    return TriangleKey(r2=r2, r3=r3, e1=longest)
 
 
 # Entries per block when scanning shape distances and scoring candidates;
@@ -309,12 +320,12 @@ class TriangleTable:
         triples = _completed_triples(start, len(self.markers))
         if len(triples) == 0:
             return 0
-        points = self.marker_array()[triples]
-        perm, key, e1, shaped = _triangle_shapes(points, self.degeneracy_ratio)
-        canonical = _permute_rows(triples, perm)
+        shapes = _triangle_shapes(self.marker_array()[triples], self.degeneracy_ratio)
+        shaped = shapes.shaped
+        canonical = _permute_rows(triples, shapes.perm)
         self.degenerate_skipped += int(np.count_nonzero(~shaped))
-        self.keys = np.concatenate([self.keys, key[shaped]])
-        self.e1 = np.concatenate([self.e1, e1[shaped]])
+        self.keys = np.concatenate([self.keys, shapes.key[shaped]])
+        self.e1 = np.concatenate([self.e1, shapes.e1[shaped]])
         self.indices = np.concatenate([self.indices, canonical[shaped]])
         return int(np.count_nonzero(shaped))
 
@@ -375,24 +386,64 @@ def _canonical_triangles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # source edge, by the index of the vertex opposite that edge.
 _FLIP_ORDER = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
 
+# A triangle whose area exceeds this fraction of e1**2, and whose centroid
+# lies within _PLANE_OFFSET_RATIO * e1 of the origin, spans a plane by
+# rigid._collinear's test; see _spans_plane.
+_PLANE_AREA_RATIO = 2.0 * COLLINEARITY_RATIO
+_PLANE_OFFSET_RATIO = 1e12
+
+
+def _spans_plane(
+    centroid: np.ndarray, centered: np.ndarray, area: np.ndarray, e1: np.ndarray
+) -> np.ndarray:
+    """``~rigid._collinear(centered)`` for centered triangles (N, 3, 3).
+
+    Rows the area bound clears skip the SVD; only the rest are handed to
+    ``_collinear``. The bound: let x0, x1, x2 be a triangle's vertices less
+    their centroid and s0 >= s1 >= s2 = 0 the singular values of the matrix
+    they form. Then s0**2 + s1**2 = |x0|**2 + |x1|**2 + |x2|**2 =
+    (e1**2 + e2**2 + e3**2) / 3 <= e1**2, and by Cauchy-Binet s0**2 * s1**2
+    is the sum of the squared |xi x xj|, each twice the area of a third of
+    the triangle, so s0 * s1 = (2 / sqrt(3)) * area. Hence
+    s1 / s0 = s0 * s1 / s0**2 >= (2 / sqrt(3)) * area / e1**2, and
+    area > 2 * COLLINEARITY_RATIO * e1**2 gives s1 / s0 > 2.3 *
+    COLLINEARITY_RATIO: _collinear returns False with a factor 2.3 to spare.
+
+    The spare factor covers rounding. The computed area and e1 are off by a
+    few units of 1e-16 * e1**2 and 1e-16 * e1, and the SVD's singular values
+    by about 1e-15 * s0. The computed centroid is off by a few units of
+    1e-16 times the largest coordinate, which shifts all three centered rows
+    alike; with the centroid within 1e12 * e1 of the origin that shift stays
+    below 1e-3 * e1, so it raises s0 (at least e1 / sqrt(6)) by under 1e-5
+    of itself and cannot lower s1. Rows outside that range go to the SVD.
+    """
+    spans = (area > _PLANE_AREA_RATIO * e1 * e1) & (
+        np.abs(centroid).max(axis=-1) < _PLANE_OFFSET_RATIO * e1
+    )
+    unsure = np.flatnonzero(~spans)
+    spans[unsure] = ~_collinear(centered[unsure])
+    return spans
+
 
 def _solve_pairings(
     source: np.ndarray,
     source_edges: np.ndarray,
+    source_area: np.ndarray,
     source_of: np.ndarray,
     target: np.ndarray,
     codes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fit every tie pairing of every candidate, and its flip, in one stack.
 
-    ``source`` holds triangles (S, 3, 3) and ``source_edges`` their edge
-    lengths by vertex; candidate i pairs ``source[source_of[i]]`` with
-    ``target[i]`` (C, 3, 3) under tie code ``codes[i]``. Per candidate, keeps
-    the first tie pairing with the lowest fit rmsd, then its flip variant
-    (the two vertices adjacent to the longest source edge exchanged, the
-    pairing a reflection through the triangle's own plane induces) where
-    that fits strictly better. Each source is centered and tested for
-    collinearity once, however many fits share it.
+    ``source`` holds triangles (S, 3, 3), ``source_edges`` their edge
+    lengths by vertex and ``source_area`` their areas; candidate i pairs
+    ``source[source_of[i]]`` with ``target[i]`` (C, 3, 3) under tie code
+    ``codes[i]``. Per candidate, keeps the first tie pairing with the lowest
+    fit rmsd, then its flip variant (the two vertices adjacent to the longest
+    source edge exchanged, the pairing a reflection through the triangle's
+    own plane induces) where that fits strictly better. Each source is
+    centered and tested for collinearity (:func:`_spans_plane`) once, however
+    many fits share it.
 
     Returns ``(paired, rotation, translation, rmsd, flipped)``: the kept
     pairing's target points (before any flip) and the kept fit. Raises
@@ -405,7 +456,8 @@ def _solve_pairings(
     paired = _permute_rows(target[owner], _TIE_TABLE[codes[owner], slot])
     pair_source = source_of[owner]
     exchanged = _permute_rows(paired, _FLIP_ORDER[np.argmax(source_edges, axis=-1)[pair_source]])
-    centroid, centered, aligned = center_sources(source)
+    centroid, centered = center_points(source)
+    aligned = _spans_plane(centroid, centered, source_area, source_edges.max(axis=-1))
     fits = np.concatenate([pair_source, pair_source])  # every pairing, then every flip
     targets = np.concatenate([paired, exchanged])
     rotation, translation = horn_solve(centroid[fits], centered[fits], targets)
@@ -451,10 +503,14 @@ def canonical_correspondence(
         np.asarray(ct_triangle, dtype=np.float64).reshape(3, 3),
         np.asarray(dev_triangle, dtype=np.float64).reshape(3, 3),
     )
-    ct, ct_edges = _canonical_triangles(pair.source[None])
+    shapes = _triangle_shapes(pair.source[None], DEGENERACY_RATIO)
+    ct = _permute_rows(pair.source[None], shapes.perm)
+    ct_edges = _permute_rows(shapes.edges, shapes.perm)
     dev, dev_edges = _canonical_triangles(pair.target[None])
     codes = _tie_codes(ct_edges, dev_edges, tie_epsilon)
-    paired, _, _, _, _ = _solve_pairings(ct, ct_edges, np.zeros(1, dtype=np.intp), dev, codes)
+    paired, _, _, _, _ = _solve_pairings(
+        ct, ct_edges, shapes.area, np.zeros(1, dtype=np.intp), dev, codes
+    )
     return PointCorrespondences(ct[0], paired[0])
 
 
@@ -474,9 +530,10 @@ def align_with_flip(corr: PointCorrespondences) -> tuple[RigidTransform, float, 
     triangle_key(*corr.target)
 
     source = corr.source[None]
+    shapes = _triangle_shapes(source, DEGENERACY_RATIO)
     first = np.zeros(1, dtype=np.intp)  # one candidate, source 0, no ties
     _, rotation, translation, rmsd, flipped = _solve_pairings(
-        source, _edge_lengths(source), first, corr.target[None], first
+        source, shapes.edges, shapes.area, first, corr.target[None], first
     )
     transform = RigidTransform(rotation=rotation[0], translation=translation[0])
     return transform, float(rmsd[0]), bool(flipped[0])
@@ -553,7 +610,8 @@ def register(
         raise NoMatchError("no device triangles stored (need at least 3 device markers)")
 
     ct_triangles = ct_points[_all_triples(len(ct_points))]
-    _, ct_keys, ct_e1, shaped = _triangle_shapes(ct_triangles, config.degeneracy_ratio)
+    shapes = _triangle_shapes(ct_triangles, config.degeneracy_ratio)
+    ct_keys, ct_e1, shaped = shapes.key, shapes.e1, shapes.shaped
     if not shaped.any():
         raise DegenerateTriangleError("every CT marker triple is degenerate")
 
@@ -577,10 +635,13 @@ def register(
     cand_row, cand_tri, cand_distance = cand_row[passed], cand_tri[passed], cand_distance[passed]
 
     dev_points = table.marker_array()
-    ct, ct_edges = _canonical_triangles(ct_triangles)
+    ct = _permute_rows(ct_triangles, shapes.perm)
+    ct_edges = _permute_rows(shapes.edges, shapes.perm)
     dev, dev_edges = _canonical_triangles(dev_points[table.indices[cand_tri]])
     codes = _tie_codes(ct_edges[cand_row], dev_edges, config.tie_epsilon_mm)
-    _, rotation, translation, _, flipped = _solve_pairings(ct, ct_edges, cand_row, dev, codes)
+    _, rotation, translation, _, flipped = _solve_pairings(
+        ct, ct_edges, shapes.area, cand_row, dev, codes
+    )
     score = _all_marker_rmsd(rotation, translation, ct_points, dev_points)
 
     indices = table.indices[cand_tri]

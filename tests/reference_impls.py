@@ -7,24 +7,50 @@ shares a package kernel, its section says which and why.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import time
 from collections import deque
 
 import numpy as np
 
 from fidreg._mc_tables import EDGE_CORNERS, TRI_TABLE
+from fidreg.bench import (
+    METHODS,
+    SceneSpec,
+    TrialRecord,
+    _status_token,
+    generate_scene,
+    target_registration_error,
+)
 from fidreg.errors import (
+    ConfigError,
     DegenerateGeometryError,
     DegenerateTriangleError,
+    DomainError,
     InsufficientMarkersError,
     NoMatchError,
 )
-from fidreg.icp import IcpConfig, IcpResult
+from fidreg.icp import IcpConfig, IcpResult, icp_register
 from fidreg.mesh import CORNER_OFFSETS, STL_HEADER, WELD_TOLERANCE_MM, TriangleMesh, empty_mesh
-from fidreg.rigid import PointCorrespondences, RigidTransform, _collinear, absolute_orientation
+from fidreg.rigid import (
+    PointCorrespondences,
+    RigidTransform,
+    _collinear,
+    absolute_orientation,
+    reorthonormalize,
+    rotation_angle,
+)
 from fidreg.rng import rotation_from_quaternion
 from fidreg.segmentation import CONNECTIVITY_OFFSETS, BinaryMask, Component
-from fidreg.triangles import DEGENERACY_RATIO, RegistrationConfig, TriangleKey, _all_marker_rmsd
+from fidreg.triangles import (
+    DEGENERACY_RATIO,
+    RegistrationConfig,
+    TriangleKey,
+    TriangleTable,
+    _all_marker_rmsd,
+    register,
+)
 from fidreg.volume import Volume
 
 
@@ -681,3 +707,93 @@ def corner_array_write_stl(mesh: TriangleMesh, path) -> None:
         fh.write(STL_HEADER.ljust(80, b"\x00"))
         fh.write(np.array([mesh.n_faces], dtype="<u4").tobytes())
         fh.write(memoryview(record))
+
+
+# ---------------------------------------------------------------------------
+# The Monte-Carlo sweep, one scene draw per (spec, method, trial).
+#
+# fidreg.bench.run_benchmark as it was before it drew each scene once and
+# shared it between the methods: every (spec, method) cell draws its warm-up
+# scene and each trial's scene itself, and builds the configs inside the
+# timed window. Records must agree in every field but time_us.
+# ---------------------------------------------------------------------------
+
+
+def loop_run_trial(spec: SceneSpec, method: str, targets_origin: np.ndarray) -> TrialRecord:
+    ct, device, truth = generate_scene(spec)
+    flipped = False
+    status = "ok"
+    estimated = None
+    if method == "triangle":
+        start = time.perf_counter()
+        try:
+            table = TriangleTable()
+            table.insert_marker(device.points)
+            result = register(ct, table, RegistrationConfig())
+            estimated = result.transform
+            flipped = result.flipped
+        except DomainError as exc:
+            status = _status_token(exc)
+        elapsed = time.perf_counter() - start
+    elif method == "icp":
+        start = time.perf_counter()
+        try:
+            estimated = icp_register(ct, device, IcpConfig()).transform
+        except DomainError as exc:
+            status = _status_token(exc)
+        elapsed = time.perf_counter() - start
+    else:
+        raise ConfigError(f"unknown method {method!r} (choose from {METHODS})")
+
+    if estimated is None:
+        tre = rot_err = trans_err = float("nan")
+    else:
+        targets = np.vstack([ct.points, targets_origin])
+        tre = target_registration_error(estimated, truth, targets)
+        # The rotation of compose(estimated, inverse(truth)), without
+        # building and validating the two transforms.
+        rot_err = rotation_angle(reorthonormalize(estimated.rotation @ truth.rotation.T))
+        trans_err = float(
+            np.linalg.norm(estimated.translation - truth.translation)
+        )
+    return TrialRecord(
+        method=method,
+        seed=spec.seed,
+        n_markers=spec.n_markers,
+        noise_sigma_mm=spec.noise_sigma_mm,
+        dropout=spec.dropout_count,
+        decoys=spec.decoy_count,
+        tre_mm=tre,
+        rot_err_rad=rot_err,
+        trans_err_mm=trans_err,
+        time_us=elapsed * 1e6,
+        flipped=flipped,
+        status=status,
+    )
+
+
+def loop_run_benchmark(
+    spec_grid: list[SceneSpec],
+    methods: tuple = METHODS,
+    trials_per_cell: int = 1,
+) -> list[TrialRecord]:
+    """Run every (spec, method) cell; trial t reseeds the spec at seed + t.
+
+    Records come back ordered by grid position, then method (triangle before
+    icp), then trial index.  Failures are per-trial records with a status
+    token and nan errors, never exceptions.
+    """
+    if trials_per_cell < 1:
+        raise ConfigError("trials_per_cell must be >= 1")
+    for method in methods:
+        if method not in METHODS:
+            raise ConfigError(f"unknown method {method!r} (choose from {METHODS})")
+    origin = np.zeros((1, 3))
+    records = []
+    for spec in spec_grid:
+        for method in (m for m in METHODS if m in methods):
+            loop_run_trial(spec, method, origin)  # warm-up, discarded
+            for trial in range(trials_per_cell):
+                shifted = dataclasses.replace(spec, seed=spec.seed + trial)
+                records.append(loop_run_trial(shifted, method, origin))
+    return records

@@ -6,6 +6,7 @@ import statistics
 import numpy as np
 import pytest
 
+import fidreg.bench
 from fidreg.bench import (
     CSV_HEADER,
     SceneSpec,
@@ -28,6 +29,8 @@ from fidreg.errors import (
 )
 from fidreg.rigid import RigidTransform, axis_angle_rotation
 from fidreg.rng import SplitMix64
+
+from reference_impls import loop_run_benchmark
 
 
 def test_generate_scene_is_deterministic():
@@ -348,3 +351,57 @@ def test_single_trial_std_is_zero():
     records = run_benchmark([SceneSpec(n_markers=4, seed=7)], methods=("triangle",))
     (cell,) = summarize(records[:1])
     assert cell["tre_mm"]["std"] == 0.0
+
+
+def _rows_without_time(records):
+    column = CSV_HEADER.split(",").index("time_us")
+    return [
+        [v for i, v in enumerate(_record_row(r).split(",")) if i != column] for r in records
+    ]
+
+
+# sigma 0 and 1, 0/0 and 1/2 dropouts/decoys, an identity truth, and a
+# spec whose triangle trials end in no-match (noise far past the scale gate).
+ORACLE_GRID = [
+    SceneSpec(n_markers=6, noise_sigma_mm=sigma, dropout_count=d, decoy_count=c, seed=seed)
+    for seed, (sigma, (d, c)) in enumerate(
+        ((sigma, dc) for sigma in (0.0, 1.0) for dc in ((0, 0), (1, 2))), start=300
+    )
+] + [
+    SceneSpec(n_markers=5, noise_sigma_mm=0.5, true_transform="identity", seed=410),
+    SceneSpec(n_markers=3, noise_sigma_mm=150.0, seed=880),
+]
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3])
+@pytest.mark.parametrize("methods", [("triangle", "icp"), ("icp", "triangle")])
+def test_run_benchmark_matches_the_per_cell_draw_loop(trials, methods):
+    got = run_benchmark(ORACLE_GRID, methods=methods, trials_per_cell=trials)
+    want = loop_run_benchmark(ORACLE_GRID, methods=methods, trials_per_cell=trials)
+    assert _rows_without_time(got) == _rows_without_time(want)
+    assert "no-match" in {r.status for r in got if r.method == "triangle"}
+
+
+@pytest.mark.parametrize("methods", [("triangle",), ("icp",), ("triangle", "icp")])
+def test_each_scene_is_drawn_once_and_warm_ups_only_register(monkeypatch, methods):
+    calls = {"generate_scene": 0, "register": 0, "icp_register": 0}
+
+    def counted(name):
+        original = getattr(fidreg.bench, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fidreg.bench, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    grid = ORACLE_GRID[:3]
+    trials = 3
+    records = run_benchmark(grid, methods=methods, trials_per_cell=trials)
+    assert len(records) == len(grid) * len(methods) * trials
+    assert calls["generate_scene"] == len(grid) * trials
+    # one discarded warm-up registration per (spec, method) cell
+    for method, name in (("triangle", "register"), ("icp", "icp_register")):
+        assert calls[name] == (len(grid) * (trials + 1) if method in methods else 0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import fidreg.mesh
 from fidreg._mc_tables import EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
 from fidreg.errors import DegenerateGeometryError
 from fidreg.mesh import (
@@ -311,6 +312,33 @@ def test_stl_writer_matches_corner_array_oracle(tmp_path_factory, mesh):
     write_stl(mesh, folder / "streamed.stl")
     corner_array_write_stl(mesh, folder / "oracle.stl")
     assert (folder / "streamed.stl").read_bytes() == (folder / "oracle.stl").read_bytes()
+
+
+def chunk_test_mesh(n_faces):
+    """A random mesh of ``n_faces`` faces; every third one has zero area."""
+    rng = np.random.default_rng(n_faces)
+    vertices = rng.uniform(-200.0, 200.0, size=(64, 3))
+    vertices[1] = vertices[0]  # coincident
+    vertices[2:4] = np.round(vertices[2:4])
+    vertices[4] = 2.0 * vertices[3] - vertices[2]  # exactly collinear with 2 and 3
+    faces = np.array([rng.permutation(64)[:3] for _ in range(n_faces)]).reshape(-1, 3)
+    faces[0::6] = (0, 1, 5)
+    faces[3::6] = (2, 3, 4)
+    return TriangleMesh(vertices, faces)
+
+
+@pytest.mark.parametrize("chunk", [5, fidreg.mesh._STL_CHUNK_FACES])
+@pytest.mark.parametrize("times, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+def test_stl_writer_chunks_match_corner_array_oracle(tmp_path, monkeypatch, chunk, times, extra):
+    monkeypatch.setattr(fidreg.mesh, "_STL_CHUNK_FACES", chunk)
+    mesh = chunk_test_mesh(times * chunk + extra)
+    if mesh.n_faces:
+        assert (mesh.face_normals()[0::3] == 0.0).all()
+    write_stl(mesh, tmp_path / "chunked.stl")
+    corner_array_write_stl(mesh, tmp_path / "oracle.stl")
+    written = (tmp_path / "chunked.stl").read_bytes()
+    assert len(written) == 84 + 50 * mesh.n_faces
+    assert written == (tmp_path / "oracle.stl").read_bytes()
 
 
 @given(triangle_soups())

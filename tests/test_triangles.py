@@ -1,9 +1,12 @@
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+
+import fidreg.triangles
 
 from fidreg.config import ConfigError
 from fidreg.errors import (
@@ -13,12 +16,17 @@ from fidreg.errors import (
 )
 from fidreg.markers import MarkerSet
 from fidreg.rigid import (
+    COLLINEARITY_RATIO,
     PointCorrespondences,
     RigidTransform,
+    _collinear,
     absolute_orientation,
     axis_angle_rotation,
+    center_points,
 )
 from fidreg.triangles import (
+    _PLANE_AREA_RATIO,
+    _PLANE_OFFSET_RATIO,
     RegistrationConfig,
     TriangleKey,
     TriangleTable,
@@ -30,8 +38,12 @@ from fidreg.triangles import (
     _canonical_perm,
     _completed_triples,
     _edge_lengths,
+    _spans_plane,
     _tie_permutations,
+    _triangle_shapes,
 )
+
+from reference_impls import loop_register
 
 
 def key_of(points):
@@ -454,3 +466,90 @@ def test_config_round_trip_and_validation():
         RegistrationConfig(scale_tolerance_mm=-1.0)
     with pytest.raises(ConfigError, match="unknown key"):
         RegistrationConfig.from_text("knn = 3\n")
+
+
+def thin_triangles(rng, count, scale, offset):
+    """Triangles whose area / e1**2 spreads over 0.05 .. 8 * COLLINEARITY_RATIO."""
+    a = rng.normal(size=(count, 3))
+    b = rng.normal(size=(count, 3))
+    base = b - a
+    length = np.linalg.norm(base, axis=1)[:, None]
+    normal = np.cross(base, rng.normal(size=(count, 3)))
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    ratio = COLLINEARITY_RATIO * np.exp(rng.uniform(np.log(0.05), np.log(8.0), size=(count, 1)))
+    t = rng.uniform(0.0, 1.0, size=(count, 1))
+    # area = length * height / 2 = ratio * length**2 while e1 is the base
+    c = a + t * base + 2.0 * ratio * length * normal
+    shift = offset * rng.normal(size=(count, 1, 3))
+    return np.stack([a, b, c], axis=1) * scale + shift
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale_exp=st.floats(-3.0, 3.0),
+    offset_exp=st.floats(-3.0, 6.0),
+)
+def test_area_bound_clears_only_triangles_that_span_a_plane(seed, scale_exp, offset_exp):
+    scale = 10.0**scale_exp
+    points = thin_triangles(np.random.default_rng(seed), 64, scale, scale * 10.0**offset_exp)
+    shapes = _triangle_shapes(points, 1e-15)
+    centroid, centered = center_points(points)
+    cleared = (shapes.area > _PLANE_AREA_RATIO * shapes.e1**2) & (
+        np.abs(centroid).max(axis=-1) < _PLANE_OFFSET_RATIO * shapes.e1
+    )
+    assert cleared.any() and not cleared.all()
+    assert not _collinear(centered[cleared]).any()
+    assert np.array_equal(
+        _spans_plane(centroid, centered, shapes.area, shapes.e1), ~_collinear(centered)
+    )
+
+
+def sliver_scene(seed):
+    """Eight CT markers and their device image.
+
+    Triple (0, 1, 7) has area 1.5e-9 * e1**2, which the area bound leaves to
+    the SVD; so do some of the other triples through 0 and 7.
+    """
+    rng = np.random.default_rng(seed)
+    ct = rng.uniform(-50.0, 50.0, size=(8, 3))
+    base = ct[1] - ct[0]
+    length = np.linalg.norm(base)
+    normal = np.cross(base, [0.0, 0.0, 1.0])
+    normal /= np.linalg.norm(normal)
+    ct[7] = ct[0] + 1e-9 * base + 3e-9 * length * normal
+    rotation = axis_angle_rotation(np.array([1.0, 2.0, 3.0]), 0.4)
+    return ct, RigidTransform(rotation, np.array([5.0, -3.0, 2.0])).apply(ct)
+
+
+@pytest.mark.parametrize("seed", [0, 2])  # seed 2: a sliver the SVD finds collinear
+def test_register_asks_the_svd_about_uncleared_slivers(seed):
+    ct, device = sliver_scene(seed)
+    config = RegistrationConfig(degeneracy_ratio=1e-15)
+    table = TriangleTable(degeneracy_ratio=1e-15)
+    table.insert_marker(device)
+    shapes = _triangle_shapes(ct[_all_triples(len(ct))], 1e-15)
+    uncleared = int(np.count_nonzero(~(shapes.area > _PLANE_AREA_RATIO * shapes.e1**2)))
+    assert uncleared > 0
+    with mock.patch.object(fidreg.triangles, "_collinear", wraps=_collinear) as svd:
+        try:
+            got = register(MarkerSet("ct", ct), table, config)
+        except DegenerateTriangleError as exc:
+            got = exc
+    assert [len(call.args[0]) for call in svd.call_args_list] == [uncleared]
+    try:
+        want = loop_register(
+            ct, device, config, table_degeneracy_ratio=1e-15, align_degeneracy_ratio=1e-15
+        )
+    except DegenerateTriangleError as exc:
+        assert isinstance(got, DegenerateTriangleError) and str(got) == str(exc)
+        assert seed == 2
+        return
+    assert seed == 0
+    assert got.transform.rotation.tobytes() == want["transform"].rotation.tobytes()
+    assert got.transform.translation.tobytes() == want["transform"].translation.tobytes()
+    assert list(got.matched_triangle.marker_indices) == want["matched_marker_indices"]
+    assert (got.shape_distance, got.rmsd, got.flipped) == (
+        want["shape_distance"],
+        want["rmsd"],
+        want["flipped"],
+    )
