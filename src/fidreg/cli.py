@@ -4,11 +4,19 @@ Exit codes: 0 success, 1 domain error (insufficient markers, no acceptable
 match, degenerate geometry), 2 usage or input-format error.  Every failure
 prints exactly one ``error: ...`` line on stderr; progress notes also go to
 stderr so stdout stays clean for redirection.
+
+The argparse tree is built once per process, on the first ``main()`` call,
+and reused: ``parse_args`` fills a fresh namespace each time, so no option
+carries over from one call to the next. The handlers look the library
+functions they call up through this module at call time, so rebinding
+``fidreg.cli.register`` (or ``read_volume``, ``marching_cubes``, ...) takes
+effect on the next call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -185,7 +193,9 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``fidreg`` parser, built on the first call and shared after it."""
     parser = _Parser(
         prog="fidreg",
         description="Fiducial-marker registration pipeline: segment CT markers, "

@@ -38,17 +38,26 @@ from fidreg.rigid import (
     RigidTransform,
     _collinear,
     absolute_orientation,
+    center_points,
+    check_proper,
+    fit_rmsd,
+    horn_solve,
     reorthonormalize,
     rotation_angle,
 )
 from fidreg.rng import rotation_from_quaternion
 from fidreg.segmentation import CONNECTIVITY_OFFSETS, BinaryMask, Component
 from fidreg.triangles import (
+    _FLIP_ORDER,
+    _TIE_COUNT,
+    _TIE_TABLE,
     DEGENERACY_RATIO,
     RegistrationConfig,
     TriangleKey,
     TriangleTable,
     _all_marker_rmsd,
+    _permute_rows,
+    _spans_plane,
     register,
 )
 from fidreg.volume import Volume
@@ -797,3 +806,62 @@ def loop_run_benchmark(
                 shifted = dataclasses.replace(spec, seed=spec.seed + trial)
                 records.append(loop_run_trial(shifted, method, origin))
     return records
+
+
+# ---------------------------------------------------------------------------
+# Tie pairings and flips, every flip solved.
+#
+# fidreg.triangles._solve_pairings as it was before it solved flips in a
+# second stack, and only where an edge-length bound cannot rule them out:
+# every tie pairing and its flip in one stack. It shares the package's
+# kernels (centering, the collinearity test, the Horn solve, the proper
+# check and the residual), so its results must agree bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def every_flip_solve_pairings(
+    source: np.ndarray,
+    source_edges: np.ndarray,
+    source_area: np.ndarray,
+    source_of: np.ndarray,
+    target: np.ndarray,
+    codes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fit every tie pairing of every candidate, and its flip, in one stack.
+
+    ``source`` holds triangles (S, 3, 3), ``source_edges`` their edge
+    lengths by vertex and ``source_area`` their areas; candidate i pairs
+    ``source[source_of[i]]`` with ``target[i]`` (C, 3, 3) under tie code
+    ``codes[i]``. Per candidate, keeps the first tie pairing with the lowest
+    fit rmsd, then its flip variant (the two vertices adjacent to the longest
+    source edge exchanged, the pairing a reflection through the triangle's
+    own plane induces) where that fits strictly better. Each source is
+    centered and tested for collinearity (:func:`_spans_plane`) once, however
+    many fits share it.
+
+    Returns ``(paired, rotation, translation, rmsd, flipped)``: the kept
+    pairing's target points (before any flip) and the kept fit. Raises
+    DegenerateTriangleError when a candidate's source triangle is collinear.
+    """
+    counts = _TIE_COUNT[codes]
+    first = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(codes)), counts)
+    slot = np.arange(len(owner)) - first[owner]
+    paired = _permute_rows(target[owner], _TIE_TABLE[codes[owner], slot])
+    pair_source = source_of[owner]
+    exchanged = _permute_rows(paired, _FLIP_ORDER[np.argmax(source_edges, axis=-1)[pair_source]])
+    centroid, centered = center_points(source)
+    aligned = _spans_plane(centroid, centered, source_area, source_edges.max(axis=-1))
+    fits = np.concatenate([pair_source, pair_source])  # every pairing, then every flip
+    targets = np.concatenate([paired, exchanged])
+    rotation, translation = horn_solve(centroid[fits], centered[fits], targets)
+    check_proper(rotation, aligned[fits])
+    if not aligned[source_of].all():
+        raise DegenerateTriangleError("no alignable vertex pairing (degenerate triangle)")
+    rmsd = fit_rmsd(rotation, translation, source[fits], targets)
+    by_slot = np.full((len(codes), 6), np.inf)
+    by_slot[owner, slot] = rmsd[: len(owner)]
+    chosen = first + np.argmin(by_slot, axis=1)
+    flipped = rmsd[chosen + len(owner)] < rmsd[chosen]
+    kept = np.where(flipped, chosen + len(owner), chosen)
+    return paired[chosen], rotation[kept], translation[kept], rmsd[kept], flipped

@@ -262,3 +262,75 @@ def test_segment_rejects_non_finite_hu_min(phantom_volume, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error: hu_min must be finite" in err
     assert not out.exists()
+
+
+def test_parser_is_built_once_and_shared():
+    from fidreg.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["register", "--help"]])
+def test_help_exits_zero_twice_in_a_row(capsys, argv):
+    texts = []
+    for _ in range(2):
+        assert main(argv) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and "usage: fidreg" in texts[0]
+
+
+def test_options_do_not_leak_between_calls(phantom_volume, tmp_path, monkeypatch):
+    import fidreg.cli
+    from fidreg.triangles import RegistrationConfig
+
+    spec = write_spec(tmp_path, "n_markers = 6\nseed = 41\n")
+    prefix = tmp_path / "s"
+    assert main(["simulate", str(spec), str(prefix)]) == 0
+    cfg = tmp_path / "reg.cfg"
+    cfg.write_text("k = 2\nscale_tolerance_mm = 8\n")
+    configs, levels = [], []
+    register, marching_cubes = fidreg.cli.register, fidreg.cli.marching_cubes
+
+    def spy_register(ct, table, config):
+        configs.append(config)
+        return register(ct, table, config)
+
+    def spy_marching_cubes(volume, iso):
+        levels.append(iso)
+        return marching_cubes(volume, iso)
+
+    monkeypatch.setattr(fidreg.cli, "register", spy_register)
+    monkeypatch.setattr(fidreg.cli, "marching_cubes", spy_marching_cubes)
+    argv = ["register", f"{prefix}_ct.csv", f"{prefix}_device.csv", str(tmp_path / "o.json")]
+    assert main(argv + ["--config", str(cfg)]) == 0
+    assert main(argv) == 0
+    assert configs == [RegistrationConfig(k=2, scale_tolerance_mm=8.0), RegistrationConfig()]
+    stl = str(tmp_path / "skin.stl")
+    assert main(["mesh", str(phantom_volume), stl, "--iso", "-500"]) == 0
+    assert main(["mesh", str(phantom_volume), stl]) == 0
+    assert levels == [-500.0, -300.0]
+
+
+def test_rebinding_after_the_first_call_takes_effect(phantom_volume, tmp_path, capsys, monkeypatch):
+    import fidreg.cli
+    from fidreg.errors import NoMatchError
+
+    spec = write_spec(tmp_path, "n_markers = 5\nseed = 9\n")
+    prefix = tmp_path / "s"
+    assert main(["simulate", str(spec), str(prefix)]) == 0  # the parser now exists
+    argv = ["register", f"{prefix}_ct.csv", f"{prefix}_device.csv", str(tmp_path / "o.json")]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    def no_match(ct, table, config):
+        raise NoMatchError("stubbed register")
+
+    def no_read(path):
+        raise OSError("stubbed read_volume")
+
+    monkeypatch.setattr(fidreg.cli, "register", no_match)
+    monkeypatch.setattr(fidreg.cli, "read_volume", no_read)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: stubbed register\n"
+    assert main(["mesh", str(phantom_volume), str(tmp_path / "skin.stl")]) == 2
+    assert capsys.readouterr().err == "error: stubbed read_volume\n"

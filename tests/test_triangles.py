@@ -553,3 +553,10 @@ def test_register_asks_the_svd_about_uncleared_slivers(seed):
         want["rmsd"],
         want["flipped"],
     )
+
+
+def test_register_runs_no_svd_when_the_area_bound_clears_every_triple():
+    ct_markers, table, *_ = make_scene(23)
+    with mock.patch.object(fidreg.triangles, "_collinear", wraps=_collinear) as svd:
+        register(ct_markers, table)
+    assert svd.call_count == 0
