@@ -18,19 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from fidreg.bench import SceneSpec
 from fidreg.config import format_float
 from fidreg.icp import icp_register
 from fidreg.markers import MarkerSet, write_marker_csv
 from fidreg.mesh import marching_cubes, write_stl
-from fidreg.rigid import (
-    RigidTransform,
-    axis_angle_rotation,
-    compose,
-    inverse,
-    rotation_angle,
-    transform_to_json_dict,
-)
+from fidreg.rigid import RigidTransform, compose, inverse, rotation_angle
 from fidreg.rng import SplitMix64
 from fidreg.segmentation import SegmentationConfig, segment_markers
 from fidreg.triangles import TriangleTable, register

@@ -60,7 +60,7 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,8 +123,8 @@ class SceneSpec:
         self.translation_extent = tuple(float(e) for e in self.translation_extent)
         if self.n_markers < 3:
             raise ConfigError("n_markers must be at least 3")
-        if self.noise_sigma_mm < 0.0:
-            raise ConfigError("noise_sigma_mm must be >= 0")
+        if not (0.0 <= self.noise_sigma_mm < math.inf):
+            raise ConfigError("noise_sigma_mm must be >= 0 and finite")
         if self.dropout_count < 0 or self.decoy_count < 0:
             raise ConfigError("dropout_count and decoy_count must be >= 0")
         if self.n_markers - self.dropout_count < 3:
@@ -135,8 +135,8 @@ class SceneSpec:
             ("placement_extent", self.placement_extent),
             ("translation_extent", self.translation_extent),
         ):
-            if len(extent) != 3 or any(e <= 0.0 for e in extent):
-                raise ConfigError(f"{name} must be three positive lengths")
+            if len(extent) != 3 or not all(0.0 < e < math.inf for e in extent):
+                raise ConfigError(f"{name} must be three positive finite lengths")
         if isinstance(self.true_transform, str):
             if self.true_transform not in ("random", "identity"):
                 raise ConfigError(

@@ -21,7 +21,8 @@ from .errors import DegenerateGeometryError, InsufficientMarkersError
 from .markers import MarkerSet
 from .rigid import (
     RigidTransform,
-    center_sources,
+    _collinear,
+    center_points,
     check_proper,
     horn_solve,
     transform_to_json_dict,
@@ -43,9 +44,9 @@ class IcpConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
-        if self.rmsd_delta_tolerance <= 0:
+        if not (0 < self.rmsd_delta_tolerance < math.inf):
             raise ConfigError(
-                f"rmsd_delta_tolerance must be positive, got {self.rmsd_delta_tolerance!r}"
+                f"rmsd_delta_tolerance must be positive and finite, got {self.rmsd_delta_tolerance!r}"
             )
 
     @classmethod
@@ -121,7 +122,8 @@ def icp_register(
     if len(tgt) < 3:
         raise InsufficientMarkersError(len(tgt))
     # The source never changes: center it and test it for collinearity once.
-    src_centroid, src_centered, aligned = center_sources(src[None])
+    src_centroid, src_centered = center_points(src[None])
+    aligned = ~_collinear(src_centered)
     if not aligned[0]:
         raise DegenerateGeometryError("source points are collinear; rotation is not determined")
 

@@ -7,6 +7,7 @@ column is an optional integer tag identity and may be left empty; frames are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,9 +105,12 @@ def read_marker_csv(path) -> MarkerSet:
         else:
             ids.append(None)
         try:
-            points.append([float(xs), float(ys), float(zs)])
+            point = [float(xs), float(ys), float(zs)]
         except ValueError as exc:
             raise FormatError(f"marker csv line {lineno}: non-numeric coordinate") from exc
+        if not all(map(math.isfinite, point)):
+            raise FormatError(f"marker csv line {lineno}: non-finite coordinate")
+        points.append(point)
 
     if frame is None:
         raise FormatError("marker csv has no data rows")

@@ -1,20 +1,18 @@
 """Rigid transforms and closed-form point-set alignment.
 
-``fit_rigid_stack`` solves least-squares rigid fits with Horn's quaternion
-method, a whole stack of point-set pairs at once: build the 3x3
-cross-covariance of each centered pair, lift it to the symmetric 4x4 profile
-matrix, and take the eigenvector of the largest eigenvalue as the rotation
-quaternion. Because quaternions parameterize SO(3) only, the result is always
-a proper rotation (det = +1) — reflections cannot leak in, even when the
-unconstrained optimum would be one. ``absolute_orientation`` is its
-single-pair case.
-
-The fit is three steps that callers can also take apart: ``center_sources``
-(centroids and the collinearity test), ``horn_solve`` (rotation and
-translation) and ``check_proper``. A caller whose source stays fixed across
-fits, like ICP, centers it once; one that can settle collinearity more
-cheaply, like triangle registration, centers with ``center_points`` and asks
-``_collinear`` only about the sets it cannot settle.
+A least-squares rigid fit is Horn's quaternion method, solved for a whole
+stack of point-set pairs at once in four steps: ``center_points`` (centroids
+and centered sources), ``_collinear`` (sources that span no plane carry no
+fit), ``horn_solve`` (build the 3x3 cross-covariance of each centered pair,
+lift it to the symmetric 4x4 profile matrix and take the eigenvector of the
+largest eigenvalue as the rotation quaternion) and ``check_proper``;
+``fit_rmsd`` scores the result. Because quaternions parameterize SO(3) only,
+the rotation is always proper (det = +1): reflections cannot leak in, even
+when the unconstrained optimum would be one. ``absolute_orientation`` is the
+single-pair case. A caller whose source stays fixed across fits, like ICP,
+centers it once; one that can settle collinearity more cheaply, like
+triangle registration, asks ``_collinear`` only about the sets it cannot
+settle.
 """
 
 from __future__ import annotations
@@ -175,26 +173,14 @@ def center_points(source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centroid, source - centroid[:, None, :]
 
 
-def center_sources(source: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The source half of a stack of rigid fits, (N, m, 3) float64.
-
-    Returns ``(centroid (N, 3), centered (N, m, 3), aligned (N,))``;
-    ``aligned`` is False where the source points are collinear, so the
-    rotation is not determined. A caller fitting one source to many targets
-    computes this once and hands it to :func:`horn_solve` each time.
-    """
-    centroid, centered = center_points(source)
-    return centroid, centered, ~_collinear(centered)
-
-
 def horn_solve(
     src_centroid: np.ndarray, src_centered: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Horn's closed-form fits of centered sources onto targets, (N, m, 3).
 
-    Takes :func:`center_sources` output for the sources and returns
-    ``(rotation (N, 3, 3), translation (N, 3))``. Rows whose source is not
-    aligned carry no fit. The small products are written out elementwise
+    Takes :func:`center_points` output for the sources and returns
+    ``(rotation (N, 3, 3), translation (N, 3))``. Rows whose source is
+    collinear carry no fit. The small products are written out elementwise
     rather than handed to BLAS, so a fit's bits do not depend on N or on how
     the stack is laid out.
     """
@@ -249,42 +235,23 @@ def fit_rmsd(
     return np.sqrt(np.add.reduce(squared, axis=-1) / source.shape[-2])
 
 
-def fit_rigid_stack(
-    source: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares rigid fits of every ``source[i]`` onto ``target[i]``.
-
-    Takes two stacks of paired point sets, (N, m, 3) each, and solves all N
-    fits with one batched Horn solve. Returns ``(rotation (N, 3, 3),
-    translation (N, 3), rmsd (N,), aligned (N,))``. ``aligned`` is False
-    where the source points are collinear; those rows carry no fit. Raises
-    ValueError if an aligned fit's rotation is not proper and orthonormal
-    within ORTHONORMALITY_TOL, the check RigidTransform makes.
-
-    Solving a set alone or inside a stack gives the identical result.
-    """
-    src = np.asarray(source, dtype=np.float64)
-    dst = np.asarray(target, dtype=np.float64)
-    src_centroid, src_centered, aligned = center_sources(src)
-    rotation, translation = horn_solve(src_centroid, src_centered, dst)
-    check_proper(rotation, aligned)
-    return rotation, translation, fit_rmsd(rotation, translation, src, dst), aligned
-
-
 def absolute_orientation(corr: PointCorrespondences) -> tuple[RigidTransform, float]:
     """Least-squares rigid fit of corr.source onto corr.target.
 
     Returns the optimal proper transform and the rmsd of the fitted residuals.
     Raises DegenerateGeometryError when the source points are collinear.
-    This is the single-set case of :func:`fit_rigid_stack`.
+    Solving a pair alone or inside a stack gives the identical fit.
     """
-    rotation, translation, rmsd, aligned = fit_rigid_stack(
-        corr.source[None], corr.target[None]
-    )
+    source, target = corr.source[None], corr.target[None]
+    centroid, centered = center_points(source)
+    aligned = ~_collinear(centered)
     if not aligned[0]:
         raise DegenerateGeometryError(
             "source points are collinear; rotation is not determined"
         )
+    rotation, translation = horn_solve(centroid, centered, target)
+    check_proper(rotation, aligned)
+    rmsd = fit_rmsd(rotation, translation, source, target)
     return RigidTransform(rotation=rotation[0], translation=translation[0]), float(rmsd[0])
 
 

@@ -75,6 +75,10 @@ class SegmentationConfig:
             )
         if not math.isfinite(self.hu_min):
             raise ConfigError(f"hu_min must be finite, got {self.hu_min!r}")
+        if self.intensity_weighted and not self.hu_min > 0:
+            raise ConfigError(
+                f"intensity_weighted needs hu_min > 0 (positive voxel weights), got {self.hu_min!r}"
+            )
         if self.connectivity not in (6, 18, 26):
             raise ConfigError(f"connectivity must be 6, 18 or 26, got {self.connectivity!r}")
         if not (0.0 < self.tolerance_fraction < 1.0):
@@ -123,9 +127,6 @@ class BinaryMask:
         if bits.shape != self.dims:
             raise ValueError(f"bits shape {bits.shape} != dims {self.dims}")
         self.bits = bits
-
-    def popcount(self) -> int:
-        return int(self.bits.sum())
 
 
 @dataclass(eq=False)

@@ -19,6 +19,7 @@ Canonical vertex order is (opposite e1, opposite e2, opposite e3).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,8 +66,8 @@ class RegistrationConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k!r}")
-        if self.scale_tolerance_mm < 0 or self.tie_epsilon_mm < 0:
-            raise ConfigError("tolerances must be non-negative")
+        if not (0 <= self.scale_tolerance_mm < math.inf and 0 <= self.tie_epsilon_mm < math.inf):
+            raise ConfigError("scale_tolerance_mm and tie_epsilon_mm must be non-negative and finite")
         if not (0 < self.degeneracy_ratio < 1):
             raise ConfigError(f"degeneracy_ratio must be in (0, 1), got {self.degeneracy_ratio!r}")
 
@@ -266,14 +267,16 @@ def _all_triples(count: int) -> np.ndarray:
 class TriangleTable:
     """All triangles over the device markers seen so far, searchable by shape.
 
-    Columnar storage in insertion order (the triples completed by each new
-    marker): ``keys`` (T, 2) holds (r2, r3), ``e1`` (T,) the longest edges
-    and ``indices`` (T, 3) the marker indices in canonical order. Shape
-    distance is Euclidean in (r2, r3).
+    Columnar storage: ``markers`` (n, 3) holds the device markers in
+    insertion order, read-only; the triangles follow in the order each new
+    marker completes them, with ``keys`` (T, 2) holding (r2, r3), ``e1``
+    (T,) the longest edges and ``indices`` (T, 3) the marker indices in
+    canonical order. Shape distance is Euclidean in (r2, r3).
     """
 
     def __init__(self, degeneracy_ratio: float = DEGENERACY_RATIO):
-        self.markers: list[np.ndarray] = []
+        self.markers = np.zeros((0, 3), dtype=np.float64)
+        self.markers.setflags(write=False)
         self.degeneracy_ratio = float(degeneracy_ratio)
         self.degenerate_skipped = 0
         self.keys = np.zeros((0, 2), dtype=np.float64)
@@ -285,9 +288,8 @@ class TriangleTable:
         return len(self.e1)
 
     def marker_array(self) -> np.ndarray:
-        if not self.markers:
-            return np.zeros((0, 3), dtype=np.float64)
-        return np.array(self.markers, dtype=np.float64)
+        """The stored markers (n, 3), read-only and not copied."""
+        return self.markers
 
     def _triangle(self, row: int) -> IndexedTriangle:
         """The stored triangle at ``row`` (insertion order)."""
@@ -295,9 +297,6 @@ class TriangleTable:
         r2, r3 = (float(v) for v in self.keys[row])
         key = TriangleKey(r2=r2, r3=r3, e1=float(self.e1[row]))
         return IndexedTriangle(marker_indices=(a, b, c), key=key)
-
-    def triangle_points(self, triangle: IndexedTriangle) -> np.ndarray:
-        return np.array([self.markers[i] for i in triangle.marker_indices], dtype=np.float64)
 
     def insert_marker(self, points: np.ndarray) -> int:
         """Add one detected marker (3,), or a run of them (n, 3) in order.
@@ -317,11 +316,12 @@ class TriangleTable:
         if not np.isfinite(pts).all():
             raise ValueError("marker must be finite")
         start = len(self.markers)
-        self.markers.extend(pts)
+        self.markers = np.concatenate([self.markers, pts])
+        self.markers.setflags(write=False)
         triples = _completed_triples(start, len(self.markers))
         if len(triples) == 0:
             return 0
-        shapes = _triangle_shapes(self.marker_array()[triples], self.degeneracy_ratio)
+        shapes = _triangle_shapes(self.markers[triples], self.degeneracy_ratio)
         shaped = shapes.shaped
         canonical = _permute_rows(triples, shapes.perm)
         self.degenerate_skipped += int(np.count_nonzero(~shaped))
@@ -356,31 +356,23 @@ _TIE_COUNT = np.array([len(p) for p in _TIE_PERMUTATIONS])
 _TIE_TABLE = np.array([p + ((0, 1, 2),) * (6 - len(p)) for p in _TIE_PERMUTATIONS])
 
 
-def _tie_codes(ct_edges: np.ndarray, dev_edges: np.ndarray, tie_epsilon: float | None) -> np.ndarray:
+def _tie_codes(ct_edges: np.ndarray, dev_edges: np.ndarray, tie_epsilon: float) -> np.ndarray:
     """Tie code per candidate from both sides' canonical edges (e1, e2, e3).
 
-    Edges tie within ``tie_epsilon``, by default 1e-6 * e1 of their own
-    triangle (exact-arithmetic ties only). A tie on either side counts.
+    Edges tie when they differ by at most ``tie_epsilon`` (mm); a tie on
+    either side counts.
     """
     first = np.zeros(len(ct_edges), dtype=bool)
     second = np.zeros(len(ct_edges), dtype=bool)
     for edges in (ct_edges, dev_edges):
-        eps = 1e-6 * edges[:, 0] if tie_epsilon is None else tie_epsilon
-        first |= np.abs(edges[:, 0] - edges[:, 2]) <= eps
-        second |= np.abs(edges[:, 2] - edges[:, 1]) <= eps
+        first |= np.abs(edges[:, 0] - edges[:, 2]) <= tie_epsilon
+        second |= np.abs(edges[:, 2] - edges[:, 1]) <= tie_epsilon
     return first.astype(np.intp) + 2 * second.astype(np.intp)
 
 
 def _permute_rows(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """rows[i][perm[i]] for stacks (N, 3, ...) and orders (N, 3)."""
     return rows[np.arange(len(perm))[:, None], perm]
-
-
-def _canonical_triangles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Triangles (N, 3, 3) reordered canonically, with their edges by position."""
-    edges = _edge_lengths(points)
-    perm = _canonical_perms(edges)
-    return _permute_rows(points, perm), _permute_rows(edges, perm)
 
 
 # Target order that exchanges the two vertices adjacent to the longest
@@ -549,47 +541,6 @@ def _solve_pairings(
     return paired, rotation, translation, rmsd, flipped
 
 
-def _tie_permutations(
-    ct_points: np.ndarray, dev_points: np.ndarray, tie_epsilon: float | None
-) -> list[tuple[int, int, int]]:
-    """Device-side position permutations consistent with edge-length ties.
-
-    Both triangles are already in canonical order. With no ties this is just
-    the identity; an equilateral pair yields all 6 permutations.
-    """
-    ct_edges = _edge_lengths(np.asarray(ct_points, dtype=np.float64))[None]
-    dev_edges = _edge_lengths(np.asarray(dev_points, dtype=np.float64))[None]
-    return list(_TIE_PERMUTATIONS[int(_tie_codes(ct_edges, dev_edges, tie_epsilon)[0])])
-
-
-def canonical_correspondence(
-    ct_triangle: np.ndarray,
-    dev_triangle: np.ndarray,
-    tie_epsilon: float | None = None,
-) -> PointCorrespondences:
-    """Pair triangle vertices by edge role (opp-longest <-> opp-longest, ...).
-
-    When edge lengths tie within ``tie_epsilon`` (default 1e-6 * e1, i.e.
-    exact-arithmetic ties only), every permutation consistent with the tie is
-    tried and the one with the lowest alignment rmsd wins. Raises
-    DegenerateTriangleError when the CT triangle is collinear and ValueError
-    on non-finite points.
-    """
-    pair = PointCorrespondences(
-        np.asarray(ct_triangle, dtype=np.float64).reshape(3, 3),
-        np.asarray(dev_triangle, dtype=np.float64).reshape(3, 3),
-    )
-    shapes = _triangle_shapes(pair.source[None], DEGENERACY_RATIO)
-    ct = _permute_rows(pair.source[None], shapes.perm)
-    ct_edges = _permute_rows(shapes.edges, shapes.perm)
-    dev, dev_edges = _canonical_triangles(pair.target[None])
-    codes = _tie_codes(ct_edges, dev_edges, tie_epsilon)
-    paired, _, _, _, _ = _solve_pairings(
-        ct, ct_edges, shapes.area, np.zeros(1, dtype=np.intp), dev, codes
-    )
-    return PointCorrespondences(ct[0], paired[0])
-
-
 def align_with_flip(corr: PointCorrespondences) -> tuple[RigidTransform, float, bool]:
     """Align a 3-point correspondence, correcting a mirrored pairing.
 
@@ -713,14 +664,17 @@ def register(
     dev_points = table.marker_array()
     ct = _permute_rows(ct_triangles, shapes.perm)
     ct_edges = _permute_rows(shapes.edges, shapes.perm)
-    dev, dev_edges = _canonical_triangles(dev_points[table.indices[cand_tri]])
+    indices = table.indices[cand_tri]
+    dev = dev_points[indices]
+    dev_edges = _edge_lengths(dev)
+    dev_perm = _canonical_perms(dev_edges)
+    dev, dev_edges = _permute_rows(dev, dev_perm), _permute_rows(dev_edges, dev_perm)
     codes = _tie_codes(ct_edges[cand_row], dev_edges, config.tie_epsilon_mm)
     _, rotation, translation, _, flipped = _solve_pairings(
         ct, ct_edges, shapes.area, cand_row, dev, codes
     )
     score = _all_marker_rmsd(rotation, translation, ct_points, dev_points)
 
-    indices = table.indices[cand_tri]
     best = int(np.lexsort((indices[:, 2], indices[:, 1], indices[:, 0], cand_distance, score))[0])
     return RegistrationResult(
         transform=RigidTransform(rotation=rotation[best], translation=translation[best]),

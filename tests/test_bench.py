@@ -152,6 +152,17 @@ def test_spec_validation():
         SceneSpec(n_markers=4, true_transform="mirror")
     with pytest.raises(ConfigError, match="placement_extent"):
         SceneSpec(n_markers=4, placement_extent=(10.0, 0.0, 10.0))
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="noise_sigma_mm"):
+            SceneSpec(n_markers=4, noise_sigma_mm=value)
+        with pytest.raises(ConfigError, match="placement_extent"):
+            SceneSpec(n_markers=4, placement_extent=(value, 1.0, 1.0))
+        with pytest.raises(ConfigError, match="translation_extent"):
+            SceneSpec(n_markers=4, translation_extent=(1.0, 1.0, value))
+        with pytest.raises(ConfigError, match="noise_sigma_mm"):
+            SceneSpec.from_text(f"n_markers = 4\nnoise_sigma_mm = {value}\n")
+        with pytest.raises(ConfigError, match="placement_extent"):
+            SceneSpec.from_text(f"n_markers = 4\nplacement_extent = 1 {value} 1\n")
     assert SceneSpec(n_markers=4, seed=-1).seed == (1 << 64) - 1  # wraps like the rng
 
 

@@ -334,3 +334,54 @@ def test_rebinding_after_the_first_call_takes_effect(phantom_volume, tmp_path, c
     assert capsys.readouterr().err == "error: stubbed register\n"
     assert main(["mesh", str(phantom_volume), str(tmp_path / "skin.stl")]) == 2
     assert capsys.readouterr().err == "error: stubbed read_volume\n"
+
+
+def assert_one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("command", ["register", "icp"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_marker_csv_exits_two(tmp_path, capsys, command, value):
+    ct = tmp_path / "ct.csv"
+    ct.write_text(f"frame,id,x_mm,y_mm,z_mm\nct,,0,0,0\nct,,5,0,0\nct,,{value},0,0\nct,,0,5,1\n")
+    dev = tmp_path / "dev.csv"
+    write_marker_csv(MarkerSet("device", np.array([[0.0, 0, 0], [5.0, 0, 0], [0.0, 5, 0]])), dev)
+    out = tmp_path / "o.json"
+    assert main([command, str(ct), str(dev), str(out)]) == 2
+    assert "line 4: non-finite coordinate" in assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line", ["noise_sigma_mm = nan", "noise_sigma_mm = inf", "placement_extent = nan 1 1",
+             "translation_extent = 1 1 inf"]
+)
+def test_non_finite_scene_spec_exits_two(tmp_path, capsys, line):
+    spec = write_spec(tmp_path, f"n_markers = 5\n{line}\n")
+    assert main(["simulate", str(spec), str(tmp_path / "scene")]) == 2
+    assert line.split()[0] in assert_one_error_line(capsys)
+    assert not (tmp_path / "scene_ct.csv").exists()
+    csv_out, json_out = tmp_path / "r.csv", tmp_path / "s.json"
+    assert main(["bench", str(spec), str(csv_out), str(json_out), "--trials", "1"]) == 2
+    assert line.split()[0] in assert_one_error_line(capsys)
+    assert not csv_out.exists()
+
+
+def test_intensity_weighting_with_non_positive_hu_min_exits_two(tmp_path, capsys):
+    # A marker cube in air with one 0 HU voxel: with hu_min at -500 that
+    # voxel joins the marker and would carry a zero centroid weight.
+    vox = np.full((16, 16, 16), -1000, dtype=np.int16)
+    for i in (1, 6, 11):
+        vox[i : i + 3, 2:5, 2:5] = 3000
+    vox[2, 3, 3] = 0
+    volume = tmp_path / "air.vol"
+    write_volume(Volume((16, 16, 16), (1, 1, 1), (0, 0, 0), vox), volume)
+    config = tmp_path / "seg.cfg"
+    config.write_text("expected_mm3 = 27\nhu_min = -500\nintensity_weighted = true\n")
+    out = tmp_path / "out.csv"
+    assert main(["segment", str(volume), str(config), str(out)]) == 2
+    assert "intensity_weighted needs hu_min > 0" in assert_one_error_line(capsys)
+    assert not out.exists()

@@ -166,6 +166,11 @@ def test_config_round_trip_and_validation():
         IcpConfig(max_iterations=0)
     with pytest.raises(ConfigError, match="rmsd_delta_tolerance"):
         IcpConfig(rmsd_delta_tolerance=0.0)
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match="rmsd_delta_tolerance"):
+            IcpConfig(rmsd_delta_tolerance=float(value))
+        with pytest.raises(ConfigError, match="rmsd_delta_tolerance"):
+            IcpConfig.from_text(f"rmsd_delta_tolerance = {value}\n")
     with pytest.raises(ConfigError, match="unknown key"):
         IcpConfig.from_text("iterations = 5\n")
 

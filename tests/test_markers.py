@@ -65,6 +65,9 @@ def test_mixed_ids_round_trip(tmp_path):
         (CSV_HEADER + "\nmoon,,0,0,0\n", "frame"),
         (CSV_HEADER + "\nct,,0,0,0\ndevice,,1,1,1\n", "line 3"),
         (CSV_HEADER + "\nct,x9,0,0,0\n", "line 2"),
+        (CSV_HEADER + "\nct,,1,2,3\nct,,nan,0,0\n", "line 3: non-finite coordinate"),
+        (CSV_HEADER + "\nct,,0,inf,0\n", "line 2: non-finite coordinate"),
+        (CSV_HEADER + "\ndevice,,0,0,-1e999\n", "line 2: non-finite coordinate"),
     ],
 )
 def test_read_errors(tmp_path, text, needle):

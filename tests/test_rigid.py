@@ -6,10 +6,14 @@ from fidreg.errors import DegenerateGeometryError
 from fidreg.rigid import (
     PointCorrespondences,
     RigidTransform,
+    _collinear,
     absolute_orientation,
     axis_angle_rotation,
-    fit_rigid_stack,
+    center_points,
+    check_proper,
     compose,
+    fit_rmsd,
+    horn_solve,
     inverse,
     reorthonormalize,
     rotation_angle,
@@ -116,8 +120,12 @@ def test_stacked_fits_match_single_fits_bit_for_bit():
         src = random_points(rng, 6 * m).reshape(6, m, 3)
         dst = src @ random_transform(rng).rotation.T + rng.normals(18 * m).reshape(6, m, 3)
         src[4] = np.outer(np.arange(m), [1.0, 2.0, 3.0])  # collinear: not aligned
-        rotation, translation, rmsd, aligned = fit_rigid_stack(src, dst)
+        centroid, centered = center_points(src)
+        aligned = ~_collinear(centered)
         assert aligned.tolist() == [True, True, True, True, False, True]
+        rotation, translation = horn_solve(centroid, centered, dst)
+        check_proper(rotation, aligned)
+        rmsd = fit_rmsd(rotation, translation, src, dst)
         for i in (0, 3, 5):
             single, single_rmsd = absolute_orientation(PointCorrespondences(src[i], dst[i]))
             assert np.array_equal(single.rotation, rotation[i])
@@ -128,6 +136,15 @@ def test_stacked_fits_match_single_fits_bit_for_bit():
 def test_minimum_three_points():
     with pytest.raises(ValueError):
         PointCorrespondences(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+def test_correspondences_must_be_finite():
+    tri = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 7.0, 0.0]])
+    broken = tri.copy()
+    broken[1, 0] = np.nan
+    for src, dst in ((broken, tri), (tri, broken)):
+        with pytest.raises(ValueError, match="finite"):
+            PointCorrespondences(src, dst)
 
 
 def test_compose_and_inverse_laws():

@@ -247,6 +247,19 @@ def test_config_rejects_non_finite_values():
         SegmentationConfig(expected_mm3=27.0, hu_min=float("-inf"))
 
 
+def test_intensity_weighting_needs_a_positive_hu_min():
+    # Voxels are integers >= hu_min, so hu_min > 0 makes every weight >= 1.
+    for hu_min in (0.0, -500.0):
+        with pytest.raises(ConfigError, match="intensity_weighted needs hu_min > 0"):
+            SegmentationConfig(expected_mm3=27.0, hu_min=hu_min, intensity_weighted=True)
+        with pytest.raises(ConfigError, match="intensity_weighted needs hu_min > 0"):
+            SegmentationConfig.from_text(
+                f"expected_mm3 = 27\nhu_min = {hu_min}\nintensity_weighted = true\n"
+            )
+        SegmentationConfig(expected_mm3=27.0, hu_min=hu_min)
+    SegmentationConfig(expected_mm3=27.0, hu_min=0.5, intensity_weighted=True)
+
+
 def test_bone_block_segments_within_budget():
     # Criterion 04's volume with a 64^3 block above hu_min: one large
     # component that must neither slow labelling down nor pass the size filter.

@@ -31,7 +31,6 @@ from fidreg.triangles import (
     TriangleKey,
     TriangleTable,
     align_with_flip,
-    canonical_correspondence,
     register,
     triangle_key,
     _all_triples,
@@ -39,7 +38,6 @@ from fidreg.triangles import (
     _completed_triples,
     _edge_lengths,
     _spans_plane,
-    _tie_permutations,
     _triangle_shapes,
 )
 
@@ -289,42 +287,52 @@ def test_stored_indices_are_canonically_ordered():
         table.insert_marker(m)
     probe = triangle_key(*markers[:3])
     for candidate, _ in table.query_nearest(probe, k=table.n_triangles):
-        points = table.triangle_points(candidate)
+        points = table.marker_array()[list(candidate.marker_indices)]
         assert _canonical_perm(_edge_lengths(points)) == (0, 1, 2)
 
 
-def test_canonical_correspondence_unscrambles_vertex_order():
+def test_register_unscrambles_vertex_order():
+    # One scalene triangle on each side: register pairs the vertices by edge
+    # role whatever order either side lists them in.
     rng = np.random.default_rng(5)
     ct = rng.uniform(0, 100, (3, 3))
     rotation = axis_angle_rotation([1.0, 1.0, 0.0], 0.8)
-    dev = ct @ rotation.T + np.array([10.0, 20.0, 30.0])
-    for ct_perm in itertools.permutations(range(3)):
-        for dev_perm in itertools.permutations(range(3)):
-            corr = canonical_correspondence(ct[list(ct_perm)], dev[list(dev_perm)])
-            _, rmsd = absolute_orientation(corr)
-            assert rmsd < 1e-9
-
-
-def test_canonical_correspondence_errors():
-    tri = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 7.0, 0.0]])
-    line = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [20.0, 0.0, 0.0]])
-    with pytest.raises(DegenerateTriangleError, match="no alignable vertex pairing"):
-        canonical_correspondence(line, tri)
-    # a malformed input is an error of its own, not a degenerate pairing
-    broken = tri.copy()
-    broken[1, 0] = np.nan
-    for ct, dev in ((broken, tri), (tri, broken)):
-        with pytest.raises(ValueError, match="finite"):
-            canonical_correspondence(ct, dev)
+    translation = np.array([10.0, 20.0, 30.0])
+    dev = ct @ rotation.T + translation
+    for dev_perm in itertools.permutations(range(3)):
+        table = TriangleTable()
+        table.insert_marker(dev[list(dev_perm)])
+        for ct_perm in itertools.permutations(range(3)):
+            result = register(MarkerSet("ct", ct[list(ct_perm)]), table)
+            assert result.rmsd < 1e-9
+            np.testing.assert_allclose(result.transform.rotation, rotation, atol=1e-12)
+            np.testing.assert_allclose(result.transform.translation, translation, atol=1e-9)
 
 
 def test_equilateral_ties_try_all_six_pairings():
     eq = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, np.sqrt(3.0) / 2.0, 0.0]])
-    assert len(_tie_permutations(eq, eq, None)) == 6
     rotated = eq @ axis_angle_rotation([0.0, 0.0, 1.0], 2.0).T
-    corr = canonical_correspondence(eq, rotated)
-    _, rmsd = absolute_orientation(corr)
-    assert rmsd < 1e-9
+    table = TriangleTable()
+    table.insert_marker(rotated)
+    calls = []
+    solve = fidreg.triangles._solve_pairings
+    horn = fidreg.triangles.horn_solve
+
+    def spy_solve(*args):
+        calls.append(("codes", args[-1].tolist()))
+        return solve(*args)
+
+    def spy_horn(centroid, centered, target):
+        calls.append(("rows", len(target)))
+        return horn(centroid, centered, target)
+
+    with mock.patch.object(fidreg.triangles, "_solve_pairings", spy_solve), mock.patch.object(
+        fidreg.triangles, "horn_solve", spy_horn
+    ):
+        result = register(MarkerSet("ct", eq), table)
+    # one candidate, tied on both edge pairs: all six pairings in one stack
+    assert calls[:2] == [("codes", [3]), ("rows", 6)]
+    assert result.rmsd < 1e-9
 
 
 def test_align_with_flip_plain_case():
@@ -464,6 +472,12 @@ def test_config_round_trip_and_validation():
         RegistrationConfig(k=0)
     with pytest.raises(ConfigError, match="non-negative"):
         RegistrationConfig(scale_tolerance_mm=-1.0)
+    for key in ("scale_tolerance_mm", "tie_epsilon_mm"):
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=key):
+                RegistrationConfig(**{key: float(value)})
+            with pytest.raises(ConfigError, match=key):
+                RegistrationConfig.from_text(f"{key} = {value}\n")
     with pytest.raises(ConfigError, match="unknown key"):
         RegistrationConfig.from_text("knn = 3\n")
 
