@@ -24,24 +24,35 @@ Cell corners follow the usual numbering: v0..v7 at offsets (0,0,0) (1,0,0)
 
 How the work is done, none of which shows in the output:
 
-* the case pass compares every voxel once, then builds each cell's corner
-  code separably (pairs along x, then y, then z) with bit di + 2*dj + 4*dk
-  for corner (di, dj, dk); the active cells' codes are renumbered to the
-  table's v0..v7 bits by a 256-entry table (bits 2<->3 and 6<->7 swap);
-* triangle corners are keyed by edge (lower grid corner, axis); each key is
-  packed with its corner index as ``key << b | corner``, and one plain sort
-  of the packed values hands out vertex slots in first-use order.  Key and
-  index must fit in 63 bits together, which takes about 20 GB of working
-  arrays to exceed (``_slot_key_shift`` raises ValueError there);
+* the case pass runs over z-slabs of cells whose voxels take about
+  ``_SLAB_BYTES`` (1 MB, 8 planes of a 256^2 CT), through four reused
+  Fortran-order buffers, so its uint8 temporaries stay in cache (in one
+  slab for the whole 256^3 ``ct-prep`` phantom, the pass and the corner
+  keys below took 86 ms against 42 ms on a 2-vCPU VM).  Each slab
+  compares its voxels once, then builds each cell's corner code separably
+  (pairs along x, then y, then z) with bit di + 2*dj + 4*dk for corner
+  (di, dj, dk); the active cells' codes are renumbered to the table's
+  v0..v7 bits by a 256-entry table (bits 2<->3 and 6<->7 swap);
+* a cell is coded at the flat place of its lower corner voxel, so the same
+  slab pass turns its active cells straight into triangle-corner keys
+  (lower grid corner, axis) with the table's rows laid back to back, with
+  no divmod per cell;
+* each key is packed with its corner index as ``key << b | corner``, and
+  one plain sort of the packed values hands out vertex slots in first-use
+  order.  Key and index must fit in 63 bits together, which takes about
+  20 GB of working arrays to exceed (``_slot_key_shift`` raises ValueError
+  there);
 * interpolation gathers each edge's two voxels from a flat Fortran-order
   view of the voxels (a copy only for read-only input in another layout,
-  which nothing in fidreg makes) and builds the grid coordinates one
-  column at a time;
+  which nothing in fidreg makes) and builds the world coordinates one
+  column at a time, in the float64 steps of origin + grid * spacing;
 * the weld groups only candidate vertices: those whose corner gap
   min(t, 1 - t) * spacing along their edge is at most 4e-9 mm, where t is
   the interpolation parameter.  That is exact while every spacing exceeds
   4e-9 mm and the grid stays within 1e6 mm of the world origin (the proof is
-  at ``_weld_candidates``); otherwise every vertex is a candidate;
+  at ``_weld_candidates``); otherwise every vertex is a candidate.  Only a
+  weld can orphan a vertex (without one every slot is some face corner's
+  first use), so only a weld is followed by the orphan pass;
 * ``write_stl`` fills and writes the facet records 8192 faces at a time
   through one reused 400 KB buffer, so the records and the float64 columns
   they are filled from stay in cache; one buffer for the whole mesh (20 MB
@@ -92,11 +103,10 @@ def _edge_geometry() -> tuple[np.ndarray, np.ndarray]:
 
 
 _EDGE_AXIS, _EDGE_LOWER = _edge_geometry()
-# TRI_TABLE as a (256, 15) array padded with -1, plus each row's length.
+# TRI_TABLE's rows back to back, with each row's start and length.
+_TRI_EDGES = np.array([edge for row in TRI_TABLE for edge in row], dtype=np.int64)
 _TRI_COUNTS = np.array([len(row) for row in TRI_TABLE], dtype=np.int64)
-_TRI_EDGES = np.full((256, 15), -1, dtype=np.int8)
-for _case, _row in enumerate(TRI_TABLE):
-    _TRI_EDGES[_case, : len(_row)] = _row
+_TRI_FIRST = np.cumsum(_TRI_COUNTS) - _TRI_COUNTS
 # Case index of each binary corner code, whose bit di + 2*dj + 4*dk stands
 # for corner (di, dj, dk): the table numbers (1,1,0) and (0,1,0) as v2 and v3
 # (and (1,1,1), (0,1,1) as v6, v7), so bits 2 and 3 swap, and 6 and 7.
@@ -170,48 +180,11 @@ def marching_cubes(volume: Volume, iso_hu: float) -> TriangleMesh:
     if not np.isfinite(iso):
         raise ValueError(f"iso level must be finite, got {iso_hu!r}")
 
-    # Corner code per cell, built separably: pairs along x, then pairs of
-    # those along y, then along z, each temporary dropped once used.  Bit
-    # di + 2*dj + 4*dk is set when corner (di, dj, dk) lies below iso.  The
-    # shifts are uint8 multiplies, which numpy vectorises; every array follows
-    # the volume's memory order, so the slices stream.  An integer voxel lies
-    # below iso exactly when it lies below ceil(iso), so the comparison stays
-    # in int16.
-    below = (volume.voxels < math.ceil(iso)).view(np.uint8)
-    code_x = below[1:] * np.uint8(2)
-    code_x |= below[:-1]
-    del below
-    code_xy = code_x[:, 1:] * np.uint8(4)
-    code_xy |= code_x[:, :-1]
-    del code_x
-    code = code_xy[:, :, 1:] * np.uint8(16)
-    code |= code_xy[:, :, :-1]
-    del code_xy
-    # Active cells (code neither 0 nor 255, which the renumbering fixes;
-    # code - 1 wraps 0 to 255), linearised x-fastest so cells come out in
-    # scan order.
-    flat = code.transpose(2, 1, 0).reshape(-1)
-    del code
-    flat -= 1
-    lin = np.flatnonzero(flat < 254)
-    if lin.size == 0:
+    # An integer voxel lies below iso exactly when it lies below ceil(iso),
+    # so the case pass compares in int16.
+    keys = _corner_keys(volume.voxels, math.ceil(iso))
+    if keys.size == 0:
         return empty_mesh()
-    cell_case = _CASE_OF_CODE[flat[lin] + 1]
-    del flat  # the full-size array goes before the per-edge work
-    ci = lin % (nx - 1)
-    cj = (lin // (nx - 1)) % (ny - 1)
-    ck = lin // ((nx - 1) * (ny - 1))
-
-    # Every triangle corner as (cell, edge), cells in scan order and each
-    # cell's edges in table order; key each edge by its lower grid corner.
-    rows = _TRI_EDGES[cell_case]
-    edges = rows[rows >= 0]
-    keys = np.repeat(ci + nx * (cj + ny * ck), _TRI_COUNTS[cell_case])
-    del rows, lin, ci, cj, ck, cell_case
-    edge_key_step = (_EDGE_LOWER @ np.array((1, nx, nx * ny))) * 3 + _EDGE_AXIS
-    keys *= 3
-    keys += edge_key_step[edges]
-    del edges
 
     # Vertex slots in order of first use, as a walk over the corners would
     # hand them out.  Packing each key with its corner index as
@@ -241,20 +214,21 @@ def marching_cubes(volume: Volume, iso_hu: float) -> TriangleMesh:
     del keys, run_starts
     axis = vertex_keys % 3
     lower = vertex_keys // 3
-    i = lower % nx
-    j = (lower // nx) % ny
-    k = lower // (nx * ny)
     flat = volume.voxels.reshape(-1, order="F")  # a copy unless Fortran-ordered
     step = np.array((1, nx, nx * ny))
     va = flat[lower].astype(np.float64)
     vb = flat[lower + step[axis]].astype(np.float64)
     t = (iso - va) / (vb - va)
-    grid = np.empty((len(t), 3))
-    grid[:, 0] = i
-    grid[:, 1] = j
-    grid[:, 2] = k
-    grid[np.arange(len(grid)), axis] += t
-    vertices = np.asarray(volume.origin) + grid * np.asarray(volume.spacing)
+    # One world column at a time, in the float64 steps of
+    # origin + (index + t on the edge axis) * spacing.
+    vertices = np.empty((len(t), 3))
+    for d, index in enumerate((lower % nx, (lower // nx) % ny, lower // (nx * ny))):
+        g = index.astype(np.float64)
+        on_axis = axis == d
+        g[on_axis] += t[on_axis]
+        g *= volume.spacing[d]
+        g += volume.origin[d]
+        vertices[:, d] = g
 
     # Weld coincident vertices (iso hitting a grid value makes edge vertices
     # land on the shared corner) and drop faces that collapse.  Only vertices
@@ -283,16 +257,84 @@ def marching_cubes(volume: Volume, iso_hu: float) -> TriangleMesh:
             & (faces[:, 0] != faces[:, 2])
         )
         faces = faces[keep]
-    if faces.size == 0:
-        return empty_mesh()
-    # Drop vertices orphaned by face removal.
-    used = np.zeros(len(vertices), dtype=bool)
-    used[faces] = True
-    if not used.all():
-        remap = np.cumsum(used) - 1
-        vertices = vertices[used]
-        faces = remap[faces]
+        if faces.size == 0:
+            return empty_mesh()
+        # Drop vertices orphaned by face removal.  Without a weld every
+        # vertex slot is some face corner's first use, so none is orphaned.
+        used = np.zeros(len(vertices), dtype=bool)
+        used[faces] = True
+        if not used.all():
+            remap = np.cumsum(used) - 1
+            vertices = vertices[used]
+            faces = remap[faces]
     return TriangleMesh(vertices, faces)
+
+
+# Bytes of voxels the case pass reads per z-slab of cells: 1 MB is 8
+# planes of a 256 x 256 int16 CT, and the slab's uint8 temporaries stay in
+# cache between the steps that build them.
+_SLAB_BYTES = 1 << 20
+
+
+def _corner_keys(voxels: np.ndarray, bound: int) -> np.ndarray:
+    """Edge key ``3 * (lower grid corner) + axis`` of every triangle corner.
+
+    A corner lies below iso when its voxel is below ``bound``.  Corners come
+    cell by cell in scan order, each cell's in table order.
+
+    The cells are coded one z-slab at a time, in reused buffers that hold
+    the slab's planes x-fastest (Fortran order): pairs along x, then y, then
+    z, with bit di + 2*dj + 4*dk for corner (di, dj, dk).  Each step pairs a
+    flat buffer with itself shifted by one voxel, one row or one plane, so
+    cell (i, j, k) sits at the flat place of its lower corner voxel and a
+    slab's active cells give their voxel indices directly.  The last x
+    column and y row hold no cell: they are zeroed, and code 0 is inactive.
+    """
+    nx, ny, nz = voxels.shape
+    plane = nx * ny
+    depth = max(1, min(nz - 1, _SLAB_BYTES // (voxels.itemsize * plane)))
+    below = np.empty((nx, ny, depth + 1), dtype=bool, order="F")
+    below_bits = below.reshape(-1, order="F").view(np.uint8)
+    code_x = np.empty(plane * (depth + 1), dtype=np.uint8)
+    code_xy = np.empty(plane * (depth + 1), dtype=np.uint8)
+    code = np.empty(plane * depth, dtype=np.uint8)
+    # Key offset of every table entry from 3 * (the cell's lower corner).
+    entry_step = ((_EDGE_LOWER @ np.array((1, nx, plane))) * 3 + _EDGE_AXIS)[_TRI_EDGES]
+    keys = [np.empty(0, dtype=np.int64)]
+    for k0 in range(0, nz - 1, depth):
+        cells = min(depth, nz - 1 - k0)
+        size = plane * (cells + 1)
+        np.less(voxels[:, :, k0 : k0 + cells + 1], bound, out=below[:, :, : cells + 1])
+        b = below_bits[:size]
+        np.multiply(b[1:], np.uint8(2), out=code_x[: size - 1])
+        code_x[: size - 1] |= b[:-1]
+        code_x[nx - 1 : size : nx] = 0
+        x = code_x[:size]
+        np.multiply(x[nx:], np.uint8(4), out=code_xy[: size - nx])
+        code_xy[: size - nx] |= x[:-nx]
+        code_xy[:size].reshape((nx, ny, cells + 1), order="F")[:, ny - 1] = 0
+        flat = code[: plane * cells]
+        np.multiply(code_xy[plane:size], np.uint8(16), out=flat)
+        flat |= code_xy[: size - plane]
+        # Active cells have a code neither 0 nor 255, which the
+        # renumbering to table bits fixes; code - 1 wraps 0 to 255.
+        flat -= 1
+        lin = np.flatnonzero(flat < 254)
+        if lin.size == 0:
+            continue
+        cell_case = _CASE_OF_CODE[flat[lin] + 1]
+        counts = _TRI_COUNTS[cell_case]
+        lin += k0 * plane
+        lin *= 3
+        slab = np.repeat(lin, counts)
+        # Table entry of each corner: its row's start plus its place in the row.
+        cell_first = np.cumsum(counts)
+        cell_first -= counts
+        entry = np.repeat(_TRI_FIRST[cell_case] - cell_first, counts)
+        entry += np.arange(len(entry))
+        slab += entry_step[entry]
+        keys.append(slab)
+    return np.concatenate(keys)
 
 
 # Largest bit length a packed slot key may reach: int64 without its sign bit.

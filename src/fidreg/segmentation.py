@@ -192,13 +192,15 @@ def connected_components(mask: BinaryMask, connectivity: int = 26) -> list[Compo
     # Roots are each component's smallest run, so ascending roots are
     # ascending first voxels: the first-encounter label order.
     roots, run_label = np.unique(parent, return_inverse=True)
-    # Concatenate each component's runs in scan order.
+    # Concatenate each component's runs in scan order.  A run stays within
+    # its row, so its voxels share j and k and step by one in i.
     run_order = np.argsort(run_label, kind="stable")
-    ordered = linear[_concat_ranges(starts[run_order], run_len[run_order])]
+    first, length = run_first[run_order], run_len[run_order]
+    row = first // nx
     idx = np.empty((len(linear), 3), dtype=np.int64)
-    idx[:, 0] = ordered % nx
-    idx[:, 1] = (ordered // nx) % ny
-    idx[:, 2] = ordered // (nx * ny)
+    idx[:, 0] = _concat_ranges(first % nx, length)
+    idx[:, 1] = np.repeat(row % ny, length)
+    idx[:, 2] = np.repeat(row // ny, length)
     sizes = np.zeros(len(roots), dtype=np.int64)
     np.add.at(sizes, run_label, run_len)
     bounds = np.concatenate(([0], np.cumsum(sizes)))

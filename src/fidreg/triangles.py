@@ -370,6 +370,18 @@ def _tie_codes(ct_edges: np.ndarray, dev_edges: np.ndarray, tie_epsilon: float) 
     return first.astype(np.intp) + 2 * second.astype(np.intp)
 
 
+def _resorted_ties(edges: np.ndarray) -> np.ndarray:
+    """Rows a canonical re-sort swaps, given the edges (N, 3) of stored triangles.
+
+    A stored triangle is in canonical order, so its edges by position run
+    (e1, e3, e2).  Re-sorting them with ``_canonical_perms`` keeps that order
+    except where e3 == e2: the tie then goes by position, which swaps
+    vertices 1 and 2.  The swapped edges are equal, so only the vertices
+    move.
+    """
+    return np.flatnonzero(edges[:, 1] == edges[:, 2])
+
+
 def _permute_rows(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """rows[i][perm[i]] for stacks (N, 3, ...) and orders (N, 3)."""
     return rows[np.arange(len(perm))[:, None], perm]
@@ -667,8 +679,9 @@ def register(
     indices = table.indices[cand_tri]
     dev = dev_points[indices]
     dev_edges = _edge_lengths(dev)
-    dev_perm = _canonical_perms(dev_edges)
-    dev, dev_edges = _permute_rows(dev, dev_perm), _permute_rows(dev_edges, dev_perm)
+    # The order a canonical re-sort of the stored triangles gives.
+    tied = _resorted_ties(dev_edges)
+    dev[tied, 1:] = dev[tied, 2:0:-1]
     codes = _tie_codes(ct_edges[cand_row], dev_edges, config.tie_epsilon_mm)
     _, rotation, translation, _, flipped = _solve_pairings(
         ct, ct_edges, shapes.area, cand_row, dev, codes

@@ -35,8 +35,10 @@ from fidreg.triangles import (
     triangle_key,
     _all_triples,
     _canonical_perm,
+    _canonical_perms,
     _completed_triples,
     _edge_lengths,
+    _resorted_ties,
     _spans_plane,
     _triangle_shapes,
 )
@@ -289,6 +291,34 @@ def test_stored_indices_are_canonically_ordered():
     for candidate, _ in table.query_nearest(probe, k=table.n_triangles):
         points = table.marker_array()[list(candidate.marker_indices)]
         assert _canonical_perm(_edge_lengths(points)) == (0, 1, 2)
+
+
+def ring(sides, radius, lift=0.0):
+    angle = 2 * np.pi * np.arange(sides) / sides
+    return np.column_stack([radius * np.cos(angle), radius * np.sin(angle), np.full(sides, lift)])
+
+
+@pytest.mark.parametrize(
+    "markers",
+    [
+        np.random.default_rng(4).uniform(-80, 80, (14, 3)),
+        # integer grids repeat edge lengths exactly
+        np.random.default_rng(6).integers(0, 4, (40, 3)).astype(np.float64),
+        np.array(list(itertools.product((0.0, 10.0, 20.0), repeat=3))),
+        # isosceles: an apex over a regular ring
+        np.vstack([ring(9, 30.0), [[0.0, 0.0, 25.0]]]),
+        # equilateral: a regular tetrahedron and a unit corner triangle
+        np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float),
+    ],
+    ids=["random", "integer-grid", "cube-grid", "isosceles", "equilateral"],
+)
+def test_resorted_ties_are_the_rows_a_canonical_re_sort_swaps(markers):
+    table = TriangleTable()
+    table.insert_marker(np.unique(markers, axis=0))
+    edges = _edge_lengths(table.marker_array()[table.indices])
+    expected = np.tile([0, 1, 2], (len(edges), 1))
+    expected[_resorted_ties(edges)] = (0, 2, 1)
+    np.testing.assert_array_equal(_canonical_perms(edges), expected)
 
 
 def test_register_unscrambles_vertex_order():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fidreg.mesh
 from fidreg.mesh import marching_cubes
 from fidreg.segmentation import BinaryMask, connected_components
 from fidreg.volume import Volume
@@ -105,6 +106,23 @@ def test_full_block_lists_every_voxel_in_scan_order(connectivity):
     comps = assert_labelling_matches_bfs(np.ones(dims, dtype=bool), connectivity)
     assert len(comps) == 1
     np.testing.assert_array_equal(scan_index(comps[0].voxel_indices, dims), np.arange(120))
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_runs_ending_at_the_last_column_and_full_rows(connectivity, seed):
+    # Voxels are decoded per run, so a run that reaches x = nx - 1 must not
+    # spill into the next row, and a full row is one run.
+    bits = np.random.default_rng(seed).random((7, 6, 5)) < 0.3
+    bits[:, 1, 2] = True
+    bits[:, 2, 2] = True
+    bits[:, 5, 4] = True
+    bits[4:, 3, 0] = True
+    bits[:3, 4, 0] = True
+    bits[6, 0, 1] = True
+    bits[5:, 5, 3] = True
+    bits[0, 0, 4] = True
+    assert_labelling_matches_bfs(bits, connectivity)
 
 
 def test_long_serpentine_converges():
@@ -232,6 +250,42 @@ def test_marching_cubes_welds_like_the_loop_far_from_the_origin(origin, fortran)
     volume = make_volume(vox, (1.0, 0.9, 1.2), origin, fortran)
     mesh = assert_mesh_matches_loop(volume, iso)
     assert mesh.n_faces > 0
+
+
+def grid_coordinates(mesh, spacing, origin):
+    return (mesh.vertices - origin) / spacing
+
+
+@pytest.mark.parametrize("planes", [1, 2, 3, None], ids=["1-plane", "2-plane", "3-plane", "one-slab"])
+@pytest.mark.parametrize("dims", [(5, 4, 2), (6, 5, 8), (7, 3, 11)])
+@pytest.mark.parametrize("fortran", [False, True])
+def test_marching_cubes_slabs_match_the_loop(monkeypatch, planes, dims, fortran):
+    # The case pass codes z-slabs of `planes` cell planes (the last one
+    # shorter where nz - 1 does not divide); the mesh must not show where
+    # the slabs meet.
+    nx, ny, nz = dims
+    budget = 1 << 40 if planes is None else planes * 2 * nx * ny
+    monkeypatch.setattr(fidreg.mesh, "_SLAB_BYTES", budget)
+    spacing, origin = (0.9, 1.3, 0.7), (-2.0, 5.5, 40.0)
+    rng = np.random.default_rng(nx * 100 + nz)
+    i, j, k = np.indices(dims)
+    # A tilted wall: its iso surface meets every z-plane, so every slab
+    # boundary, on edges two slabs share.
+    wall = 100 * (2 * i - (nx - 1)) + 15 * k - 10 * j + rng.integers(-30, 31, dims)
+    volume = make_volume(wall, spacing, origin, fortran)
+    for iso in (-40.5, 0.25, 61.0):
+        mesh = assert_mesh_matches_loop(volume, iso)
+        grid_z = grid_coordinates(mesh, spacing, origin)[:, 2]
+        assert set(range(nz)) <= set(np.round(grid_z[np.abs(grid_z - np.round(grid_z)) < 1e-9]).tolist())
+    # iso on a grid value: vertices land on grid points, slab boundaries
+    # included, and weld there.
+    steps = rng.integers(0, 3, dims) * 100
+    mesh = assert_mesh_matches_loop(make_volume(steps, spacing, origin, fortran), 100.0)
+    grid = grid_coordinates(mesh, spacing, origin)
+    on_point = np.all(np.abs(grid - np.round(grid)) < 1e-9, axis=1)
+    assert on_point.any()
+    if planes is not None and nz - 1 > planes:
+        assert np.any(np.round(grid[on_point, 2]) == planes)
 
 
 @pytest.mark.parametrize("iso", [-1e6, -40000.5, -1.5, 100.5, 40000.5, 1e6])
