@@ -64,16 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (
-    format_float,
-    format_kv,
-    format_triple,
-    kv_float,
-    kv_int,
-    kv_triple,
-    parse_kv_text,
-    require_keys,
-)
+from .config import FLOAT, INT, TRIPLE, format_float, read_fields, write_fields
 from .errors import ConfigError, DomainError
 from .markers import MarkerSet
 from .icp import IcpConfig, icp_register
@@ -88,16 +79,26 @@ CSV_HEADER = (
     "tre_mm,rot_err_rad,trans_err_mm,time_us,flipped,status"
 )
 
-_SPEC_KEYS = (
-    "n_markers",
-    "noise_sigma_mm",
-    "dropout_count",
-    "decoy_count",
-    "seed",
-    "placement_extent",
-    "translation_extent",
-    "true_transform",
-)
+
+def _format_transform(transform: RigidTransform | str) -> str:
+    if transform == "random":
+        return "random"
+    if transform == RigidTransform.identity():
+        return "identity"
+    raise ConfigError("only 'random' and 'identity' transforms have a text form")
+
+
+# ``true_transform`` is read as the raw word; SceneSpec validates it.
+_SPEC_FIELDS = {
+    "n_markers": INT,
+    "noise_sigma_mm": FLOAT,
+    "dropout_count": INT,
+    "decoy_count": INT,
+    "seed": INT,
+    "placement_extent": TRIPLE,
+    "translation_extent": TRIPLE,
+    "true_transform": (lambda kv, key: kv[key], _format_transform),
+}
 
 
 @dataclass
@@ -151,44 +152,10 @@ class SceneSpec:
 
     @classmethod
     def from_text(cls, text: str) -> "SceneSpec":
-        kv = parse_kv_text(text)
-        require_keys(kv, required=("n_markers",), known=_SPEC_KEYS)
-        kwargs: dict = {"n_markers": kv_int(kv, "n_markers")}
-        if "noise_sigma_mm" in kv:
-            kwargs["noise_sigma_mm"] = kv_float(kv, "noise_sigma_mm")
-        if "dropout_count" in kv:
-            kwargs["dropout_count"] = kv_int(kv, "dropout_count")
-        if "decoy_count" in kv:
-            kwargs["decoy_count"] = kv_int(kv, "decoy_count")
-        if "seed" in kv:
-            kwargs["seed"] = kv_int(kv, "seed")
-        if "placement_extent" in kv:
-            kwargs["placement_extent"] = kv_triple(kv, "placement_extent")
-        if "translation_extent" in kv:
-            kwargs["translation_extent"] = kv_triple(kv, "translation_extent")
-        if "true_transform" in kv:
-            kwargs["true_transform"] = kv["true_transform"]
-        return cls(**kwargs)
+        return cls(**read_fields(text, _SPEC_FIELDS, required=("n_markers",)))
 
     def to_text(self) -> str:
-        pairs = {
-            "n_markers": str(self.n_markers),
-            "noise_sigma_mm": format_float(self.noise_sigma_mm),
-            "dropout_count": str(self.dropout_count),
-            "decoy_count": str(self.decoy_count),
-            "seed": str(self.seed),
-            "placement_extent": format_triple(self.placement_extent),
-            "translation_extent": format_triple(self.translation_extent),
-        }
-        if self.true_transform == "random":
-            pairs["true_transform"] = "random"
-        elif self.true_transform == RigidTransform.identity():
-            pairs["true_transform"] = "identity"
-        else:
-            raise ConfigError(
-                "only 'random' and 'identity' transforms have a text form"
-            )
-        return format_kv(pairs)
+        return write_fields(self, _SPEC_FIELDS)
 
 
 def parse_scene_grid(text: str) -> list[SceneSpec]:
@@ -382,6 +349,8 @@ def run_benchmark(
     """
     if trials_per_cell < 1:
         raise ConfigError("trials_per_cell must be >= 1")
+    if not methods:
+        raise ConfigError(f"no method given (choose from {METHODS})")
     for method in methods:
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r} (choose from {METHODS})")

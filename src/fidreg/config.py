@@ -3,6 +3,11 @@
 All on-disk configs use the same trivial format: one ``key = value`` pair per
 line, ``#`` comments, blank lines ignored. Values keep full round-trip float
 precision (shortest decimal that parses back exactly, i.e. Python ``repr``).
+
+Each text format is one field table, ``{key: kind}`` in output order, where a
+kind is a ``(parse, format)`` pair such as :data:`INT` or :data:`FLOAT`.
+:func:`read_fields` and :func:`write_fields` are the only reader and writer,
+so a format's keys, their order and their spelling live in its table alone.
 """
 
 from __future__ import annotations
@@ -88,3 +93,25 @@ def require_keys(kv: dict[str, str], required: tuple[str, ...], known: tuple[str
     for key in kv:
         if key not in known:
             raise ConfigError(f"config has unknown key {key!r}")
+
+
+INT = (kv_int, str)
+FLOAT = (kv_float, format_float)
+BOOL = (kv_bool, lambda value: "true" if value else "false")
+TRIPLE = (kv_triple, format_triple)
+
+
+def read_fields(text: str, fields: dict, required: tuple[str, ...] = ()) -> dict:
+    """Parse ``text`` against a field table into constructor keyword arguments.
+
+    Keys absent from the text are left out, so the dataclass defaults apply.
+    Values are parsed in table order, so the first malformed one is reported.
+    """
+    kv = parse_kv_text(text)
+    require_keys(kv, required=required, known=tuple(fields))
+    return {key: parse(kv, key) for key, (parse, _) in fields.items() if key in kv}
+
+
+def write_fields(obj, fields: dict) -> str:
+    """Format every field of ``obj`` named in the table, in table order."""
+    return format_kv({key: fmt(getattr(obj, key)) for key, (_, fmt) in fields.items()})

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, format_float, format_kv, kv_float, kv_int, parse_kv_text, require_keys
+from .config import FLOAT, INT, ConfigError, read_fields, write_fields
 from .errors import DegenerateGeometryError, InsufficientMarkersError
 from .markers import MarkerSet
 from .rigid import (
@@ -32,7 +32,7 @@ from .rigid import (
 # bounds the temporaries when both point sets are large.
 _SCAN_BLOCK = 1 << 16
 
-_ICP_KEYS = ("max_iterations", "rmsd_delta_tolerance")
+_ICP_FIELDS = {"max_iterations": INT, "rmsd_delta_tolerance": FLOAT}
 
 
 @dataclass
@@ -51,23 +51,10 @@ class IcpConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "IcpConfig":
-        kv = parse_kv_text(text)
-        require_keys(kv, required=(), known=_ICP_KEYS)
-        out = cls()
-        if "max_iterations" in kv:
-            out.max_iterations = kv_int(kv, "max_iterations")
-        if "rmsd_delta_tolerance" in kv:
-            out.rmsd_delta_tolerance = kv_float(kv, "rmsd_delta_tolerance")
-        out.__post_init__()
-        return out
+        return cls(**read_fields(text, _ICP_FIELDS))
 
     def to_text(self) -> str:
-        return format_kv(
-            {
-                "max_iterations": str(self.max_iterations),
-                "rmsd_delta_tolerance": format_float(self.rmsd_delta_tolerance),
-            }
-        )
+        return write_fields(self, _ICP_FIELDS)
 
 
 @dataclass(eq=False)

@@ -19,42 +19,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (
-    ConfigError,
-    format_float,
-    format_kv,
-    kv_bool,
-    kv_float,
-    kv_int,
-    parse_kv_text,
-    require_keys,
-)
+from .config import BOOL, FLOAT, INT, ConfigError, read_fields, write_fields
 from .errors import InsufficientMarkersError
 from .markers import MarkerSet
 from .volume import Volume
 
-# Neighbor offsets (di, dj, dk) per connectivity, ordered (dk, dj, di)
-# ascending.  Labelling only reads which (dj, dk) rows they reach, and whether
-# a row also admits a step in x.
-def _offsets(connectivity: int) -> tuple[tuple[int, int, int], ...]:
-    out = []
-    for dk in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            for di in (-1, 0, 1):
-                if di == dj == dk == 0:
-                    continue
-                manhattan = abs(di) + abs(dj) + abs(dk)
-                if connectivity == 6 and manhattan > 1:
-                    continue
-                if connectivity == 18 and manhattan > 2:
-                    continue
-                out.append((di, dj, dk))
-    return tuple(out)
+# Largest Manhattan step |di| + |dj| + |dk| between neighbours, per
+# connectivity (faces, plus edges, plus corners).
+_MAX_STEP = {6: 1, 18: 2, 26: 3}
 
-
-CONNECTIVITY_OFFSETS = {c: _offsets(c) for c in (6, 18, 26)}
-
-_SEG_KEYS = ("hu_min", "connectivity", "expected_mm3", "tolerance_fraction", "intensity_weighted")
+_SEG_FIELDS = {
+    "hu_min": FLOAT,
+    "connectivity": INT,
+    "expected_mm3": FLOAT,
+    "tolerance_fraction": FLOAT,
+    "intensity_weighted": BOOL,
+}
 
 
 @dataclass
@@ -88,30 +68,10 @@ class SegmentationConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "SegmentationConfig":
-        kv = parse_kv_text(text)
-        require_keys(kv, required=("expected_mm3",), known=_SEG_KEYS)
-        out = cls(expected_mm3=kv_float(kv, "expected_mm3"))
-        if "hu_min" in kv:
-            out.hu_min = kv_float(kv, "hu_min")
-        if "connectivity" in kv:
-            out.connectivity = kv_int(kv, "connectivity")
-        if "tolerance_fraction" in kv:
-            out.tolerance_fraction = kv_float(kv, "tolerance_fraction")
-        if "intensity_weighted" in kv:
-            out.intensity_weighted = kv_bool(kv, "intensity_weighted")
-        out.__post_init__()
-        return out
+        return cls(**read_fields(text, _SEG_FIELDS, required=("expected_mm3",)))
 
     def to_text(self) -> str:
-        return format_kv(
-            {
-                "hu_min": format_float(self.hu_min),
-                "connectivity": str(self.connectivity),
-                "expected_mm3": format_float(self.expected_mm3),
-                "tolerance_fraction": format_float(self.tolerance_fraction),
-                "intensity_weighted": "true" if self.intensity_weighted else "false",
-            }
-        )
+        return write_fields(self, _SEG_FIELDS)
 
 
 @dataclass(eq=False)
@@ -169,7 +129,7 @@ def connected_components(mask: BinaryMask, connectivity: int = 26) -> list[Compo
     compressed into runs of consecutive x, runs in neighbouring rows that
     touch are joined, and each component is labelled by its first run.
     """
-    if connectivity not in CONNECTIVITY_OFFSETS:
+    if connectivity not in _MAX_STEP:
         raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity!r}")
     nx, ny, nz = mask.dims
     # x-fastest linearization: C-order ravel of the (nz, ny, nx) transpose.
@@ -214,19 +174,20 @@ def _run_pairs(run_first, run_last, dims, connectivity: int) -> np.ndarray:
     """(P, 2) pairs of run ids whose voxels are neighbours, each pair once.
 
     Runs in one row never touch, so only the forward row offsets (dj, dk)
-    matter, and each offset meets a different target row.  A run covering
-    x0..x1 reaches x0-reach..x1+reach of the target row, where reach is 1
-    when the offset also allows a step in x.
+    matter, and each offset meets a different target row.  A row is a
+    neighbour when |dj| + |dk| is within the connectivity's Manhattan step.
+    A run covering x0..x1 reaches x0-reach..x1+reach of the target row, where
+    reach is 1 when the step leaves room for one more in x.
     """
     nx, ny, nz = dims
     row = run_first // nx
     j, k = row % ny, row // ny
-    row_offsets = {(dj, dk) for _, dj, dk in CONNECTIVITY_OFFSETS[connectivity]}
+    max_step = _MAX_STEP[connectivity]
     pairs = [np.empty((0, 2), dtype=np.int64)]
-    for dj, dk in sorted(row_offsets):
-        if (dk, dj) <= (0, 0):
+    for dj, dk in ((-1, 1), (0, 1), (1, 0), (1, 1)):
+        if abs(dj) + abs(dk) > max_step:
             continue
-        reach = 1 if (1, dj, dk) in CONNECTIVITY_OFFSETS[connectivity] else 0
+        reach = 1 if abs(dj) + abs(dk) < max_step else 0
         ok = (j + dj >= 0) & (j + dj < ny) & (k + dk < nz)
         src = np.flatnonzero(ok)
         target_row_first = (row[src] + dj + ny * dk) * nx

@@ -25,15 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (
-    ConfigError,
-    format_float,
-    format_kv,
-    kv_float,
-    kv_int,
-    parse_kv_text,
-    require_keys,
-)
+from .config import FLOAT, INT, ConfigError, read_fields, write_fields
 from .errors import DegenerateTriangleError, InsufficientMarkersError, NoMatchError
 from .markers import MarkerSet
 from .rigid import (
@@ -51,7 +43,12 @@ from .rigid import (
 # A triangle with area below this fraction of e1^2 has no stable shape key.
 DEGENERACY_RATIO = 1e-6
 
-_REG_KEYS = ("k", "scale_tolerance_mm", "tie_epsilon_mm", "degeneracy_ratio")
+_REG_FIELDS = {
+    "k": INT,
+    "scale_tolerance_mm": FLOAT,
+    "tie_epsilon_mm": FLOAT,
+    "degeneracy_ratio": FLOAT,
+}
 
 
 @dataclass
@@ -73,29 +70,10 @@ class RegistrationConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RegistrationConfig":
-        kv = parse_kv_text(text)
-        require_keys(kv, required=(), known=_REG_KEYS)
-        out = cls()
-        if "k" in kv:
-            out.k = kv_int(kv, "k")
-        if "scale_tolerance_mm" in kv:
-            out.scale_tolerance_mm = kv_float(kv, "scale_tolerance_mm")
-        if "tie_epsilon_mm" in kv:
-            out.tie_epsilon_mm = kv_float(kv, "tie_epsilon_mm")
-        if "degeneracy_ratio" in kv:
-            out.degeneracy_ratio = kv_float(kv, "degeneracy_ratio")
-        out.__post_init__()
-        return out
+        return cls(**read_fields(text, _REG_FIELDS))
 
     def to_text(self) -> str:
-        return format_kv(
-            {
-                "k": str(self.k),
-                "scale_tolerance_mm": format_float(self.scale_tolerance_mm),
-                "tie_epsilon_mm": format_float(self.tie_epsilon_mm),
-                "degeneracy_ratio": format_float(self.degeneracy_ratio),
-            }
-        )
+        return write_fields(self, _REG_FIELDS)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from fidreg.rigid import (
     rotation_angle,
 )
 from fidreg.rng import rotation_from_quaternion
-from fidreg.segmentation import CONNECTIVITY_OFFSETS, BinaryMask, Component
+from fidreg.segmentation import BinaryMask, Component
 from fidreg.triangles import (
     _FLIP_ORDER,
     _TIE_COUNT,
@@ -170,12 +170,9 @@ def _neighbor_offsets(connectivity: int) -> list[tuple[int, int, int]]:
     if connectivity not in _NEIGHBOR_CACHE:
         budget = {6: 1, 18: 2, 26: 3}[connectivity]
         offs = [
-            (di, dj, dk)
-            for di in (-1, 0, 1)
-            for dj in (-1, 0, 1)
-            for dk in (-1, 0, 1)
-            if (di, dj, dk) != (0, 0, 0)
-            and abs(di) + abs(dj) + abs(dk) <= budget
+            offset
+            for offset in itertools.product((-1, 0, 1), repeat=3)
+            if 0 < sum(map(abs, offset)) <= budget
         ]
         _NEIGHBOR_CACHE[connectivity] = offs
     return _NEIGHBOR_CACHE[connectivity]
@@ -227,7 +224,7 @@ def bfs_connected_components(mask: BinaryMask, connectivity: int = 26) -> list[C
     connected_components; voxels within a component follow BFS discovery
     order, so compare them as sets.
     """
-    if connectivity not in CONNECTIVITY_OFFSETS:
+    if connectivity not in (6, 18, 26):
         raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity!r}")
     nx, ny, nz = mask.dims
     # x-fastest linearization: C-order ravel of the (nz, ny, nx) transpose.
@@ -240,7 +237,7 @@ def bfs_connected_components(mask: BinaryMask, connectivity: int = 26) -> list[C
     kk = linear // (nx * ny)
     slot_of = {int(lin): s for s, lin in enumerate(linear)}
     visited = np.zeros(len(linear), dtype=bool)
-    offsets = CONNECTIVITY_OFFSETS[connectivity]
+    offsets = _neighbor_offsets(connectivity)
 
     components: list[Component] = []
     for start in range(len(linear)):

@@ -218,6 +218,18 @@ def test_bench_rejects_unknown_method(tmp_path, capsys):
     assert "unknown method" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("methods", [",", ""])
+def test_bench_rejects_empty_methods(tmp_path, capsys, methods):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("n_markers = 4\n")
+    csv_out, json_out = tmp_path / "r.csv", tmp_path / "s.json"
+    rc = main(["bench", str(grid), str(csv_out), str(json_out), "--methods", methods])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "no method" in err[0]
+    assert not csv_out.exists() and not json_out.exists()
+
+
 def test_register_accepts_config_file(tmp_path):
     spec = write_spec(tmp_path, "n_markers = 6\nseed = 41\n")
     prefix = tmp_path / "s"

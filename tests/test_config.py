@@ -14,7 +14,11 @@ from fidreg.config import (
     parse_kv_text,
     require_keys,
 )
+from fidreg.bench import SceneSpec
 from fidreg.errors import ConfigError
+from fidreg.icp import IcpConfig
+from fidreg.segmentation import SegmentationConfig
+from fidreg.triangles import RegistrationConfig
 
 
 def test_parse_basic_with_comments_and_blanks():
@@ -86,3 +90,65 @@ def test_nan_not_finite_checked_here():
     # format_float must not mangle specials that callers intentionally emit
     assert format_float(float("nan")) == "nan"
     assert math.isinf(float(format_float(float("inf"))))
+
+
+# The exact bytes of each text format: key order, float spelling and the
+# boolean and transform words.  Round trips alone would not notice a change.
+GOLDEN_TEXTS = [
+    (
+        RegistrationConfig(),
+        "k = 4\nscale_tolerance_mm = 5.0\ntie_epsilon_mm = 0.5\ndegeneracy_ratio = 1e-06\n",
+    ),
+    (
+        RegistrationConfig(k=2, scale_tolerance_mm=0.1, tie_epsilon_mm=0.0, degeneracy_ratio=2.5e-3),
+        "k = 2\nscale_tolerance_mm = 0.1\ntie_epsilon_mm = 0.0\ndegeneracy_ratio = 0.0025\n",
+    ),
+    (IcpConfig(), "max_iterations = 100\nrmsd_delta_tolerance = 1e-06\n"),
+    (
+        IcpConfig(max_iterations=7, rmsd_delta_tolerance=1e-9),
+        "max_iterations = 7\nrmsd_delta_tolerance = 1e-09\n",
+    ),
+    (
+        SegmentationConfig(expected_mm3=27),
+        "hu_min = 300.0\nconnectivity = 26\nexpected_mm3 = 27.0\n"
+        "tolerance_fraction = 0.5\nintensity_weighted = false\n",
+    ),
+    (
+        SegmentationConfig(
+            expected_mm3=4.5,
+            hu_min=1200.5,
+            connectivity=6,
+            tolerance_fraction=0.25,
+            intensity_weighted=True,
+        ),
+        "hu_min = 1200.5\nconnectivity = 6\nexpected_mm3 = 4.5\n"
+        "tolerance_fraction = 0.25\nintensity_weighted = true\n",
+    ),
+    (
+        SceneSpec(n_markers=3),
+        "n_markers = 3\nnoise_sigma_mm = 0.0\ndropout_count = 0\ndecoy_count = 0\nseed = 0\n"
+        "placement_extent = 300.0 300.0 150.0\ntranslation_extent = 200.0 200.0 200.0\n"
+        "true_transform = random\n",
+    ),
+    (
+        SceneSpec(
+            n_markers=12,
+            noise_sigma_mm=0.1,
+            dropout_count=1,
+            decoy_count=2,
+            seed=2**64 - 1,
+            placement_extent=(1, 2.5, 1e-3),
+            translation_extent=(10, 20, 30),
+            true_transform="identity",
+        ),
+        "n_markers = 12\nnoise_sigma_mm = 0.1\ndropout_count = 1\ndecoy_count = 2\n"
+        "seed = 18446744073709551615\nplacement_extent = 1.0 2.5 0.001\n"
+        "translation_extent = 10.0 20.0 30.0\ntrue_transform = identity\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("obj, text", GOLDEN_TEXTS)
+def test_to_text_golden_bytes(obj, text):
+    assert obj.to_text() == text
+    assert type(obj).from_text(text).to_text() == text
