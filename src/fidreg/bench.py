@@ -49,6 +49,10 @@ except ``time_us``:
   trial at 8 markers and 3.9 KB at 40 (tracemalloc); they are dropped once
   the next spec's scenes are drawn.
 
+The records CSV is :class:`TrialRecord`'s fields, in order, each written
+by its type; a summary cell groups the records by ``_CELL_KEYS`` and
+averages ``_METRICS`` over the cell's successful trials.
+
 ``generate_scene``, ``register`` and ``icp_register`` are looked up through
 this module at call time, so a caller can rebind them (a tracer does).
 """
@@ -56,6 +60,7 @@ this module at call time, so a caller can rebind them (a tracer does).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -64,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FLOAT, INT, TRIPLE, format_float, read_fields, write_fields
+from .config import BOOL, FLOAT, INT, TRIPLE, kv_int, read_fields, write_fields
 from .errors import ConfigError, DomainError
 from .markers import MarkerSet
 from .icp import IcpConfig, icp_register
@@ -74,10 +79,9 @@ from .triangles import RegistrationConfig, TriangleTable, register
 
 METHODS = ("triangle", "icp")
 
-CSV_HEADER = (
-    "method,seed,n_markers,noise_sigma_mm,dropout,decoys,"
-    "tre_mm,rot_err_rad,trans_err_mm,time_us,flipped,status"
-)
+# A summary cell is one method on one scene setting; its metrics are averaged.
+_CELL_KEYS = ("method", "n_markers", "noise_sigma_mm", "dropout", "decoys")
+_METRICS = ("tre_mm", "rot_err_rad", "trans_err_mm", "time_us")
 
 
 def _format_transform(transform: RigidTransform | str) -> str:
@@ -88,13 +92,21 @@ def _format_transform(transform: RigidTransform | str) -> str:
     raise ConfigError("only 'random' and 'identity' transforms have a text form")
 
 
+def _kv_seed(kv: dict[str, str], key: str) -> int:
+    # SceneSpec wraps any integer onto the rng's seeds; text must name one.
+    seed = kv_int(kv, key)
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"config key {key!r}: seed must lie in [0, 2**64), got {kv[key]!r}")
+    return seed
+
+
 # ``true_transform`` is read as the raw word; SceneSpec validates it.
 _SPEC_FIELDS = {
     "n_markers": INT,
     "noise_sigma_mm": FLOAT,
     "dropout_count": INT,
     "decoy_count": INT,
-    "seed": INT,
+    "seed": (_kv_seed, str),
     "placement_extent": TRIPLE,
     "translation_extent": TRIPLE,
     "true_transform": (lambda kv, key: kv[key], _format_transform),
@@ -160,16 +172,8 @@ class SceneSpec:
 
 def parse_scene_grid(text: str) -> list[SceneSpec]:
     """Parse a grid file: scene-spec blocks separated by blank lines."""
-    blocks: list[str] = []
-    current: list[str] = []
-    for line in text.splitlines():
-        if line.strip():
-            current.append(line)
-        elif current:
-            blocks.append("\n".join(current))
-            current = []
-    if current:
-        blocks.append("\n".join(current))
+    runs = itertools.groupby(text.splitlines(), key=lambda line: bool(line.strip()))
+    blocks = ["\n".join(lines) for filled, lines in runs if filled]
     specs = []
     for number, block in enumerate(blocks, start=1):
         try:
@@ -265,10 +269,18 @@ class TrialRecord:
 
     def __post_init__(self) -> None:
         if self.status == "ok":
-            for name in ("tre_mm", "rot_err_rad", "trans_err_mm"):
+            for name in _METRICS[:3]:
                 value = getattr(self, name)
                 if not (math.isfinite(value) and value >= 0.0):
                     raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+# The records columns: every TrialRecord field, in order, with its writer.
+_COLUMN_WRITERS = {"int": INT[1], "float": FLOAT[1], "bool": BOOL[1], "str": str}
+_COLUMNS = tuple(
+    (field.name, _COLUMN_WRITERS[field.type]) for field in dataclasses.fields(TrialRecord)
+)
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 def _status_token(exc: DomainError) -> str:
@@ -370,22 +382,7 @@ def run_benchmark(
 
 
 def _record_row(record: TrialRecord) -> str:
-    return ",".join(
-        (
-            record.method,
-            str(record.seed),
-            str(record.n_markers),
-            format_float(record.noise_sigma_mm),
-            str(record.dropout),
-            str(record.decoys),
-            format_float(record.tre_mm),
-            format_float(record.rot_err_rad),
-            format_float(record.trans_err_mm),
-            format_float(record.time_us),
-            "true" if record.flipped else "false",
-            record.status,
-        )
-    )
+    return ",".join(write(getattr(record, name)) for name, write in _COLUMNS)
 
 
 def write_records_csv(records: list[TrialRecord], path) -> None:
@@ -395,58 +392,25 @@ def write_records_csv(records: list[TrialRecord], path) -> None:
             fh.write(_record_row(record) + "\n")
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    data = np.array(values)
-    mean = float(data.mean())
-    std = 0.0 if len(data) < 2 else float(data.std(ddof=1))
-    return mean, std
-
-
 def summarize(records: list[TrialRecord]) -> list[dict]:
     """Per-cell aggregates (cell = method + scene parameters, in record order).
 
     Means and sample standard deviations cover successful trials only;
-    ``failures`` counts the rest.
+    ``failures`` counts the rest, and a metric with no successful trial is
+    ``None``.
     """
-    cells: dict[tuple, dict] = {}
+    cells: dict[tuple, list[TrialRecord]] = {}
     for record in records:
-        key = (
-            record.method,
-            record.n_markers,
-            record.noise_sigma_mm,
-            record.dropout,
-            record.decoys,
-        )
-        cell = cells.setdefault(
-            key,
-            {
-                "method": record.method,
-                "n_markers": record.n_markers,
-                "noise_sigma_mm": record.noise_sigma_mm,
-                "dropout": record.dropout,
-                "decoys": record.decoys,
-                "trials": 0,
-                "failures": 0,
-                "flipped": 0,
-                "_ok": [],
-            },
-        )
-        cell["trials"] += 1
-        if record.status == "ok":
-            cell["_ok"].append(record)
-            if record.flipped:
-                cell["flipped"] += 1
-        else:
-            cell["failures"] += 1
+        cells.setdefault(tuple(getattr(record, name) for name in _CELL_KEYS), []).append(record)
     summary = []
-    for cell in cells.values():
-        ok: list[TrialRecord] = cell.pop("_ok")
-        for name in ("tre_mm", "rot_err_rad", "trans_err_mm", "time_us"):
-            if ok:
-                mean, std = _mean_std([getattr(r, name) for r in ok])
-                cell[name] = {"mean": mean, "std": std}
-            else:
-                cell[name] = None
+    for key, trials in cells.items():
+        ok = [r for r in trials if r.status == "ok"]
+        cell = dict(zip(_CELL_KEYS, key), trials=len(trials), failures=len(trials) - len(ok),
+                    flipped=sum(1 for r in ok if r.flipped))
+        for name in _METRICS:
+            values = np.array([getattr(r, name) for r in ok])
+            std = float(values.std(ddof=1)) if len(ok) > 1 else 0.0
+            cell[name] = {"mean": float(values.mean()), "std": std} if ok else None
         summary.append(cell)
     return summary
 

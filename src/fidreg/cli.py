@@ -31,7 +31,7 @@ from .bench import (
     write_records_csv,
     write_summary_json,
 )
-from .config import format_float
+from .config import format_float, parse_number
 from .errors import DomainError, FidregError, FormatError
 from .icp import IcpConfig, icp_register
 from .markers import read_marker_csv, write_marker_csv
@@ -53,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _finite_float(text: str) -> float:
     try:
-        value = float(text)
+        value = parse_number(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
@@ -78,8 +78,11 @@ def _join_iso_value(argv: list[str]) -> list[str]:
 
 
 def _read_text(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _write_json(data: dict, path) -> None:
@@ -88,13 +91,16 @@ def _write_json(data: dict, path) -> None:
         fh.write("\n")
 
 
-def _load_markers(path, expected_frame: str):
-    markers = read_marker_csv(path)
-    if markers.frame != expected_frame:
-        raise FormatError(
-            f"{path}: expected frame {expected_frame!r}, found {markers.frame!r}"
-        )
-    return markers
+def _registration_inputs(args, config_class):
+    """``(ct, device, config)`` for register and icp; each CSV must hold its frame."""
+    markers = []
+    for path, frame in ((args.ct, "ct"), (args.device, "device")):
+        found = read_marker_csv(path)
+        if found.frame != frame:
+            raise FormatError(f"{path}: expected frame {frame!r}, found {found.frame!r}")
+        markers.append(found)
+    config = config_class.from_text(_read_text(args.config)) if args.config else config_class()
+    return (*markers, config)
 
 
 def cmd_segment(args) -> int:
@@ -128,13 +134,7 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_register(args) -> int:
-    ct = _load_markers(args.ct, "ct")
-    device = _load_markers(args.device, "device")
-    config = (
-        RegistrationConfig.from_text(_read_text(args.config))
-        if args.config
-        else RegistrationConfig()
-    )
+    ct, device, config = _registration_inputs(args, RegistrationConfig)
     table = TriangleTable(degeneracy_ratio=config.degeneracy_ratio)
     table.insert_marker(device.points)  # file order
     result = register(ct, table, config)
@@ -148,11 +148,7 @@ def cmd_register(args) -> int:
 
 
 def cmd_icp(args) -> int:
-    ct = _load_markers(args.ct, "ct")
-    device = _load_markers(args.device, "device")
-    config = (
-        IcpConfig.from_text(_read_text(args.config)) if args.config else IcpConfig()
-    )
+    ct, device, config = _registration_inputs(args, IcpConfig)
     result = icp_register(ct, device, config)
     _write_json(result.to_json_dict(), args.out)
     print(
@@ -220,19 +216,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=cmd_mesh)
 
-    p = sub.add_parser("register", help="triangle-match CT markers onto device markers")
-    p.add_argument("ct", help="CT marker CSV (frame ct)")
-    p.add_argument("device", help="device marker CSV (frame device)")
-    p.add_argument("out", help="output transform JSON")
-    p.add_argument("--config", help="registration config (key = value text)")
-    p.set_defaults(handler=cmd_register)
-
-    p = sub.add_parser("icp", help="iterative-closest-point baseline registration")
-    p.add_argument("ct", help="CT marker CSV (frame ct)")
-    p.add_argument("device", help="device marker CSV (frame device)")
-    p.add_argument("out", help="output transform JSON")
-    p.add_argument("--config", help="ICP config (key = value text)")
-    p.set_defaults(handler=cmd_icp)
+    for name, handler, about, config_help in (
+        ("register", cmd_register, "triangle-match CT markers onto device markers",
+         "registration config (key = value text)"),
+        ("icp", cmd_icp, "iterative-closest-point baseline registration",
+         "ICP config (key = value text)"),
+    ):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("ct", help="CT marker CSV (frame ct)")
+        p.add_argument("device", help="device marker CSV (frame device)")
+        p.add_argument("out", help="output transform JSON")
+        p.add_argument("--config", help=config_help)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("simulate", help="generate one synthetic scene from a spec")
     p.add_argument("spec", help="scene spec (key = value text)")

@@ -20,6 +20,13 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+def parse_number(text: str, kind: type = float):
+    """``kind(text)`` for ``int`` or ``float``, but ValueError on ``_`` or non-ASCII text."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return kind(text)
+
+
 def format_triple(v) -> str:
     return " ".join(format_float(c) for c in v)
 
@@ -54,14 +61,14 @@ def format_kv(pairs: dict[str, str]) -> str:
 
 def kv_float(kv: dict[str, str], key: str) -> float:
     try:
-        return float(kv[key])
+        return parse_number(kv[key])
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: not a number: {kv[key]!r}") from exc
 
 
 def kv_int(kv: dict[str, str], key: str) -> int:
     try:
-        return int(kv[key], 10)
+        return parse_number(kv[key], int)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: not an integer: {kv[key]!r}") from exc
 
@@ -80,7 +87,7 @@ def kv_triple(kv: dict[str, str], key: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ConfigError(f"config key {key!r}: expected 3 numbers, got {kv[key]!r}")
     try:
-        x, y, z = (float(p) for p in parts)
+        x, y, z = (parse_number(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: not numeric: {kv[key]!r}") from exc
     return (x, y, z)

@@ -2,7 +2,8 @@
 
 CSV layout: header ``frame,id,x_mm,y_mm,z_mm``, one row per marker. The id
 column is an optional integer tag identity and may be left empty; frames are
-``ct`` (segmented from a scan) or ``device`` (optically detected).
+``ct`` (segmented from a scan) or ``device`` (optically detected). The file
+is ASCII, and ids and coordinates are plain decimals (no ``_`` grouping).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import format_float
+from .config import format_float, parse_number
 from .errors import FormatError
 
 VALID_FRAMES = ("ct", "device")
@@ -73,8 +74,15 @@ def write_marker_csv(markers: MarkerSet, path) -> None:
 
 
 def read_marker_csv(path) -> MarkerSet:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(
+            f"marker csv line {lineno}: byte 0x{data[exc.start]:02x} is not ASCII"
+        ) from exc
     if not lines or lines[0] != CSV_HEADER:
         got = lines[0] if lines else "<empty file>"
         raise FormatError(f"marker csv line 1: expected header {CSV_HEADER!r}, got {got!r}")
@@ -99,13 +107,13 @@ def read_marker_csv(path) -> MarkerSet:
             )
         if tag:
             try:
-                ids.append(int(tag, 10))
+                ids.append(parse_number(tag, int))
             except ValueError as exc:
                 raise FormatError(f"marker csv line {lineno}: bad id {tag!r}") from exc
         else:
             ids.append(None)
         try:
-            point = [float(xs), float(ys), float(zs)]
+            point = [parse_number(xs), parse_number(ys), parse_number(zs)]
         except ValueError as exc:
             raise FormatError(f"marker csv line {lineno}: non-numeric coordinate") from exc
         if not all(map(math.isfinite, point)):

@@ -255,15 +255,12 @@ def absolute_orientation(corr: PointCorrespondences) -> tuple[RigidTransform, fl
     return RigidTransform(rotation=rotation[0], translation=translation[0]), float(rmsd[0])
 
 
-def transform_to_json_dict(transform: RigidTransform, rmsd: float | None = None) -> dict:
+def transform_to_json_dict(transform: RigidTransform) -> dict:
     """JSON-ready dict: 9 row-major rotation entries + 3 translation entries."""
-    out = {
+    return {
         "rotation": [float(v) for v in transform.rotation.reshape(-1)],
         "translation": [float(v) for v in transform.translation],
     }
-    if rmsd is not None:
-        out["rmsd"] = float(rmsd)
-    return out
 
 
 def transform_from_json_dict(data: dict) -> RigidTransform:

@@ -172,7 +172,7 @@ def triangle_key(
     if not shapes.shaped[0]:
         if not longest > 0.0:
             raise DegenerateTriangleError("coincident points have no triangle shape")
-        area = 0.5 * float(np.linalg.norm(np.cross(points[1] - points[0], points[2] - points[0])))
+        area = float(shapes.area[0])
         raise DegenerateTriangleError(
             f"triangle too thin: area {area:.6g} < {degeneracy_ratio:g} * e1^2"
             if area < degeneracy_ratio * longest * longest
@@ -264,10 +264,6 @@ class TriangleTable:
     @property
     def n_triangles(self) -> int:
         return len(self.e1)
-
-    def marker_array(self) -> np.ndarray:
-        """The stored markers (n, 3), read-only and not copied."""
-        return self.markers
 
     def _triangle(self, row: int) -> IndexedTriangle:
         """The stored triangle at ``row`` (insertion order)."""
@@ -651,7 +647,7 @@ def register(
         )
     cand_row, cand_tri, cand_distance = cand_row[passed], cand_tri[passed], cand_distance[passed]
 
-    dev_points = table.marker_array()
+    dev_points = table.markers
     ct = _permute_rows(ct_triangles, shapes.perm)
     ct_edges = _permute_rows(shapes.edges, shapes.perm)
     indices = table.indices[cand_tri]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import format_float
+from .config import format_float, parse_number
 from .errors import TruncationError, VolumeFormatError
 
 MAGIC = "VOL1"
@@ -128,7 +128,7 @@ def _parse_header(fh) -> tuple[tuple[int, int, int], tuple, tuple]:
 
     dims_line = _header_line(fh, 2)
     try:
-        dims = tuple(int(f, 10) for f in _parse_fields(dims_line, "DIMS", 3, 2))
+        dims = tuple(parse_number(f, int) for f in _parse_fields(dims_line, "DIMS", 3, 2))
     except ValueError as exc:
         raise VolumeFormatError(f"header line 2: non-integer dims in {dims_line!r}") from exc
     if any(d <= 0 for d in dims):
@@ -136,7 +136,7 @@ def _parse_header(fh) -> tuple[tuple[int, int, int], tuple, tuple]:
 
     spacing_line = _header_line(fh, 3)
     try:
-        spacing = tuple(float(f) for f in _parse_fields(spacing_line, "SPACING", 3, 3))
+        spacing = tuple(parse_number(f) for f in _parse_fields(spacing_line, "SPACING", 3, 3))
     except ValueError as exc:
         raise VolumeFormatError(f"header line 3: non-numeric spacing in {spacing_line!r}") from exc
     if any(not np.isfinite(s) or s <= 0 for s in spacing):
@@ -144,7 +144,7 @@ def _parse_header(fh) -> tuple[tuple[int, int, int], tuple, tuple]:
 
     origin_line = _header_line(fh, 4)
     try:
-        origin = tuple(float(f) for f in _parse_fields(origin_line, "ORIGIN", 3, 4))
+        origin = tuple(parse_number(f) for f in _parse_fields(origin_line, "ORIGIN", 3, 4))
     except ValueError as exc:
         raise VolumeFormatError(f"header line 4: non-numeric origin in {origin_line!r}") from exc
     if any(not np.isfinite(o) for o in origin):

@@ -358,6 +358,95 @@ def test_summarize_means_and_failures(tmp_path):
     assert loaded["cells"][0]["tre_mm"]["mean"] == pytest.approx(3.0)
 
 
+GOLDEN_SUMMARY = """\
+{
+  "cells": [
+    {
+      "method": "triangle",
+      "n_markers": 5,
+      "noise_sigma_mm": 0.5,
+      "dropout": 1,
+      "decoys": 2,
+      "trials": 4,
+      "failures": 1,
+      "flipped": 1,
+      "tre_mm": {
+        "mean": 2.0,
+        "std": 1.0
+      },
+      "rot_err_rad": {
+        "mean": 0.5,
+        "std": 0.25
+      },
+      "trans_err_mm": {
+        "mean": 1.0,
+        "std": 0.5
+      },
+      "time_us": {
+        "mean": 200.0,
+        "std": 100.0
+      }
+    },
+    {
+      "method": "icp",
+      "n_markers": 5,
+      "noise_sigma_mm": 0.5,
+      "dropout": 1,
+      "decoys": 2,
+      "trials": 2,
+      "failures": 2,
+      "flipped": 0,
+      "tre_mm": null,
+      "rot_err_rad": null,
+      "trans_err_mm": null,
+      "time_us": null
+    }
+  ]
+}
+"""
+
+
+def test_summary_json_golden_bytes(tmp_path):
+    nan = float("nan")
+
+    def rec(method, seed, tre, time_us, flipped=False, status="ok"):
+        ok = status == "ok"
+        return TrialRecord(
+            method=method,
+            seed=seed,
+            n_markers=5,
+            noise_sigma_mm=0.5,
+            dropout=1,
+            decoys=2,
+            tre_mm=tre if ok else nan,
+            rot_err_rad=tre / 4.0 if ok else nan,
+            trans_err_mm=tre / 2.0 if ok else nan,
+            time_us=time_us,
+            flipped=flipped,
+            status=status,
+        )
+
+    # The icp cell is first seen between triangle trials: cells keep
+    # first-seen order, and a failed trial's flip and time do not count.
+    records = [
+        rec("triangle", 10, 1.0, 100.0),
+        rec("triangle", 11, 2.0, 200.0, flipped=True),
+        rec("icp", 10, 0.0, 50.0, status="degenerate-geometry"),
+        rec("triangle", 12, 0.0, 900.0, flipped=True, status="no-match"),
+        rec("triangle", 13, 3.0, 300.0),
+        rec("icp", 11, 0.0, 70.0, status="no-match"),
+    ]
+    path = tmp_path / "summary.json"
+    write_summary_json(summarize(records), path)
+    assert path.read_bytes() == GOLDEN_SUMMARY.encode("ascii")
+    write_summary_json(summarize([]), path)
+    assert path.read_bytes() == b'{\n  "cells": []\n}\n'
+
+
+def test_csv_header_is_the_record_fields_in_order():
+    assert CSV_HEADER.split(",") == [f.name for f in dataclasses.fields(TrialRecord)]
+
+
 def test_single_trial_std_is_zero():
     records = run_benchmark([SceneSpec(n_markers=4, seed=7)], methods=("triangle",))
     (cell,) = summarize(records[:1])
@@ -416,3 +505,14 @@ def test_each_scene_is_drawn_once_and_warm_ups_only_register(monkeypatch, method
     # one discarded warm-up registration per (spec, method) cell
     for method, name in (("triangle", "register"), ("icp", "icp_register")):
         assert calls[name] == (len(grid) * (trials + 1) if method in methods else 0)
+
+
+def test_spec_text_seed_lies_in_the_rng_range():
+    top = (1 << 64) - 1
+    assert SceneSpec.from_text(f"n_markers = 4\nseed = {top}\n").seed == top
+    assert SceneSpec.from_text("n_markers = 4\nseed = 0\n").seed == 0
+    for seed in ("-1", str(1 << 64), "-18446744073709551615"):
+        with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            SceneSpec.from_text(f"n_markers = 4\nseed = {seed}\n")
+    with pytest.raises(ConfigError, match="scene block 2: config key 'seed'"):
+        parse_scene_grid("n_markers = 4\n\nn_markers = 4\nseed = -1\n")

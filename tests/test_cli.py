@@ -246,7 +246,7 @@ def test_register_accepts_config_file(tmp_path):
     assert json.loads((tmp_path / "o.json").read_text())["rmsd"] < 1e-6
 
 
-@pytest.mark.parametrize("iso", ["nan", "inf", "NaN", "1e999", "-inf", "-1e999"])
+@pytest.mark.parametrize("iso", ["nan", "inf", "NaN", "1e999", "-inf", "-1e999", "1_0", "\u0663"])
 def test_mesh_rejects_non_finite_iso(phantom_volume, tmp_path, capsys, iso):
     stl = tmp_path / "skin.stl"
     assert main(["mesh", str(phantom_volume), str(stl), "--iso", iso]) == 2
@@ -397,3 +397,46 @@ def test_intensity_weighting_with_non_positive_hu_min_exits_two(tmp_path, capsys
     assert main(["segment", str(volume), str(config), str(out)]) == 2
     assert "intensity_weighted needs hu_min > 0" in assert_one_error_line(capsys)
     assert not out.exists()
+
+
+def _device_csv(tmp_path):
+    dev = tmp_path / "dev.csv"
+    write_marker_csv(MarkerSet("device", np.array([[0.0, 0, 0], [5.0, 0, 0], [0.0, 5, 0]])), dev)
+    return dev
+
+
+@pytest.mark.parametrize("command", ["register", "icp"])
+@pytest.mark.parametrize("row", [b"ct,,1\xe9,0,0", b"ct,,1_0,0,0", b"ct,\xd9\xa3,0,0,0"])
+def test_non_ascii_or_grouped_marker_csv_exits_two(tmp_path, capsys, command, row):
+    ct = tmp_path / "ct.csv"
+    ct.write_bytes(b"frame,id,x_mm,y_mm,z_mm\nct,,0,0,0\n" + row + b"\nct,,0,5,1\n")
+    out = tmp_path / "o.json"
+    assert main([command, str(ct), str(_device_csv(tmp_path)), str(out)]) == 2
+    assert "marker csv line 3" in assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_undecodable_text_inputs_exit_two(phantom_volume, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"n_markers = 5\n# \xff\n")
+    ct = tmp_path / "ct.csv"
+    write_marker_csv(MarkerSet("ct", np.array([[0.0, 0, 0], [5.0, 0, 0], [0.0, 5, 0]])), ct)
+    out = tmp_path / "out"
+    for argv in (
+        ["segment", str(phantom_volume), str(bad), str(out)],
+        ["register", str(ct), str(_device_csv(tmp_path)), str(out), "--config", str(bad)],
+        ["icp", str(ct), str(_device_csv(tmp_path)), str(out), "--config", str(bad)],
+        ["simulate", str(bad), str(out)],
+        ["bench", str(bad), str(out), str(tmp_path / "s.json"), "--trials", "1"],
+    ):
+        assert main(argv) == 2
+        assert "not UTF-8 text" in assert_one_error_line(capsys)
+        assert not list(tmp_path.glob("out*")) and not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_simulate_rejects_a_seed_outside_the_rng_range(tmp_path, capsys, seed):
+    spec = write_spec(tmp_path, f"n_markers = 5\nseed = {seed}\n")
+    assert main(["simulate", str(spec), str(tmp_path / "scene")]) == 2
+    assert "seed must lie in [0, 2**64)" in assert_one_error_line(capsys)
+    assert not list(tmp_path.glob("scene_*"))

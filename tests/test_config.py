@@ -75,6 +75,19 @@ def test_kv_helpers_errors():
         kv_triple(kv, "p")
 
 
+@pytest.mark.parametrize("value", ["1_000", "1_0.5", "\u0663", "\uff11", "1e1_0"])
+def test_numbers_are_plain_ascii_without_grouping(value):
+    kv = {"k": value, "p": f"1 {value} 2"}
+    with pytest.raises(ConfigError, match="not an integer"):
+        kv_int(kv, "k")
+    with pytest.raises(ConfigError, match="not a number"):
+        kv_float(kv, "k")
+    with pytest.raises(ConfigError, match="not numeric"):
+        kv_triple(kv, "p")
+    with pytest.raises(ConfigError, match="'k'"):
+        RegistrationConfig.from_text(f"k = {value}\n")
+
+
 def test_require_keys():
     kv = {"a": "1", "b": "2"}
     require_keys(kv, required=("a",), known=("a", "b"))

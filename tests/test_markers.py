@@ -68,6 +68,8 @@ def test_mixed_ids_round_trip(tmp_path):
         (CSV_HEADER + "\nct,,1,2,3\nct,,nan,0,0\n", "line 3: non-finite coordinate"),
         (CSV_HEADER + "\nct,,0,inf,0\n", "line 2: non-finite coordinate"),
         (CSV_HEADER + "\ndevice,,0,0,-1e999\n", "line 2: non-finite coordinate"),
+        (CSV_HEADER + "\nct,,1_0,0,0\n", "line 2: non-numeric coordinate"),
+        (CSV_HEADER + "\nct,1_0,0,0,0\n", "line 2: bad id '1_0'"),
     ],
 )
 def test_read_errors(tmp_path, text, needle):
@@ -99,3 +101,19 @@ def test_equality_covers_frame_points_ids():
     assert a != MarkerSet(frame="device", points=np.zeros((1, 3)), ids=(1,))
     assert a != MarkerSet(frame="ct", points=np.ones((1, 3)), ids=(1,))
     assert a != MarkerSet(frame="ct", points=np.zeros((1, 3)), ids=(2,))
+
+
+@pytest.mark.parametrize(
+    "blob, needle",
+    [
+        (CSV_HEADER.encode() + b"\nct,,1\xe9,0,0\n", "line 2: byte 0xe9 is not ASCII"),
+        (CSV_HEADER.encode() + b"\nct,,0,0,0\nct,,\xd9\xa3,0,0\n", "line 3: byte 0xd9"),
+        (b"\xef\xbb\xbf" + CSV_HEADER.encode() + b"\n", "line 1: byte 0xef"),
+    ],
+)
+def test_non_ascii_bytes_are_a_format_error(tmp_path, blob, needle):
+    path = tmp_path / "m.csv"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as err:
+        read_marker_csv(path)
+    assert needle in str(err.value)

@@ -206,8 +206,7 @@ def test_rotation_validation():
 def test_json_round_trip():
     rng = SplitMix64(18)
     t = random_transform(rng)
-    data = transform_to_json_dict(t, rmsd=0.125)
-    assert data["rmsd"] == 0.125
+    data = transform_to_json_dict(t)
     assert len(data["rotation"]) == 9 and len(data["translation"]) == 3
     assert transform_from_json_dict(data) == t
 

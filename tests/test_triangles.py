@@ -179,7 +179,7 @@ def test_batch_inserts_match_one_point_at_a_time(markers, cuts):
     assert np.array_equal(batched.e1, single.e1)
     assert np.array_equal(batched.indices, single.indices)
     assert batched.degenerate_skipped == single.degenerate_skipped
-    assert np.array_equal(batched.marker_array(), single.marker_array())
+    assert np.array_equal(batched.markers, single.markers)
 
 
 def test_triple_indices_follow_their_documented_orders():
@@ -289,7 +289,7 @@ def test_stored_indices_are_canonically_ordered():
         table.insert_marker(m)
     probe = triangle_key(*markers[:3])
     for candidate, _ in table.query_nearest(probe, k=table.n_triangles):
-        points = table.marker_array()[list(candidate.marker_indices)]
+        points = table.markers[list(candidate.marker_indices)]
         assert _canonical_perm(_edge_lengths(points)) == (0, 1, 2)
 
 
@@ -315,7 +315,7 @@ def ring(sides, radius, lift=0.0):
 def test_resorted_ties_are_the_rows_a_canonical_re_sort_swaps(markers):
     table = TriangleTable()
     table.insert_marker(np.unique(markers, axis=0))
-    edges = _edge_lengths(table.marker_array()[table.indices])
+    edges = _edge_lengths(table.markers[table.indices])
     expected = np.tile([0, 1, 2], (len(edges), 1))
     expected[_resorted_ties(edges)] = (0, 2, 1)
     np.testing.assert_array_equal(_canonical_perms(edges), expected)

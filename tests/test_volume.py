@@ -89,6 +89,9 @@ def test_oversized_payload_rejected(tmp_path):
         (lambda t: t.replace(b"DIMS 2 2 2", b"DIMS 2 2"), "line 2"),
         (lambda t: t.replace(b"SPACING", b"SPACNG"), "line 3"),
         (lambda t: t.replace(b"DATA\n", b"BODY\n"), "line 6"),
+        (lambda t: t.replace(b"DIMS 2 2 2", b"DIMS 2 2 0_2"), "line 2: non-integer dims"),
+        (lambda t: t.replace(b"SPACING 1.0", b"SPACING 1_0.0"), "line 3: non-numeric spacing"),
+        (lambda t: t.replace(b"ORIGIN 0.0", b"ORIGIN 1_0"), "line 4: non-numeric origin"),
     ],
 )
 def test_header_errors_are_specific(tmp_path, mutate, needle):
