@@ -79,7 +79,7 @@ def _join_iso_value(argv: list[str]) -> list[str]:
 
 def _read_text(path) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc

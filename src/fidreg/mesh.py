@@ -37,11 +37,17 @@ How the work is done, none of which shows in the output:
   slab pass turns its active cells straight into triangle-corner keys
   (lower grid corner, axis) with the table's rows laid back to back, with
   no divmod per cell;
-* each key is packed with its corner index as ``key << b | corner``, and
-  one plain sort of the packed values hands out vertex slots in first-use
-  order.  Key and index must fit in 63 bits together, which takes about
-  20 GB of working arrays to exceed (``_slot_key_shift`` raises ValueError
-  there);
+* vertex slots are handed out by edge ownership, as in classic marching
+  cubes and Flying Edges, not by sorting the keys: every cell holding a
+  crossing edge uses it, so the edge's first use lies in the earliest such
+  cell in scan order, which owns it.  A 256 x 8 table (case, and whether
+  i, j and k are 0) lists each cell's owned edges in first-use order, so
+  the slab pass emits them in slot order; each slab then looks its corners'
+  slots up in one dense int64 table over its planes, whose bottom plane
+  carries over the previous slab's top-plane x and y edges.  The table
+  holds 3 entries per voxel of depth + 1 planes (14 MB on 256^2 planes; two
+  planes when one alone exceeds ``_SLAB_BYTES``), and any slot fits, so no
+  grid size is refused;
 * interpolation gathers each edge's two voxels from a flat Fortran-order
   view of the voxels (a copy only for read-only input in another layout,
   which nothing in fidreg makes) and builds the world coordinates one
@@ -107,6 +113,41 @@ _EDGE_AXIS, _EDGE_LOWER = _edge_geometry()
 _TRI_EDGES = np.array([edge for row in TRI_TABLE for edge in row], dtype=np.int64)
 _TRI_COUNTS = np.array([len(row) for row in TRI_TABLE], dtype=np.int64)
 _TRI_FIRST = np.cumsum(_TRI_COUNTS) - _TRI_COUNTS
+
+
+def _owned_edges() -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``256 * boundary + case`` back to back, and each row's length:
+    the cube edges such a cell owns, in the order of their first use in
+    TRI_TABLE[case].
+
+    Boundary bit a (1, 2, 4 for x, y, z) is set when the cell's index along
+    axis a is 0.  Cells run in scan order, z slowest and x fastest, so the
+    earliest cell holding the grid edge at corner (i, j, k) along x is
+    (i, max(j - 1, 0), max(k - 1, 0)), and likewise along y and z.  Each
+    row of TRI_TABLE uses exactly its case's crossing edges, so a crossing
+    edge's first use lies in that cell: the cell owns each edge whose lower
+    corner offset is 1, or whose cell index is 0, along both other axes.
+    """
+    edges, counts = [], []
+    for boundary in range(8):
+        owned = {
+            edge
+            for edge in range(12)
+            if all(
+                _EDGE_LOWER[edge][a] or boundary >> a & 1
+                for a in range(3)
+                if a != _EDGE_AXIS[edge]
+            )
+        }
+        for case in range(256):
+            row = [edge for edge in dict.fromkeys(TRI_TABLE[case]) if edge in owned]
+            edges += row
+            counts.append(len(row))
+    return np.array(edges, dtype=np.int64), np.array(counts, dtype=np.int64)
+
+
+_OWNED_EDGES, _OWNED_COUNTS = _owned_edges()
+_OWNED_FIRST = np.cumsum(_OWNED_COUNTS) - _OWNED_COUNTS
 # Case index of each binary corner code, whose bit di + 2*dj + 4*dk stands
 # for corner (di, dj, dk): the table numbers (1,1,0) and (0,1,0) as v2 and v3
 # (and (1,1,1), (0,1,1) as v6, v7), so bits 2 and 3 swap, and 6 and 7.
@@ -182,38 +223,16 @@ def marching_cubes(volume: Volume, iso_hu: float) -> TriangleMesh:
 
     # An integer voxel lies below iso exactly when it lies below ceil(iso),
     # so the case pass compares in int16.
-    keys = _corner_keys(volume.voxels, math.ceil(iso))
-    if keys.size == 0:
+    vertex_keys, corner_slot = _vertex_slots(volume.voxels, math.ceil(iso))
+    if corner_slot.size == 0:
         return empty_mesh()
-
-    # Vertex slots in order of first use, as a walk over the corners would
-    # hand them out.  Packing each key with its corner index as
-    # key << shift | corner makes every value distinct, so one plain sort
-    # orders the corners by key and, within a key, by use: the first entry of
-    # each run of equal keys is that key's first use.
-    shift = _slot_key_shift(nx * ny * nz, len(keys))
-    keys <<= shift
-    keys |= np.arange(len(keys))
-    keys.sort()
-    by_key = keys & ((1 << shift) - 1)
-    keys >>= shift  # the edge keys, now ascending
-    starts = np.empty(len(keys), dtype=bool)
-    starts[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-    run_starts = np.flatnonzero(starts)
-    slot_order, rank = _first_use_rank(by_key[run_starts])
-    corner_slot = np.empty(len(keys), dtype=np.int64)
-    corner_slot[by_key] = np.repeat(rank, np.diff(run_starts, append=len(keys)))
-    del by_key
     faces = corner_slot.reshape(-1, 3)
 
     # Interpolate each edge from its lower corner a toward b, in the float64
     # steps of the scalar formula: t = (iso - va) / (vb - va), coord = a + t.
     # va and vb come from a flat Fortran-order view of the voxels.
-    vertex_keys = keys[run_starts[slot_order]]
-    del keys, run_starts
-    axis = vertex_keys % 3
-    lower = vertex_keys // 3
+    lower, axis = np.divmod(vertex_keys, 3)
+    del vertex_keys
     flat = volume.voxels.reshape(-1, order="F")  # a copy unless Fortran-ordered
     step = np.array((1, nx, nx * ny))
     va = flat[lower].astype(np.float64)
@@ -221,14 +240,17 @@ def marching_cubes(volume: Volume, iso_hu: float) -> TriangleMesh:
     t = (iso - va) / (vb - va)
     # One world column at a time, in the float64 steps of
     # origin + (index + t on the edge axis) * spacing.
+    rest, i = np.divmod(lower, nx)
+    k, j = np.divmod(rest, ny)
+    del lower, rest
     vertices = np.empty((len(t), 3))
-    for d, index in enumerate((lower % nx, (lower // nx) % ny, lower // (nx * ny))):
+    for d, index in enumerate((i, j, k)):
         g = index.astype(np.float64)
-        on_axis = axis == d
-        g[on_axis] += t[on_axis]
+        np.add(g, t, out=g, where=axis == d)
         g *= volume.spacing[d]
         g += volume.origin[d]
         vertices[:, d] = g
+    del i, j, k
 
     # Weld coincident vertices (iso hitting a grid value makes edge vertices
     # land on the shared corner) and drop faces that collapse.  Only vertices
@@ -276,11 +298,21 @@ def marching_cubes(volume: Volume, iso_hu: float) -> TriangleMesh:
 _SLAB_BYTES = 1 << 20
 
 
-def _corner_keys(voxels: np.ndarray, bound: int) -> np.ndarray:
-    """Edge key ``3 * (lower grid corner) + axis`` of every triangle corner.
+def _slab_depth(dims: tuple[int, int, int], itemsize: int) -> int:
+    """Cell planes per slab: as many as _SLAB_BYTES of voxels hold, at least 1
+    and at most nz - 1.  A slab reads depth + 1 voxel planes, and its slot
+    table holds 3 int64 entries per voxel of them."""
+    nx, ny, nz = dims
+    return max(1, min(nz - 1, _SLAB_BYTES // (itemsize * nx * ny)))
 
-    A corner lies below iso when its voxel is below ``bound``.  Corners come
-    cell by cell in scan order, each cell's in table order.
+
+def _vertex_slots(voxels: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edge key ``3 * (lower grid corner) + axis`` of every vertex slot, and
+    the slot of every triangle corner.
+
+    A corner lies below iso when its voxel is below ``bound``.  Triangle
+    corners come cell by cell in scan order, each cell's in table order, and
+    slots are numbered in order of first use along that walk.
 
     The cells are coded one z-slab at a time, in reused buffers that hold
     the slab's planes x-fastest (Fortran order): pairs along x, then y, then
@@ -289,18 +321,33 @@ def _corner_keys(voxels: np.ndarray, bound: int) -> np.ndarray:
     cell (i, j, k) sits at the flat place of its lower corner voxel and a
     slab's active cells give their voxel indices directly.  The last x
     column and y row hold no cell: they are zeroed, and code 0 is inactive.
+
+    Every cell that holds a crossing edge is active and uses the edge, so
+    the edge's first use lies in the earliest such cell, its owner (see
+    _owned_edges); the owners list their edges in first-use order as the
+    slabs go by.  Keys within a slab are taken from 3 * (the slab's first
+    voxel), and each slab looks its corners' slots up in one dense table
+    over its planes, whose bottom plane carries over the previous slab's
+    top-plane x and y edges.
     """
     nx, ny, nz = voxels.shape
     plane = nx * ny
-    depth = max(1, min(nz - 1, _SLAB_BYTES // (voxels.itemsize * plane)))
+    depth = _slab_depth(voxels.shape, voxels.itemsize)
     below = np.empty((nx, ny, depth + 1), dtype=bool, order="F")
     below_bits = below.reshape(-1, order="F").view(np.uint8)
     code_x = np.empty(plane * (depth + 1), dtype=np.uint8)
     code_xy = np.empty(plane * (depth + 1), dtype=np.uint8)
     code = np.empty(plane * depth, dtype=np.uint8)
-    # Key offset of every table entry from 3 * (the cell's lower corner).
-    entry_step = ((_EDGE_LOWER @ np.array((1, nx, plane))) * 3 + _EDGE_AXIS)[_TRI_EDGES]
-    keys = [np.empty(0, dtype=np.int64)]
+    # Boundary class bits of a slab's cells: 1 where i = 0, 2 where j = 0.
+    side = np.zeros((nx, ny, depth), dtype=np.uint8, order="F")
+    side[0] |= 1
+    side[:, 0] |= 2
+    side = side.reshape(-1, order="F")
+    # Key offset of each cube edge from 3 * (the cell's lower corner).
+    edge_step = (_EDGE_LOWER @ np.array((1, nx, plane))) * 3 + _EDGE_AXIS
+    corner_step = edge_step[_TRI_EDGES]
+    owned_step = edge_step[_OWNED_EDGES]
+    slabs = []
     for k0 in range(0, nz - 1, depth):
         cells = min(depth, nz - 1 - k0)
         size = plane * (cells + 1)
@@ -323,55 +370,55 @@ def _corner_keys(voxels: np.ndarray, bound: int) -> np.ndarray:
         if lin.size == 0:
             continue
         cell_case = _CASE_OF_CODE[flat[lin] + 1]
-        counts = _TRI_COUNTS[cell_case]
-        lin += k0 * plane
+        owner = side[lin].astype(np.intp)
+        if k0 == 0:
+            owner[: np.searchsorted(lin, plane)] |= 4
+        owner <<= 8
+        owner |= cell_case
         lin *= 3
-        slab = np.repeat(lin, counts)
-        # Table entry of each corner: its row's start plus its place in the row.
-        cell_first = np.cumsum(counts)
-        cell_first -= counts
-        entry = np.repeat(_TRI_FIRST[cell_case] - cell_first, counts)
-        entry += np.arange(len(entry))
-        slab += entry_step[entry]
-        keys.append(slab)
-    return np.concatenate(keys)
+        slabs.append((
+            k0,
+            cells,
+            _table_entries(lin, cell_case, _TRI_COUNTS, _TRI_FIRST, corner_step),
+            _table_entries(lin, owner, _OWNED_COUNTS, _OWNED_FIRST, owned_step),
+        ))
+
+    corner_slot = np.empty(sum(len(corners) for _, _, corners, _ in slabs), dtype=np.int64)
+    table = np.empty(3 * plane * (depth + 1), dtype=np.int64)
+    vertex_keys = []
+    used = filled = next_k0 = 0
+    carried = carried_slots = np.empty(0, dtype=np.int64)
+    for k0, cells, corners, owned in slabs:
+        if k0 == next_k0:
+            table[carried] = carried_slots
+        slots = np.arange(used, used + len(owned))
+        table[owned] = slots
+        used += len(owned)
+        table.take(corners, out=corner_slot[filled : filled + len(corners)])
+        filled += len(corners)
+        top = 3 * plane * cells
+        on_top = owned >= top
+        carried = owned[on_top] - top
+        carried_slots = slots[on_top]
+        next_k0 = k0 + cells
+        owned += 3 * plane * k0
+        vertex_keys.append(owned)
+    return np.concatenate(vertex_keys or [np.empty(0, dtype=np.int64)]), corner_slot
 
 
-# Largest bit length a packed slot key may reach: int64 without its sign bit.
-_SLOT_KEY_BITS = 63
-
-
-def _slot_key_shift(n_voxels: int, n_corners: int) -> int:
-    """Bits the corner index takes in the packed slot keys ``key << shift | corner``.
-
-    Edge keys ``3 * (lower corner) + axis`` lie below ``3 * n_voxels`` and
-    corner indices below ``n_corners``; raises ValueError when the two do not
-    fit in _SLOT_KEY_BITS bits together.
-
-    No real volume gets there.  Past the limit, ``3 * n_voxels * n_corners``
-    exceeds 2**62, and the slot pass holds the int16 volume (2 bytes a voxel)
-    and, at its scatter, four int64 arrays per corner (32 bytes a corner).
-    By the AM-GM inequality that is at least
-    ``2 * sqrt(2 * 32 * n_voxels * n_corners) > 2**35 / sqrt(3)`` bytes,
-    about 19.8 GB of working arrays.
-    """
-    shift = (n_corners - 1).bit_length()
-    key_bits = (3 * n_voxels - 1).bit_length()
-    if key_bits + shift > _SLOT_KEY_BITS:
-        raise ValueError(
-            f"{n_voxels} voxels and {n_corners} triangle corners need "
-            f"{key_bits + shift} bits per packed slot key; the limit is {_SLOT_KEY_BITS}"
-        )
-    return shift
-
-
-def _first_use_rank(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Given each distinct key's first-use position, listed in key order: the
-    distinct keys in order of first use, and each key's place in that order."""
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[order] = np.arange(len(first))
-    return order, rank
+def _table_entries(base, row, counts, first, step) -> np.ndarray:
+    """``base[c] + step[e]`` for every entry e of table row ``row[c]``, cell
+    by cell; the table's rows lie back to back, row r at ``first[r]`` with
+    ``counts[r]`` entries."""
+    n = counts[row]
+    entries = np.repeat(base, n)
+    # Table entry of each output: its row's start plus its place in the row.
+    start = np.cumsum(n)
+    start -= n
+    entry = np.repeat(first[row] - start, n)
+    entry += np.arange(len(entry))
+    entries += step[entry]
+    return entries
 
 
 def _weld_candidates(volume: Volume, t: np.ndarray, axis: np.ndarray) -> np.ndarray:

@@ -440,3 +440,46 @@ def test_simulate_rejects_a_seed_outside_the_rng_range(tmp_path, capsys, seed):
     assert main(["simulate", str(spec), str(tmp_path / "scene")]) == 2
     assert "seed must lie in [0, 2**64)" in assert_one_error_line(capsys)
     assert not list(tmp_path.glob("scene_*"))
+
+
+def without_column(csv_bytes, column):
+    rows = [line.split(",") for line in csv_bytes.decode().splitlines()]
+    drop = rows[0].index(column)
+    return [row[:drop] + row[drop + 1:] for row in rows]
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench", "segment", "register"])
+def test_text_inputs_with_a_byte_order_mark_read_like_without(phantom_volume, tmp_path, command):
+    # Some editors save UTF-8 with a byte-order mark; it must not become
+    # part of the first key.
+    scene = "n_markers = 5\nnoise_sigma_mm = 1.0\nseed = 20\n"
+    prefix = tmp_path / "s"
+    assert main(["simulate", str(write_spec(tmp_path, scene)), str(prefix)]) == 0
+    text, argv, output = {
+        "simulate": (scene, ["simulate", "{input}", "{out}"], "{out}_ct.csv"),
+        "bench": (
+            scene + "\nn_markers = 4\nseed = 10\n",
+            ["bench", "{input}", "{out}.csv", "{out}.json", "--trials", "1"],
+            "{out}.csv",
+        ),
+        "segment": (
+            "expected_mm3 = 27\nhu_min = 300\n",
+            ["segment", str(phantom_volume), "{input}", "{out}.csv"],
+            "{out}.csv",
+        ),
+        "register": (
+            "k = 2\nscale_tolerance_mm = 8\n",
+            ["register", f"{prefix}_ct.csv", f"{prefix}_device.csv", "{out}.json", "--config", "{input}"],
+            "{out}.json",
+        ),
+    }[command]
+    written = []
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(data)
+        fill = {"input": str(path), "out": str(tmp_path / name)}
+        assert main([arg.format(**fill) for arg in argv]) == 0
+        written.append((tmp_path / output.format(**fill)).read_bytes())
+    if command == "bench":  # the records hold each trial's wall time
+        written = [without_column(blob, "time_us") for blob in written]
+    assert written[0] == written[1]

@@ -11,7 +11,7 @@ from fidreg.errors import DegenerateGeometryError
 from fidreg.mesh import (
     STL_HEADER,
     TriangleMesh,
-    _slot_key_shift,
+    _slab_depth,
     empty_mesh,
     marching_cubes,
     write_obj,
@@ -63,13 +63,33 @@ def test_edge_table_complement_symmetry():
 
 
 def test_triangle_edges_match_edge_mask():
+    # marching_cubes numbers vertices by edge ownership: a crossing edge's
+    # first use lies in the earliest cell holding it only because every
+    # cell holding it uses it, so each row uses exactly the crossing edges.
     for case, triangles in enumerate(TRI_TABLE):
         assert len(triangles) % 3 == 0
         used = {edge for edge in triangles}
         mask = {edge for edge in range(12) if EDGE_TABLE[case] >> edge & 1}
-        assert used == mask
+        crossing = {e for e, (a, b) in enumerate(EDGE_CORNERS) if (case >> a ^ case >> b) & 1}
+        assert used == mask == crossing
     assert TRI_TABLE[0] == () and TRI_TABLE[255] == ()
     assert len(EDGE_CORNERS) == 12
+
+
+def test_owned_rows_keep_first_use_order():
+    # Row 256 * boundary + case lists the owned edges in the order the
+    # case's triangles first use them; an inner cell owns only the edges
+    # through its (1, 1, 1) corner, v6, and a corner cell owns every edge.
+    edges, counts = fidreg.mesh._OWNED_EDGES, fidreg.mesh._OWNED_COUNTS
+    assert len(counts) == 8 * 256
+    rows = [tuple(row.tolist()) for row in np.split(edges, fidreg.mesh._OWNED_FIRST[1:])]
+    for case, triangles in enumerate(TRI_TABLE):
+        first_use = list(dict.fromkeys(triangles))
+        assert rows[7 * 256 + case] == tuple(first_use)
+        assert rows[case] == tuple(e for e in first_use if 6 in EDGE_CORNERS[e])
+        for boundary in range(8):
+            row = rows[boundary * 256 + case]
+            assert list(row) == [e for e in first_use if e in row]
 
 
 # --- surface extraction ----------------------------------------------------
@@ -196,20 +216,25 @@ def test_strided_read_only_volume_meshes_like_its_copy():
     assert np.array_equal(a.faces, b.faces)
 
 
-def test_slot_key_budget_boundary():
-    # Keys lie below 3 * n_voxels, corner indices below n_corners, and the
-    # packed key << shift | corner must stay below 2**63.
-    corners = 2**21  # indices 0 .. 2**21 - 1 take 21 bits
-    voxels = (2**42 - 1) // 3  # largest key 3 * voxels - 1 = 2**42 - 2 takes 42 bits
-    shift = _slot_key_shift(voxels, corners)
-    assert shift == 21
-    assert ((3 * voxels - 1) << shift | (corners - 1)) < 2**63
-    with pytest.raises(ValueError, match="64 bits per packed slot key; the limit is 63"):
-        _slot_key_shift(voxels + 1, corners)
-    with pytest.raises(ValueError, match="limit is 63"):
-        _slot_key_shift(voxels, corners + 1)
-    assert _slot_key_shift(8, 3) == 2
-    assert _slot_key_shift(256**3, 1_221_108) == 21
+def test_slot_table_size_boundary(monkeypatch):
+    # A slab spans as many cell planes as _SLAB_BYTES of voxels hold, and at
+    # least one, and its slot table covers its depth + 1 voxel planes.
+    assert _slab_depth((256, 256, 256), 2) == fidreg.mesh._SLAB_BYTES // (2 * 256 * 256) == 8
+    assert _slab_depth((256, 256, 5), 2) == 4  # at most nz - 1
+    assert _slab_depth((512, 1024, 9), 2) == 1  # one plane is exactly the budget
+    assert _slab_depth((512, 1025, 9), 2) == 1  # one plane exceeds it
+    assert _slab_depth((512, 512, 9), 2) == 2
+    assert _slab_depth((512, 512 + 1, 9), 2) == 1
+    # The mesh does not depend on where the bound falls.
+    rng = np.random.default_rng(11)
+    volume = make_volume(rng.integers(-1000, 2000, size=(7, 6, 9)).astype(np.int16))
+    want = marching_cubes(volume, iso_hu=300.0)
+    assert want.n_faces > 0
+    for slab_bytes in (1, 2 * 7 * 6 - 1, 2 * 7 * 6, 2 * 2 * 7 * 6 - 1):
+        monkeypatch.setattr(fidreg.mesh, "_SLAB_BYTES", slab_bytes)
+        got = marching_cubes(volume, iso_hu=300.0)
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert got.faces.tobytes() == want.faces.tobytes()
 
 
 def test_degenerate_grid_rejected():

@@ -288,6 +288,41 @@ def test_marching_cubes_slabs_match_the_loop(monkeypatch, planes, dims, fortran)
         assert np.any(np.round(grid[on_point, 2]) == planes)
 
 
+def boundary_classes(vox, iso):
+    """The (i == 0, j == 0, k == 0) classes of the cells the iso surface
+    crosses, and the mask of those cells."""
+    below = np.asarray(vox) < iso
+    nx, ny, nz = below.shape
+    corners = [
+        below[di : di + nx - 1, dj : dj + ny - 1, dk : dk + nz - 1]
+        for di in (0, 1) for dj in (0, 1) for dk in (0, 1)
+    ]
+    active = np.any(corners, axis=0) & ~np.all(corners, axis=0)
+    return {(i == 0, j == 0, k == 0) for i, j, k in zip(*np.nonzero(active))}, active
+
+
+@pytest.mark.parametrize("planes", [1, 2, 3])
+@pytest.mark.parametrize("fortran", [False, True])
+def test_marching_cubes_owns_edges_on_the_low_faces_like_the_loop(monkeypatch, planes, fortran):
+    # A cell owns the grid edges whose first use it holds, and cells on the
+    # x = 0, y = 0 and z = 0 faces own more of their edges than inner ones.
+    # Noise on the low planes crosses cells of all eight boundary classes;
+    # cell layers 3-8 cross nothing, so with slabs of 1-3 planes at least
+    # one whole slab between two crossed ones is empty.
+    dims = (5, 6, 13)
+    nx, ny, nz = dims
+    monkeypatch.setattr(fidreg.mesh, "_SLAB_BYTES", planes * 2 * nx * ny)
+    rng = np.random.default_rng(planes)
+    vox = np.full(dims, 100)
+    vox[:, :, :3] = rng.choice([-100, 100], size=(nx, ny, 3))
+    vox[:, :, 10:] = rng.choice([-100, 100], size=(nx, ny, 3))
+    classes, active = boundary_classes(vox, 0.5)
+    assert len(classes) == 8
+    assert not active[:, :, 3:9].any() and active[:, :, 9:].any()
+    mesh = assert_mesh_matches_loop(make_volume(vox, (0.9, 1.3, 0.7), (-2.0, 5.5, 40.0), fortran), 0.5)
+    assert mesh.n_faces > 0
+
+
 @pytest.mark.parametrize("iso", [-1e6, -40000.5, -1.5, 100.5, 40000.5, 1e6])
 @pytest.mark.parametrize("fortran", [False, True])
 def test_marching_cubes_all_on_one_side_is_empty(iso, fortran):
