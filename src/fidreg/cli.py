@@ -104,8 +104,9 @@ def _registration_inputs(args, config_class):
 
 
 def cmd_segment(args) -> int:
-    volume = read_volume(args.volume)
+    # The config first: a malformed one fails before the volume is read.
     config = SegmentationConfig.from_text(_read_text(args.config))
+    volume = read_volume(args.volume)
     components = segment_components(volume, config)
     markers = markers_from_components(components, volume, config)
     for component, point in zip(components, markers.points):

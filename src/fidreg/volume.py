@@ -17,10 +17,19 @@ File layout (``.vol``)::
 
 Header lines are ASCII; the payload starts immediately after the ``DATA``
 newline and must be exactly ``2 * nx * ny * nz`` bytes — no trailing bytes.
+
+``read_volume`` maps a regular file instead of copying it: the voxels of the
+``Volume`` it returns are a read-only view of the file's own pages, so
+rewriting that file in place would change them, and shrinking it would make
+reading them a bus error. ``write_volume`` therefore never rewrites a file
+in place; it writes a new file and renames it over the target.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +43,12 @@ DTYPE_TAG = "int16le"
 
 @dataclass(eq=False)
 class Volume:
-    """Immutable dense CT volume."""
+    """Immutable dense CT volume.
+
+    ``voxels`` is read-only. Writable input is copied into Fortran order;
+    read-only input is kept as given. From ``read_volume`` it is a read-only
+    map of the ``.vol`` file, so rewriting that file in place changes it.
+    """
 
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
@@ -84,6 +98,15 @@ class Volume:
 
 
 def write_volume(volume: Volume, path) -> None:
+    """Write ``volume`` to ``path`` as a ``.vol`` file.
+
+    The bytes go to a new file beside ``path`` (beside the file it names, if
+    it is a symlink), which then replaces it. So the target becomes a new
+    file: a ``Volume`` read from the old one keeps its voxels, and the old
+    file's mode, owner and other hard links do not carry over (the mode
+    comes from the umask). If the write fails, the new file is removed and
+    ``path`` is left as it was.
+    """
     nx, ny, nz = volume.dims
     header = (
         f"{MAGIC}\n"
@@ -96,9 +119,22 @@ def write_volume(volume: Volume, path) -> None:
         f"DATA\n"
     )
     payload = volume.voxels.astype("<i2", copy=False).tobytes(order="F")
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(payload)
+    target = os.path.realpath(path)  # through a symlink, as open(path, "wb") writes
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    # Mode 0o666 under the umask, as open(path, "wb") would create the file;
+    # O_EXCL never reuses an existing file, O_BINARY keeps Windows from
+    # translating newlines.
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(temp, flags, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(header.encode("ascii"))
+            fh.write(payload)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _header_line(fh, lineno: int) -> str:
@@ -162,35 +198,39 @@ def _parse_header(fh) -> tuple[tuple[int, int, int], tuple, tuple]:
 
 
 def read_volume(path) -> Volume:
-    """Read a ``.vol`` file; the voxels are a read-only view of one numpy buffer.
+    """Read a ``.vol`` file; the voxels are a read-only, Fortran-order view.
 
     The header lines are read one at a time, so a line may be of any length.
-    The payload goes with ``readinto`` straight into an ``np.empty`` buffer
-    of exactly the size the header asks for, looping until the buffer is
-    full or the file ends (one read returns at most about 2 GiB on Linux).
-    Like the copy ``Volume`` makes of writable input, the voxels come out in
-    Fortran order, so the x-fastest kernels read them without a copy.
+    A regular file is then mapped read-only (``mmap.ACCESS_READ``) and the
+    voxels are a view of the payload in the map, which starts wherever the
+    header ends (an odd header length leaves them unaligned, which numpy
+    reads as is). Its size is checked from ``fstat`` before any array exists,
+    so a header asking for more than the file holds costs nothing. Rewriting
+    the file in place while the ``Volume`` lives changes its voxels; replace
+    it with a new file instead, as ``write_volume`` does.
+
+    Anything else (a pipe, a socket) cannot be mapped; its payload is read
+    to the end with one ``read`` and the voxels view that buffer.
+
+    Fortran order lets the x-fastest kernels read the voxels without a copy.
     """
     with open(path, "rb") as fh:
         dims, spacing, origin = _parse_header(fh)
         nx, ny, nz = dims
         expected = 2 * nx * ny * nz
-        try:
-            payload = np.empty(expected, dtype=np.uint8)
-        except (MemoryError, ValueError):
-            # A header asking for more than memory holds (MemoryError) or than
-            # an array can index (ValueError) is not the file's size.
-            raise TruncationError(expected, len(fh.read())) from None
-        filled = 0
-        while filled < expected:
-            count = fh.readinto(payload[filled:])
-            if not count:
-                raise TruncationError(expected, filled)
-            filled += count
-        trailing = len(fh.read())
-        if trailing:
-            raise TruncationError(expected, expected + trailing)
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            offset = fh.tell()
+            actual = info.st_size - offset
+            if actual != expected:
+                raise TruncationError(expected, actual)
+            buffer = mmap.mmap(fh.fileno(), info.st_size, access=mmap.ACCESS_READ)
+        else:
+            offset = 0
+            buffer = fh.read()
+            if len(buffer) != expected:
+                raise TruncationError(expected, len(buffer))
 
-    voxels = payload.view("<i2").reshape(dims, order="F")
-    voxels.setflags(write=False)
+    voxels = np.frombuffer(buffer, dtype="<i2", count=expected // 2, offset=offset)
+    voxels = voxels.reshape(dims, order="F")
     return Volume(dims=dims, spacing=spacing, origin=origin, voxels=voxels)

@@ -91,6 +91,21 @@ def test_mesh_rejects_bad_suffix_before_reading(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_segment_rejects_bad_config_before_reading(tmp_path, capsys, monkeypatch):
+    def no_read(path):
+        raise AssertionError("the volume was read before the config was parsed")
+
+    monkeypatch.setattr("fidreg.cli.read_volume", no_read)
+    config = tmp_path / "seg.cfg"
+    config.write_text("expected_mm3 = 27\nhu_min = lots\n")
+    out = tmp_path / "markers.csv"
+    # The volume does not exist either: the config is what gets reported.
+    assert main(["segment", str(tmp_path / "missing.vol"), str(config), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "hu_min" in err
+    assert not out.exists()
+
+
 def write_spec(tmp_path, text):
     path = tmp_path / "scene.spec"
     path.write_text(text)

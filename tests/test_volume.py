@@ -1,9 +1,18 @@
+import errno
+import io
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import fidreg.volume
 from fidreg.errors import TruncationError, VolumeFormatError
+from fidreg.mesh import marching_cubes
+from fidreg.segmentation import SegmentationConfig, segment_components
 from fidreg.volume import Volume, read_volume, write_volume
 
 
@@ -199,3 +208,148 @@ def test_short_or_garbled_headers(tmp_path, blob, message):
     with pytest.raises(VolumeFormatError) as err:
         read_volume(path)
     assert message in str(err.value)
+
+
+def test_write_replaces_the_file_a_read_volume_maps(tmp_path):
+    path = tmp_path / "v.vol"
+    first = Volume.from_voxels(np.arange(60, dtype=np.int16).reshape(3, 4, 5), (1, 1, 1))
+    write_volume(first, path)
+    mapped = read_volume(path)
+    # Shorter, so an in-place rewrite would truncate the mapped file.
+    other = Volume.from_voxels(np.full((2, 2, 2), -7, np.int16), (0.5, 1, 2), (1, 2, 3))
+    write_volume(other, path)
+    assert np.array_equal(mapped.voxels, first.voxels)
+    assert read_volume(path) == other
+    assert os.listdir(tmp_path) == ["v.vol"]
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+def test_write_through_a_symlink_replaces_the_file_it_names(tmp_path):
+    path, link = tmp_path / "v.vol", tmp_path / "link.vol"
+    write_volume(Volume.from_voxels(np.ones((2, 2, 2), np.int16), (1, 1, 1)), path)
+    link.symlink_to(path.name)
+    other = Volume.from_voxels(np.full((3, 2, 2), 5, np.int16), (1, 1, 1))
+    write_volume(other, link)
+    assert link.is_symlink() and read_volume(path) == other
+    assert sorted(os.listdir(tmp_path)) == ["link.vol", "v.vol"]
+
+
+def test_failed_write_leaves_the_target_and_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "v.vol"
+    vol = Volume.from_voxels(np.ones((2, 2, 2), np.int16), (1, 1, 1))
+    write_volume(vol, path)
+    before = path.read_bytes()
+
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fidreg.volume, "open", lambda fd, mode: FullDisk(fd, mode), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write_volume(Volume.from_voxels(np.zeros((3, 3, 3), np.int16), (1, 1, 1)), path)
+    # The rename fails when the target is a directory.
+    (tmp_path / "dir.vol").mkdir()
+    with pytest.raises(OSError):
+        write_volume(vol, tmp_path / "dir.vol")
+    assert sorted(os.listdir(tmp_path)) == ["dir.vol", "v.vol"]
+    assert path.read_bytes() == before
+
+
+def read_through_fifo(tmp_path, blob):
+    """``read_volume`` on a named pipe that a writer thread fills with ``blob``."""
+    fifo = tmp_path / "v.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(blob)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return read_volume(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+fifo_only = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+
+
+def vol_bytes(tmp_path, vox, spacing=(0.5, 1.0, 2.0), origin=(-3.0, 4.5, 0.25)):
+    path = tmp_path / "v.vol"
+    write_volume(Volume.from_voxels(vox, spacing, origin), path)
+    return path.read_bytes()
+
+
+@fifo_only
+def test_pipe_reads_the_same_volume_as_the_file(tmp_path):
+    vox = np.random.default_rng(3).integers(-32768, 32768, (5, 4, 3), dtype=np.int16)
+    blob = vol_bytes(tmp_path, vox)
+    from_file = read_volume(tmp_path / "v.vol")
+    from_pipe = read_through_fifo(tmp_path, blob)
+    assert from_pipe == from_file
+    assert from_pipe.voxels.flags.f_contiguous and not from_pipe.voxels.flags.writeable
+
+
+@fifo_only
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda b: b[:-3], "expected 16 bytes, got 13"),
+        (lambda b: b + b"xx", "expected 16 bytes, got 18"),
+        (lambda b: b.replace(b"DIMS 2 2 2", b"DIMS 100000 100000 100000"),
+         "expected 2000000000000000 bytes, got 16"),
+        (lambda b: b.replace(b"DIMS 2 2 2", b"DIMS 4294967296 4294967296 1"),
+         f"expected {2**65} bytes, got 16"),
+    ],
+    ids=["short", "trailing", "huge-dims", "past-indexable"],
+)
+def test_pipe_and_file_report_the_same_truncation(tmp_path, mutate, message):
+    blob = mutate(vol_bytes(tmp_path, np.ones((2, 2, 2), np.int16)))
+    path = tmp_path / "bad.vol"
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError) as from_file:
+            read_volume(path)
+        with pytest.raises(TruncationError) as from_pipe:
+            read_through_fifo(tmp_path, blob)
+        # Neither read allocates what the header asks for.
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    assert message in str(from_file.value)
+    assert str(from_pipe.value) == str(from_file.value)
+
+
+def test_odd_length_header_gives_unaligned_but_identical_results(tmp_path):
+    # A noisy box in air with three bright cubes: a skin to mesh and markers to label.
+    rng = np.random.default_rng(5)
+    vox = np.full((40, 36, 30), -1000, dtype=np.int16)
+    vox[4:36, 4:32, 3:27] = 40
+    for i, j, k in ((10, 10, 8), (26, 12, 14), (16, 24, 20)):
+        vox[i - 1 : i + 2, j - 1 : j + 2, k - 1 : k + 2] = 3000
+    vox += rng.integers(-20, 21, vox.shape, dtype=np.int16)
+    blob = vol_bytes(tmp_path, vox, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 10.0))
+    assert (len(blob) - vox.nbytes) % 2 == 0  # an even header: the payload is aligned
+    odd = tmp_path / "odd.vol"
+    odd.write_bytes(blob.replace(b"ORIGIN 0", b"ORIGIN  0", 1))
+    aligned, unaligned = read_volume(tmp_path / "v.vol"), read_volume(odd)
+    assert aligned.voxels.flags.aligned and not unaligned.voxels.flags.aligned
+    assert unaligned == aligned
+
+    for iso in (-300.0, 1500.0):
+        want, got = marching_cubes(aligned, iso), marching_cubes(unaligned, iso)
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert got.faces.tobytes() == want.faces.tobytes()
+    config = SegmentationConfig(expected_mm3=27.0)
+    want, got = segment_components(aligned, config), segment_components(unaligned, config)
+    assert len(want) == 3
+    assert [c.label for c in got] == [c.label for c in want]
+    for g, w in zip(got, want):
+        assert g.voxel_indices.tobytes() == w.voxel_indices.tobytes()
