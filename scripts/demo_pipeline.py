@@ -13,12 +13,11 @@ Usage:
 """
 
 import argparse
-import json
 from pathlib import Path
 
 import numpy as np
 
-from fidreg.config import format_float
+from fidreg.config import format_float, write_json
 from fidreg.icp import icp_register
 from fidreg.markers import MarkerSet, write_marker_csv
 from fidreg.mesh import marching_cubes, write_stl
@@ -75,8 +74,7 @@ def main():
     table = TriangleTable()
     table.insert_marker(device.points)
     result = register(ct_markers, table)
-    with open(out / "registered.json", "w") as fh:
-        json.dump(result.to_json_dict(), fh, indent=2)
+    write_json(result.to_json_dict(), out / "registered.json")
     rot_err = rotation_angle(compose(result.transform, inverse(truth)).rotation)
     trans_err = np.linalg.norm(result.transform.translation - truth.translation)
     print(
@@ -85,8 +83,7 @@ def main():
     )
 
     icp = icp_register(ct_markers, device)
-    with open(out / "icp.json", "w") as fh:
-        json.dump(icp.to_json_dict(), fh, indent=2)
+    write_json(icp.to_json_dict(), out / "icp.json")
     icp_rot = rotation_angle(compose(icp.transform, inverse(truth)).rotation)
     print(
         f"icp from identity: rmsd {format_float(icp.rmsd)} mm after "

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 import re
 import time
@@ -69,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BOOL, FLOAT, INT, TRIPLE, kv_int, read_fields, write_fields
+from .config import BOOL, FLOAT, INT, TRIPLE, kv_int, read_fields, write_fields, write_json
 from .errors import ConfigError, DomainError
 from .markers import MarkerSet
 from .icp import IcpConfig, icp_register
@@ -150,17 +149,13 @@ class SceneSpec:
         ):
             if len(extent) != 3 or not all(0.0 < e < math.inf for e in extent):
                 raise ConfigError(f"{name} must be three positive finite lengths")
-        if isinstance(self.true_transform, str):
-            if self.true_transform not in ("random", "identity"):
-                raise ConfigError(
-                    "true_transform must be 'random', 'identity', or a transform"
-                )
-            if self.true_transform == "identity":
-                self.true_transform = RigidTransform.identity()
-        elif not isinstance(self.true_transform, RigidTransform):
-            raise ConfigError(
-                "true_transform must be 'random', 'identity', or a transform"
-            )
+        # The str test comes first: ``in`` would compare an array elementwise.
+        transform = self.true_transform
+        if not (isinstance(transform, RigidTransform)
+                or isinstance(transform, str) and transform in ("random", "identity")):
+            raise ConfigError("true_transform must be 'random', 'identity', or a transform")
+        if transform == "identity":
+            self.true_transform = RigidTransform.identity()
 
     @classmethod
     def from_text(cls, text: str) -> "SceneSpec":
@@ -416,6 +411,4 @@ def summarize(records: list[TrialRecord]) -> list[dict]:
 
 
 def write_summary_json(summary: list[dict], path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump({"cells": summary}, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    write_json({"cells": summary}, path)

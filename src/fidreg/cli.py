@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -31,7 +30,7 @@ from .bench import (
     write_records_csv,
     write_summary_json,
 )
-from .config import format_float, parse_number
+from .config import format_float, parse_number, write_json
 from .errors import DomainError, FidregError, FormatError
 from .icp import IcpConfig, icp_register
 from .markers import read_marker_csv, write_marker_csv
@@ -85,12 +84,6 @@ def _read_text(path) -> str:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _write_json(data: dict, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-
-
 def _registration_inputs(args, config_class):
     """``(ct, device, config)`` for register and icp; each CSV must hold its frame."""
     markers = []
@@ -139,7 +132,7 @@ def cmd_register(args) -> int:
     table = TriangleTable(degeneracy_ratio=config.degeneracy_ratio)
     table.insert_marker(device.points)  # file order
     result = register(ct, table, config)
-    _write_json(result.to_json_dict(), args.out)
+    write_json(result.to_json_dict(), args.out)
     print(
         f"registered: rmsd {format_float(result.rmsd)} mm, "
         f"flipped {'true' if result.flipped else 'false'}",
@@ -151,7 +144,7 @@ def cmd_register(args) -> int:
 def cmd_icp(args) -> int:
     ct, device, config = _registration_inputs(args, IcpConfig)
     result = icp_register(ct, device, config)
-    _write_json(result.to_json_dict(), args.out)
+    write_json(result.to_json_dict(), args.out)
     print(
         f"icp: rmsd {format_float(result.rmsd)} mm after "
         f"{result.iterations_used} iterations, "
@@ -166,7 +159,7 @@ def cmd_simulate(args) -> int:
     ct, device, truth = generate_scene(spec)
     write_marker_csv(ct, f"{args.out_prefix}_ct.csv")
     write_marker_csv(device, f"{args.out_prefix}_device.csv")
-    _write_json(transform_to_json_dict(truth), f"{args.out_prefix}_truth.json")
+    write_json(transform_to_json_dict(truth), f"{args.out_prefix}_truth.json")
     print(
         f"simulated {len(ct)} ct markers -> {len(device)} device markers "
         f"(seed {spec.seed})",
@@ -262,10 +255,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FidregError as exc:  # pragma: no cover - safety net for new subclasses
+    except (FidregError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,9 +8,13 @@ Each text format is one field table, ``{key: kind}`` in output order, where a
 kind is a ``(parse, format)`` pair such as :data:`INT` or :data:`FLOAT`.
 :func:`read_fields` and :func:`write_fields` are the only reader and writer,
 so a format's keys, their order and their spelling live in its table alone.
+
+:func:`write_json` is the one writer of fidreg's JSON outputs.
 """
 
 from __future__ import annotations
+
+import json
 
 from .errors import ConfigError
 
@@ -18,6 +22,13 @@ from .errors import ConfigError
 def format_float(x: float) -> str:
     """Shortest decimal representation that round-trips the float exactly."""
     return repr(float(x))
+
+
+def write_json(data, path) -> None:
+    """Write ``data`` as ASCII JSON indented by 2, ending in a newline."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
 
 
 def parse_number(text: str, kind: type = float):

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import FLOAT, INT, ConfigError, read_fields, write_fields
-from .errors import DegenerateGeometryError, InsufficientMarkersError
+from .errors import InsufficientMarkersError
 from .markers import MarkerSet
 from .rigid import (
     RigidTransform,
-    _collinear,
-    center_points,
+    center_source,
     check_proper,
     horn_solve,
     transform_to_json_dict,
@@ -109,10 +108,7 @@ def icp_register(
     if len(tgt) < 3:
         raise InsufficientMarkersError(len(tgt))
     # The source never changes: center it and test it for collinearity once.
-    src_centroid, src_centered = center_points(src[None])
-    aligned = ~_collinear(src_centered)
-    if not aligned[0]:
-        raise DegenerateGeometryError("source points are collinear; rotation is not determined")
+    src_centroid, src_centered, aligned = center_source(src)
 
     rotation = config.initial_transform.rotation
     translation = config.initial_transform.translation

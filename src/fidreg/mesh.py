@@ -79,7 +79,7 @@ import numpy as np
 from ._mc_tables import EDGE_CORNERS, TRI_TABLE
 from .config import format_float
 from .errors import DegenerateGeometryError
-from .volume import Volume
+from .volume import Volume, _concat_ranges
 
 # Written into STL headers / OBJ comments so a consumer knows which way is out.
 ORIENTATION_NOTE = "outward normals, counter-clockwise winding viewed from outside"
@@ -157,6 +157,12 @@ for _bit, (_di, _dj, _dk) in enumerate(CORNER_OFFSETS):
     _CASE_OF_CODE |= (_corner_set << _bit).astype(np.uint8)
 
 
+def _repeats_vertex(faces: np.ndarray) -> np.ndarray:
+    """True for each face of ``faces`` (F, 3) that names a vertex twice."""
+    a, b, c = faces.T
+    return (a == b) | (b == c) | (a == c)
+
+
 @dataclass(eq=False)
 class TriangleMesh:
     """Indexed triangle soup: ``vertices`` (V,3) float64 mm, ``faces`` (F,3) int."""
@@ -172,11 +178,7 @@ class TriangleMesh:
         if faces.size:
             if faces.min() < 0 or faces.max() >= len(vertices):
                 raise ValueError("face index out of range")
-            if (
-                (faces[:, 0] == faces[:, 1])
-                | (faces[:, 1] == faces[:, 2])
-                | (faces[:, 0] == faces[:, 2])
-            ).any():
+            if _repeats_vertex(faces).any():
                 raise ValueError("degenerate face (repeated vertex index)")
         vertices.setflags(write=False)
         faces.setflags(write=False)
@@ -273,12 +275,7 @@ def marching_cubes(volume: Volume, iso_hu: float) -> TriangleMesh:
         stays = target == np.arange(len(vertices))
         vertices = vertices[stays]
         faces = (np.cumsum(stays) - 1)[target][faces]
-        keep = (
-            (faces[:, 0] != faces[:, 1])
-            & (faces[:, 1] != faces[:, 2])
-            & (faces[:, 0] != faces[:, 2])
-        )
-        faces = faces[keep]
+        faces = faces[~_repeats_vertex(faces)]
         if faces.size == 0:
             return empty_mesh()
         # Drop vertices orphaned by face removal.  Without a weld every
@@ -412,12 +409,7 @@ def _table_entries(base, row, counts, first, step) -> np.ndarray:
     ``counts[r]`` entries."""
     n = counts[row]
     entries = np.repeat(base, n)
-    # Table entry of each output: its row's start plus its place in the row.
-    start = np.cumsum(n)
-    start -= n
-    entry = np.repeat(first[row] - start, n)
-    entry += np.arange(len(entry))
-    entries += step[entry]
+    entries += step[_concat_ranges(first[row], n)]
     return entries
 
 

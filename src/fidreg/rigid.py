@@ -9,10 +9,10 @@ largest eigenvalue as the rotation quaternion) and ``check_proper``;
 ``fit_rmsd`` scores the result. Because quaternions parameterize SO(3) only,
 the rotation is always proper (det = +1): reflections cannot leak in, even
 when the unconstrained optimum would be one. ``absolute_orientation`` is the
-single-pair case. A caller whose source stays fixed across fits, like ICP,
-centers it once; one that can settle collinearity more cheaply, like
-triangle registration, asks ``_collinear`` only about the sets it cannot
-settle.
+single-pair case. A single source, like ICP's, which stays fixed across
+fits, is centered once by ``center_source``; a caller that can settle
+collinearity more cheaply, like triangle registration, asks ``_collinear``
+only about the sets it cannot settle.
 """
 
 from __future__ import annotations
@@ -173,6 +173,16 @@ def center_points(source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centroid, source - centroid[:, None, :]
 
 
+def center_source(source: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`center_points` of one source (m, 3) as a stack of one, and its
+    ``aligned`` flags; raises DegenerateGeometryError if it is collinear."""
+    centroid, centered = center_points(source[None])
+    aligned = ~_collinear(centered)
+    if not aligned[0]:
+        raise DegenerateGeometryError("source points are collinear; rotation is not determined")
+    return centroid, centered, aligned
+
+
 def horn_solve(
     src_centroid: np.ndarray, src_centered: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -239,16 +249,11 @@ def absolute_orientation(corr: PointCorrespondences) -> tuple[RigidTransform, fl
     """Least-squares rigid fit of corr.source onto corr.target.
 
     Returns the optimal proper transform and the rmsd of the fitted residuals.
-    Raises DegenerateGeometryError when the source points are collinear.
+    Raises DegenerateGeometryError for a collinear source.
     Solving a pair alone or inside a stack gives the identical fit.
     """
     source, target = corr.source[None], corr.target[None]
-    centroid, centered = center_points(source)
-    aligned = ~_collinear(centered)
-    if not aligned[0]:
-        raise DegenerateGeometryError(
-            "source points are collinear; rotation is not determined"
-        )
+    centroid, centered, aligned = center_source(corr.source)
     rotation, translation = horn_solve(centroid, centered, target)
     check_proper(rotation, aligned)
     rmsd = fit_rmsd(rotation, translation, source, target)

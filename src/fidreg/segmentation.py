@@ -22,7 +22,7 @@ import numpy as np
 from .config import BOOL, FLOAT, INT, ConfigError, read_fields, write_fields
 from .errors import InsufficientMarkersError
 from .markers import MarkerSet
-from .volume import Volume
+from .volume import Volume, _concat_ranges
 
 # Largest Manhattan step |di| + |dj| + |dk| between neighbours, per
 # connectivity (faces, plus edges, plus corners).
@@ -201,13 +201,6 @@ def _run_pairs(run_first, run_last, dims, connectivity: int) -> np.ndarray:
         src, first, count = src[hit], first[hit], count[hit]
         pairs.append(np.column_stack((np.repeat(src, count), _concat_ranges(first, count))))
     return np.concatenate(pairs)
-
-
-def _concat_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(f, f + c) for f, c in zip(first, count)])``."""
-    ends = np.cumsum(count)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(first - (ends - count), count)
 
 
 def _union_runs(pairs: np.ndarray, n_runs: int) -> np.ndarray:

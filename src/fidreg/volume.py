@@ -97,6 +97,15 @@ class Volume:
         )
 
 
+def _concat_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(f, f + c) for f, c in zip(first, count)])``."""
+    start = np.cumsum(count)
+    start -= count
+    out = np.repeat(first - start, count)
+    out += np.arange(len(out))
+    return out
+
+
 def write_volume(volume: Volume, path) -> None:
     """Write ``volume`` to ``path`` as a ``.vol`` file.
 
@@ -156,35 +165,32 @@ def _parse_fields(line: str, tag: str, count: int, lineno: int) -> list[str]:
     return parts[1:]
 
 
+# Header lines 2-4, three numbers each: the tag, the number kind, the words
+# for a field that does not parse, and the rule every value must meet.
+_TRIPLE_LINES = (
+    ("DIMS", int, "non-integer dims", "dims must be positive", lambda d: d > 0),
+    ("SPACING", float, "non-numeric spacing", "spacing must be positive",
+     lambda s: np.isfinite(s) and s > 0),
+    ("ORIGIN", float, "non-numeric origin", "origin must be finite", np.isfinite),
+)
+
+
 def _parse_header(fh) -> tuple[tuple[int, int, int], tuple, tuple]:
     """Read and check the six header lines; returns (dims, spacing, origin)."""
     magic = _header_line(fh, 1)
     if magic != MAGIC:
         raise VolumeFormatError(f"header line 1: expected {MAGIC!r}, got {magic!r}")
 
-    dims_line = _header_line(fh, 2)
-    try:
-        dims = tuple(parse_number(f, int) for f in _parse_fields(dims_line, "DIMS", 3, 2))
-    except ValueError as exc:
-        raise VolumeFormatError(f"header line 2: non-integer dims in {dims_line!r}") from exc
-    if any(d <= 0 for d in dims):
-        raise VolumeFormatError(f"header line 2: dims must be positive, got {dims}")
-
-    spacing_line = _header_line(fh, 3)
-    try:
-        spacing = tuple(parse_number(f) for f in _parse_fields(spacing_line, "SPACING", 3, 3))
-    except ValueError as exc:
-        raise VolumeFormatError(f"header line 3: non-numeric spacing in {spacing_line!r}") from exc
-    if any(not np.isfinite(s) or s <= 0 for s in spacing):
-        raise VolumeFormatError(f"header line 3: spacing must be positive, got {spacing}")
-
-    origin_line = _header_line(fh, 4)
-    try:
-        origin = tuple(parse_number(f) for f in _parse_fields(origin_line, "ORIGIN", 3, 4))
-    except ValueError as exc:
-        raise VolumeFormatError(f"header line 4: non-numeric origin in {origin_line!r}") from exc
-    if any(not np.isfinite(o) for o in origin):
-        raise VolumeFormatError(f"header line 4: origin must be finite, got {origin}")
+    triples = []
+    for lineno, (tag, kind, bad_field, rule, holds) in enumerate(_TRIPLE_LINES, start=2):
+        line = _header_line(fh, lineno)
+        try:
+            triple = tuple(parse_number(f, kind) for f in _parse_fields(line, tag, 3, lineno))
+        except ValueError as exc:
+            raise VolumeFormatError(f"header line {lineno}: {bad_field} in {line!r}") from exc
+        if not all(holds(v) for v in triple):
+            raise VolumeFormatError(f"header line {lineno}: {rule}, got {triple}")
+        triples.append(triple)
 
     dtype_line = _header_line(fh, 5)
     (tag,) = _parse_fields(dtype_line, "DTYPE", 1, 5)
@@ -194,7 +200,7 @@ def _parse_header(fh) -> tuple[tuple[int, int, int], tuple, tuple]:
     data_line = _header_line(fh, 6)
     if data_line != "DATA":
         raise VolumeFormatError(f"header line 6: expected 'DATA', got {data_line!r}")
-    return dims, spacing, origin
+    return tuple(triples)
 
 
 def read_volume(path) -> Volume:

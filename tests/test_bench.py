@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,15 @@ def test_spec_validation():
         with pytest.raises(ConfigError, match="placement_extent"):
             SceneSpec.from_text(f"n_markers = 4\nplacement_extent = 1 {value} 1\n")
     assert SceneSpec(n_markers=4, seed=-1).seed == (1 << 64) - 1  # wraps like the rng
+
+
+@pytest.mark.parametrize("value", ["mirror", "Identity", "", 7, np.eye(3)])
+def test_spec_rejects_any_other_true_transform_without_a_warning(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as err:
+            SceneSpec(n_markers=4, true_transform=value)
+    assert str(err.value) == "true_transform must be 'random', 'identity', or a transform"
 
 
 def test_spec_text_round_trip():

@@ -498,3 +498,24 @@ def test_text_inputs_with_a_byte_order_mark_read_like_without(phantom_volume, tm
     if command == "bench":  # the records hold each trial's wall time
         written = [without_column(blob, "time_us") for blob in written]
     assert written[0] == written[1]
+
+
+def test_a_fidreg_error_outside_both_branches_exits_two(tmp_path, capsys, monkeypatch):
+    import fidreg.cli
+    from fidreg.errors import FidregError
+
+    class NewError(FidregError):
+        """Neither a FormatError nor a DomainError."""
+
+    def fail(ct, table, config):
+        raise NewError("stubbed failure")
+
+    spec = write_spec(tmp_path, "n_markers = 5\nseed = 9\n")
+    prefix = tmp_path / "s"
+    assert main(["simulate", str(spec), str(prefix)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(fidreg.cli, "register", fail)
+    out = tmp_path / "o.json"
+    assert main(["register", f"{prefix}_ct.csv", f"{prefix}_device.csv", str(out)]) == 2
+    assert capsys.readouterr().err == "error: stubbed failure\n"
+    assert not out.exists()

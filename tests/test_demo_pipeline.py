@@ -3,7 +3,9 @@
 The demo meshes and segments an in-memory phantom built from a writable
 C-ordered array, which Volume copies to Fortran order; the CLI reads the
 demo's phantom.vol back, whose voxels are a read-only view of the file
-buffer.  Both paths must write the same bytes.
+buffer.  Both paths must write the same bytes, and the demo's transform
+JSON must equal what ``fidreg register`` and ``fidreg icp`` write for the
+demo's scene files.
 """
 
 import runpy
@@ -34,3 +36,9 @@ def test_demo_outputs_match_the_cli(tmp_path, monkeypatch, capsys):
     assert main(["mesh", phantom, str(stl), "--iso", "1500"]) == 0
     assert csv.read_bytes() == (demo / "markers.csv").read_bytes()
     assert stl.read_bytes() == (demo / "skin.stl").read_bytes()
+
+    scene = [str(demo / "scene_ct.csv"), str(demo / "scene_device.csv")]
+    for command, name in (("register", "registered.json"), ("icp", "icp.json")):
+        out = tmp_path / name
+        assert main([command, *scene, str(out)]) == 0
+        assert out.read_bytes() == (demo / name).read_bytes(), name

@@ -6,14 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import fidreg.volume
 from fidreg.errors import TruncationError, VolumeFormatError
 from fidreg.mesh import marching_cubes
 from fidreg.segmentation import SegmentationConfig, segment_components
-from fidreg.volume import Volume, read_volume, write_volume
+from fidreg.volume import Volume, _concat_ranges, read_volume, write_volume
 
 
 def small_volumes():
@@ -60,6 +60,19 @@ def test_payload_is_x_fastest_little_endian(tmp_path):
     off = 2 * (1 + nx * (2 + ny * 3))
     assert payload[off : off + 2] == bytes([0x34, 0x12])
     assert sum(payload) == 0x34 + 0x12  # everything else zero
+
+
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 6)), max_size=12))
+@example([])
+@example([(4, 0), (7, 3), (-2, 0), (0, 1)])
+def test_concat_ranges_is_its_docstring_loop(runs):
+    # Zero-length runs occur: the owned-edge table has empty rows.
+    first = np.array([f for f, _ in runs], dtype=np.int64)
+    count = np.array([c for _, c in runs], dtype=np.int64)
+    expected = [v for f, c in runs for v in range(f, f + c)]
+    got = _concat_ranges(first, count)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected
 
 
 def test_world_coords_voxel_centers():
@@ -208,6 +221,32 @@ def test_short_or_garbled_headers(tmp_path, blob, message):
     with pytest.raises(VolumeFormatError) as err:
         read_volume(path)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "lineno, line, message",
+    [
+        (2, "DIMS 2 0 2", "header line 2: dims must be positive, got (2, 0, 2)"),
+        (2, "DIMS 2 2 1.5", "header line 2: non-integer dims in 'DIMS 2 2 1.5'"),
+        (2, "DIMS 2 2", "header line 2: expected 'DIMS' with 3 fields, got 'DIMS 2 2'"),
+        (3, "SPACING 1 0 1", "header line 3: spacing must be positive, got (1.0, 0.0, 1.0)"),
+        (3, "SPACING 1 inf 1", "header line 3: spacing must be positive, got (1.0, inf, 1.0)"),
+        (3, "SPACING 1 -1 1", "header line 3: spacing must be positive, got (1.0, -1.0, 1.0)"),
+        (3, "SPACING 1 x 1", "header line 3: non-numeric spacing in 'SPACING 1 x 1'"),
+        (3, "ORIGIN 0 0 0", "header line 3: expected 'SPACING' with 3 fields, got 'ORIGIN 0 0 0'"),
+        (4, "ORIGIN 0 nan 0", "header line 4: origin must be finite, got (0.0, nan, 0.0)"),
+        (4, "ORIGIN 0 0", "header line 4: expected 'ORIGIN' with 3 fields, got 'ORIGIN 0 0'"),
+        (4, "ORIGIN 0 x 0", "header line 4: non-numeric origin in 'ORIGIN 0 x 0'"),
+    ],
+)
+def test_header_lines_2_to_4_name_the_fault_in_full(tmp_path, lineno, line, message):
+    lines = ["VOL1", "DIMS 2 2 2", "SPACING 1 1 1", "ORIGIN 0 0 0", "DTYPE int16le", "DATA"]
+    lines[lineno - 1] = line
+    path = tmp_path / "v.vol"
+    path.write_bytes("\n".join(lines).encode("ascii") + b"\n" + bytes(16))
+    with pytest.raises(VolumeFormatError) as err:
+        read_volume(path)
+    assert str(err.value) == message
 
 
 def test_write_replaces_the_file_a_read_volume_maps(tmp_path):
