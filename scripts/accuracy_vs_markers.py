@@ -10,9 +10,11 @@ Usage:
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from fidreg.bench import SceneSpec, run_benchmark, summarize, write_records_csv
+from fidreg.errors import ConfigError
 
 
 def parse_args():
@@ -33,12 +35,16 @@ def parse_args():
 def main():
     args = parse_args()
     counts = [int(c) for c in args.counts.split(",")]
-    grid = [
-        SceneSpec(n_markers=n, noise_sigma_mm=args.sigma, seed=args.seed + 1000 * n)
-        for n in counts
-    ]
-    methods = tuple(m.strip() for m in args.methods.split(","))
-    records = run_benchmark(grid, methods=methods, trials_per_cell=args.trials)
+    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    try:
+        grid = [
+            SceneSpec(n_markers=n, noise_sigma_mm=args.sigma, seed=args.seed + 1000 * n)
+            for n in counts
+        ]
+        records = run_benchmark(grid, methods=methods, trials_per_cell=args.trials)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.out_csv:
         Path(args.out_csv).parent.mkdir(parents=True, exist_ok=True)
         write_records_csv(records, args.out_csv)
@@ -56,7 +62,8 @@ def main():
             f"{cell['method']:<10} {cell['n_markers']:>7} {tre:>16} {rot:>14} "
             f"{cell['failures']:>5}"
         )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -721,7 +721,10 @@ def corner_array_write_stl(mesh: TriangleMesh, path) -> None:
 # fidreg.bench.run_benchmark as it was before it drew each scene once and
 # shared it between the methods: every (spec, method) cell draws its warm-up
 # scene and each trial's scene itself, and builds the configs inside the
-# timed window. Records must agree in every field but time_us.
+# timed window. It keeps that per-cell warm-up on purpose, although
+# run_benchmark now warms each method up once per call: a warm-up makes no
+# record, so the two can only differ in time_us, which the comparison
+# ignores. Records must agree in every field but time_us.
 # ---------------------------------------------------------------------------
 
 

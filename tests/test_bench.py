@@ -492,29 +492,70 @@ def test_run_benchmark_matches_the_per_cell_draw_loop(trials, methods):
     assert "no-match" in {r.status for r in got if r.method == "triangle"}
 
 
-@pytest.mark.parametrize("methods", [("triangle",), ("icp",), ("triangle", "icp")])
-def test_each_scene_is_drawn_once_and_warm_ups_only_register(monkeypatch, methods):
+def _count_calls(monkeypatch):
+    """Count scene draws and registrations; keep each registration's CT set."""
     calls = {"generate_scene": 0, "register": 0, "icp_register": 0}
+    cts = {"register": [], "icp_register": []}
 
     def counted(name):
         original = getattr(fidreg.bench, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name in cts:
+                cts[name].append(args[0])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(fidreg.bench, name, wrapper)
 
     for name in calls:
         counted(name)
+    return calls, cts
+
+
+_METHOD_CALLS = (("triangle", "register"), ("icp", "icp_register"))
+
+
+@pytest.mark.parametrize(
+    "methods", [("triangle",), ("icp",), ("triangle", "icp"), ("icp", "triangle")]
+)
+def test_each_scene_is_drawn_once_and_warm_ups_only_register(monkeypatch, methods):
+    calls, cts = _count_calls(monkeypatch)
     grid = ORACLE_GRID[:3]
     trials = 3
     records = run_benchmark(grid, methods=methods, trials_per_cell=trials)
     assert len(records) == len(grid) * len(methods) * trials
     assert calls["generate_scene"] == len(grid) * trials
-    # one discarded warm-up registration per (spec, method) cell
-    for method, name in (("triangle", "register"), ("icp", "icp_register")):
-        assert calls[name] == (len(grid) * (trials + 1) if method in methods else 0)
+    # one discarded warm-up registration per method per call, on the first
+    # spec's trial-0 scene, which trial 0 then registers again
+    for method, name in _METHOD_CALLS:
+        assert calls[name] == (len(grid) * trials + 1 if method in methods else 0)
+        if method in methods:
+            assert cts[name][0] is cts[name][1]
+            assert len({id(ct) for ct in cts[name]}) == len(grid) * trials
+
+
+def test_a_failed_warm_up_is_still_the_methods_only_warm_up(monkeypatch):
+    # The first spec's triangle trials all end in no-match, warm-up included.
+    calls, _ = _count_calls(monkeypatch)
+    grid = [ORACLE_GRID[-1], *ORACLE_GRID[:2]]
+    trials = 2
+    records = run_benchmark(grid, trials_per_cell=trials)
+    assert [r.status for r in records[:trials]] == ["no-match"] * trials
+    for _, name in _METHOD_CALLS:
+        assert calls[name] == len(grid) * trials + 1
+
+
+def test_each_call_makes_its_own_warm_ups(monkeypatch):
+    calls, _ = _count_calls(monkeypatch)
+    grid = ORACLE_GRID[:2]
+    trials = 2
+    first = run_benchmark(grid, trials_per_cell=trials)
+    second = run_benchmark(grid, trials_per_cell=trials)
+    assert _rows_without_time(first) == _rows_without_time(second)
+    assert calls["generate_scene"] == 2 * len(grid) * trials
+    for _, name in _METHOD_CALLS:
+        assert calls[name] == 2 * (len(grid) * trials + 1)
 
 
 def test_spec_text_seed_lies_in_the_rng_range():
