@@ -32,11 +32,18 @@ def parse_args():
     return parser.parse_args()
 
 
+def parse_counts(text):
+    try:
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--counts must be comma-separated integers, got {text!r}") from None
+
+
 def main():
     args = parse_args()
-    counts = [int(c) for c in args.counts.split(",")]
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     try:
+        counts = parse_counts(args.counts)
         grid = [
             SceneSpec(n_markers=n, noise_sigma_mm=args.sigma, seed=args.seed + 1000 * n)
             for n in counts

@@ -83,6 +83,8 @@ METHODS = ("triangle", "icp")
 # A summary cell is one method on one scene setting; its metrics are averaged.
 _CELL_KEYS = ("method", "n_markers", "noise_sigma_mm", "dropout", "decoys")
 _METRICS = ("tre_mm", "rot_err_rad", "trans_err_mm", "time_us")
+# A trial that returns a pose with a TRE above this is a gross error.
+GROSS_TRE_MM = 10.0
 
 
 def _format_transform(transform: RigidTransform | str) -> str:
@@ -395,7 +397,8 @@ def summarize(records: list[TrialRecord]) -> list[dict]:
 
     Means and sample standard deviations cover successful trials only;
     ``failures`` counts the rest, and a metric with no successful trial is
-    ``None``.
+    ``None``. ``gross_error_rate`` is the share of the cell's trials that
+    succeeded with a TRE above GROSS_TRE_MM.
     """
     cells: dict[tuple, list[TrialRecord]] = {}
     for record in records:
@@ -404,7 +407,8 @@ def summarize(records: list[TrialRecord]) -> list[dict]:
     for key, trials in cells.items():
         ok = [r for r in trials if r.status == "ok"]
         cell = dict(zip(_CELL_KEYS, key), trials=len(trials), failures=len(trials) - len(ok),
-                    flipped=sum(1 for r in ok if r.flipped))
+                    flipped=sum(1 for r in ok if r.flipped),
+                    gross_error_rate=sum(1 for r in ok if r.tre_mm > GROSS_TRE_MM) / len(trials))
         for name in _METRICS:
             values = np.array([getattr(r, name) for r in ok])
             std = float(values.std(ddof=1)) if len(ok) > 1 else 0.0

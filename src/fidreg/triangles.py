@@ -2,13 +2,18 @@
 
 Every 3-subset of detected device markers is stored as a scale-normalized
 shape key in a columnar table. To register, the keys of all CT-side triangles
-are computed at once and each takes its k shape-nearest stored keys from one
-exact distance matrix. Candidates failing the absolute-scale check are masked
-out. Every survivor's vertex pairings (the permutations its edge-length ties
-allow) are solved in one stacked closed-form fit and the best is kept; its
-normal-flip variant is solved in a second stack, and only where an
-edge-length bound cannot rule the flip out (see _solve_pairings). The
-candidate whose transform best explains *all* CT markers wins.
+are computed at once, and the CT triples are then taken in a fixed,
+spread-out order, in blocks. Each triple of a block takes its k
+shape-nearest stored keys from one exact distance matrix; candidates failing
+the absolute-scale check are masked out. Every survivor's vertex pairings
+(the permutations its edge-length ties allow) are solved in one stacked
+closed-form fit and the best is kept; its normal-flip variant is solved in a
+second stack, and only where an edge-length bound cannot rule the flip out
+(see _solve_pairings). Each candidate is scored by consensus: the CT markers
+whose nearest device marker lies within the inlier gate. After each block
+the adaptive RANSAC bound on the best consensus so far decides whether
+enough triples have been scored; the winner is then refit on its
+mutual-nearest inliers.
 
 Shape keys: with edge lengths e1 >= e3 >= e2 (e1 longest, e2 shortest), the
 key is (r2, r3) = (e2/e1, e3/e1), which is invariant to rigid motion and
@@ -48,6 +53,7 @@ _REG_FIELDS = {
     "scale_tolerance_mm": FLOAT,
     "tie_epsilon_mm": FLOAT,
     "degeneracy_ratio": FLOAT,
+    "inlier_gate_mm": FLOAT,
 }
 
 
@@ -59,6 +65,7 @@ class RegistrationConfig:
     scale_tolerance_mm: float = 5.0
     tie_epsilon_mm: float = 0.5
     degeneracy_ratio: float = DEGENERACY_RATIO
+    inlier_gate_mm: float = 6.0
 
     def __post_init__(self):
         if self.k < 1:
@@ -67,6 +74,10 @@ class RegistrationConfig:
             raise ConfigError("scale_tolerance_mm and tie_epsilon_mm must be non-negative and finite")
         if not (0 < self.degeneracy_ratio < 1):
             raise ConfigError(f"degeneracy_ratio must be in (0, 1), got {self.degeneracy_ratio!r}")
+        if not (0 <= self.inlier_gate_mm < math.inf):
+            raise ConfigError(
+                f"inlier_gate_mm must be non-negative and finite, got {self.inlier_gate_mm!r}"
+            )
 
     @classmethod
     def from_text(cls, text: str) -> "RegistrationConfig":
@@ -554,13 +565,21 @@ def align_with_flip(corr: PointCorrespondences) -> tuple[RigidTransform, float, 
 
 @dataclass(eq=False)
 class RegistrationResult:
-    """Winning alignment of register()."""
+    """Winning alignment of register().
+
+    ``matched_triangle``, ``shape_distance`` and ``flipped`` describe the
+    winning candidate. ``transform`` is its refit on the mutual-nearest
+    inliers, or its own fit when there was nothing to refit; ``rmsd`` and
+    ``inliers`` score the transform returned.
+    """
 
     transform: RigidTransform
     matched_triangle: IndexedTriangle
     shape_distance: float
     rmsd: float  # RMS nearest-device-marker distance over all CT markers, mm
     flipped: bool
+    inliers: int  # CT markers whose nearest device marker lies within the gate
+    triples_scored: int  # CT triples scored before the stop rule held
 
     def to_json_dict(self) -> dict:
         from .rigid import transform_to_json_dict
@@ -571,30 +590,226 @@ class RegistrationResult:
             "shape_distance": float(self.shape_distance),
             "rmsd": float(self.rmsd),
             "flipped": bool(self.flipped),
+            "inliers": int(self.inliers),
+            "triples_scored": int(self.triples_scored),
         }
 
 
-def _all_marker_rmsd(
-    rotation: np.ndarray, translation: np.ndarray, ct_points: np.ndarray, dev_points: np.ndarray
-) -> np.ndarray:
-    """RMS nearest-device-marker distance over all CT markers, per transform.
+class _Scores(NamedTuple):
+    """Consensus scores of one or more transforms."""
 
-    Takes a stack of transforms, (C, 3, 3) and (C, 3). Scores them in blocks
+    rmsd: np.ndarray  # RMS nearest-device-marker distance over all CT markers
+    inliers: np.ndarray  # CT markers whose nearest device marker is within the gate
+    inlier_sq: np.ndarray  # sum of those inliers' squared distances
+
+
+def _scores(nearest_sq: np.ndarray, gate_mm: float) -> _Scores:
+    """Scores from squared nearest-device-marker distances, (..., n) CT markers.
+
+    A CT marker is an inlier when its squared distance is at most
+    ``gate_mm**2``.
+    """
+    inside = nearest_sq <= gate_mm * gate_mm
+    return _Scores(
+        rmsd=np.sqrt(np.add.reduce(nearest_sq, axis=-1) / nearest_sq.shape[-1]),
+        inliers=np.add.reduce(inside, axis=-1),
+        inlier_sq=np.add.reduce(np.where(inside, nearest_sq, 0.0), axis=-1),
+    )
+
+
+def _all_marker_rmsd(
+    rotation: np.ndarray,
+    translation: np.ndarray,
+    ct_points: np.ndarray,
+    dev_points: np.ndarray,
+    gate_mm: float,
+) -> _Scores:
+    """Nearest-device-marker scores over all CT markers (see _scores), per transform.
+
+    Takes a stack of transforms, (C, 3, 3) and (C, 3). Maps them in blocks
     and scans one device marker at a time, so the temporaries stay near
     _SCAN_BLOCK entries rather than (C, n, m).
     """
-    rmsd = np.empty(len(rotation))
+    nearest_sq = np.empty((len(rotation), len(ct_points)))
     block = max(1, _SCAN_BLOCK // len(ct_points))
     for start in range(0, len(rotation), block):
         stop = start + block
         mapped = apply_rigid_stack(rotation[start:stop], translation[start:stop], ct_points)
         x, y, z = (np.ascontiguousarray(mapped[..., axis]) for axis in range(3))
-        nearest_sq = np.full(x.shape, np.inf)
+        nearest = nearest_sq[start:stop]
+        nearest.fill(np.inf)
         for px, py, pz in dev_points:
             dx, dy, dz = x - px, y - py, z - pz
-            np.minimum(nearest_sq, dx * dx + dy * dy + dz * dz, out=nearest_sq)
-        rmsd[start:stop] = np.sqrt(np.add.reduce(nearest_sq, axis=-1) / len(ct_points))
-    return rmsd
+            np.minimum(nearest, dx * dx + dy * dy + dz * dz, out=nearest)
+    return _scores(nearest_sq, gate_mm)
+
+
+def _distances_sq(
+    rotation: np.ndarray, translation: np.ndarray, ct_points: np.ndarray, dev_points: np.ndarray
+) -> np.ndarray:
+    """Squared distances (n, m) from one transform's mapped CT markers to each
+    device marker, bit for bit as _all_marker_rmsd computes them."""
+    mapped = apply_rigid_stack(rotation[None], translation[None], ct_points)[0]
+    x, y, z = (mapped[:, axis, None] - dev_points[:, axis] for axis in range(3))
+    return x * x + y * y + z * z
+
+
+# CT triples are scored in blocks of this many, in _spread_order; after each
+# block the stop rule decides whether to score another.
+_TRIPLE_BLOCK = 16
+# The stop rule's eta: the chance, under RANSAC's model of independent
+# draws, that none of the triples scored was three inliers.
+_MISS_PROBABILITY = 1e-6
+# 1 / golden ratio: the stride of _spread_order, as a fraction of the count.
+_SPREAD_STRIDE = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _spread_order(count: int) -> np.ndarray:
+    """0 .. count - 1 in steps of a stride near count / golden ratio, mod count.
+
+    The stride is the first integer from round(count / golden ratio) up that
+    is coprime to count, so every index comes once. Neighbours in
+    combinations order share their first markers; the stride spreads the
+    first triples scored over all the markers, with no random draws.
+    """
+    stride = max(1, round(count * _SPREAD_STRIDE))
+    while math.gcd(stride, count) != 1:
+        stride += 1
+    return np.arange(count) * stride % count
+
+
+def _triples_needed(inliers: int, markers: int) -> float:
+    """RANSAC's adaptive bound log(eta) / log(1 - w**3), w = inliers / markers.
+
+    The number of triples to score for one of them to have been three
+    inliers with probability 1 - eta: 0 when every marker is an inlier,
+    infinite when none is.
+    """
+    w = inliers / markers
+    if w >= 1.0:
+        return 0.0
+    if w <= 0.0:
+        return math.inf
+    return math.log(_MISS_PROBABILITY) / math.log1p(-(w**3))
+
+
+class _Candidate(NamedTuple):
+    """The best candidate of a block, by its rank key (lowest wins)."""
+
+    rank: tuple  # (-inliers, inlier_sq, shape distance, device marker indices)
+    ct_triple: int  # row of _all_triples
+    triangle: int  # stored device triangle row
+    rotation: np.ndarray  # (3, 3)
+    translation: np.ndarray  # (3,)
+    flipped: bool
+    rmsd: float
+    inliers: int
+
+
+class _Rejected(NamedTuple):
+    """The best candidate of a block whose candidates all fail the scale gate."""
+
+    rank: tuple  # (shape distance, CT triple row)
+    scale_gap: float
+
+
+def _block_best(
+    rows: np.ndarray,
+    ct_triangles: np.ndarray,
+    shapes: _Shapes,
+    ct_points: np.ndarray,
+    table: TriangleTable,
+    config: RegistrationConfig,
+) -> _Candidate | _Rejected:
+    """Score the candidates of the shaped CT triples ``rows``; keep the best.
+
+    Candidates come in the order (position in ``rows``, shape rank); ties in
+    the rank key keep that order. When no candidate passes the scale gate,
+    returns the one with the lowest (shape distance, CT triple, shape rank).
+    """
+    nearest, distance = _nearest_keys(shapes.key[rows], table.keys, config.k)
+    cand_row = np.repeat(np.arange(len(rows)), nearest.shape[1])
+    cand_tri = nearest.ravel()
+    cand_distance = distance.ravel()
+    scale_gap = np.abs(shapes.e1[rows][cand_row] - table.e1[cand_tri])
+    passed = ~(scale_gap > config.scale_tolerance_mm)
+    if not passed.any():
+        first = int(np.lexsort((rows[cand_row], cand_distance))[0])
+        rank = (float(cand_distance[first]), int(rows[cand_row[first]]))
+        return _Rejected(rank, float(scale_gap[first]))
+    cand_row, cand_tri, cand_distance = cand_row[passed], cand_tri[passed], cand_distance[passed]
+
+    perm = shapes.perm[rows]
+    ct = _permute_rows(ct_triangles[rows], perm)
+    ct_edges = _permute_rows(shapes.edges[rows], perm)
+    indices = table.indices[cand_tri]
+    dev = table.markers[indices]
+    dev_edges = _edge_lengths(dev)
+    # The order a canonical re-sort of the stored triangles gives.
+    tied = _resorted_ties(dev_edges)
+    dev[tied, 1:] = dev[tied, 2:0:-1]
+    codes = _tie_codes(ct_edges[cand_row], dev_edges, config.tie_epsilon_mm)
+    _, rotation, translation, _, flipped = _solve_pairings(
+        ct, ct_edges, shapes.area[rows], cand_row, dev, codes
+    )
+    score = _all_marker_rmsd(rotation, translation, ct_points, table.markers, config.inlier_gate_mm)
+
+    best = int(np.lexsort((
+        indices[:, 2], indices[:, 1], indices[:, 0], cand_distance, score.inlier_sq, -score.inliers
+    ))[0])
+    rank = (
+        -int(score.inliers[best]),
+        float(score.inlier_sq[best]),
+        float(cand_distance[best]),
+        *(int(i) for i in indices[best]),
+    )
+    return _Candidate(
+        rank=rank,
+        ct_triple=int(rows[cand_row[best]]),
+        triangle=int(cand_tri[best]),
+        rotation=rotation[best],
+        translation=translation[best],
+        flipped=bool(flipped[best]),
+        rmsd=float(score.rmsd[best]),
+        inliers=int(score.inliers[best]),
+    )
+
+
+def _refit(
+    rotation: np.ndarray,
+    translation: np.ndarray,
+    ct_points: np.ndarray,
+    dev_points: np.ndarray,
+    gate_mm: float,
+    matched: tuple[np.ndarray, tuple[int, int, int]],
+) -> tuple[np.ndarray, np.ndarray, _Scores] | None:
+    """One Horn fit of the CT markers onto their mutual-nearest inlier partners.
+
+    A CT marker and a device marker pair when each is the other's nearest
+    under the transform (the first on ties) and the CT marker is an inlier.
+    Returns ``(rotation, translation, scores)``, or None when fewer than
+    three pairs exist, when they pair just the ``matched`` (CT markers,
+    device markers) of the winning candidate, or when their CT markers are
+    collinear.
+    """
+    dist_sq = _distances_sq(rotation, translation, ct_points, dev_points)
+    partner = np.argmin(dist_sq, axis=1)
+    ct_index = np.arange(len(ct_points))
+    pairs = np.flatnonzero(
+        (np.argmin(dist_sq, axis=0)[partner] == ct_index)
+        & (dist_sq[ct_index, partner] <= gate_mm * gate_mm)
+    )
+    if len(pairs) < 3:
+        return None
+    if len(pairs) == 3 and set(pairs) == set(matched[0]) and set(partner[pairs]) == set(matched[1]):
+        return None
+    centroid, centered = center_points(ct_points[pairs][None])
+    if _collinear(centered)[0]:
+        return None
+    rotation, translation = horn_solve(centroid, centered, dev_points[partner[pairs]][None])
+    rotation, translation = rotation[0], translation[0]
+    nearest_sq = _distances_sq(rotation, translation, ct_points, dev_points).min(axis=1)
+    return rotation, translation, _scores(nearest_sq, gate_mm)
 
 
 def register(
@@ -604,15 +819,26 @@ def register(
 ) -> RegistrationResult:
     """Register CT markers against the device triangle table.
 
-    Every CT-side triangle queries its k shape-nearest device triangles;
-    candidates failing the absolute-scale check |e1_ct - e1_dev| <=
-    scale_tolerance_mm are rejected. Each survivor is vertex-corresponded and
-    aligned (with flip correction), and candidates are ranked by the RMS
-    nearest-device-marker distance over *all* CT markers, tie-broken by
-    (rmsd, shape_distance, marker indices), then by CT triple and shape rank.
+    The shaped CT triples are scored in blocks of _TRIPLE_BLOCK, in the
+    fixed order of _spread_order. In each block, every CT triple queries its
+    k shape-nearest device triangles; candidates failing the absolute-scale
+    check |e1_ct - e1_dev| <= scale_tolerance_mm are rejected. Each survivor
+    is vertex-corresponded and aligned (with flip correction), and scored by
+    consensus: its inliers are the CT markers whose nearest device marker
+    lies within inlier_gate_mm. Candidates rank by inlier count (highest
+    first), then inlier RMS (compared as the inliers' sum of squared
+    distances, which orders equal counts alike), shape distance and device
+    marker indices, then the order they were visited in.
+
+    After each block, with w the best inlier count so far over the number
+    of CT markers, scoring stops once the triples scored reach the RANSAC
+    bound log(eta) / log(1 - w**3), eta = _MISS_PROBABILITY. The winner is
+    then refit by one Horn solve on its mutual-nearest inliers (see _refit).
+    The result's rmsd is the all-marker RMS of the transform returned.
 
     Raises InsufficientMarkersError (< 3 CT markers), DegenerateTriangleError
-    (no CT triple carries a shape), or NoMatchError (no candidate survives).
+    (no CT triple carries a shape), or NoMatchError (no candidate survives,
+    which only shows once every triple has been visited).
     """
     if config is None:
         config = RegistrationConfig()
@@ -622,51 +848,52 @@ def register(
     if table.n_triangles == 0:
         raise NoMatchError("no device triangles stored (need at least 3 device markers)")
 
-    ct_triangles = ct_points[_all_triples(len(ct_points))]
+    triples = _all_triples(len(ct_points))
+    ct_triangles = ct_points[triples]
     shapes = _triangle_shapes(ct_triangles, config.degeneracy_ratio)
-    ct_keys, ct_e1, shaped = shapes.key, shapes.e1, shapes.shaped
-    if not shaped.any():
+    if not shapes.shaped.any():
         raise DegenerateTriangleError("every CT marker triple is degenerate")
+    order = _spread_order(len(triples))
+    order = order[shapes.shaped[order]]
 
-    # Candidates in the order (CT triple, shape rank); the winner's final
-    # tie-break keeps that order.
-    rows = np.flatnonzero(shaped)
-    nearest, distance = _nearest_keys(ct_keys[rows], table.keys, config.k)
-    cand_row = np.repeat(rows, nearest.shape[1])
-    cand_tri = nearest.ravel()
-    cand_distance = distance.ravel()
-    scale_gap = np.abs(ct_e1[cand_row] - table.e1[cand_tri])
-    passed = ~(scale_gap > config.scale_tolerance_mm)
-    if not passed.any():
-        rejected = int(np.argmin(cand_distance))
+    best: _Candidate | None = None
+    rejected: _Rejected | None = None
+    scored = 0
+    for start in range(0, len(order), _TRIPLE_BLOCK):
+        rows = order[start : start + _TRIPLE_BLOCK]
+        scored += len(rows)
+        found = _block_best(rows, ct_triangles, shapes, ct_points, table, config)
+        if isinstance(found, _Rejected):
+            if rejected is None or found.rank < rejected.rank:
+                rejected = found
+        elif best is None or found.rank < best.rank:
+            best = found
+        if best is not None and scored >= _triples_needed(best.inliers, len(ct_points)):
+            break
+    if best is None:
         raise NoMatchError(
             "no device triangle passed scale verification"
-            f"; best rejected candidate: shape distance {cand_distance[rejected]:.6g}, "
-            f"longest-edge gap {scale_gap[rejected]:.6g} mm exceeds tolerance "
+            f"; best rejected candidate: shape distance {rejected.rank[0]:.6g}, "
+            f"longest-edge gap {rejected.scale_gap:.6g} mm exceeds tolerance "
             f"{config.scale_tolerance_mm:g} mm"
         )
-    cand_row, cand_tri, cand_distance = cand_row[passed], cand_tri[passed], cand_distance[passed]
 
     dev_points = table.markers
-    ct = _permute_rows(ct_triangles, shapes.perm)
-    ct_edges = _permute_rows(shapes.edges, shapes.perm)
-    indices = table.indices[cand_tri]
-    dev = dev_points[indices]
-    dev_edges = _edge_lengths(dev)
-    # The order a canonical re-sort of the stored triangles gives.
-    tied = _resorted_ties(dev_edges)
-    dev[tied, 1:] = dev[tied, 2:0:-1]
-    codes = _tie_codes(ct_edges[cand_row], dev_edges, config.tie_epsilon_mm)
-    _, rotation, translation, _, flipped = _solve_pairings(
-        ct, ct_edges, shapes.area, cand_row, dev, codes
+    rotation, translation, rmsd, inliers = best.rotation, best.translation, best.rmsd, best.inliers
+    matched = table._triangle(best.triangle)
+    refit = _refit(
+        rotation, translation, ct_points, dev_points, config.inlier_gate_mm,
+        (triples[best.ct_triple], matched.marker_indices),
     )
-    score = _all_marker_rmsd(rotation, translation, ct_points, dev_points)
-
-    best = int(np.lexsort((indices[:, 2], indices[:, 1], indices[:, 0], cand_distance, score))[0])
+    if refit is not None:
+        rotation, translation, score = refit
+        rmsd, inliers = float(score.rmsd), int(score.inliers)
     return RegistrationResult(
-        transform=RigidTransform(rotation=rotation[best], translation=translation[best]),
-        matched_triangle=table._triangle(int(cand_tri[best])),
-        shape_distance=float(cand_distance[best]),
-        rmsd=float(score[best]),
-        flipped=bool(flipped[best]),
+        transform=RigidTransform(rotation=rotation, translation=translation),
+        matched_triangle=matched,
+        shape_distance=best.rank[2],
+        rmsd=rmsd,
+        flipped=best.flipped,
+        inliers=inliers,
+        triples_scored=scored,
     )

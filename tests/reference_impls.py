@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import time
 from collections import deque
 
@@ -38,6 +39,7 @@ from fidreg.rigid import (
     RigidTransform,
     _collinear,
     absolute_orientation,
+    apply_rigid_stack,
     center_points,
     check_proper,
     fit_rmsd,
@@ -49,7 +51,9 @@ from fidreg.rng import rotation_from_quaternion
 from fidreg.segmentation import BinaryMask, Component
 from fidreg.triangles import (
     _FLIP_ORDER,
+    _MISS_PROBABILITY,
     _TIE_COUNT,
+    _TRIPLE_BLOCK,
     _TIE_TABLE,
     DEGENERACY_RATIO,
     RegistrationConfig,
@@ -339,10 +343,12 @@ def loop_shuffle(rng, items: list) -> None:
 # The per-candidate formulation of fidreg.triangles.register(): shape keys
 # one triangle at a time, an exhaustive shape-distance scan per CT triple,
 # tie permutations from union-find over tie groups, then one fit per
-# permutation and per flip. Only the rigid fit and the all-marker score come
+# permutation and per flip, one consensus score per candidate, the stop rule
+# checked after every block of triples, and the refit by loops over marker
+# pairs. Only the rigid fit, the stacked apply and the all-marker score come
 # from the package, called with a stack of one: their rounding cannot be
-# reproduced by a different formula, and in noise-free scenes ranking ties
-# are decided at that rounding.
+# reproduced by a different formula, and in noise-free scenes ranking ties,
+# nearest-marker ties and the inlier gate are decided at that rounding.
 # ---------------------------------------------------------------------------
 
 
@@ -462,6 +468,65 @@ def loop_align_with_flip(corr: PointCorrespondences, degeneracy_ratio: float = D
     return plain_transform, plain_rmsd, False
 
 
+def loop_spread_order(count: int) -> list[int]:
+    """Combinations-order indices 0 .. count - 1 in register's visiting order:
+    steps of the first stride from round(0.618... * count) up that shares no
+    factor with count."""
+    stride = max(1, round(count * 0.6180339887498949))
+    while math.gcd(stride, count) != 1:
+        stride += 1
+    return [step * stride % count for step in range(count)]
+
+
+def loop_triples_needed(inliers: int, markers: int) -> float:
+    """RANSAC's bound log(eta) / log(1 - w**3) on the triples to score."""
+    w = inliers / markers
+    if w >= 1.0:
+        return 0.0
+    if w <= 0.0:
+        return math.inf
+    return math.log(_MISS_PROBABILITY) / math.log1p(-(w**3))
+
+
+def loop_refit(transform: RigidTransform, ct_points, device_points, gate_mm: float, matched):
+    """The mutual-nearest inlier refit of ``transform``, or None.
+
+    ``matched`` is (CT triple, device triangle) of the winning candidate.
+    """
+    mapped = apply_rigid_stack(transform.rotation[None], transform.translation[None], ct_points)[0]
+
+    def dist_sq(i, j):
+        dx, dy, dz = (float(mapped[i][axis]) - float(device_points[j][axis]) for axis in range(3))
+        return dx * dx + dy * dy + dz * dz
+
+    def nearest(candidates, key):
+        best = None
+        for index in candidates:
+            if best is None or key(index) < key(best):
+                best = index
+        return best
+
+    pairs = []
+    for i in range(len(ct_points)):
+        j = nearest(range(len(device_points)), lambda j: dist_sq(i, j))
+        back = nearest(range(len(ct_points)), lambda k: dist_sq(k, j))
+        if back == i and dist_sq(i, j) <= gate_mm * gate_mm:
+            pairs.append((i, j))
+    if len(pairs) < 3:
+        return None
+    if len(pairs) == 3 and {i for i, _ in pairs} == set(matched[0]) and {
+        j for _, j in pairs
+    } == set(matched[1]):
+        return None
+    source = ct_points[[i for i, _ in pairs]]
+    target = device_points[[j for _, j in pairs]]
+    try:
+        refit, _ = absolute_orientation(PointCorrespondences(source, target))
+    except DegenerateGeometryError:
+        return None
+    return refit
+
+
 def loop_register(
     ct_points: np.ndarray,
     device_points: np.ndarray,
@@ -473,7 +538,10 @@ def loop_register(
 
     ``device_points`` are inserted in row order, as TriangleTable would
     store them. ``align_degeneracy_ratio`` is the ratio the flip step
-    re-validates both triangles with. Returns the fields of
+    re-validates both triangles with. CT triples are visited in
+    loop_spread_order; after every _TRIPLE_BLOCK shaped triples the loop
+    stops once the triples visited reach loop_triples_needed of the best
+    inlier count so far. Returns the fields of
     RegistrationResult.to_json_dict() plus the RigidTransform; raises the
     errors register() raises, with the same messages.
     """
@@ -507,34 +575,48 @@ def loop_register(
         ranked.sort(key=lambda entry: (entry[0], entry[1]))
         return [(indices, key, distance) for distance, _, indices, key in ranked[: config.k]]
 
-    best = None
-    best_rejected: tuple[float, float] | None = None
-    degenerate_ct = 0
-    n_triples = 0
-    for triple in itertools.combinations(range(len(ct_points)), 3):
-        n_triples += 1
-        ct_triangle = ct_points[list(triple)]
+    triples = list(itertools.combinations(range(len(ct_points)), 3))
+    ct_keys = {}
+    for triple in triples:
         try:
-            ct_key = loop_triangle_key(ct_triangle, config.degeneracy_ratio)
+            ct_keys[triple] = loop_triangle_key(ct_points[list(triple)], config.degeneracy_ratio)
         except DegenerateTriangleError:
-            degenerate_ct += 1
+            pass
+    if not ct_keys:
+        raise DegenerateTriangleError("every CT marker triple is degenerate")
+
+    best = None
+    best_rejected: tuple[float, int, float] | None = None
+    visited = 0
+    for position in loop_spread_order(len(triples)):
+        triple = triples[position]
+        if triple not in ct_keys:
             continue
+        ct_key = ct_keys[triple]
+        ct_triangle = ct_points[list(triple)]
+        visited += 1
         for indices, key, shape_distance in query(ct_key):
             scale_gap = abs(ct_key.e1 - key.e1)
             if scale_gap > config.scale_tolerance_mm:
-                if best_rejected is None or shape_distance < best_rejected[0]:
-                    best_rejected = (shape_distance, scale_gap)
+                rejected = (shape_distance, position, scale_gap)
+                if best_rejected is None or rejected[:2] < best_rejected[:2]:
+                    best_rejected = rejected
                 continue
             corr = loop_canonical_correspondence(
                 ct_triangle, device_points[list(indices)], config.tie_epsilon_mm
             )
             transform, _, flipped = loop_align_with_flip(corr, align_degeneracy_ratio)
-            rmsd = float(
-                _all_marker_rmsd(
-                    transform.rotation[None], transform.translation[None], ct_points, device_points
-                )[0]
+            rmsd, inliers, inlier_sq = (
+                value[0]
+                for value in _all_marker_rmsd(
+                    transform.rotation[None],
+                    transform.translation[None],
+                    ct_points,
+                    device_points,
+                    config.inlier_gate_mm,
+                )
             )
-            rank = (rmsd, shape_distance, indices)
+            rank = (-int(inliers), float(inlier_sq), shape_distance, indices)
             if best is None or rank < best[0]:
                 best = (
                     rank,
@@ -542,23 +624,38 @@ def loop_register(
                         "transform": transform,
                         "matched_marker_indices": list(indices),
                         "shape_distance": shape_distance,
-                        "rmsd": rmsd,
+                        "rmsd": float(rmsd),
                         "flipped": flipped,
+                        "inliers": int(inliers),
                     },
+                    triple,
                 )
+        if best is not None and visited % _TRIPLE_BLOCK == 0:
+            if visited >= loop_triples_needed(best[1]["inliers"], len(ct_points)):
+                break
 
-    if degenerate_ct == n_triples:
-        raise DegenerateTriangleError("every CT marker triple is degenerate")
     if best is None:
         detail = ""
         if best_rejected is not None:
             detail = (
                 f"; best rejected candidate: shape distance {best_rejected[0]:.6g}, "
-                f"longest-edge gap {best_rejected[1]:.6g} mm exceeds tolerance "
+                f"longest-edge gap {best_rejected[2]:.6g} mm exceeds tolerance "
                 f"{config.scale_tolerance_mm:g} mm"
             )
         raise NoMatchError("no device triangle passed scale verification" + detail)
-    return best[1]
+    _, result, triple = best
+    result["triples_scored"] = visited
+    refit = loop_refit(
+        result["transform"], ct_points, device_points, config.inlier_gate_mm,
+        (triple, result["matched_marker_indices"]),
+    )
+    if refit is not None:
+        rmsd, inliers, _ = _all_marker_rmsd(
+            refit.rotation[None], refit.translation[None], ct_points, device_points,
+            config.inlier_gate_mm,
+        )
+        result.update(transform=refit, rmsd=float(rmsd[0]), inliers=int(inliers[0]))
+    return result
 
 
 def loop_marching_cubes(volume: Volume, iso_hu: float) -> TriangleMesh:

@@ -51,6 +51,7 @@ def test_blank_method_entries_are_dropped(tmp_path, monkeypatch):
         (["--methods", "triangle,affine"], "error: unknown method 'affine'"),
         (["--trials", "0"], "error: trials_per_cell must be >= 1"),
         (["--counts", "2"], "error: n_markers must be at least 3"),
+        (["--counts", "4,x"], "error: --counts must be comma-separated integers"),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, flags, message):

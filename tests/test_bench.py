@@ -368,6 +368,18 @@ def test_summarize_means_and_failures(tmp_path):
     assert loaded["cells"][0]["tre_mm"]["mean"] == pytest.approx(3.0)
 
 
+def test_gross_error_rate_counts_successful_trials_above_ten_mm_over_all_trials():
+    def rec(tre, status="ok"):
+        ok = status == "ok"
+        return TrialRecord("triangle", 1, 6, 2.0, 1, 2, tre if ok else math.nan, 0.1, 0.1, 10.0,
+                           False, status)
+
+    records = [rec(9.9), rec(10.0), rec(10.5), rec(250.0), rec(0.0, status="no-match")]
+    (cell,) = summarize(records)
+    # 10.0 mm is not gross; a failed trial is not a gross error but counts as a trial
+    assert cell["gross_error_rate"] == 2 / 5
+
+
 GOLDEN_SUMMARY = """\
 {
   "cells": [
@@ -380,6 +392,7 @@ GOLDEN_SUMMARY = """\
       "trials": 4,
       "failures": 1,
       "flipped": 1,
+      "gross_error_rate": 0.0,
       "tre_mm": {
         "mean": 2.0,
         "std": 1.0
@@ -406,6 +419,7 @@ GOLDEN_SUMMARY = """\
       "trials": 2,
       "failures": 2,
       "flipped": 0,
+      "gross_error_rate": 0.0,
       "tre_mm": null,
       "rot_err_rad": null,
       "trans_err_mm": null,

@@ -1,9 +1,10 @@
 """register() against its per-candidate formulation (reference_impls).
 
 Both sides see the same CT markers and device markers in the same insertion
-order. The winning triangle, the flip flag and the shape distance must be
-identical; the transform and rmsd must agree within 1e-9; failures must
-raise the same error with the same message.
+order. The winning triangle, the flip flag, the shape distance, the inlier
+count and the number of triples scored must be identical; the transform and
+rmsd must agree within 1e-9; failures must raise the same error with the
+same message.
 """
 
 import itertools
@@ -18,9 +19,11 @@ from fidreg.markers import MarkerSet
 from fidreg.rigid import axis_angle_rotation
 from fidreg.triangles import (
     _SCAN_BLOCK,
+    _TRIPLE_BLOCK,
     RegistrationConfig,
     TriangleTable,
     _all_marker_rmsd,
+    _scores,
     register,
 )
 
@@ -52,6 +55,7 @@ def assert_same(got, want):
     assert list(got.matched_triangle.marker_indices) == want["matched_marker_indices"]
     assert got.flipped == want["flipped"]
     assert got.shape_distance == want["shape_distance"]
+    assert (got.inliers, got.triples_scored) == (want["inliers"], want["triples_scored"])
     assert abs(got.rmsd - want["rmsd"]) <= 1e-9
     np.testing.assert_allclose(got.transform.rotation, want["transform"].rotation, rtol=0, atol=1e-9)
     np.testing.assert_allclose(
@@ -217,7 +221,53 @@ def test_candidate_scores_do_not_depend_on_the_block_they_fall_in():
     count = 3 * _SCAN_BLOCK // len(ct) + 5
     rotation = np.stack([axis_angle_rotation(axis, 0.7) for axis in rng.normal(size=(count, 3))])
     translation = rng.uniform(-20, 20, (count, 3))
-    scores = _all_marker_rmsd(rotation, translation, ct, device)
+    scores = _all_marker_rmsd(rotation, translation, ct, device, 60.0)
+    assert 0 < scores.inliers.min() < scores.inliers.max()
     for row in [0, 1, count // 2, count - 1]:
-        single = _all_marker_rmsd(rotation[row : row + 1], translation[row : row + 1], ct, device)
-        assert single[0] == scores[row]
+        single = _all_marker_rmsd(rotation[row : row + 1], translation[row : row + 1], ct, device, 60.0)
+        assert [value[0] for value in single] == [value[row] for value in scores]
+
+
+def test_a_marker_exactly_at_the_gate_is_an_inlier():
+    scores = _scores(np.array([[36.0, np.nextafter(36.0, np.inf), 1.0, 0.0]]), 6.0)
+    assert scores.inliers.tolist() == [3]
+    assert scores.inlier_sq.tolist() == [37.0]
+    assert scores.rmsd.tolist() == [np.sqrt((73.0 + np.nextafter(36.0, np.inf) - 36.0) / 4)]
+
+
+CUBE = np.array(list(itertools.product((0.0, 40.0), repeat=3)))
+
+
+@pytest.mark.parametrize("dropped", [(0, 4), (1, 3), (0, 6)])
+def test_rank_ties_across_blocks_keep_the_first_visited(dropped):
+    # two corners of a noise-free cube missing on the device side: w = 6/8
+    # needs a second block, and congruent triples in both blocks tie exactly
+    keep = [i for i in range(8) if i not in dropped]
+    for motion in EXACT_MOTIONS[:3]:
+        device = CUBE[keep] @ motion.T + np.array([7.0, -3.0, 11.0])
+        for order in (device, device[::-1]):
+            got = check(CUBE, order)
+            assert got.triples_scored > _TRIPLE_BLOCK and got.inliers == 6
+
+
+def test_best_rejected_candidate_is_the_first_ct_triple_among_equal_shape_distances():
+    # two 3-4-5 CT triangles (longest edges 5 and 10 mm) both key exactly like
+    # the device's 12-16-20 triangle; the first in combinations order is named
+    small = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
+    ct = np.vstack([small, small * 2.0 + [100.0, 0.0, 0.0]])
+    got = check(ct, small * 4.0, RegistrationConfig(scale_tolerance_mm=1.0))
+    assert "shape distance 0, longest-edge gap 15 mm" in str(got)
+
+
+def test_refit_pairs_only_mutual_nearest_markers():
+    # CT marker 6 sits 3 mm from marker 0 and has no device partner: its
+    # nearest device marker is marker 0's, within the gate but not mutual,
+    # so the refit leaves it out and recovers the motion exactly
+    rng = np.random.default_rng(12)
+    ct = rng.uniform(-80.0, 80.0, (7, 3))
+    ct[6] = ct[0] + [3.0, 0.0, 0.0]
+    rotation = axis_angle_rotation([0.2, 1.0, -0.4], 0.9)
+    device = ct[:6] @ rotation.T + [4.0, 5.0, -6.0]
+    got = check(ct, device)
+    assert got.inliers == 7
+    np.testing.assert_allclose(got.transform.rotation, rotation, rtol=0, atol=1e-12)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, strategies as st
 
 import fidreg.triangles
 
-from fidreg.config import ConfigError
+from fidreg.bench import SceneSpec, generate_scene, target_registration_error
+from fidreg.config import ConfigError, write_json
 from fidreg.errors import (
     DegenerateTriangleError,
     InsufficientMarkersError,
@@ -27,6 +29,7 @@ from fidreg.rigid import (
 from fidreg.triangles import (
     _PLANE_AREA_RATIO,
     _PLANE_OFFSET_RATIO,
+    _TRIPLE_BLOCK,
     RegistrationConfig,
     TriangleKey,
     TriangleTable,
@@ -40,6 +43,8 @@ from fidreg.triangles import (
     _edge_lengths,
     _resorted_ties,
     _spans_plane,
+    _spread_order,
+    _triples_needed,
     _triangle_shapes,
 )
 
@@ -488,7 +493,10 @@ def test_registration_result_json_is_serializable():
         "shape_distance",
         "rmsd",
         "flipped",
+        "inliers",
+        "triples_scored",
     }
+    assert (payload["inliers"], payload["triples_scored"]) == (6, 16)
     assert payload["flipped"] is False
     assert len(payload["matched_marker_indices"]) == 3
     assert payload["rmsd"] == result.rmsd
@@ -502,7 +510,9 @@ def test_config_round_trip_and_validation():
         RegistrationConfig(k=0)
     with pytest.raises(ConfigError, match="non-negative"):
         RegistrationConfig(scale_tolerance_mm=-1.0)
-    for key in ("scale_tolerance_mm", "tie_epsilon_mm"):
+    with pytest.raises(ConfigError, match="inlier_gate_mm must be non-negative"):
+        RegistrationConfig(inlier_gate_mm=-0.5)
+    for key in ("scale_tolerance_mm", "tie_epsilon_mm", "inlier_gate_mm"):
         for value in ("nan", "inf", "-inf"):
             with pytest.raises(ConfigError, match=key):
                 RegistrationConfig(**{key: float(value)})
@@ -572,14 +582,29 @@ def test_register_asks_the_svd_about_uncleared_slivers(seed):
     table = TriangleTable(degeneracy_ratio=1e-15)
     table.insert_marker(device)
     shapes = _triangle_shapes(ct[_all_triples(len(ct))], 1e-15)
-    uncleared = int(np.count_nonzero(~(shapes.area > _PLANE_AREA_RATIO * shapes.e1**2)))
-    assert uncleared > 0
+    cleared = shapes.area > _PLANE_AREA_RATIO * shapes.e1**2
+    order = _spread_order(len(cleared))
+    order = order[shapes.shaped[order]]
+    # per block of triples scored, how many the area bound leaves to the SVD
+    uncleared = [
+        int(np.count_nonzero(~cleared[order[start : start + _TRIPLE_BLOCK]]))
+        for start in range(0, len(order), _TRIPLE_BLOCK)
+    ]
+    assert uncleared[0] > 0
     with mock.patch.object(fidreg.triangles, "_collinear", wraps=_collinear) as svd:
         try:
             got = register(MarkerSet("ct", ct), table, config)
         except DegenerateTriangleError as exc:
             got = exc
-    assert [len(call.args[0]) for call in svd.call_args_list] == [uncleared]
+    calls = [call.args[0].shape for call in svd.call_args_list]
+    if isinstance(got, DegenerateTriangleError):
+        # the first block holds the collinear sliver: its SVD call is the last
+        assert calls == [(uncleared[0], 3, 3)]
+    else:
+        # each block scored asks once about its uncleared triples, then the
+        # refit once about its eight inliers
+        blocks = -(-got.triples_scored // _TRIPLE_BLOCK)
+        assert calls == [(count, 3, 3) for count in uncleared[:blocks] if count] + [(1, 8, 3)]
     try:
         want = loop_register(
             ct, device, config, table_degeneracy_ratio=1e-15, align_degeneracy_ratio=1e-15
@@ -592,15 +617,96 @@ def test_register_asks_the_svd_about_uncleared_slivers(seed):
     assert got.transform.rotation.tobytes() == want["transform"].rotation.tobytes()
     assert got.transform.translation.tobytes() == want["transform"].translation.tobytes()
     assert list(got.matched_triangle.marker_indices) == want["matched_marker_indices"]
-    assert (got.shape_distance, got.rmsd, got.flipped) == (
+    assert (got.shape_distance, got.rmsd, got.flipped, got.inliers, got.triples_scored) == (
         want["shape_distance"],
         want["rmsd"],
         want["flipped"],
+        want["inliers"],
+        want["triples_scored"],
     )
 
 
 def test_register_runs_no_svd_when_the_area_bound_clears_every_triple():
+    # no candidate needs the SVD; only the refit asks once, about its inliers
     ct_markers, table, *_ = make_scene(23)
     with mock.patch.object(fidreg.triangles, "_collinear", wraps=_collinear) as svd:
         register(ct_markers, table)
-    assert svd.call_count == 0
+    assert [call.args[0].shape for call in svd.call_args_list] == [(1, 6, 3)]
+    # three markers: the inliers are just the matched triangle, so no refit
+    ct_markers, table, *_ = make_scene(23, n=3)
+    with mock.patch.object(fidreg.triangles, "_collinear", wraps=_collinear) as svd:
+        result = register(ct_markers, table)
+    assert svd.call_count == 0 and result.inliers == 3
+
+
+def test_spread_order_visits_every_triple_once_and_spreads_the_first_block():
+    for count in range(1, 300):
+        assert sorted(_spread_order(count).tolist()) == list(range(count))
+    # combinations order puts marker 0 in the first 55 of 220 triples; the
+    # spread order puts it in few of the first block, and reaches every marker
+    first = _all_triples(12)[_spread_order(220)[:_TRIPLE_BLOCK]]
+    assert np.count_nonzero(first == 0) <= 6
+    assert set(first.ravel().tolist()) == set(range(12))
+
+
+def test_stop_bound_guards_its_ends():
+    assert _triples_needed(12, 12) == 0.0
+    assert _triples_needed(0, 12) == np.inf
+    # one dropout of twelve: w = 11/12 needs about 9.4 triples at eta = 1e-6
+    assert _triples_needed(11, 12) == pytest.approx(np.log(1e-6) / np.log(1 - (11 / 12) ** 3))
+    assert 9 < _triples_needed(11, 12) < 10
+
+
+def scene_registration(spec):
+    ct, device, truth = generate_scene(spec)
+    table = TriangleTable()
+    table.insert_marker(device.points)
+    result = register(ct, table)
+    return result, target_registration_error(result.transform, truth, ct.points)
+
+
+def test_noise_free_forty_markers_are_recovered_after_one_block():
+    result, tre = scene_registration(SceneSpec(n_markers=40, seed=4040))
+    assert result.triples_scored <= _TRIPLE_BLOCK
+    assert result.inliers == 40
+    assert result.rmsd < 1e-9 and tre < 1e-9
+
+
+def test_a_dropped_marker_zero_still_registers():
+    rng = np.random.default_rng(8)
+    ct = rng.uniform(-150.0, 150.0, (12, 3))
+    motion = RigidTransform(axis_angle_rotation(rng.normal(size=3), 1.3), rng.uniform(-80, 80, 3))
+    device = motion.apply(ct[1:]) + rng.normal(0.0, 1.0, (11, 3))
+    device = np.vstack([device, rng.uniform(-150.0, 150.0, (2, 3))])[rng.permutation(13)]
+    table = TriangleTable()
+    table.insert_marker(device)
+    result = register(MarkerSet("ct", ct), table)
+    assert result.inliers == 11
+    assert target_registration_error(result.transform, motion, ct) < 2.0
+
+
+def test_a_dropout_scene_stops_before_scoring_every_triple():
+    spec = SceneSpec(n_markers=12, noise_sigma_mm=1.0, dropout_count=1, decoy_count=2, seed=1212)
+    result, tre = scene_registration(spec)
+    assert result.triples_scored < 220
+    assert tre < 3.0
+
+
+def test_consensus_fixes_a_dropout_scene_that_all_marker_rms_got_wrong():
+    # ranked by RMS over all CT markers this scene's winner was off by 214 mm:
+    # the dropped marker's CT point paid its distance to a decoy
+    spec = SceneSpec(n_markers=6, noise_sigma_mm=2.0, dropout_count=1, decoy_count=2, seed=1021)
+    result, tre = scene_registration(spec)
+    assert result.inliers == 5
+    assert tre < 10.0
+
+
+def test_registration_json_is_byte_identical_across_runs(tmp_path):
+    spec = SceneSpec(n_markers=20, noise_sigma_mm=2.0, dropout_count=2, decoy_count=4, seed=2020)
+    blobs = []
+    for run in range(2):
+        result, _ = scene_registration(spec)
+        write_json(result.to_json_dict(), tmp_path / f"run{run}.json")
+        blobs.append((tmp_path / f"run{run}.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert json.loads(blobs[0])["triples_scored"] < math.comb(20, 3)
