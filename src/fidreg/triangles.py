@@ -13,7 +13,7 @@ second stack, and only where an edge-length bound cannot rule the flip out
 whose nearest device marker lies within the inlier gate. After each block
 the adaptive RANSAC bound on the best consensus so far decides whether
 enough triples have been scored; the winner is then refit on its
-mutual-nearest inliers.
+mutual-nearest pairs (see register).
 
 Shape keys: with edge lengths e1 >= e3 >= e2 (e1 longest, e2 shortest), the
 key is (r2, r3) = (e2/e1, e3/e1), which is invariant to rigid motion and
@@ -53,7 +53,6 @@ _REG_FIELDS = {
     "scale_tolerance_mm": FLOAT,
     "tie_epsilon_mm": FLOAT,
     "degeneracy_ratio": FLOAT,
-    "inlier_gate_mm": FLOAT,
 }
 
 
@@ -65,7 +64,6 @@ class RegistrationConfig:
     scale_tolerance_mm: float = 5.0
     tie_epsilon_mm: float = 0.5
     degeneracy_ratio: float = DEGENERACY_RATIO
-    inlier_gate_mm: float = 6.0
 
     def __post_init__(self):
         if self.k < 1:
@@ -74,10 +72,6 @@ class RegistrationConfig:
             raise ConfigError("scale_tolerance_mm and tie_epsilon_mm must be non-negative and finite")
         if not (0 < self.degeneracy_ratio < 1):
             raise ConfigError(f"degeneracy_ratio must be in (0, 1), got {self.degeneracy_ratio!r}")
-        if not (0 <= self.inlier_gate_mm < math.inf):
-            raise ConfigError(
-                f"inlier_gate_mm must be non-negative and finite, got {self.inlier_gate_mm!r}"
-            )
 
     @classmethod
     def from_text(cls, text: str) -> "RegistrationConfig":
@@ -568,9 +562,9 @@ class RegistrationResult:
     """Winning alignment of register().
 
     ``matched_triangle``, ``shape_distance`` and ``flipped`` describe the
-    winning candidate. ``transform`` is its refit on the mutual-nearest
-    inliers, or its own fit when there was nothing to refit; ``rmsd`` and
-    ``inliers`` score the transform returned.
+    winning candidate. ``transform`` is its refit on its mutual-nearest
+    pairs, or its own fit when it had no refit; ``rmsd`` and ``inliers``
+    score the transform returned.
     """
 
     transform: RigidTransform
@@ -595,6 +589,16 @@ class RegistrationResult:
         }
 
 
+# A CT marker is an inlier of a transform when its nearest device marker lies
+# within this distance: 3 sigma per axis of 2 mm device noise.
+_INLIER_GATE_MM = 6.0
+# The refit pairs CT markers with their mutual-nearest device markers within
+# this wider gate. A three-point fit magnifies the noise at markers far from
+# its triangle, so a true partner can lie just past the inlier gate until the
+# refit, fitted to every pair, pulls it in.
+_REFIT_GATE_MM = 2.0 * _INLIER_GATE_MM
+
+
 class _Scores(NamedTuple):
     """Consensus scores of one or more transforms."""
 
@@ -603,13 +607,13 @@ class _Scores(NamedTuple):
     inlier_sq: np.ndarray  # sum of those inliers' squared distances
 
 
-def _scores(nearest_sq: np.ndarray, gate_mm: float) -> _Scores:
+def _scores(nearest_sq: np.ndarray) -> _Scores:
     """Scores from squared nearest-device-marker distances, (..., n) CT markers.
 
     A CT marker is an inlier when its squared distance is at most
-    ``gate_mm**2``.
+    ``_INLIER_GATE_MM**2``.
     """
-    inside = nearest_sq <= gate_mm * gate_mm
+    inside = nearest_sq <= _INLIER_GATE_MM * _INLIER_GATE_MM
     return _Scores(
         rmsd=np.sqrt(np.add.reduce(nearest_sq, axis=-1) / nearest_sq.shape[-1]),
         inliers=np.add.reduce(inside, axis=-1),
@@ -617,41 +621,38 @@ def _scores(nearest_sq: np.ndarray, gate_mm: float) -> _Scores:
     )
 
 
-def _all_marker_rmsd(
+def _nearest_device(
     rotation: np.ndarray,
     translation: np.ndarray,
     ct_points: np.ndarray,
     dev_points: np.ndarray,
-    gate_mm: float,
-) -> _Scores:
-    """Nearest-device-marker scores over all CT markers (see _scores), per transform.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each mapped CT marker's nearest device marker, per transform.
 
-    Takes a stack of transforms, (C, 3, 3) and (C, 3). Maps them in blocks
-    and scans one device marker at a time, so the temporaries stay near
-    _SCAN_BLOCK entries rather than (C, n, m).
+    Takes a stack of transforms, (C, 3, 3) and (C, 3), and returns two
+    (C, n) arrays: the squared distance ``dx*dx + dy*dy + dz*dz`` to the
+    nearest device marker, and the refit partner: that marker's index where
+    the CT marker is in turn its nearest and the distance is within
+    _REFIT_GATE_MM, -1 elsewhere. Ties go to the first marker. Transforms are taken in blocks, so the (C, n, m) distances are
+    never held at once.
     """
-    nearest_sq = np.empty((len(rotation), len(ct_points)))
-    block = max(1, _SCAN_BLOCK // len(ct_points))
+    n = len(ct_points)
+    nearest_sq = np.empty((len(rotation), n))
+    partner = np.empty((len(rotation), n), dtype=np.intp)
+    block = max(1, _SCAN_BLOCK // (n * len(dev_points)))
     for start in range(0, len(rotation), block):
         stop = start + block
         mapped = apply_rigid_stack(rotation[start:stop], translation[start:stop], ct_points)
-        x, y, z = (np.ascontiguousarray(mapped[..., axis]) for axis in range(3))
-        nearest = nearest_sq[start:stop]
-        nearest.fill(np.inf)
-        for px, py, pz in dev_points:
-            dx, dy, dz = x - px, y - py, z - pz
-            np.minimum(nearest, dx * dx + dy * dy + dz * dz, out=nearest)
-    return _scores(nearest_sq, gate_mm)
-
-
-def _distances_sq(
-    rotation: np.ndarray, translation: np.ndarray, ct_points: np.ndarray, dev_points: np.ndarray
-) -> np.ndarray:
-    """Squared distances (n, m) from one transform's mapped CT markers to each
-    device marker, bit for bit as _all_marker_rmsd computes them."""
-    mapped = apply_rigid_stack(rotation[None], translation[None], ct_points)[0]
-    x, y, z = (mapped[:, axis, None] - dev_points[:, axis] for axis in range(3))
-    return x * x + y * y + z * z
+        dx, dy, dz = (mapped[:, :, None, axis] - dev_points[:, axis] for axis in range(3))
+        dist_sq = dx * dx + dy * dy + dz * dz
+        nearest_sq[start:stop] = dist_sq.min(axis=2)
+        nearest = dist_sq.argmin(axis=2)
+        back = dist_sq.argmin(axis=1)[np.arange(len(dist_sq))[:, None], nearest]
+        paired = (back == np.arange(n)) & (
+            nearest_sq[start:stop] <= _REFIT_GATE_MM * _REFIT_GATE_MM
+        )
+        partner[start:stop] = np.where(paired, nearest, -1)
+    return nearest_sq, partner
 
 
 # CT triples are scored in blocks of this many, in _spread_order; after each
@@ -696,14 +697,16 @@ def _triples_needed(inliers: int, markers: int) -> float:
 class _Candidate(NamedTuple):
     """The best candidate of a block, by its rank key (lowest wins)."""
 
-    rank: tuple  # (-inliers, inlier_sq, shape distance, device marker indices)
-    ct_triple: int  # row of _all_triples
+    rank: tuple  # (-inliers, -reach, inlier_sq, shape distance, device marker indices)
     triangle: int  # stored device triangle row
     rotation: np.ndarray  # (3, 3)
     translation: np.ndarray  # (3,)
     flipped: bool
     rmsd: float
     inliers: int
+    # The CT markers its refit pairs and their device partners, or None
+    # when it has no refit (see register).
+    refit_pairs: tuple[np.ndarray, np.ndarray] | None
 
 
 class _Rejected(NamedTuple):
@@ -715,13 +718,13 @@ class _Rejected(NamedTuple):
 
 def _block_best(
     rows: np.ndarray,
-    ct_triangles: np.ndarray,
+    triples: np.ndarray,
     shapes: _Shapes,
     ct_points: np.ndarray,
     table: TriangleTable,
     config: RegistrationConfig,
 ) -> _Candidate | _Rejected:
-    """Score the candidates of the shaped CT triples ``rows``; keep the best.
+    """Score the candidates of the shaped CT triples ``triples[rows]``; keep the best.
 
     Candidates come in the order (position in ``rows``, shape rank); ties in
     the rank key keep that order. When no candidate passes the scale gate,
@@ -740,10 +743,11 @@ def _block_best(
     cand_row, cand_tri, cand_distance = cand_row[passed], cand_tri[passed], cand_distance[passed]
 
     perm = shapes.perm[rows]
-    ct = _permute_rows(ct_triangles[rows], perm)
+    ct = _permute_rows(ct_points[triples[rows]], perm)
     ct_edges = _permute_rows(shapes.edges[rows], perm)
     indices = table.indices[cand_tri]
-    dev = table.markers[indices]
+    dev_points = table.markers
+    dev = dev_points[indices]
     dev_edges = _edge_lengths(dev)
     # The order a canonical re-sort of the stored triangles gives.
     tied = _resorted_ties(dev_edges)
@@ -752,64 +756,39 @@ def _block_best(
     _, rotation, translation, _, flipped = _solve_pairings(
         ct, ct_edges, shapes.area[rows], cand_row, dev, codes
     )
-    score = _all_marker_rmsd(rotation, translation, ct_points, table.markers, config.inlier_gate_mm)
+
+    nearest_sq, partner = _nearest_device(rotation, translation, ct_points, dev_points)
+    score = _scores(nearest_sq)
+    paired = partner >= 0
+    reach = np.add.reduce(paired, axis=1)
 
     best = int(np.lexsort((
-        indices[:, 2], indices[:, 1], indices[:, 0], cand_distance, score.inlier_sq, -score.inliers
+        indices[:, 2], indices[:, 1], indices[:, 0], cand_distance, score.inlier_sq, -reach,
+        -score.inliers,
     ))[0])
     rank = (
         -int(score.inliers[best]),
+        -int(reach[best]),
         float(score.inlier_sq[best]),
         float(cand_distance[best]),
         *(int(i) for i in indices[best]),
     )
+    # The refit pairs must include the candidate's own CT triple, which spans
+    # a plane, and at least one marker more.
+    refit_pairs = None
+    if reach[best] > 3 and paired[best, triples[rows[cand_row[best]]]].all():
+        pairs = np.flatnonzero(paired[best])
+        refit_pairs = (pairs, partner[best, pairs])
     return _Candidate(
         rank=rank,
-        ct_triple=int(rows[cand_row[best]]),
         triangle=int(cand_tri[best]),
         rotation=rotation[best],
         translation=translation[best],
         flipped=bool(flipped[best]),
         rmsd=float(score.rmsd[best]),
         inliers=int(score.inliers[best]),
+        refit_pairs=refit_pairs,
     )
-
-
-def _refit(
-    rotation: np.ndarray,
-    translation: np.ndarray,
-    ct_points: np.ndarray,
-    dev_points: np.ndarray,
-    gate_mm: float,
-    matched: tuple[np.ndarray, tuple[int, int, int]],
-) -> tuple[np.ndarray, np.ndarray, _Scores] | None:
-    """One Horn fit of the CT markers onto their mutual-nearest inlier partners.
-
-    A CT marker and a device marker pair when each is the other's nearest
-    under the transform (the first on ties) and the CT marker is an inlier.
-    Returns ``(rotation, translation, scores)``, or None when fewer than
-    three pairs exist, when they pair just the ``matched`` (CT markers,
-    device markers) of the winning candidate, or when their CT markers are
-    collinear.
-    """
-    dist_sq = _distances_sq(rotation, translation, ct_points, dev_points)
-    partner = np.argmin(dist_sq, axis=1)
-    ct_index = np.arange(len(ct_points))
-    pairs = np.flatnonzero(
-        (np.argmin(dist_sq, axis=0)[partner] == ct_index)
-        & (dist_sq[ct_index, partner] <= gate_mm * gate_mm)
-    )
-    if len(pairs) < 3:
-        return None
-    if len(pairs) == 3 and set(pairs) == set(matched[0]) and set(partner[pairs]) == set(matched[1]):
-        return None
-    centroid, centered = center_points(ct_points[pairs][None])
-    if _collinear(centered)[0]:
-        return None
-    rotation, translation = horn_solve(centroid, centered, dev_points[partner[pairs]][None])
-    rotation, translation = rotation[0], translation[0]
-    nearest_sq = _distances_sq(rotation, translation, ct_points, dev_points).min(axis=1)
-    return rotation, translation, _scores(nearest_sq, gate_mm)
 
 
 def register(
@@ -825,16 +804,21 @@ def register(
     check |e1_ct - e1_dev| <= scale_tolerance_mm are rejected. Each survivor
     is vertex-corresponded and aligned (with flip correction), and scored by
     consensus: its inliers are the CT markers whose nearest device marker
-    lies within inlier_gate_mm. Candidates rank by inlier count (highest
-    first), then inlier RMS (compared as the inliers' sum of squared
-    distances, which orders equal counts alike), shape distance and device
-    marker indices, then the order they were visited in.
+    lies within _INLIER_GATE_MM, and its reach is the CT markers whose
+    nearest device marker lies within _REFIT_GATE_MM and has them as its
+    nearest in turn (the pairs its refit would fit). Candidates rank by
+    inlier count (highest first), then reach (highest first), then inlier
+    RMS (compared as the inliers' sum of squared distances, which orders
+    equal counts alike), shape distance and device marker indices, then the
+    order they were visited in.
 
     After each block, with w the best inlier count so far over the number
     of CT markers, scoring stops once the triples scored reach the RANSAC
     bound log(eta) / log(1 - w**3), eta = _MISS_PROBABILITY. The winner is
-    then refit by one Horn solve on its mutual-nearest inliers (see _refit).
-    The result's rmsd is the all-marker RMS of the transform returned.
+    then refit by one Horn solve on the pairs of its reach, when those
+    include its own CT triple and at least one marker more. The result's
+    rmsd and inliers score the transform returned: rmsd is its RMS
+    nearest-device-marker distance over all CT markers.
 
     Raises InsufficientMarkersError (< 3 CT markers), DegenerateTriangleError
     (no CT triple carries a shape), or NoMatchError (no candidate survives,
@@ -849,8 +833,7 @@ def register(
         raise NoMatchError("no device triangles stored (need at least 3 device markers)")
 
     triples = _all_triples(len(ct_points))
-    ct_triangles = ct_points[triples]
-    shapes = _triangle_shapes(ct_triangles, config.degeneracy_ratio)
+    shapes = _triangle_shapes(ct_points[triples], config.degeneracy_ratio)
     if not shapes.shaped.any():
         raise DegenerateTriangleError("every CT marker triple is degenerate")
     order = _spread_order(len(triples))
@@ -862,7 +845,7 @@ def register(
     for start in range(0, len(order), _TRIPLE_BLOCK):
         rows = order[start : start + _TRIPLE_BLOCK]
         scored += len(rows)
-        found = _block_best(rows, ct_triangles, shapes, ct_points, table, config)
+        found = _block_best(rows, triples, shapes, ct_points, table, config)
         if isinstance(found, _Rejected):
             if rejected is None or found.rank < rejected.rank:
                 rejected = found
@@ -877,21 +860,18 @@ def register(
             f"longest-edge gap {rejected.scale_gap:.6g} mm exceeds tolerance "
             f"{config.scale_tolerance_mm:g} mm"
         )
-
-    dev_points = table.markers
     rotation, translation, rmsd, inliers = best.rotation, best.translation, best.rmsd, best.inliers
-    matched = table._triangle(best.triangle)
-    refit = _refit(
-        rotation, translation, ct_points, dev_points, config.inlier_gate_mm,
-        (triples[best.ct_triple], matched.marker_indices),
-    )
-    if refit is not None:
-        rotation, translation, score = refit
+    if best.refit_pairs is not None:
+        pairs, partners = best.refit_pairs
+        centroid, centered = center_points(ct_points[pairs][None])
+        rotation, translation = horn_solve(centroid, centered, table.markers[partners][None])
+        score = _scores(_nearest_device(rotation, translation, ct_points, table.markers)[0][0])
+        rotation, translation = rotation[0], translation[0]
         rmsd, inliers = float(score.rmsd), int(score.inliers)
     return RegistrationResult(
         transform=RigidTransform(rotation=rotation, translation=translation),
-        matched_triangle=matched,
-        shape_distance=best.rank[2],
+        matched_triangle=table._triangle(best.triangle),
+        shape_distance=best.rank[3],
         rmsd=rmsd,
         flipped=best.flipped,
         inliers=inliers,

@@ -51,7 +51,9 @@ from fidreg.rng import rotation_from_quaternion
 from fidreg.segmentation import BinaryMask, Component
 from fidreg.triangles import (
     _FLIP_ORDER,
+    _INLIER_GATE_MM,
     _MISS_PROBABILITY,
+    _REFIT_GATE_MM,
     _TIE_COUNT,
     _TRIPLE_BLOCK,
     _TIE_TABLE,
@@ -59,8 +61,8 @@ from fidreg.triangles import (
     RegistrationConfig,
     TriangleKey,
     TriangleTable,
-    _all_marker_rmsd,
     _permute_rows,
+    _scores,
     _spans_plane,
     register,
 )
@@ -343,12 +345,12 @@ def loop_shuffle(rng, items: list) -> None:
 # The per-candidate formulation of fidreg.triangles.register(): shape keys
 # one triangle at a time, an exhaustive shape-distance scan per CT triple,
 # tie permutations from union-find over tie groups, then one fit per
-# permutation and per flip, one consensus score per candidate, the stop rule
-# checked after every block of triples, and the refit by loops over marker
-# pairs. Only the rigid fit, the stacked apply and the all-marker score come
-# from the package, called with a stack of one: their rounding cannot be
-# reproduced by a different formula, and in noise-free scenes ranking ties,
-# nearest-marker ties and the inlier gate are decided at that rounding.
+# permutation and per flip, one consensus score per candidate from loops over
+# marker pairs, the stop rule checked after every block of triples, and the
+# refit. Only the rigid fit, the stacked apply and the sums of the scores
+# come from the package, called with a stack of one: their rounding cannot
+# be reproduced by a different formula, and in noise-free scenes ranking
+# ties, nearest-marker ties and the gates are decided at that rounding.
 # ---------------------------------------------------------------------------
 
 
@@ -488,10 +490,13 @@ def loop_triples_needed(inliers: int, markers: int) -> float:
     return math.log(_MISS_PROBABILITY) / math.log1p(-(w**3))
 
 
-def loop_refit(transform: RigidTransform, ct_points, device_points, gate_mm: float, matched):
-    """The mutual-nearest inlier refit of ``transform``, or None.
+def loop_consensus(transform: RigidTransform, ct_points, device_points):
+    """(scores, refit pairs) of ``transform``, by loops over marker pairs.
 
-    ``matched`` is (CT triple, device triangle) of the winning candidate.
+    The scores are register's (rmsd, inliers, inlier sum of squares) from
+    each CT marker's squared distance to its nearest device marker. The
+    refit pairs are (CT marker, device marker) pairs that are each other's
+    nearest (the first on ties) within the refit gate.
     """
     mapped = apply_rigid_stack(transform.rotation[None], transform.translation[None], ct_points)[0]
 
@@ -506,25 +511,16 @@ def loop_refit(transform: RigidTransform, ct_points, device_points, gate_mm: flo
                 best = index
         return best
 
-    pairs = []
+    nearest_sq, pairs = [], []
     for i in range(len(ct_points)):
         j = nearest(range(len(device_points)), lambda j: dist_sq(i, j))
+        nearest_sq.append(dist_sq(i, j))
         back = nearest(range(len(ct_points)), lambda k: dist_sq(k, j))
-        if back == i and dist_sq(i, j) <= gate_mm * gate_mm:
+        if back == i and dist_sq(i, j) <= _REFIT_GATE_MM * _REFIT_GATE_MM:
             pairs.append((i, j))
-    if len(pairs) < 3:
-        return None
-    if len(pairs) == 3 and {i for i, _ in pairs} == set(matched[0]) and {
-        j for _, j in pairs
-    } == set(matched[1]):
-        return None
-    source = ct_points[[i for i, _ in pairs]]
-    target = device_points[[j for _, j in pairs]]
-    try:
-        refit, _ = absolute_orientation(PointCorrespondences(source, target))
-    except DegenerateGeometryError:
-        return None
-    return refit
+    rmsd, inliers, inlier_sq = _scores(np.array(nearest_sq))
+    assert int(inliers) == sum(d <= _INLIER_GATE_MM * _INLIER_GATE_MM for d in nearest_sq)
+    return (float(rmsd), int(inliers), float(inlier_sq)), pairs
 
 
 def loop_register(
@@ -606,17 +602,8 @@ def loop_register(
                 ct_triangle, device_points[list(indices)], config.tie_epsilon_mm
             )
             transform, _, flipped = loop_align_with_flip(corr, align_degeneracy_ratio)
-            rmsd, inliers, inlier_sq = (
-                value[0]
-                for value in _all_marker_rmsd(
-                    transform.rotation[None],
-                    transform.translation[None],
-                    ct_points,
-                    device_points,
-                    config.inlier_gate_mm,
-                )
-            )
-            rank = (-int(inliers), float(inlier_sq), shape_distance, indices)
+            (rmsd, inliers, inlier_sq), pairs = loop_consensus(transform, ct_points, device_points)
+            rank = (-inliers, -len(pairs), inlier_sq, shape_distance, indices)
             if best is None or rank < best[0]:
                 best = (
                     rank,
@@ -624,11 +611,12 @@ def loop_register(
                         "transform": transform,
                         "matched_marker_indices": list(indices),
                         "shape_distance": shape_distance,
-                        "rmsd": float(rmsd),
+                        "rmsd": rmsd,
                         "flipped": flipped,
-                        "inliers": int(inliers),
+                        "inliers": inliers,
                     },
                     triple,
+                    pairs,
                 )
         if best is not None and visited % _TRIPLE_BLOCK == 0:
             if visited >= loop_triples_needed(best[1]["inliers"], len(ct_points)):
@@ -643,18 +631,14 @@ def loop_register(
                 f"{config.scale_tolerance_mm:g} mm"
             )
         raise NoMatchError("no device triangle passed scale verification" + detail)
-    _, result, triple = best
+    _, result, triple, pairs = best
     result["triples_scored"] = visited
-    refit = loop_refit(
-        result["transform"], ct_points, device_points, config.inlier_gate_mm,
-        (triple, result["matched_marker_indices"]),
-    )
-    if refit is not None:
-        rmsd, inliers, _ = _all_marker_rmsd(
-            refit.rotation[None], refit.translation[None], ct_points, device_points,
-            config.inlier_gate_mm,
-        )
-        result.update(transform=refit, rmsd=float(rmsd[0]), inliers=int(inliers[0]))
+    if len(pairs) > 3 and set(triple) <= {i for i, _ in pairs}:
+        source = ct_points[[i for i, _ in pairs]]
+        target = device_points[[j for _, j in pairs]]
+        refit, _ = absolute_orientation(PointCorrespondences(source, target))
+        (rmsd, inliers, _), _ = loop_consensus(refit, ct_points, device_points)
+        result.update(transform=refit, rmsd=rmsd, inliers=inliers)
     return result
 
 

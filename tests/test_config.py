@@ -110,15 +110,11 @@ def test_nan_not_finite_checked_here():
 GOLDEN_TEXTS = [
     (
         RegistrationConfig(),
-        "k = 4\nscale_tolerance_mm = 5.0\ntie_epsilon_mm = 0.5\ndegeneracy_ratio = 1e-06\n"
-        "inlier_gate_mm = 6.0\n",
+        "k = 4\nscale_tolerance_mm = 5.0\ntie_epsilon_mm = 0.5\ndegeneracy_ratio = 1e-06\n",
     ),
     (
-        RegistrationConfig(
-            k=2, scale_tolerance_mm=0.1, tie_epsilon_mm=0.0, degeneracy_ratio=2.5e-3, inlier_gate_mm=2.5
-        ),
-        "k = 2\nscale_tolerance_mm = 0.1\ntie_epsilon_mm = 0.0\ndegeneracy_ratio = 0.0025\n"
-        "inlier_gate_mm = 2.5\n",
+        RegistrationConfig(k=2, scale_tolerance_mm=0.1, tie_epsilon_mm=0.0, degeneracy_ratio=2.5e-3),
+        "k = 2\nscale_tolerance_mm = 0.1\ntie_epsilon_mm = 0.0\ndegeneracy_ratio = 0.0025\n",
     ),
     (IcpConfig(), "max_iterations = 100\nrmsd_delta_tolerance = 1e-06\n"),
     (

@@ -22,7 +22,7 @@ from fidreg.triangles import (
     _TRIPLE_BLOCK,
     RegistrationConfig,
     TriangleTable,
-    _all_marker_rmsd,
+    _nearest_device,
     _scores,
     register,
 )
@@ -218,18 +218,39 @@ def test_scenes_large_enough_to_span_several_scan_blocks():
 def test_candidate_scores_do_not_depend_on_the_block_they_fall_in():
     rng = np.random.default_rng(31)
     ct, device = rng.uniform(-100, 100, (9, 3)), rng.uniform(-100, 100, (11, 3))
-    count = 3 * _SCAN_BLOCK // len(ct) + 5
+    count = 3 * _SCAN_BLOCK // (len(ct) * len(device)) + 5
     rotation = np.stack([axis_angle_rotation(axis, 0.7) for axis in rng.normal(size=(count, 3))])
     translation = rng.uniform(-20, 20, (count, 3))
-    scores = _all_marker_rmsd(rotation, translation, ct, device, 60.0)
-    assert 0 < scores.inliers.min() < scores.inliers.max()
+    nearest_sq, partner = _nearest_device(rotation, translation, ct, device)
+    assert (partner >= 0).any() and (partner < 0).any()
     for row in [0, 1, count // 2, count - 1]:
-        single = _all_marker_rmsd(rotation[row : row + 1], translation[row : row + 1], ct, device, 60.0)
-        assert [value[0] for value in single] == [value[row] for value in scores]
+        single = _nearest_device(rotation[row : row + 1], translation[row : row + 1], ct, device)
+        np.testing.assert_array_equal(single[0][0], nearest_sq[row])
+        np.testing.assert_array_equal(single[1][0], partner[row])
+
+
+def test_refit_pairs_are_mutual_first_on_ties_and_within_the_refit_gate():
+    # the identity maps integer CT markers exactly, so every distance is exact
+    identity, zero = np.eye(3)[None], np.zeros((1, 3))
+    ct = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [200.0, 0.0, 0.0], [300.0, 0.0, 0.0]])
+    device = np.array([
+        [5.0, 0.0, 0.0], [-5.0, 0.0, 0.0],  # tie for CT 0: the first is its nearest
+        [112.0, 0.0, 0.0],  # exactly at the 12 mm refit gate from CT 1
+        [200.0, np.nextafter(12.0, np.inf), 0.0],  # just past it from CT 2
+        [350.0, 0.0, 0.0],  # CT 3's mutual nearest, 50 mm off
+    ])
+    nearest_sq, partner = _nearest_device(identity, zero, ct, device)
+    assert nearest_sq[0, [0, 1, 3]].tolist() == [25.0, 144.0, 2500.0]
+    assert partner[0].tolist() == [0, 2, -1, -1]
+    # two CT markers tie for one device marker: it pairs with the first
+    nearest_sq, partner = _nearest_device(
+        identity, zero, np.array([[0.0, 0.0, 0.0], [12.0, 0.0, 0.0]]), np.array([[6.0, 0.0, 0.0]])
+    )
+    assert nearest_sq[0].tolist() == [36.0, 36.0] and partner[0].tolist() == [0, -1]
 
 
 def test_a_marker_exactly_at_the_gate_is_an_inlier():
-    scores = _scores(np.array([[36.0, np.nextafter(36.0, np.inf), 1.0, 0.0]]), 6.0)
+    scores = _scores(np.array([[36.0, np.nextafter(36.0, np.inf), 1.0, 0.0]]))
     assert scores.inliers.tolist() == [3]
     assert scores.inlier_sq.tolist() == [37.0]
     assert scores.rmsd.tolist() == [np.sqrt((73.0 + np.nextafter(36.0, np.inf) - 36.0) / 4)]
@@ -257,6 +278,27 @@ def test_best_rejected_candidate_is_the_first_ct_triple_among_equal_shape_distan
     ct = np.vstack([small, small * 2.0 + [100.0, 0.0, 0.0]])
     got = check(ct, small * 4.0, RegistrationConfig(scale_tolerance_mm=1.0))
     assert "shape distance 0, longest-edge gap 15 mm" in str(got)
+
+
+def test_no_refit_when_the_winners_own_triple_is_not_all_paired():
+    # an extra CT marker sits beside marker 0 with no device partner, and
+    # marker 0's device partner lies nearer to it than to marker 0: marker 0
+    # has no refit pair, so a winning triple that holds it keeps its own fit
+    rng = np.random.default_rng(1)
+    ct = rng.uniform(-80, 80, (6, 3))
+    extra = ct[0] + rng.normal(0, 1, 3) * rng.uniform(1, 4)
+    rotation = axis_angle_rotation(rng.normal(size=3), rng.uniform(0.2, 2.5))
+    translation = rng.uniform(-50, 50, 3)
+    device = ct @ rotation.T + translation + rng.normal(0, rng.uniform(0, 1.5), (6, 3))
+    device[0] = (ct[0] + rng.uniform(0.5, 0.9) * (extra - ct[0])) @ rotation.T + translation
+    check(np.vstack([ct, extra]), device[rng.permutation(6)])
+
+
+@pytest.mark.parametrize("seed", [9489, 9495])
+def test_reach_breaks_ties_in_the_inlier_count(seed):
+    # sigma = 3 mm: candidates with three inliers each differ in reach
+    ct, device, _ = generate_scene(SceneSpec(n_markers=4, noise_sigma_mm=3.0, seed=seed))
+    check(ct.points, device.points)
 
 
 def test_refit_pairs_only_mutual_nearest_markers():

@@ -510,9 +510,7 @@ def test_config_round_trip_and_validation():
         RegistrationConfig(k=0)
     with pytest.raises(ConfigError, match="non-negative"):
         RegistrationConfig(scale_tolerance_mm=-1.0)
-    with pytest.raises(ConfigError, match="inlier_gate_mm must be non-negative"):
-        RegistrationConfig(inlier_gate_mm=-0.5)
-    for key in ("scale_tolerance_mm", "tie_epsilon_mm", "inlier_gate_mm"):
+    for key in ("scale_tolerance_mm", "tie_epsilon_mm"):
         for value in ("nan", "inf", "-inf"):
             with pytest.raises(ConfigError, match=key):
                 RegistrationConfig(**{key: float(value)})
@@ -601,10 +599,10 @@ def test_register_asks_the_svd_about_uncleared_slivers(seed):
         # the first block holds the collinear sliver: its SVD call is the last
         assert calls == [(uncleared[0], 3, 3)]
     else:
-        # each block scored asks once about its uncleared triples, then the
-        # refit once about its eight inliers
+        # each block scored asks once about its uncleared triples; the refit
+        # pairs include the winner's own triple, so it asks nothing
         blocks = -(-got.triples_scored // _TRIPLE_BLOCK)
-        assert calls == [(count, 3, 3) for count in uncleared[:blocks] if count] + [(1, 8, 3)]
+        assert calls == [(count, 3, 3) for count in uncleared[:blocks] if count]
     try:
         want = loop_register(
             ct, device, config, table_degeneracy_ratio=1e-15, align_degeneracy_ratio=1e-15
@@ -626,17 +624,21 @@ def test_register_asks_the_svd_about_uncleared_slivers(seed):
     )
 
 
+def test_three_markers_return_the_winners_own_fit():
+    # the refit pairs would be just the matched triangle, so there is no refit
+    ct_markers, table, *_ = make_scene(23, n=3)
+    got = register(ct_markers, table)
+    want = loop_register(ct_markers.points, table.markers)
+    assert got.transform.rotation.tobytes() == want["transform"].rotation.tobytes()
+    assert got.transform.translation.tobytes() == want["transform"].translation.tobytes()
+    assert got.inliers == 3
+
+
 def test_register_runs_no_svd_when_the_area_bound_clears_every_triple():
-    # no candidate needs the SVD; only the refit asks once, about its inliers
     ct_markers, table, *_ = make_scene(23)
     with mock.patch.object(fidreg.triangles, "_collinear", wraps=_collinear) as svd:
         register(ct_markers, table)
-    assert [call.args[0].shape for call in svd.call_args_list] == [(1, 6, 3)]
-    # three markers: the inliers are just the matched triangle, so no refit
-    ct_markers, table, *_ = make_scene(23, n=3)
-    with mock.patch.object(fidreg.triangles, "_collinear", wraps=_collinear) as svd:
-        result = register(ct_markers, table)
-    assert svd.call_count == 0 and result.inliers == 3
+    assert svd.call_count == 0
 
 
 def test_spread_order_visits_every_triple_once_and_spreads_the_first_block():
@@ -699,6 +701,17 @@ def test_consensus_fixes_a_dropout_scene_that_all_marker_rms_got_wrong():
     result, tre = scene_registration(spec)
     assert result.inliers == 5
     assert tre < 10.0
+
+
+def test_reach_keeps_a_true_triangle_whose_fourth_marker_lies_past_the_gate():
+    # a clean scene: every candidate's three-point fit holds just its own
+    # three markers inside the 6 mm gate, and the true triangles' fits put
+    # the fourth 6.03 mm off. Ranked by inlier RMS alone a wrong triangle won
+    # (15.4 mm off); the true ones reach four mutual pairs within the refit
+    # gate, win on reach, and the refit brings the fourth marker in
+    result, tre = scene_registration(SceneSpec(n_markers=4, noise_sigma_mm=2.0, seed=1041))
+    assert result.inliers == 4
+    assert tre < 2.0
 
 
 def test_registration_json_is_byte_identical_across_runs(tmp_path):
