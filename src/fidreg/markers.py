@@ -3,7 +3,8 @@
 CSV layout: header ``frame,id,x_mm,y_mm,z_mm``, one row per marker. The id
 column is an optional integer tag identity and may be left empty; frames are
 ``ct`` (segmented from a scan) or ``device`` (optically detected). The file
-is ASCII, and ids and coordinates are plain decimals (no ``_`` grouping).
+is ASCII, and ids and coordinates are plain decimals (no ``_`` grouping);
+a coordinate's magnitude is at most MAX_COORDINATE_MM.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from .errors import FormatError
 
 VALID_FRAMES = ("ct", "device")
 CSV_HEADER = "frame,id,x_mm,y_mm,z_mm"
+# Largest coordinate magnitude a marker CSV may hold: 1 km covers any scanner
+# or tracker frame, and registration squares distances and fits fourth powers
+# of them, which overflow float64 only beyond about 1e77 mm.
+MAX_COORDINATE_MM = 1e6
 
 
 @dataclass(eq=False)
@@ -118,6 +123,10 @@ def read_marker_csv(path) -> MarkerSet:
             raise FormatError(f"marker csv line {lineno}: non-numeric coordinate") from exc
         if not all(map(math.isfinite, point)):
             raise FormatError(f"marker csv line {lineno}: non-finite coordinate")
+        if max(map(abs, point)) > MAX_COORDINATE_MM:
+            raise FormatError(
+                f"marker csv line {lineno}: coordinate beyond {MAX_COORDINATE_MM:g} mm"
+            )
         points.append(point)
 
     if frame is None:

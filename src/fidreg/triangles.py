@@ -6,14 +6,14 @@ are computed at once, and the CT triples are then taken in a fixed,
 spread-out order, in blocks. Each triple of a block takes its k
 shape-nearest stored keys from one exact distance matrix; candidates failing
 the absolute-scale check are masked out. Every survivor's vertex pairings
-(the permutations its edge-length ties allow) are solved in one stacked
-closed-form fit and the best is kept; its normal-flip variant is solved in a
-second stack, and only where an edge-length bound cannot rule the flip out
-(see _solve_pairings). Each candidate is scored by consensus: the CT markers
-whose nearest device marker lies within the inlier gate. After each block
-the adaptive RANSAC bound on the best consensus so far decides whether
-enough triples have been scored; the winner is then refit on its
-mutual-nearest pairs (see register).
+(the permutations its edge-length ties allow) and their normal-flip
+variants are solved in one stacked closed-form fit; the best pairing is
+kept, or its flip where that fits strictly better (see _solve_pairings).
+Each candidate is scored by consensus: the CT markers whose nearest device
+marker lies within the inlier gate. After each block the adaptive RANSAC
+bound on the best consensus so far decides whether enough triples have
+been scored; the winner is then refit on its mutual-nearest pairs (see
+register).
 
 Shape keys: with edge lengths e1 >= e3 >= e2 (e1 longest, e2 shortest), the
 key is (r2, r3) = (e2/e1, e3/e1), which is invariant to rigid motion and
@@ -353,7 +353,7 @@ def _resorted_ties(edges: np.ndarray) -> np.ndarray:
     """Rows a canonical re-sort swaps, given the edges (N, 3) of stored triangles.
 
     A stored triangle is in canonical order, so its edges by position run
-    (e1, e3, e2).  Re-sorting them with ``_canonical_perms`` keeps that order
+    (e1, e2, e3).  Re-sorting them with ``_canonical_perms`` keeps that order
     except where e3 == e2: the tie then goes by position, which swaps
     vertices 1 and 2.  The swapped edges are equal, so only the vertices
     move.
@@ -410,56 +410,6 @@ def _spans_plane(
     return spans
 
 
-# A flip fit's rmsd is at least the edge-gap bound of _flip_floor less
-# _FLIP_EDGE_MARGIN times the two triangles' longest edges and
-# _FLIP_REACH_MARGIN times their largest |coordinate|, as long as that
-# coordinate is below _FLIP_RANGE and the source's longest edge above its
-# inverse; see _flip_floor.
-_FLIP_EDGE_MARGIN = 3e-9
-_FLIP_REACH_MARGIN = 1e-13
-_FLIP_RANGE = 1e100
-
-
-def _flip_floor(source: np.ndarray, source_edges: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Lower bound on the rmsd any solved fit of ``source`` onto ``target`` gets.
-
-    Takes paired triangles (N, 3, 3) and the source's edge lengths (N, 3);
-    returns (N,), -inf on rows outside the proven range. The bound: for a
-    rigid motion T with residuals r_i = |T x_i - y_i|, the triangle
-    inequality gives d_ij = | |x_i - x_j| - |y_i - y_j| | =
-    | |T x_i - T x_j| - |y_i - y_j| | <= r_i + r_j, so d_ij**2 <=
-    2 * (r_i**2 + r_j**2). Each vertex lies on two of the three edges, so
-    sum d_ij**2 <= 4 * sum r_i**2 = 12 * rmsd**2, and rmsd >=
-    sqrt(sum d_ij**2 / 12) whatever the motion.
-
-    The margins cover the fit not being exactly rigid and the rounding.
-    check_proper passes rotations R with |R^T R - I| up to 1e-9 per entry,
-    so |R v| is within 3e-9 * |v| of |v|: each d_ij moves by at most
-    3e-9 * e1 (the source's longest edge), which lowers the bound by at most
-    1.5e-9 * e1. The edge lengths are computed from correctly rounded
-    coordinate differences, so each is off by a few units of 1e-16 of
-    itself, and the bound (at most (e1 + e1') / 2, e1' the target's longest
-    edge) by about 1e-15 * (e1 + e1'); fit_rmsd's relative rounding is as
-    small. _FLIP_EDGE_MARGIN * (e1 + e1') covers both terms with a factor 2
-    to spare. fit_rmsd maps and subtracts coordinates up to m, the largest
-    |coordinate| of either triangle, with a translation up to 3.5 * m per
-    entry, so its residuals carry about 22 units of 1.1e-16 * m per entry,
-    under 5e-15 * m per vertex; _FLIP_REACH_MARGIN * m covers that 20 times
-    over. With m below 1e100 no square overflows, and with e1 above 1e-100
-    underflowing squares cost under 1e-161, far below the margins. Rows
-    outside that range get -inf, so their flip is always solved.
-    """
-    target_edges = _edge_lengths(target)
-    source_e1 = source_edges.max(axis=-1)
-    gap = source_edges - target_edges
-    reach = np.maximum(np.abs(source).max(axis=(1, 2)), np.abs(target).max(axis=(1, 2)))
-    floor = np.sqrt(np.vecdot(gap, gap) / 12.0)
-    floor -= _FLIP_EDGE_MARGIN * (source_e1 + target_edges.max(axis=-1))
-    floor -= _FLIP_REACH_MARGIN * reach
-    proven = (reach < _FLIP_RANGE) & (source_e1 > 1.0 / _FLIP_RANGE)
-    return np.where(proven, floor, -np.inf)
-
-
 def _solve_pairings(
     source: np.ndarray,
     source_edges: np.ndarray,
@@ -467,8 +417,8 @@ def _solve_pairings(
     source_of: np.ndarray,
     target: np.ndarray,
     codes: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fit every tie pairing of every candidate, then the kept pairing's flip.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fit every tie pairing of every candidate, and its flip, in one stack.
 
     ``source`` holds triangles (S, 3, 3), ``source_edges`` their edge
     lengths by vertex and ``source_area`` their areas; candidate i pairs
@@ -476,19 +426,13 @@ def _solve_pairings(
     ``codes[i]``. Each source is centered and tested for collinearity
     (:func:`_spans_plane`) once, however many fits share it.
 
-    Two stacked solves. The first fits every tie pairing and keeps, per
-    candidate, the first with the lowest fit rmsd. The second fits that
-    pairing's flip variant (the two vertices adjacent to the longest source
-    edge exchanged, the pairing a reflection through the triangle's own
-    plane induces), which replaces it where it fits strictly better. A flip
-    is solved only where :func:`_flip_floor`, a lower bound on its computed
-    rmsd from the edge-length gaps, does not exceed the kept rmsd: a
-    skipped flip would have fit no better, so the result is the same as
-    solving every flip. When no flip needs solving the second stack is not
-    built.
+    One stacked solve fits every tie pairing and every pairing's flip
+    variant (the two vertices adjacent to the longest source edge exchanged,
+    the pairing a reflection through the triangle's own plane induces). Per
+    candidate it keeps the first tie pairing with the lowest fit rmsd, then
+    that pairing's flip where the flip fits strictly better.
 
-    Returns ``(paired, rotation, translation, rmsd, flipped)``: the kept
-    pairing's target points (before any flip) and the kept fit. Raises
+    Returns ``(rotation, translation, rmsd, flipped)``, the kept fit. Raises
     DegenerateTriangleError when a candidate's source triangle is collinear.
     """
     counts = _TIE_COUNT[codes]
@@ -497,39 +441,22 @@ def _solve_pairings(
     slot = np.arange(len(owner)) - first[owner]
     paired = _permute_rows(target[owner], _TIE_TABLE[codes[owner], slot])
     pair_source = source_of[owner]
+    exchanged = _permute_rows(paired, _FLIP_ORDER[np.argmax(source_edges, axis=-1)[pair_source]])
     centroid, centered = center_points(source)
     aligned = _spans_plane(centroid, centered, source_area, source_edges.max(axis=-1))
-    rotation, translation = horn_solve(centroid[pair_source], centered[pair_source], paired)
-    check_proper(rotation, aligned[pair_source])
+    fits = np.concatenate([pair_source, pair_source])  # every pairing, then every flip
+    targets = np.concatenate([paired, exchanged])
+    rotation, translation = horn_solve(centroid[fits], centered[fits], targets)
+    check_proper(rotation, aligned[fits])
     if not aligned[source_of].all():
         raise DegenerateTriangleError("no alignable vertex pairing (degenerate triangle)")
-    rmsd = fit_rmsd(rotation, translation, source[pair_source], paired)
+    rmsd = fit_rmsd(rotation, translation, source[fits], targets)
     by_slot = np.full((len(codes), 6), np.inf)
-    by_slot[owner, slot] = rmsd
+    by_slot[owner, slot] = rmsd[: len(owner)]
     chosen = first + np.argmin(by_slot, axis=1)
-    paired, rotation, translation, rmsd = (
-        paired[chosen], rotation[chosen], translation[chosen], rmsd[chosen]
-    )
-
-    kept_source = source[source_of]
-    kept_edges = source_edges[source_of]
-    exchanged = _permute_rows(paired, _FLIP_ORDER[np.argmax(kept_edges, axis=-1)])
-    rows = np.flatnonzero(~(_flip_floor(kept_source, kept_edges, exchanged) > rmsd))
-    flipped = np.zeros(len(codes), dtype=bool)
-    if len(rows):
-        flip_of = source_of[rows]
-        flip_rotation, flip_translation = horn_solve(
-            centroid[flip_of], centered[flip_of], exchanged[rows]
-        )
-        check_proper(flip_rotation, aligned[flip_of])
-        flip_rmsd = fit_rmsd(flip_rotation, flip_translation, kept_source[rows], exchanged[rows])
-        better = flip_rmsd < rmsd[rows]
-        won = rows[better]
-        flipped[won] = True
-        rotation[won] = flip_rotation[better]
-        translation[won] = flip_translation[better]
-        rmsd[won] = flip_rmsd[better]
-    return paired, rotation, translation, rmsd, flipped
+    flipped = rmsd[chosen + len(owner)] < rmsd[chosen]
+    kept = np.where(flipped, chosen + len(owner), chosen)
+    return rotation[kept], translation[kept], rmsd[kept], flipped
 
 
 def align_with_flip(corr: PointCorrespondences) -> tuple[RigidTransform, float, bool]:
@@ -550,7 +477,7 @@ def align_with_flip(corr: PointCorrespondences) -> tuple[RigidTransform, float, 
     source = corr.source[None]
     shapes = _triangle_shapes(source, DEGENERACY_RATIO)
     first = np.zeros(1, dtype=np.intp)  # one candidate, source 0, no ties
-    _, rotation, translation, rmsd, flipped = _solve_pairings(
+    rotation, translation, rmsd, flipped = _solve_pairings(
         source, shapes.edges, shapes.area, first, corr.target[None], first
     )
     transform = RigidTransform(rotation=rotation[0], translation=translation[0])
@@ -633,8 +560,8 @@ def _nearest_device(
     (C, n) arrays: the squared distance ``dx*dx + dy*dy + dz*dz`` to the
     nearest device marker, and the refit partner: that marker's index where
     the CT marker is in turn its nearest and the distance is within
-    _REFIT_GATE_MM, -1 elsewhere. Ties go to the first marker. Transforms are taken in blocks, so the (C, n, m) distances are
-    never held at once.
+    _REFIT_GATE_MM, -1 elsewhere. Ties go to the first marker. Transforms
+    are taken in blocks, so the (C, n, m) distances are never held at once.
     """
     n = len(ct_points)
     nearest_sq = np.empty((len(rotation), n))
@@ -753,7 +680,7 @@ def _block_best(
     tied = _resorted_ties(dev_edges)
     dev[tied, 1:] = dev[tied, 2:0:-1]
     codes = _tie_codes(ct_edges[cand_row], dev_edges, config.tie_epsilon_mm)
-    _, rotation, translation, _, flipped = _solve_pairings(
+    rotation, translation, _, flipped = _solve_pairings(
         ct, ct_edges, shapes.area[rows], cand_row, dev, codes
     )
 

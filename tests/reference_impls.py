@@ -40,30 +40,22 @@ from fidreg.rigid import (
     _collinear,
     absolute_orientation,
     apply_rigid_stack,
-    center_points,
-    check_proper,
-    fit_rmsd,
-    horn_solve,
     reorthonormalize,
     rotation_angle,
 )
 from fidreg.rng import rotation_from_quaternion
 from fidreg.segmentation import BinaryMask, Component
 from fidreg.triangles import (
-    _FLIP_ORDER,
     _INLIER_GATE_MM,
     _MISS_PROBABILITY,
     _REFIT_GATE_MM,
-    _TIE_COUNT,
+    _TIE_PERMUTATIONS,
     _TRIPLE_BLOCK,
-    _TIE_TABLE,
     DEGENERACY_RATIO,
     RegistrationConfig,
     TriangleKey,
     TriangleTable,
-    _permute_rows,
     _scores,
-    _spans_plane,
     register,
 )
 from fidreg.volume import Volume
@@ -468,6 +460,49 @@ def loop_align_with_flip(corr: PointCorrespondences, degeneracy_ratio: float = D
     if flip_rmsd < plain_rmsd:
         return flip_transform, flip_rmsd, True
     return plain_transform, plain_rmsd, False
+
+
+def loop_solve_pairings(source, source_edges, source_area, source_of, target, codes):
+    """``fidreg.triangles._solve_pairings`` one candidate at a time.
+
+    Per candidate, one ``absolute_orientation`` per tie pairing of
+    ``_TIE_PERMUTATIONS[code]`` keeps the first with the lowest rmsd; then,
+    as :func:`loop_align_with_flip` does, one more solves that pairing with
+    the two vertices adjacent to the source's longest edge exchanged, which
+    wins where it fits strictly better. ``source_edges`` and ``source_area``
+    are taken for the package's signature and not read. Returns
+    ``(rotation, translation, rmsd, flipped)`` arrays.
+    """
+    fits = []
+    for of, triangle, code in zip(source_of, target, codes):
+        points = source[of]
+        best = None
+        for perm in _TIE_PERMUTATIONS[code]:
+            pairing = triangle[list(perm)]
+            try:
+                transform, rmsd = absolute_orientation(PointCorrespondences(points, pairing))
+            except DegenerateGeometryError as exc:
+                raise DegenerateTriangleError(
+                    "no alignable vertex pairing (degenerate triangle)"
+                ) from exc
+            if best is None or rmsd < best[1]:
+                best = (transform, rmsd, pairing)
+        transform, rmsd, pairing = best
+        opposite = loop_canonical_perm(loop_edge_lengths(points))[0]
+        swap = [i for i in range(3) if i != opposite]
+        exchanged = pairing.copy()
+        exchanged[[swap[0], swap[1]]] = exchanged[[swap[1], swap[0]]]
+        flip_transform, flip_rmsd = absolute_orientation(PointCorrespondences(points, exchanged))
+        if flip_rmsd < rmsd:
+            fits.append((flip_transform, flip_rmsd, True))
+        else:
+            fits.append((transform, rmsd, False))
+    return (
+        np.array([fit[0].rotation for fit in fits]),
+        np.array([fit[0].translation for fit in fits]),
+        np.array([fit[1] for fit in fits]),
+        np.array([fit[2] for fit in fits]),
+    )
 
 
 def loop_spread_order(count: int) -> list[int]:
@@ -887,62 +922,3 @@ def loop_run_benchmark(
                 shifted = dataclasses.replace(spec, seed=spec.seed + trial)
                 records.append(loop_run_trial(shifted, method, origin))
     return records
-
-
-# ---------------------------------------------------------------------------
-# Tie pairings and flips, every flip solved.
-#
-# fidreg.triangles._solve_pairings as it was before it solved flips in a
-# second stack, and only where an edge-length bound cannot rule them out:
-# every tie pairing and its flip in one stack. It shares the package's
-# kernels (centering, the collinearity test, the Horn solve, the proper
-# check and the residual), so its results must agree bit for bit.
-# ---------------------------------------------------------------------------
-
-
-def every_flip_solve_pairings(
-    source: np.ndarray,
-    source_edges: np.ndarray,
-    source_area: np.ndarray,
-    source_of: np.ndarray,
-    target: np.ndarray,
-    codes: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fit every tie pairing of every candidate, and its flip, in one stack.
-
-    ``source`` holds triangles (S, 3, 3), ``source_edges`` their edge
-    lengths by vertex and ``source_area`` their areas; candidate i pairs
-    ``source[source_of[i]]`` with ``target[i]`` (C, 3, 3) under tie code
-    ``codes[i]``. Per candidate, keeps the first tie pairing with the lowest
-    fit rmsd, then its flip variant (the two vertices adjacent to the longest
-    source edge exchanged, the pairing a reflection through the triangle's
-    own plane induces) where that fits strictly better. Each source is
-    centered and tested for collinearity (:func:`_spans_plane`) once, however
-    many fits share it.
-
-    Returns ``(paired, rotation, translation, rmsd, flipped)``: the kept
-    pairing's target points (before any flip) and the kept fit. Raises
-    DegenerateTriangleError when a candidate's source triangle is collinear.
-    """
-    counts = _TIE_COUNT[codes]
-    first = np.cumsum(counts) - counts
-    owner = np.repeat(np.arange(len(codes)), counts)
-    slot = np.arange(len(owner)) - first[owner]
-    paired = _permute_rows(target[owner], _TIE_TABLE[codes[owner], slot])
-    pair_source = source_of[owner]
-    exchanged = _permute_rows(paired, _FLIP_ORDER[np.argmax(source_edges, axis=-1)[pair_source]])
-    centroid, centered = center_points(source)
-    aligned = _spans_plane(centroid, centered, source_area, source_edges.max(axis=-1))
-    fits = np.concatenate([pair_source, pair_source])  # every pairing, then every flip
-    targets = np.concatenate([paired, exchanged])
-    rotation, translation = horn_solve(centroid[fits], centered[fits], targets)
-    check_proper(rotation, aligned[fits])
-    if not aligned[source_of].all():
-        raise DegenerateTriangleError("no alignable vertex pairing (degenerate triangle)")
-    rmsd = fit_rmsd(rotation, translation, source[fits], targets)
-    by_slot = np.full((len(codes), 6), np.inf)
-    by_slot[owner, slot] = rmsd[: len(owner)]
-    chosen = first + np.argmin(by_slot, axis=1)
-    flipped = rmsd[chosen + len(owner)] < rmsd[chosen]
-    kept = np.where(flipped, chosen + len(owner), chosen)
-    return paired[chosen], rotation[kept], translation[kept], rmsd[kept], flipped

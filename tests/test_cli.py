@@ -431,6 +431,23 @@ def test_non_ascii_or_grouped_marker_csv_exits_two(tmp_path, capsys, command, ro
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["register", "icp"])
+@pytest.mark.parametrize("side", ["ct", "device"])
+def test_marker_coordinates_that_would_overflow_exit_two(tmp_path, capsys, command, side):
+    big = tmp_path / "big.csv"
+    big.write_text(
+        f"frame,id,x_mm,y_mm,z_mm\n{side},,0,0,0\n{side},,1e154,0,0\n{side},,0,1e154,0\n"
+        f"{side},,0,0,1e154\n"
+    )
+    ct = tmp_path / "ct.csv"
+    write_marker_csv(MarkerSet("ct", np.array([[0.0, 0, 0], [5.0, 0, 0], [0.0, 5, 0]])), ct)
+    inputs = [big, _device_csv(tmp_path)] if side == "ct" else [ct, big]
+    out = tmp_path / "o.json"
+    assert main([command, *map(str, inputs), str(out)]) == 2
+    assert "marker csv line 3: coordinate beyond" in assert_one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_undecodable_text_inputs_exit_two(phantom_volume, tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"n_markers = 5\n# \xff\n")

@@ -68,6 +68,8 @@ def test_mixed_ids_round_trip(tmp_path):
         (CSV_HEADER + "\nct,,1,2,3\nct,,nan,0,0\n", "line 3: non-finite coordinate"),
         (CSV_HEADER + "\nct,,0,inf,0\n", "line 2: non-finite coordinate"),
         (CSV_HEADER + "\ndevice,,0,0,-1e999\n", "line 2: non-finite coordinate"),
+        (CSV_HEADER + "\nct,,1,2,3\nct,,0,1e154,0\n", "line 3: coordinate beyond 1e+06 mm"),
+        (CSV_HEADER + "\ndevice,,0,0,-1000000.5\n", "line 2: coordinate beyond 1e+06 mm"),
         (CSV_HEADER + "\nct,,1_0,0,0\n", "line 2: non-numeric coordinate"),
         (CSV_HEADER + "\nct,1_0,0,0,0\n", "line 2: bad id '1_0'"),
     ],
@@ -78,6 +80,12 @@ def test_read_errors(tmp_path, text, needle):
     with pytest.raises(FormatError) as err:
         read_marker_csv(path)
     assert needle in str(err.value)
+
+
+def test_coordinates_up_to_the_bound_read(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(CSV_HEADER + "\nct,,1e6,-1000000,0.5\n")
+    assert read_marker_csv(path).points.tolist() == [[1e6, -1e6, 0.5]]
 
 
 def test_frame_validation():

@@ -365,8 +365,9 @@ def test_equilateral_ties_try_all_six_pairings():
         fidreg.triangles, "horn_solve", spy_horn
     ):
         result = register(MarkerSet("ct", eq), table)
-    # one candidate, tied on both edge pairs: all six pairings in one stack
-    assert calls[:2] == [("codes", [3]), ("rows", 6)]
+    # one candidate, tied on both edge pairs: all six pairings and their six
+    # flips in one stack, and no other fit
+    assert calls == [("codes", [3]), ("rows", 12)]
     assert result.rmsd < 1e-9
 
 
