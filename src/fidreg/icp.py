@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import FLOAT, INT, ConfigError, read_fields, write_fields
 from .errors import InsufficientMarkersError
-from .markers import MarkerSet
+from .markers import MarkerSet, check_coordinates
 from .rigid import (
     RigidTransform,
     center_source,
@@ -96,13 +96,16 @@ def icp_register(
 
     Stops when the per-iteration rmsd changes by less than
     ``rmsd_delta_tolerance`` (converged) or at the iteration cap (not
-    converged). Raises InsufficientMarkersError when either side has fewer
+    converged). Raises ValueError when a coordinate of either side exceeds
+    MAX_COORDINATE_MM, InsufficientMarkersError when either side has fewer
     than 3 points and DegenerateGeometryError for collinear sources.
     """
     if config is None:
         config = IcpConfig()
     src = source.points
     tgt = target.points
+    check_coordinates(src, "source marker")
+    check_coordinates(tgt, "target marker")
     if len(src) < 3:
         raise InsufficientMarkersError(len(src))
     if len(tgt) < 3:

@@ -25,6 +25,12 @@ CSV_HEADER = "frame,id,x_mm,y_mm,z_mm"
 MAX_COORDINATE_MM = 1e6
 
 
+def check_coordinates(points: np.ndarray, role: str) -> None:
+    """Raise ValueError when a coordinate's magnitude exceeds MAX_COORDINATE_MM."""
+    if (np.abs(points) > MAX_COORDINATE_MM).any():
+        raise ValueError(f"{role} coordinate beyond {MAX_COORDINATE_MM:g} mm")
+
+
 @dataclass(eq=False)
 class MarkerSet:
     """3D marker positions (mm) in a named frame, optionally tagged with ids."""

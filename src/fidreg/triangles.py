@@ -12,8 +12,8 @@ kept, or its flip where that fits strictly better (see _solve_pairings).
 Each candidate is scored by consensus: the CT markers whose nearest device
 marker lies within the inlier gate. After each block the adaptive RANSAC
 bound on the best consensus so far decides whether enough triples have
-been scored; the winner is then refit on its mutual-nearest pairs (see
-register).
+been scored. Every candidate scored is then ranked once, and the winner is
+refit on its mutual-nearest pairs (see register).
 
 Shape keys: with edge lengths e1 >= e3 >= e2 (e1 longest, e2 shortest), the
 key is (r2, r3) = (e2/e1, e3/e1), which is invariant to rigid motion and
@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import FLOAT, INT, ConfigError, read_fields, write_fields
 from .errors import DegenerateTriangleError, InsufficientMarkersError, NoMatchError
-from .markers import MarkerSet
+from .markers import MarkerSet, check_coordinates
 from .rigid import (
     COLLINEARITY_RATIO,
     PointCorrespondences,
@@ -285,7 +285,8 @@ class TriangleTable:
         but keys all the new triples in one pass. Returns the number of
         triangles inserted (degenerate triples are skipped and tallied in
         ``degenerate_skipped``). Raises ValueError, leaving the table
-        unchanged, unless the points are finite and shaped (3,) or (n, 3).
+        unchanged, unless the points are finite, within MAX_COORDINATE_MM
+        and shaped (3,) or (n, 3).
         """
         pts = np.array(points, dtype=np.float64)
         if pts.ndim == 1:
@@ -294,6 +295,7 @@ class TriangleTable:
             raise ValueError(f"markers must be a (3,) or (n, 3) array, got shape {np.shape(points)}")
         if not np.isfinite(pts).all():
             raise ValueError("marker must be finite")
+        check_coordinates(pts, "device marker")
         start = len(self.markers)
         self.markers = np.concatenate([self.markers, pts])
         self.markers.setflags(write=False)
@@ -621,41 +623,35 @@ def _triples_needed(inliers: int, markers: int) -> float:
     return math.log(_MISS_PROBABILITY) / math.log1p(-(w**3))
 
 
-class _Candidate(NamedTuple):
-    """The best candidate of a block, by its rank key (lowest wins)."""
+class _Scored(NamedTuple):
+    """Candidates that passed the scale gate, one row each, in visit order."""
 
-    rank: tuple  # (-inliers, -reach, inlier_sq, shape distance, device marker indices)
-    triangle: int  # stored device triangle row
-    rotation: np.ndarray  # (3, 3)
-    translation: np.ndarray  # (3,)
-    flipped: bool
-    rmsd: float
-    inliers: int
-    # The CT markers its refit pairs and their device partners, or None
-    # when it has no refit (see register).
-    refit_pairs: tuple[np.ndarray, np.ndarray] | None
-
-
-class _Rejected(NamedTuple):
-    """The best candidate of a block whose candidates all fail the scale gate."""
-
-    rank: tuple  # (shape distance, CT triple row)
-    scale_gap: float
+    ct_row: np.ndarray  # (C,), CT triple row
+    triangle: np.ndarray  # (C,), stored device triangle row
+    distance: np.ndarray  # (C,), shape distance
+    rotation: np.ndarray  # (C, 3, 3)
+    translation: np.ndarray  # (C, 3)
+    flipped: np.ndarray  # (C,)
+    rmsd: np.ndarray  # (C,)
+    inliers: np.ndarray  # (C,)
+    inlier_sq: np.ndarray  # (C,)
+    partner: np.ndarray  # (C, n), refit partner per CT marker (see _nearest_device)
 
 
-def _block_best(
+def _score_block(
     rows: np.ndarray,
     triples: np.ndarray,
     shapes: _Shapes,
     ct_points: np.ndarray,
     table: TriangleTable,
     config: RegistrationConfig,
-) -> _Candidate | _Rejected:
-    """Score the candidates of the shaped CT triples ``triples[rows]``; keep the best.
+) -> _Scored | tuple[float, int, float]:
+    """Score the candidates of the shaped CT triples ``triples[rows]``.
 
-    Candidates come in the order (position in ``rows``, shape rank); ties in
-    the rank key keep that order. When no candidate passes the scale gate,
-    returns the one with the lowest (shape distance, CT triple, shape rank).
+    Returns every candidate that passes the scale gate, in the order
+    (position in ``rows``, shape rank). When none passes, returns the one
+    with the lowest (shape distance, CT triple, shape rank) as
+    ``(shape distance, CT triple row, longest-edge gap)``.
     """
     nearest, distance = _nearest_keys(shapes.key[rows], table.keys, config.k)
     cand_row = np.repeat(np.arange(len(rows)), nearest.shape[1])
@@ -665,16 +661,14 @@ def _block_best(
     passed = ~(scale_gap > config.scale_tolerance_mm)
     if not passed.any():
         first = int(np.lexsort((rows[cand_row], cand_distance))[0])
-        rank = (float(cand_distance[first]), int(rows[cand_row[first]]))
-        return _Rejected(rank, float(scale_gap[first]))
+        return float(cand_distance[first]), int(rows[cand_row[first]]), float(scale_gap[first])
     cand_row, cand_tri, cand_distance = cand_row[passed], cand_tri[passed], cand_distance[passed]
 
     perm = shapes.perm[rows]
     ct = _permute_rows(ct_points[triples[rows]], perm)
     ct_edges = _permute_rows(shapes.edges[rows], perm)
-    indices = table.indices[cand_tri]
     dev_points = table.markers
-    dev = dev_points[indices]
+    dev = dev_points[table.indices[cand_tri]]
     dev_edges = _edge_lengths(dev)
     # The order a canonical re-sort of the stored triangles gives.
     tied = _resorted_ties(dev_edges)
@@ -683,38 +677,11 @@ def _block_best(
     rotation, translation, _, flipped = _solve_pairings(
         ct, ct_edges, shapes.area[rows], cand_row, dev, codes
     )
-
     nearest_sq, partner = _nearest_device(rotation, translation, ct_points, dev_points)
     score = _scores(nearest_sq)
-    paired = partner >= 0
-    reach = np.add.reduce(paired, axis=1)
-
-    best = int(np.lexsort((
-        indices[:, 2], indices[:, 1], indices[:, 0], cand_distance, score.inlier_sq, -reach,
-        -score.inliers,
-    ))[0])
-    rank = (
-        -int(score.inliers[best]),
-        -int(reach[best]),
-        float(score.inlier_sq[best]),
-        float(cand_distance[best]),
-        *(int(i) for i in indices[best]),
-    )
-    # The refit pairs must include the candidate's own CT triple, which spans
-    # a plane, and at least one marker more.
-    refit_pairs = None
-    if reach[best] > 3 and paired[best, triples[rows[cand_row[best]]]].all():
-        pairs = np.flatnonzero(paired[best])
-        refit_pairs = (pairs, partner[best, pairs])
-    return _Candidate(
-        rank=rank,
-        triangle=int(cand_tri[best]),
-        rotation=rotation[best],
-        translation=translation[best],
-        flipped=bool(flipped[best]),
-        rmsd=float(score.rmsd[best]),
-        inliers=int(score.inliers[best]),
-        refit_pairs=refit_pairs,
+    return _Scored(
+        rows[cand_row], cand_tri, cand_distance, rotation, translation, flipped,
+        score.rmsd, score.inliers, score.inlier_sq, partner,
     )
 
 
@@ -733,27 +700,29 @@ def register(
     consensus: its inliers are the CT markers whose nearest device marker
     lies within _INLIER_GATE_MM, and its reach is the CT markers whose
     nearest device marker lies within _REFIT_GATE_MM and has them as its
-    nearest in turn (the pairs its refit would fit). Candidates rank by
-    inlier count (highest first), then reach (highest first), then inlier
-    RMS (compared as the inliers' sum of squared distances, which orders
-    equal counts alike), shape distance and device marker indices, then the
-    order they were visited in.
+    nearest in turn (the pairs its refit would fit).
 
     After each block, with w the best inlier count so far over the number
     of CT markers, scoring stops once the triples scored reach the RANSAC
-    bound log(eta) / log(1 - w**3), eta = _MISS_PROBABILITY. The winner is
-    then refit by one Horn solve on the pairs of its reach, when those
-    include its own CT triple and at least one marker more. The result's
-    rmsd and inliers score the transform returned: rmsd is its RMS
-    nearest-device-marker distance over all CT markers.
+    bound log(eta) / log(1 - w**3), eta = _MISS_PROBABILITY. Every
+    candidate scored, over all blocks, is then ranked once: by inlier count
+    (highest first), then reach (highest first), then inlier RMS (compared
+    as the inliers' sum of squared distances, which orders equal counts
+    alike), shape distance and device marker indices, then the order they
+    were visited in. The winner is refit by one Horn solve on the pairs of
+    its reach, when those include its own CT triple and at least one marker
+    more. The result's rmsd and inliers score the transform returned: rmsd
+    is its RMS nearest-device-marker distance over all CT markers.
 
-    Raises InsufficientMarkersError (< 3 CT markers), DegenerateTriangleError
+    Raises ValueError (a CT coordinate beyond MAX_COORDINATE_MM),
+    InsufficientMarkersError (< 3 CT markers), DegenerateTriangleError
     (no CT triple carries a shape), or NoMatchError (no candidate survives,
     which only shows once every triple has been visited).
     """
     if config is None:
         config = RegistrationConfig()
     ct_points = ct_markers.points
+    check_coordinates(ct_points, "CT marker")
     if len(ct_points) < 3:
         raise InsufficientMarkersError(found=len(ct_points))
     if table.n_triangles == 0:
@@ -766,41 +735,54 @@ def register(
     order = _spread_order(len(triples))
     order = order[shapes.shaped[order]]
 
-    best: _Candidate | None = None
-    rejected: _Rejected | None = None
+    blocks: list[_Scored] = []
+    rejected: list[tuple[float, int, float]] = []
+    most_inliers = 0
     scored = 0
     for start in range(0, len(order), _TRIPLE_BLOCK):
         rows = order[start : start + _TRIPLE_BLOCK]
         scored += len(rows)
-        found = _block_best(rows, triples, shapes, ct_points, table, config)
-        if isinstance(found, _Rejected):
-            if rejected is None or found.rank < rejected.rank:
-                rejected = found
-        elif best is None or found.rank < best.rank:
-            best = found
-        if best is not None and scored >= _triples_needed(best.inliers, len(ct_points)):
+        found = _score_block(rows, triples, shapes, ct_points, table, config)
+        if isinstance(found, _Scored):
+            blocks.append(found)
+            most_inliers = max(most_inliers, int(found.inliers.max()))
+        else:
+            rejected.append(found)
+        if scored >= _triples_needed(most_inliers, len(ct_points)):
             break
-    if best is None:
+    if not blocks:
+        distance, _, scale_gap = min(rejected)
         raise NoMatchError(
             "no device triangle passed scale verification"
-            f"; best rejected candidate: shape distance {rejected.rank[0]:.6g}, "
-            f"longest-edge gap {rejected.scale_gap:.6g} mm exceeds tolerance "
+            f"; best rejected candidate: shape distance {distance:.6g}, "
+            f"longest-edge gap {scale_gap:.6g} mm exceeds tolerance "
             f"{config.scale_tolerance_mm:g} mm"
         )
-    rotation, translation, rmsd, inliers = best.rotation, best.translation, best.rmsd, best.inliers
-    if best.refit_pairs is not None:
-        pairs, partners = best.refit_pairs
+    cand = blocks[0] if len(blocks) == 1 else _Scored(*map(np.concatenate, zip(*blocks)))
+    indices = table.indices[cand.triangle]
+    reach = np.add.reduce(cand.partner >= 0, axis=1)
+    best = int(np.lexsort((
+        indices[:, 2], indices[:, 1], indices[:, 0], cand.distance, cand.inlier_sq, -reach,
+        -cand.inliers,
+    ))[0])
+    rotation, translation = cand.rotation[best], cand.translation[best]
+    rmsd, inliers = float(cand.rmsd[best]), int(cand.inliers[best])
+    partner = cand.partner[best]
+    pairs = np.flatnonzero(partner >= 0)
+    # The refit pairs must include the winner's own CT triple, which spans a
+    # plane, and at least one marker more.
+    if len(pairs) > 3 and (partner[triples[cand.ct_row[best]]] >= 0).all():
         centroid, centered = center_points(ct_points[pairs][None])
-        rotation, translation = horn_solve(centroid, centered, table.markers[partners][None])
+        rotation, translation = horn_solve(centroid, centered, table.markers[partner[pairs]][None])
         score = _scores(_nearest_device(rotation, translation, ct_points, table.markers)[0][0])
         rotation, translation = rotation[0], translation[0]
         rmsd, inliers = float(score.rmsd), int(score.inliers)
     return RegistrationResult(
         transform=RigidTransform(rotation=rotation, translation=translation),
-        matched_triangle=table._triangle(best.triangle),
-        shape_distance=best.rank[3],
+        matched_triangle=table._triangle(int(cand.triangle[best])),
+        shape_distance=float(cand.distance[best]),
         rmsd=rmsd,
-        flipped=best.flipped,
+        flipped=bool(cand.flipped[best]),
         inliers=inliers,
         triples_scored=scored,
     )

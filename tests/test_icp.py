@@ -151,6 +151,17 @@ def test_insufficient_markers_either_side():
         icp_register(source, MarkerSet("device", target.points[:2]))
 
 
+@pytest.mark.parametrize("huge_side", [0, 1])
+def test_coordinates_beyond_the_bound_raise_on_either_side(huge_side):
+    # unbounded, a source at 1e154 gives rmsd inf, which JSON cannot hold
+    sides = list(scene(5, 6, 0.1, 1.0)[:2])
+    huge = sides[huge_side]
+    sides[huge_side] = MarkerSet(huge.frame, huge.points * 1e154)
+    role = ("source", "target")[huge_side]
+    with pytest.raises(ValueError, match=rf"{role} marker coordinate beyond 1e\+06 mm"):
+        icp_register(*sides)
+
+
 def test_collinear_source_is_degenerate():
     line = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
     target = MarkerSet("device", np.random.default_rng(0).uniform(0, 10, (4, 3)))

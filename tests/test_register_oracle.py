@@ -8,7 +8,6 @@ same message.
 """
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -206,13 +205,28 @@ def test_configured_degeneracy_ratio_is_used_throughout():
 
 
 def test_scenes_large_enough_to_span_several_scan_blocks():
-    # the shape kNN scans the (CT triple, stored triangle) distances in
-    # blocks of _SCAN_BLOCK entries; these scenes need several blocks
-    for n, sigma, seed in [(12, 0.0, 1201), (14, 1.0, 1401)]:
-        spec = SceneSpec(n_markers=n, noise_sigma_mm=sigma, dropout_count=1, decoy_count=2, seed=seed)
-        ct, device, _ = generate_scene(spec)
-        assert math.comb(n, 3) * math.comb(len(device.points), 3) > 2 * _SCAN_BLOCK
-        check(ct.points, device.points)
+    # the shape kNN takes the _TRIPLE_BLOCK CT triples of a block and scans
+    # their distances to the stored keys in chunks of at most _SCAN_BLOCK
+    # entries; 21 device markers store 1330 triangles, so a block takes two
+    spec = SceneSpec(n_markers=20, noise_sigma_mm=1.0, dropout_count=1, decoy_count=2, seed=2001)
+    ct, device, _ = generate_scene(spec)
+    table = TriangleTable()
+    table.insert_marker(device.points)
+    assert _SCAN_BLOCK // table.n_triangles < _TRIPLE_BLOCK
+    check(ct.points, device.points)
+
+
+@pytest.mark.parametrize("dropout, decoys", [(1, 2), (2, 4)])
+def test_the_stop_rule_holds_after_a_block_that_rejects_every_candidate(dropout, decoys):
+    # the first block's best candidate has 33 (or 32) inliers of 40, a bound
+    # of 16.8 (or 19.3) triples; every candidate of the second block fails
+    # the scale gate, and scoring stops right after it
+    spec = SceneSpec(
+        n_markers=40, noise_sigma_mm=2.0, dropout_count=dropout, decoy_count=decoys, seed=110003
+    )
+    ct, device, _ = generate_scene(spec)
+    got = check(ct.points, device.points)
+    assert got.triples_scored == 2 * _TRIPLE_BLOCK
 
 
 def test_candidate_scores_do_not_depend_on_the_block_they_fall_in():

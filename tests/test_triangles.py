@@ -16,7 +16,7 @@ from fidreg.errors import (
     InsufficientMarkersError,
     NoMatchError,
 )
-from fidreg.markers import MarkerSet
+from fidreg.markers import MAX_COORDINATE_MM, MarkerSet
 from fidreg.rigid import (
     COLLINEARITY_RATIO,
     PointCorrespondences,
@@ -235,6 +235,33 @@ def test_batch_insert_rejects_bad_points_and_leaves_the_table_alone():
     # C(4, 2) = 6 new triples, one of them holding both copies of the origin
     assert table.insert_marker(np.array([[3.0, 3.0, 9.0]])) == 5
     assert table.degenerate_skipped == 3
+
+
+TETRAHEDRON = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def test_insert_marker_bounds_coordinates_and_leaves_the_table_alone():
+    table = TriangleTable()
+    assert table.insert_marker(TETRAHEDRON * -MAX_COORDINATE_MM) == 4  # at the bound
+    for bad in (TETRAHEDRON * 1e300, [0.0, np.nextafter(MAX_COORDINATE_MM, np.inf), 0.0]):
+        with pytest.raises(ValueError, match=r"device marker coordinate beyond 1e\+06 mm"):
+            table.insert_marker(bad)
+    assert (len(table.markers), table.n_triangles, table.degenerate_skipped) == (4, 4, 0)
+
+
+def test_register_bounds_ct_coordinates_before_any_arithmetic():
+    table = TriangleTable()
+    table.insert_marker(TETRAHEDRON * 50.0)
+    # unbounded, this overflows and blames degenerate CT triples
+    with pytest.raises(ValueError, match=r"CT marker coordinate beyond 1e\+06 mm"):
+        register(MarkerSet("ct", TETRAHEDRON * 1e154), table)
+    # two CT markers beyond the bound: the bound is named, not the count
+    with pytest.raises(ValueError, match="beyond"):
+        register(MarkerSet("ct", TETRAHEDRON[:2] * 1e7), table)
+    far = TETRAHEDRON * 50.0 + MAX_COORDINATE_MM - 50.0
+    result = register(MarkerSet("ct", far), table)
+    assert result.inliers == 4
+    assert np.allclose(result.transform.translation, 50.0 - MAX_COORDINATE_MM, rtol=0, atol=1e-6)
 
 
 def test_query_nearest_matches_exhaustive_shape_distance():
