@@ -10,9 +10,7 @@ largest eigenvalue as the rotation quaternion) and ``check_proper``;
 the rotation is always proper (det = +1): reflections cannot leak in, even
 when the unconstrained optimum would be one. ``absolute_orientation`` is the
 single-pair case. A single source, like ICP's, which stays fixed across
-fits, is centered once by ``center_source``; a caller that can settle
-collinearity more cheaply, like triangle registration, asks ``_collinear``
-only about the sets it cannot settle.
+fits, is centered once by ``center_source``.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError
+from .markers import check_coordinates
 from .rng import rotation_from_quaternion
 
 # Entrywise tolerance for |R^T R - I| and |det R - 1| on construction.
@@ -249,9 +248,12 @@ def absolute_orientation(corr: PointCorrespondences) -> tuple[RigidTransform, fl
     """Least-squares rigid fit of corr.source onto corr.target.
 
     Returns the optimal proper transform and the rmsd of the fitted residuals.
-    Raises DegenerateGeometryError for a collinear source.
+    Raises ValueError for a coordinate beyond MAX_COORDINATE_MM and
+    DegenerateGeometryError for a collinear source.
     Solving a pair alone or inside a stack gives the identical fit.
     """
+    check_coordinates(corr.source, "source point")
+    check_coordinates(corr.target, "target point")
     source, target = corr.source[None], corr.target[None]
     centroid, centered, aligned = center_source(corr.source)
     rotation, translation = horn_solve(centroid, centered, target)

@@ -5,15 +5,14 @@ shape key in a columnar table. To register, the keys of all CT-side triangles
 are computed at once, and the CT triples are then taken in a fixed,
 spread-out order, in blocks. Each triple of a block takes its k
 shape-nearest stored keys from one exact distance matrix; candidates failing
-the absolute-scale check are masked out. Every survivor's vertex pairings
-(the permutations its edge-length ties allow) and their normal-flip
-variants are solved in one stacked closed-form fit; the best pairing is
-kept, or its flip where that fits strictly better (see _solve_pairings).
-Each candidate is scored by consensus: the CT markers whose nearest device
-marker lies within the inlier gate. After each block the adaptive RANSAC
-bound on the best consensus so far decides whether enough triples have
-been scored. Every candidate scored is then ranked once, and the winner is
-refit on its mutual-nearest pairs (see register).
+the absolute-scale check are masked out. Every survivor is aligned by a
+closed-form coplanar fit that scores all six vertex pairings of its two
+triangles at once and keeps the best (see _solve_pairings). Each candidate
+is scored by consensus: the CT markers whose nearest device marker lies
+within the inlier gate. After each block the adaptive RANSAC bound on the
+best consensus so far decides whether enough triples have been scored.
+Every candidate scored is then ranked once, and the winner is refit on its
+mutual-nearest pairs (see register).
 
 Shape keys: with edge lengths e1 >= e3 >= e2 (e1 longest, e2 shortest), the
 key is (r2, r3) = (e2/e1, e3/e1), which is invariant to rigid motion and
@@ -37,10 +36,8 @@ from .rigid import (
     COLLINEARITY_RATIO,
     PointCorrespondences,
     RigidTransform,
-    _collinear,
     apply_rigid_stack,
     center_points,
-    check_proper,
     fit_rmsd,
     horn_solve,
 )
@@ -51,7 +48,6 @@ DEGENERACY_RATIO = 1e-6
 _REG_FIELDS = {
     "k": INT,
     "scale_tolerance_mm": FLOAT,
-    "tie_epsilon_mm": FLOAT,
     "degeneracy_ratio": FLOAT,
 }
 
@@ -62,14 +58,13 @@ class RegistrationConfig:
 
     k: int = 4
     scale_tolerance_mm: float = 5.0
-    tie_epsilon_mm: float = 0.5
     degeneracy_ratio: float = DEGENERACY_RATIO
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k!r}")
-        if not (0 <= self.scale_tolerance_mm < math.inf and 0 <= self.tie_epsilon_mm < math.inf):
-            raise ConfigError("scale_tolerance_mm and tie_epsilon_mm must be non-negative and finite")
+        if not (0 <= self.scale_tolerance_mm < math.inf):
+            raise ConfigError("scale_tolerance_mm must be non-negative and finite")
         if not (0 < self.degeneracy_ratio < 1):
             raise ConfigError(f"degeneracy_ratio must be in (0, 1), got {self.degeneracy_ratio!r}")
 
@@ -116,6 +111,19 @@ def _edge_lengths(points: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(diff, diff))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis (length 3), summed left to right."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, term for term as np.cross evaluates it."""
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+
+
 def _canonical_perms(edges: np.ndarray) -> np.ndarray:
     """Vertex order (opp-longest, opp-shortest, opp-middle) per row; ties by index."""
     descending = np.argsort(-edges, axis=-1, kind="stable")
@@ -148,10 +156,7 @@ def _triangle_shapes(points: np.ndarray, degeneracy_ratio: float) -> _Shapes:
     """
     edges = _edge_lengths(points)
     e1 = edges.max(axis=-1)
-    u = points[:, 1] - points[:, 0]
-    v = points[:, 2] - points[:, 0]
-    # u x v, term for term as np.cross evaluates it
-    normal = u[:, [1, 2, 0]] * v[:, [2, 0, 1]] - u[:, [2, 0, 1]] * v[:, [1, 2, 0]]
+    normal = _cross(points[:, 1] - points[:, 0], points[:, 2] - points[:, 0])
     area = 0.5 * np.sqrt(np.vecdot(normal, normal))
     perm = _canonical_perms(edges)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -168,10 +173,12 @@ def triangle_key(
 ) -> TriangleKey:
     """Shape key of the triangle (p1, p2, p3).
 
-    Raises DegenerateTriangleError when the triangle's area is below
+    Raises ValueError for a coordinate beyond MAX_COORDINATE_MM and
+    DegenerateTriangleError when the triangle's area is below
     ``degeneracy_ratio * e1**2`` (collinear points included).
     """
     points = np.array([p1, p2, p3], dtype=np.float64)
+    check_coordinates(points, "triangle vertex")
     shapes = _triangle_shapes(points[None], degeneracy_ratio)
     longest = float(shapes.e1[0])
     if not shapes.shaped[0]:
@@ -323,167 +330,100 @@ class TriangleTable:
         return [(self._triangle(row), float(d)) for row, d in zip(index[0], distance[0])]
 
 
-# Device-side position permutations consistent with edge-length ties, in the
-# order they are tried, by tie code: +1 when e1 and e3 tie, +2 when e3 and e2
-# tie (chained, so both flags tie all three). Positions are canonical:
-# (opp-longest, opp-shortest, opp-middle).
-_TIE_PERMUTATIONS = (
-    ((0, 1, 2),),
-    ((0, 1, 2), (2, 1, 0)),
-    ((0, 1, 2), (0, 2, 1)),
-    tuple(itertools.permutations(range(3))),
-)
-_TIE_COUNT = np.array([len(p) for p in _TIE_PERMUTATIONS])
-_TIE_TABLE = np.array([p + ((0, 1, 2),) * (6 - len(p)) for p in _TIE_PERMUTATIONS])
-
-
-def _tie_codes(ct_edges: np.ndarray, dev_edges: np.ndarray, tie_epsilon: float) -> np.ndarray:
-    """Tie code per candidate from both sides' canonical edges (e1, e2, e3).
-
-    Edges tie when they differ by at most ``tie_epsilon`` (mm); a tie on
-    either side counts.
-    """
-    first = np.zeros(len(ct_edges), dtype=bool)
-    second = np.zeros(len(ct_edges), dtype=bool)
-    for edges in (ct_edges, dev_edges):
-        first |= np.abs(edges[:, 0] - edges[:, 2]) <= tie_epsilon
-        second |= np.abs(edges[:, 2] - edges[:, 1]) <= tie_epsilon
-    return first.astype(np.intp) + 2 * second.astype(np.intp)
-
-
-def _resorted_ties(edges: np.ndarray) -> np.ndarray:
-    """Rows a canonical re-sort swaps, given the edges (N, 3) of stored triangles.
-
-    A stored triangle is in canonical order, so its edges by position run
-    (e1, e2, e3).  Re-sorting them with ``_canonical_perms`` keeps that order
-    except where e3 == e2: the tie then goes by position, which swaps
-    vertices 1 and 2.  The swapped edges are equal, so only the vertices
-    move.
-    """
-    return np.flatnonzero(edges[:, 1] == edges[:, 2])
-
-
 def _permute_rows(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """rows[i][perm[i]] for stacks (N, 3, ...) and orders (N, 3)."""
     return rows[np.arange(len(perm))[:, None], perm]
 
 
-# Target order that exchanges the two vertices adjacent to the longest
-# source edge, by the index of the vertex opposite that edge.
-_FLIP_ORDER = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
-
-# A triangle whose area exceeds this fraction of e1**2, and whose centroid
-# lies within _PLANE_OFFSET_RATIO * e1 of the origin, spans a plane by
-# rigid._collinear's test; see _spans_plane.
-_PLANE_AREA_RATIO = 2.0 * COLLINEARITY_RATIO
-_PLANE_OFFSET_RATIO = 1e12
-
-
-def _spans_plane(
-    centroid: np.ndarray, centered: np.ndarray, area: np.ndarray, e1: np.ndarray
-) -> np.ndarray:
-    """``~rigid._collinear(centered)`` for centered triangles (N, 3, 3).
-
-    Rows the area bound clears skip the SVD; only the rest are handed to
-    ``_collinear``. The bound: let x0, x1, x2 be a triangle's vertices less
-    their centroid and s0 >= s1 >= s2 = 0 the singular values of the matrix
-    they form. Then s0**2 + s1**2 = |x0|**2 + |x1|**2 + |x2|**2 =
-    (e1**2 + e2**2 + e3**2) / 3 <= e1**2, and by Cauchy-Binet s0**2 * s1**2
-    is the sum of the squared |xi x xj|, each twice the area of a third of
-    the triangle, so s0 * s1 = (2 / sqrt(3)) * area. Hence
-    s1 / s0 = s0 * s1 / s0**2 >= (2 / sqrt(3)) * area / e1**2, and
-    area > 2 * COLLINEARITY_RATIO * e1**2 gives s1 / s0 > 2.3 *
-    COLLINEARITY_RATIO: _collinear returns False with a factor 2.3 to spare.
-
-    The spare factor covers rounding. The computed area and e1 are off by a
-    few units of 1e-16 * e1**2 and 1e-16 * e1, and the SVD's singular values
-    by about 1e-15 * s0. The computed centroid is off by a few units of
-    1e-16 times the largest coordinate, which shifts all three centered rows
-    alike; with the centroid within 1e12 * e1 of the origin that shift stays
-    below 1e-3 * e1, so it raises s0 (at least e1 / sqrt(6)) by under 1e-5
-    of itself and cannot lower s1. Rows outside that range go to the SVD.
-    """
-    spans = (area > _PLANE_AREA_RATIO * e1 * e1) & (
-        np.abs(centroid).max(axis=-1) < _PLANE_OFFSET_RATIO * e1
-    )
-    unsure = np.flatnonzero(~spans)
-    if len(unsure):
-        spans[unsure] = ~_collinear(centered[unsure])
-    return spans
+# The device vertex orders every candidate is fitted under, in
+# itertools.permutations order, and which of them are odd.
+_PAIRINGS = np.array(list(itertools.permutations(range(3))))
+_ODD_PAIRING = np.linalg.det(np.eye(3)[_PAIRINGS]) < 0.0
 
 
 def _solve_pairings(
-    source: np.ndarray,
-    source_edges: np.ndarray,
-    source_area: np.ndarray,
-    source_of: np.ndarray,
-    target: np.ndarray,
-    codes: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fit every tie pairing of every candidate, and its flip, in one stack.
+    source: np.ndarray, target: np.ndarray, source_e1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit ``source[i]`` onto ``target[i]`` (C, 3, 3) under the best vertex pairing.
 
-    ``source`` holds triangles (S, 3, 3), ``source_edges`` their edge
-    lengths by vertex and ``source_area`` their areas; candidate i pairs
-    ``source[source_of[i]]`` with ``target[i]`` (C, 3, 3) under tie code
-    ``codes[i]``. Each source is centered and tested for collinearity
-    (:func:`_spans_plane`) once, however many fits share it.
+    Two triangles are coplanar point sets, so each pairing has a closed-form
+    least-squares fit (Horn 1987). Each triangle gets a plane frame: n along
+    (p1 - p0) x (p2 - p0), e2 along n x (p1 - p0) and e1 = e2 x n, with
+    in-plane coordinates (x, y) of its centered vertices. For each of the
+    six device vertex orders of _PAIRINGS, with the source on the same side
+    of its plane (+) and turned over (-), C = sum(x u +- y v) and
+    S = sum(x v -+ y u) over the paired vertices, where (u, v) are the target
+    coordinates. The first largest C**2 + S**2, in that order, is the
+    least-squares pairing; its rotation maps the source frame onto the
+    target frame turned by the angle whose cosine and sine are C and S over
+    sqrt(C**2 + S**2). Every step is elementwise, so a row's bits do not
+    depend on the stack.
 
-    One stacked solve fits every tie pairing and every pairing's flip
-    variant (the two vertices adjacent to the longest source edge exchanged,
-    the pairing a reflection through the triangle's own plane induces). Per
-    candidate it keeps the first tie pairing with the lowest fit rmsd, then
-    that pairing's flip where the flip fits strictly better.
-
-    Returns ``(rotation, translation, rmsd, flipped)``, the kept fit. Raises
-    DegenerateTriangleError when a candidate's source triangle is collinear.
+    ``source_e1`` (C,) holds each source's longest edge. Returns
+    ``(rotation, translation, pairing)``, the kept pairing as an index into
+    _PAIRINGS. Raises DegenerateTriangleError when a source's area is at
+    most 2 * COLLINEARITY_RATIO * e1**2, or a target's normal has no length.
     """
-    counts = _TIE_COUNT[codes]
-    first = np.cumsum(counts) - counts
-    owner = np.repeat(np.arange(len(codes)), counts)
-    slot = np.arange(len(owner)) - first[owner]
-    paired = _permute_rows(target[owner], _TIE_TABLE[codes[owner], slot])
-    pair_source = source_of[owner]
-    exchanged = _permute_rows(paired, _FLIP_ORDER[np.argmax(source_edges, axis=-1)[pair_source]])
-    centroid, centered = center_points(source)
-    aligned = _spans_plane(centroid, centered, source_area, source_edges.max(axis=-1))
-    fits = np.concatenate([pair_source, pair_source])  # every pairing, then every flip
-    targets = np.concatenate([paired, exchanged])
-    rotation, translation = horn_solve(centroid[fits], centered[fits], targets)
-    check_proper(rotation, aligned[fits])
-    if not aligned[source_of].all():
+    count = len(target)
+    points = np.concatenate([source, target])
+    edge = points[:, 1] - points[:, 0]
+    normal = _cross(edge, points[:, 2] - points[:, 0])
+    length = np.sqrt(_dot(normal, normal))  # twice the area
+    floor = np.concatenate([4.0 * COLLINEARITY_RATIO * source_e1 * source_e1, np.zeros(count)])
+    if not (length > floor).all():
         raise DegenerateTriangleError("no alignable vertex pairing (degenerate triangle)")
-    rmsd = fit_rmsd(rotation, translation, source[fits], targets)
-    by_slot = np.full((len(codes), 6), np.inf)
-    by_slot[owner, slot] = rmsd[: len(owner)]
-    chosen = first + np.argmin(by_slot, axis=1)
-    flipped = rmsd[chosen + len(owner)] < rmsd[chosen]
-    kept = np.where(flipped, chosen + len(owner), chosen)
-    return rotation[kept], translation[kept], rmsd[kept], flipped
+    n = normal / length[:, None]
+    e2 = _cross(n, edge)
+    e2 /= np.sqrt(_dot(e2, e2))[:, None]
+    e1 = _cross(e2, n)
+    centroid, centered = center_points(points)
+    xy = _dot(centered[:, None], np.stack([e1, e2], axis=1)[:, :, None])  # (2C, 2, 3)
+
+    # products[:, i, j, p, k]: (x, y)[i] of source vertex k times (u, v)[j]
+    # of the target vertex that pairing p puts against it
+    products = xy[:count, :, None, None, :] * xy[count:, None, :, _PAIRINGS]
+    (xu, xv), (yu, yv) = np.moveaxis(
+        products[..., 0] + products[..., 1] + products[..., 2], (1, 2), (0, 1)
+    )
+    c_sum = np.stack([xu + yv, xu - yv], axis=-1).reshape(count, 12)
+    s_sum = np.stack([xv - yu, xv + yu], axis=-1).reshape(count, 12)
+    best = np.argmax(c_sum * c_sum + s_sum * s_sum, axis=1)
+    rows = np.arange(count)
+    c_sum, s_sum = c_sum[rows, best], s_sum[rows, best]
+    scale = np.sqrt(c_sum * c_sum + s_sum * s_sum)
+    cos, sin = (c_sum / scale)[:, None], (s_sum / scale)[:, None]
+    side = np.where(best % 2 == 1, -1.0, 1.0)[:, None]
+
+    first = cos * e1[count:] + sin * e2[count:]
+    second = side * (cos * e2[count:] - sin * e1[count:])
+    third = side * n[count:]
+    rotation = first[:, :, None] * e1[:count, None, :] + second[:, :, None] * e2[:count, None, :]
+    rotation += third[:, :, None] * n[:count, None, :]
+    translation = centroid[count:] - _dot(rotation, centroid[:count, None, :])
+    return rotation, translation, best // 2
 
 
 def align_with_flip(corr: PointCorrespondences) -> tuple[RigidTransform, float, bool]:
-    """Align a 3-point correspondence, correcting a mirrored pairing.
+    """Align a 3-point correspondence under its best vertex pairing.
 
-    Solves the correspondence as given and with the two vertices adjacent to
-    the source triangle's longest edge exchanged (the pairing a reflection
-    through the triangle's own plane induces), and returns whichever variant
-    has the lower rmsd: (transform, rmsd, flipped). ``flipped`` is True when
-    the exchanged variant won; the returned rotation is proper either way.
+    Fits all six pairings of the target vertices to the source vertices
+    (see _solve_pairings) and returns the best as (transform, rmsd,
+    flipped). ``flipped`` is True when the kept pairing is an odd
+    permutation of the one given, such as the mirrored pairing that a
+    reflection through the triangle's own plane induces; the rotation is
+    proper either way. Raises ValueError for a coordinate beyond
+    MAX_COORDINATE_MM and DegenerateTriangleError when either triangle
+    carries no shape.
     """
     if len(corr) != 3:
         raise ValueError(f"align_with_flip needs exactly 3 correspondences, got {len(corr)}")
-    # Validate both triangles carry a shape (raises DegenerateTriangleError).
-    triangle_key(*corr.source)
+    source_e1 = triangle_key(*corr.source).e1
     triangle_key(*corr.target)
-
-    source = corr.source[None]
-    shapes = _triangle_shapes(source, DEGENERACY_RATIO)
-    first = np.zeros(1, dtype=np.intp)  # one candidate, source 0, no ties
-    rotation, translation, rmsd, flipped = _solve_pairings(
-        source, shapes.edges, shapes.area, first, corr.target[None], first
-    )
+    source, target = corr.source[None], corr.target[None]
+    rotation, translation, pairing = _solve_pairings(source, target, np.array([source_e1]))
+    rmsd = fit_rmsd(rotation, translation, source, _permute_rows(target, _PAIRINGS[pairing]))
     transform = RigidTransform(rotation=rotation[0], translation=translation[0])
-    return transform, float(rmsd[0]), bool(flipped[0])
+    return transform, float(rmsd[0]), bool(_ODD_PAIRING[pairing[0]])
 
 
 @dataclass(eq=False)
@@ -491,9 +431,11 @@ class RegistrationResult:
     """Winning alignment of register().
 
     ``matched_triangle``, ``shape_distance`` and ``flipped`` describe the
-    winning candidate. ``transform`` is its refit on its mutual-nearest
-    pairs, or its own fit when it had no refit; ``rmsd`` and ``inliers``
-    score the transform returned.
+    winning candidate; ``flipped`` is True when its fit paired the device
+    triangle's vertices in an odd permutation of the canonical order.
+    ``transform`` is its refit on its mutual-nearest pairs, or its own fit
+    when it had no refit; ``rmsd`` and ``inliers`` score the transform
+    returned.
     """
 
     transform: RigidTransform
@@ -654,33 +596,25 @@ def _score_block(
     ``(shape distance, CT triple row, longest-edge gap)``.
     """
     nearest, distance = _nearest_keys(shapes.key[rows], table.keys, config.k)
-    cand_row = np.repeat(np.arange(len(rows)), nearest.shape[1])
+    cand_row = np.repeat(rows, nearest.shape[1])
     cand_tri = nearest.ravel()
     cand_distance = distance.ravel()
-    scale_gap = np.abs(shapes.e1[rows][cand_row] - table.e1[cand_tri])
+    scale_gap = np.abs(shapes.e1[cand_row] - table.e1[cand_tri])
     passed = ~(scale_gap > config.scale_tolerance_mm)
     if not passed.any():
-        first = int(np.lexsort((rows[cand_row], cand_distance))[0])
-        return float(cand_distance[first]), int(rows[cand_row[first]]), float(scale_gap[first])
+        first = int(np.lexsort((cand_row, cand_distance))[0])
+        return float(cand_distance[first]), int(cand_row[first]), float(scale_gap[first])
     cand_row, cand_tri, cand_distance = cand_row[passed], cand_tri[passed], cand_distance[passed]
 
-    perm = shapes.perm[rows]
-    ct = _permute_rows(ct_points[triples[rows]], perm)
-    ct_edges = _permute_rows(shapes.edges[rows], perm)
+    ct = _permute_rows(ct_points[triples[cand_row]], shapes.perm[cand_row])
     dev_points = table.markers
-    dev = dev_points[table.indices[cand_tri]]
-    dev_edges = _edge_lengths(dev)
-    # The order a canonical re-sort of the stored triangles gives.
-    tied = _resorted_ties(dev_edges)
-    dev[tied, 1:] = dev[tied, 2:0:-1]
-    codes = _tie_codes(ct_edges[cand_row], dev_edges, config.tie_epsilon_mm)
-    rotation, translation, _, flipped = _solve_pairings(
-        ct, ct_edges, shapes.area[rows], cand_row, dev, codes
+    rotation, translation, pairing = _solve_pairings(
+        ct, dev_points[table.indices[cand_tri]], shapes.e1[cand_row]
     )
     nearest_sq, partner = _nearest_device(rotation, translation, ct_points, dev_points)
     score = _scores(nearest_sq)
     return _Scored(
-        rows[cand_row], cand_tri, cand_distance, rotation, translation, flipped,
+        cand_row, cand_tri, cand_distance, rotation, translation, _ODD_PAIRING[pairing],
         score.rmsd, score.inliers, score.inlier_sq, partner,
     )
 
@@ -696,11 +630,12 @@ def register(
     fixed order of _spread_order. In each block, every CT triple queries its
     k shape-nearest device triangles; candidates failing the absolute-scale
     check |e1_ct - e1_dev| <= scale_tolerance_mm are rejected. Each survivor
-    is vertex-corresponded and aligned (with flip correction), and scored by
-    consensus: its inliers are the CT markers whose nearest device marker
-    lies within _INLIER_GATE_MM, and its reach is the CT markers whose
-    nearest device marker lies within _REFIT_GATE_MM and has them as its
-    nearest in turn (the pairs its refit would fit).
+    is aligned under the best of all six vertex pairings of its canonically
+    ordered triangles (see _solve_pairings; ``flipped`` marks an odd
+    pairing), and scored by consensus: its inliers are the CT markers whose
+    nearest device marker lies within _INLIER_GATE_MM, and its reach is the
+    CT markers whose nearest device marker lies within _REFIT_GATE_MM and
+    has them as its nearest in turn (the pairs its refit would fit).
 
     After each block, with w the best inlier count so far over the number
     of CT markers, scoring stops once the triples scored reach the RANSAC

@@ -35,11 +35,13 @@ from fidreg.errors import (
 from fidreg.icp import IcpConfig, IcpResult, icp_register
 from fidreg.mesh import CORNER_OFFSETS, STL_HEADER, WELD_TOLERANCE_MM, TriangleMesh, empty_mesh
 from fidreg.rigid import (
+    COLLINEARITY_RATIO,
     PointCorrespondences,
     RigidTransform,
     _collinear,
     absolute_orientation,
     apply_rigid_stack,
+    center_points,
     reorthonormalize,
     rotation_angle,
 )
@@ -49,7 +51,6 @@ from fidreg.triangles import (
     _INLIER_GATE_MM,
     _MISS_PROBABILITY,
     _REFIT_GATE_MM,
-    _TIE_PERMUTATIONS,
     _TRIPLE_BLOCK,
     DEGENERACY_RATIO,
     RegistrationConfig,
@@ -336,13 +337,14 @@ def loop_shuffle(rng, items: list) -> None:
 #
 # The per-candidate formulation of fidreg.triangles.register(): shape keys
 # one triangle at a time, an exhaustive shape-distance scan per CT triple,
-# tie permutations from union-find over tie groups, then one fit per
-# permutation and per flip, one consensus score per candidate from loops over
-# marker pairs, the stop rule checked after every block of triples, and the
-# refit. Only the rigid fit, the stacked apply and the sums of the scores
-# come from the package, called with a stack of one: their rounding cannot
-# be reproduced by a different formula, and in noise-free scenes ranking
-# ties, nearest-marker ties and the gates are decided at that rounding.
+# the closed-form fit of all six vertex pairings per candidate in Python
+# floats, one consensus score per candidate from loops over marker pairs,
+# the stop rule checked after every block of triples, and the refit. Only
+# the centering, the refit's rigid fit, the stacked apply and the sums of
+# the fit rmsd and the scores come from the package, called with a stack of
+# one: their rounding cannot be reproduced by a different formula, and in
+# noise-free scenes ranking ties, nearest-marker ties and the gates are
+# decided at that rounding.
 # ---------------------------------------------------------------------------
 
 
@@ -377,132 +379,89 @@ def loop_triangle_key(points: np.ndarray, degeneracy_ratio: float = DEGENERACY_R
     return TriangleKey(r2=float(edges[perm[1]] / e1), r3=float(edges[perm[2]] / e1), e1=e1)
 
 
-def _tie_partition(edges_by_position: np.ndarray, epsilon: float) -> list[list[int]]:
-    order = [0, 2, 1]  # positions sorted by their edge length, descending
-    groups: list[list[int]] = [[order[0]]]
-    for prev, cur in zip(order, order[1:]):
-        if abs(edges_by_position[prev] - edges_by_position[cur]) <= epsilon:
-            groups[-1].append(cur)
-        else:
-            groups.append([cur])
-    return groups
+LOOP_PAIRINGS = list(itertools.permutations(range(3)))
 
 
-def _merge_partitions(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    parent = list(range(3))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for group in itertools.chain(a, b):
-        for other in group[1:]:
-            parent[find(other)] = find(group[0])
-    merged: dict[int, list[int]] = {}
-    for pos in range(3):
-        merged.setdefault(find(pos), []).append(pos)
-    return [merged[root] for root in sorted(merged, key=lambda r: min(merged[r]))]
+def loop_is_odd(perm) -> bool:
+    """Whether a permutation of (0, 1, 2) has an odd number of inversions."""
+    return sum(perm[i] > perm[j] for i, j in itertools.combinations(range(3), 2)) % 2 == 1
 
 
-def loop_tie_permutations(
-    ct_points: np.ndarray, dev_points: np.ndarray, tie_epsilon: float | None
-) -> list[tuple[int, int, int]]:
-    ct_edges = loop_edge_lengths(ct_points)
-    dev_edges = loop_edge_lengths(dev_points)
-    eps_ct = 1e-6 * ct_edges.max() if tie_epsilon is None else tie_epsilon
-    eps_dev = 1e-6 * dev_edges.max() if tie_epsilon is None else tie_epsilon
-    groups = _merge_partitions(
-        _tie_partition(ct_edges, eps_ct), _tie_partition(dev_edges, eps_dev)
-    )
-    perms: list[tuple[int, int, int]] = []
-    for group_perms in itertools.product(*(itertools.permutations(group) for group in groups)):
-        mapping = {}
-        for group, permuted in zip(groups, group_perms):
-            mapping.update(zip(group, permuted))
-        perms.append((mapping[0], mapping[1], mapping[2]))
-    return perms
+def loop_solve_pairings(source, target, source_e1):
+    """``fidreg.triangles._solve_pairings`` one candidate at a time, in Python floats.
 
-
-def loop_canonical_correspondence(
-    ct_triangle: np.ndarray, dev_triangle: np.ndarray, tie_epsilon: float | None = None
-) -> PointCorrespondences:
-    ct = np.asarray(ct_triangle, dtype=np.float64).reshape(3, 3)
-    dev = np.asarray(dev_triangle, dtype=np.float64).reshape(3, 3)
-    ct_canonical = ct[list(loop_canonical_perm(loop_edge_lengths(ct)))]
-    dev_canonical = dev[list(loop_canonical_perm(loop_edge_lengths(dev)))]
-
-    best: tuple[float, tuple[int, int, int]] | None = None
-    for perm in loop_tie_permutations(ct_canonical, dev_canonical, tie_epsilon):
-        candidate = dev_canonical[list(perm)]
-        try:
-            _, rmsd = absolute_orientation(PointCorrespondences(ct_canonical, candidate))
-        except Exception:
-            continue
-        if best is None or rmsd < best[0]:
-            best = (rmsd, perm)
-    if best is None:
-        raise DegenerateTriangleError("no alignable vertex pairing (degenerate triangle)")
-    return PointCorrespondences(ct_canonical, dev_canonical[list(best[1])])
-
-
-def loop_align_with_flip(corr: PointCorrespondences, degeneracy_ratio: float = DEGENERACY_RATIO):
-    """(transform, rmsd, flipped), solving the given and the exchanged pairing."""
-    loop_triangle_key(corr.source, degeneracy_ratio)
-    loop_triangle_key(corr.target, degeneracy_ratio)
-    plain_transform, plain_rmsd = absolute_orientation(corr)
-    opposite = loop_canonical_perm(loop_edge_lengths(corr.source))[0]
-    swap = [i for i in range(3) if i != opposite]
-    exchanged = corr.target.copy()
-    exchanged[[swap[0], swap[1]]] = exchanged[[swap[1], swap[0]]]
-    flip_transform, flip_rmsd = absolute_orientation(PointCorrespondences(corr.source, exchanged))
-    if flip_rmsd < plain_rmsd:
-        return flip_transform, flip_rmsd, True
-    return plain_transform, plain_rmsd, False
-
-
-def loop_solve_pairings(source, source_edges, source_area, source_of, target, codes):
-    """``fidreg.triangles._solve_pairings`` one candidate at a time.
-
-    Per candidate, one ``absolute_orientation`` per tie pairing of
-    ``_TIE_PERMUTATIONS[code]`` keeps the first with the lowest rmsd; then,
-    as :func:`loop_align_with_flip` does, one more solves that pairing with
-    the two vertices adjacent to the source's longest edge exchanged, which
-    wins where it fits strictly better. ``source_edges`` and ``source_area``
-    are taken for the package's signature and not read. Returns
-    ``(rotation, translation, rmsd, flipped)`` arrays.
+    Per candidate: each triangle's plane frame (n along (p1 - p0) x
+    (p2 - p0), e2 along n x (p1 - p0), e1 = e2 x n) and the in-plane
+    coordinates of its centered vertices; then, for each device vertex order
+    of LOOP_PAIRINGS, with the source on the same side of its plane and
+    turned over, the sums C and S, keeping the first largest C * C + S * S.
+    Python floats round each operation like float64 arrays, and every sum
+    is taken left to right as the package takes it, so the fits agree bit
+    for bit. Centering comes from the package, called with a
+    stack of one. Returns ``(rotation, translation, pairing)`` arrays, the
+    pairing as its index in LOOP_PAIRINGS.
     """
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    def cross(a, b):
+        return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+    def unit(a):
+        length = math.sqrt(dot(a, a))
+        return [value / length for value in a]
+
+    def frame(points, floor):
+        """(centroid, x, y, (e1, e2, n)) of one triangle, or None if it is too thin."""
+        p0, p1, p2 = points.tolist()
+        edge = [b - a for a, b in zip(p0, p1)]
+        normal = cross(edge, [b - a for a, b in zip(p0, p2)])
+        if not math.sqrt(dot(normal, normal)) > floor:
+            return None
+        n = unit(normal)
+        e2 = unit(cross(n, edge))
+        e1 = cross(e2, n)
+        centroid, centered = center_points(points[None])
+        centered = centered[0].tolist()
+        return (
+            centroid[0].tolist(),
+            [dot(point, e1) for point in centered],
+            [dot(point, e2) for point in centered],
+            (e1, e2, n),
+        )
+
     fits = []
-    for of, triangle, code in zip(source_of, target, codes):
-        points = source[of]
+    for triangle, other, e1 in zip(source, target, source_e1):
+        src = frame(triangle, 4.0 * COLLINEARITY_RATIO * float(e1) * float(e1))
+        dst = frame(other, 0.0)
+        if src is None or dst is None:
+            raise DegenerateTriangleError("no alignable vertex pairing (degenerate triangle)")
+        (src_centroid, x, y, (se1, se2, sn)), (dst_centroid, u, v, (te1, te2, tn)) = src, dst
         best = None
-        for perm in _TIE_PERMUTATIONS[code]:
-            pairing = triangle[list(perm)]
-            try:
-                transform, rmsd = absolute_orientation(PointCorrespondences(points, pairing))
-            except DegenerateGeometryError as exc:
-                raise DegenerateTriangleError(
-                    "no alignable vertex pairing (degenerate triangle)"
-                ) from exc
-            if best is None or rmsd < best[1]:
-                best = (transform, rmsd, pairing)
-        transform, rmsd, pairing = best
-        opposite = loop_canonical_perm(loop_edge_lengths(points))[0]
-        swap = [i for i in range(3) if i != opposite]
-        exchanged = pairing.copy()
-        exchanged[[swap[0], swap[1]]] = exchanged[[swap[1], swap[0]]]
-        flip_transform, flip_rmsd = absolute_orientation(PointCorrespondences(points, exchanged))
-        if flip_rmsd < rmsd:
-            fits.append((flip_transform, flip_rmsd, True))
-        else:
-            fits.append((transform, rmsd, False))
-    return (
-        np.array([fit[0].rotation for fit in fits]),
-        np.array([fit[0].translation for fit in fits]),
-        np.array([fit[1] for fit in fits]),
-        np.array([fit[2] for fit in fits]),
-    )
+        for pairing, perm in enumerate(LOOP_PAIRINGS):
+            pu, pv = [u[j] for j in perm], [v[j] for j in perm]
+            xu, xv = dot(x, pu), dot(x, pv)
+            yu, yv = dot(y, pu), dot(y, pv)
+            for side, c_sum, s_sum in ((1.0, xu + yv, xv - yu), (-1.0, xu - yv, xv + yu)):
+                size = c_sum * c_sum + s_sum * s_sum
+                if best is None or size > best[0]:
+                    best = (size, pairing, side, c_sum, s_sum)
+        _, pairing, side, c_sum, s_sum = best
+        scale = math.sqrt(c_sum * c_sum + s_sum * s_sum)
+        cos, sin = c_sum / scale, s_sum / scale
+        first = [cos * a + sin * b for a, b in zip(te1, te2)]
+        second = [side * (cos * b - sin * a) for a, b in zip(te1, te2)]
+        third = [side * c for c in tn]
+        rotation = np.array([
+            [first[r] * se1[c] + second[r] * se2[c] + third[r] * sn[c] for c in range(3)]
+            for r in range(3)
+        ])
+        translation = np.array(
+            [dst_centroid[r] - dot(rotation[r].tolist(), src_centroid) for r in range(3)]
+        )
+        fits.append((rotation, translation, pairing))
+    return tuple(np.array(column) for column in zip(*fits))
 
 
 def loop_spread_order(count: int) -> list[int]:
@@ -563,13 +522,12 @@ def loop_register(
     device_points: np.ndarray,
     config: RegistrationConfig | None = None,
     table_degeneracy_ratio: float = DEGENERACY_RATIO,
-    align_degeneracy_ratio: float = DEGENERACY_RATIO,
 ) -> dict:
     """register() as a loop over CT triples and their shape-nearest candidates.
 
     ``device_points`` are inserted in row order, as TriangleTable would
-    store them. ``align_degeneracy_ratio`` is the ratio the flip step
-    re-validates both triangles with. CT triples are visited in
+    store them. Each candidate pairs the CT triangle in canonical order with
+    the device triangle in its stored order. CT triples are visited in
     loop_spread_order; after every _TRIPLE_BLOCK shaped triples the loop
     stops once the triples visited reach loop_triples_needed of the best
     inlier count so far. Returns the fields of
@@ -625,6 +583,7 @@ def loop_register(
             continue
         ct_key = ct_keys[triple]
         ct_triangle = ct_points[list(triple)]
+        ct_triangle = ct_triangle[list(loop_canonical_perm(loop_edge_lengths(ct_triangle)))]
         visited += 1
         for indices, key, shape_distance in query(ct_key):
             scale_gap = abs(ct_key.e1 - key.e1)
@@ -633,10 +592,11 @@ def loop_register(
                 if best_rejected is None or rejected[:2] < best_rejected[:2]:
                     best_rejected = rejected
                 continue
-            corr = loop_canonical_correspondence(
-                ct_triangle, device_points[list(indices)], config.tie_epsilon_mm
+            rotation, translation, pairing = loop_solve_pairings(
+                ct_triangle[None], device_points[list(indices)][None], [ct_key.e1]
             )
-            transform, _, flipped = loop_align_with_flip(corr, align_degeneracy_ratio)
+            transform = RigidTransform(rotation[0], translation[0])
+            flipped = loop_is_odd(LOOP_PAIRINGS[pairing[0]])
             (rmsd, inliers, inlier_sq), pairs = loop_consensus(transform, ct_points, device_points)
             rank = (-inliers, -len(pairs), inlier_sq, shape_distance, indices)
             if best is None or rank < best[0]:

@@ -1,26 +1,28 @@
-"""scripts/accuracy_vs_markers.py end to end on a small sweep."""
+"""The README's accuracy-vs-marker-count sweep, end to end on a small grid.
 
-import runpy
-import sys
-from pathlib import Path
+The sweep is ``fidreg bench`` on a grid file that holds one scene-spec block
+per marker count n, at a noise sigma of 2 mm and a seed of 2000 + 1000 * n.
+"""
 
 import pytest
 
 from fidreg.bench import CSV_HEADER
+from fidreg.cli import main
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "accuracy_vs_markers.py"
+
+def sweep_grid(path, counts):
+    """The grid file the README's printf line writes for ``counts``."""
+    block = "n_markers = {}\nnoise_sigma_mm = 2.0\nseed = {}\n\n"
+    path.write_text("".join(block.format(n, 2000 + 1000 * n) for n in counts), encoding="ascii")
+    return path
 
 
-def test_accuracy_sweep_writes_one_row_per_trial(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "runs" / "accuracy.csv"
-    argv = [str(SCRIPT), "--trials", "3", "--counts", "4,6", "--out-csv", str(out)]
-    monkeypatch.setattr(sys, "argv", argv)
-    try:
-        runpy.run_path(str(SCRIPT), run_name="__main__")
-    except SystemExit as exc:
-        assert exc.code in (None, 0)
-    printed = capsys.readouterr().out
-    assert "3 trials per cell" in printed
+def test_accuracy_sweep_writes_one_row_per_trial(tmp_path, capsys):
+    grid = sweep_grid(tmp_path / "accuracy.grid", [4, 6])
+    out = tmp_path / "accuracy.csv"
+    summary = tmp_path / "accuracy.json"
+    assert main(["bench", str(grid), str(out), str(summary), "--trials", "3"]) == 0
+    assert "bench: 12 trials over 2 scene(s)" in capsys.readouterr().err
     lines = out.read_text(encoding="ascii").splitlines()
     assert lines[0] == CSV_HEADER
     # 2 marker counts x 2 methods x 3 trials
@@ -28,18 +30,15 @@ def test_accuracy_sweep_writes_one_row_per_trial(tmp_path, monkeypatch, capsys):
     assert {line.split(",")[0] for line in lines[1:]} == {"triangle", "icp"}
 
 
-def _run_script(monkeypatch, out, *flags):
-    argv = [str(SCRIPT), "--trials", "1", "--counts", "4", "--out-csv", str(out), *flags]
-    monkeypatch.setattr(sys, "argv", argv)
-    with pytest.raises(SystemExit) as exited:
-        runpy.run_path(str(SCRIPT), run_name="__main__")
-    return exited.value.code
+def _run_sweep(tmp_path, out, *flags):
+    grid = sweep_grid(tmp_path / "accuracy.grid", [4])
+    summary = tmp_path / "accuracy.json"
+    return main(["bench", str(grid), str(out), str(summary), "--trials", "1", *flags])
 
 
-def test_blank_method_entries_are_dropped(tmp_path, monkeypatch):
-    # as fidreg bench drops them
+def test_blank_method_entries_are_dropped(tmp_path):
     out = tmp_path / "accuracy.csv"
-    assert _run_script(monkeypatch, out, "--methods", "triangle,") == 0
+    assert _run_sweep(tmp_path, out, "--methods", "triangle,") == 0
     lines = out.read_text(encoding="ascii").splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["triangle"]
 
@@ -50,13 +49,11 @@ def test_blank_method_entries_are_dropped(tmp_path, monkeypatch):
         (["--methods", " , "], "error: no method given"),
         (["--methods", "triangle,affine"], "error: unknown method 'affine'"),
         (["--trials", "0"], "error: trials_per_cell must be >= 1"),
-        (["--counts", "2"], "error: n_markers must be at least 3"),
-        (["--counts", "4,x"], "error: --counts must be comma-separated integers"),
     ],
 )
-def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, flags, message):
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, flags, message):
     out = tmp_path / "accuracy.csv"
-    assert _run_script(monkeypatch, out, *flags) == 2
+    assert _run_sweep(tmp_path, out, *flags) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1

@@ -261,7 +261,22 @@ def test_register_accepts_config_file(tmp_path):
     assert json.loads((tmp_path / "o.json").read_text())["rmsd"] < 1e-6
 
 
-@pytest.mark.parametrize("iso", ["nan", "inf", "NaN", "1e999", "-inf", "-1e999", "1_0", "\u0663"])
+def test_register_rejects_the_retired_tie_key(tmp_path, capsys):
+    # every vertex pairing is fitted, so no edge-tie tolerance is read
+    spec = write_spec(tmp_path, "n_markers = 6\nseed = 41\n")
+    prefix = tmp_path / "s"
+    assert main(["simulate", str(spec), str(prefix)]) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "reg.cfg"
+    cfg.write_text("k = 2\ntie_epsilon_mm = 0.5\n")
+    out = tmp_path / "o.json"
+    argv = ["register", f"{prefix}_ct.csv", f"{prefix}_device.csv", str(out), "--config", str(cfg)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: config has unknown key 'tie_epsilon_mm'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("iso",["nan", "inf", "NaN", "1e999", "-inf", "-1e999", "1_0", "\u0663"])
 def test_mesh_rejects_non_finite_iso(phantom_volume, tmp_path, capsys, iso):
     stl = tmp_path / "skin.stl"
     assert main(["mesh", str(phantom_volume), str(stl), "--iso", iso]) == 2

@@ -90,21 +90,24 @@ def polygon(sides, radius, lift=0.0):
     return np.stack([radius * np.cos(angles), radius * np.sin(angles), lift * np.cos(3 * angles)], axis=1)
 
 
-@pytest.mark.parametrize("tie_epsilon", [0.0, 0.5, 5.0])
-def test_symmetric_layouts_with_edge_ties(tie_epsilon):
+@pytest.mark.parametrize("stretch_mm", [0.0, 0.5, 5.0])
+def test_symmetric_layouts_with_edge_ties(stretch_mm):
     # regular polygons give isosceles and equilateral triangles whose edges
-    # tie exactly (noise 0) or within tie_epsilon_mm (noise 0.05 mm)
+    # tie exactly (noise 0) or nearly (noise 0.05 mm); pushing the first
+    # vertex out by stretch_mm leaves the ties among the other vertices and
+    # opens a gap of about stretch_mm in the edges that meet it
     rng = np.random.default_rng(4242)
     layouts = [polygon(3, 60.0), polygon(4, 60.0), polygon(5, 70.0, 8.0), polygon(6, 50.0)]
     layouts.append(np.vstack([polygon(3, 60.0), polygon(3, 30.0, 5.0) + [0.0, 0.0, 40.0]]))
-    config = RegistrationConfig(tie_epsilon_mm=tie_epsilon)
+    for layout in layouts:
+        layout[0, :2] *= 1.0 + stretch_mm / np.linalg.norm(layout[0, :2])
     for layout, noise, mirrored in itertools.product(layouts, [0.0, 0.05], [False, True]):
         rotation = axis_angle_rotation(rng.normal(size=3), rng.uniform(0.1, 3.0))
         device = layout @ rotation.T + rng.uniform(-50.0, 50.0, 3)
         if mirrored:
             device = device * np.array([1.0, 1.0, -1.0])
         device = device + rng.normal(0.0, noise, device.shape)
-        check(layout, device[rng.permutation(len(device))], config)
+        check(layout, device[rng.permutation(len(device))])
 
 
 def test_k_larger_than_the_table():
@@ -162,13 +165,13 @@ EXACT_MOTIONS = [
 @pytest.mark.parametrize("config", [
     RegistrationConfig(),
     RegistrationConfig(k=1),
-    RegistrationConfig(k=2, tie_epsilon_mm=0.0),
+    RegistrationConfig(k=2),
 ])
 def test_exact_ties_in_noise_free_integer_scenes(config):
     # integer coordinates under exact motions make fit residuals and shape
     # distances tie exactly, so each tie-break rule decides the winner:
-    # insertion order in the shape kNN, first lowest-rmsd tie permutation,
-    # flip only when strictly better, then (rmsd, shape distance, indices)
+    # insertion order in the shape kNN, the first best vertex pairing, then
+    # the rank's (inliers, reach, inlier RMS, shape distance, indices)
     for layout, motion in itertools.product(INTEGER_LAYOUTS, EXACT_MOTIONS):
         layout = layout.astype(np.float64)
         device = layout @ motion.T + np.array([7.0, -3.0, 11.0])
@@ -190,7 +193,7 @@ def test_scale_gate_boundary_and_rejected_ties():
 
 def test_configured_degeneracy_ratio_is_used_throughout():
     # area / e1^2 is about 1e-7: a shape under degeneracy_ratio = 1e-9, not
-    # under the 1e-6 default, so aligning it must use the configured ratio
+    # under the 1e-6 default; the fit's own bound, 2e-9, lets it through
     sliver = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [50.0, 2e-5, 0.0]])
     config = RegistrationConfig(degeneracy_ratio=1e-9)
     table = TriangleTable(degeneracy_ratio=1e-9)
@@ -198,10 +201,10 @@ def test_configured_degeneracy_ratio_is_used_throughout():
         table.insert_marker(point)
     result = register(MarkerSet("ct", sliver), table, config)
     assert result.rmsd < 1e-9
-    assert_same(result, loop_register(sliver, sliver, config, 1e-9, align_degeneracy_ratio=1e-9))
-    # the loop re-validated both triangles at the default ratio and failed
-    with pytest.raises(DegenerateTriangleError, match="too thin"):
-        loop_register(sliver, sliver, config, 1e-9)
+    assert_same(result, loop_register(sliver, sliver, config, 1e-9))
+    # under the default ratio the CT side keys no shape
+    with pytest.raises(DegenerateTriangleError, match="every CT marker triple is degenerate"):
+        register(MarkerSet("ct", sliver), table)
 
 
 def test_scenes_large_enough_to_span_several_scan_blocks():

@@ -27,8 +27,6 @@ from fidreg.rigid import (
     center_points,
 )
 from fidreg.triangles import (
-    _PLANE_AREA_RATIO,
-    _PLANE_OFFSET_RATIO,
     _TRIPLE_BLOCK,
     RegistrationConfig,
     TriangleKey,
@@ -41,8 +39,7 @@ from fidreg.triangles import (
     _canonical_perms,
     _completed_triples,
     _edge_lengths,
-    _resorted_ties,
-    _spans_plane,
+    _solve_pairings,
     _spread_order,
     _triples_needed,
     _triangle_shapes,
@@ -264,6 +261,21 @@ def test_register_bounds_ct_coordinates_before_any_arithmetic():
     assert np.allclose(result.transform.translation, 50.0 - MAX_COORDINATE_MM, rtol=0, atol=1e-6)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [
+    lambda tri: triangle_key(*tri),
+    lambda tri: align_with_flip(PointCorrespondences(tri, tri)),
+    lambda tri: absolute_orientation(PointCorrespondences(tri, tri)),
+], ids=["triangle_key", "align_with_flip", "absolute_orientation"])
+def test_public_fits_bound_coordinates_before_any_arithmetic(entry):
+    # unbounded, the squared edges of this 3-4-5 triangle overflow
+    tri = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
+    with pytest.raises(ValueError, match=r"coordinate beyond 1e\+06 mm"):
+        entry(tri * 1e154)
+    far = tri * 50.0 + MAX_COORDINATE_MM - 250.0
+    entry(far)
+
+
 def test_query_nearest_matches_exhaustive_shape_distance():
     rng = np.random.default_rng(7)
     table = TriangleTable()
@@ -345,11 +357,15 @@ def ring(sides, radius, lift=0.0):
     ids=["random", "integer-grid", "cube-grid", "isosceles", "equilateral"],
 )
 def test_resorted_ties_are_the_rows_a_canonical_re_sort_swaps(markers):
+    # A stored triangle is in canonical order, so its edges by position run
+    # (e1, e2, e3). Re-sorting them keeps that order except where e3 == e2:
+    # the tie then goes by position, which swaps vertices 1 and 2.
     table = TriangleTable()
     table.insert_marker(np.unique(markers, axis=0))
     edges = _edge_lengths(table.markers[table.indices])
     expected = np.tile([0, 1, 2], (len(edges), 1))
-    expected[_resorted_ties(edges)] = (0, 2, 1)
+    tied = edges[:, 1] == edges[:, 2]
+    expected[tied] = (0, 2, 1)
     np.testing.assert_array_equal(_canonical_perms(edges), expected)
 
 
@@ -372,29 +388,24 @@ def test_register_unscrambles_vertex_order():
 
 
 def test_equilateral_ties_try_all_six_pairings():
+    # every pairing of an equilateral triangle fits exactly; one closed-form
+    # solve of the one candidate settles them all, with no Horn fit
     eq = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, np.sqrt(3.0) / 2.0, 0.0]])
     rotated = eq @ axis_angle_rotation([0.0, 0.0, 1.0], 2.0).T
     table = TriangleTable()
     table.insert_marker(rotated)
     calls = []
     solve = fidreg.triangles._solve_pairings
-    horn = fidreg.triangles.horn_solve
 
-    def spy_solve(*args):
-        calls.append(("codes", args[-1].tolist()))
-        return solve(*args)
-
-    def spy_horn(centroid, centered, target):
-        calls.append(("rows", len(target)))
-        return horn(centroid, centered, target)
+    def spy_solve(source, target, source_e1):
+        calls.append(("candidates", len(target)))
+        return solve(source, target, source_e1)
 
     with mock.patch.object(fidreg.triangles, "_solve_pairings", spy_solve), mock.patch.object(
-        fidreg.triangles, "horn_solve", spy_horn
+        fidreg.triangles, "horn_solve", side_effect=AssertionError("no Horn fit expected")
     ):
         result = register(MarkerSet("ct", eq), table)
-    # one candidate, tied on both edge pairs: all six pairings and their six
-    # flips in one stack, and no other fit
-    assert calls == [("codes", [3]), ("rows", 12)]
+    assert calls == [("candidates", 1)]
     assert result.rmsd < 1e-9
 
 
@@ -531,19 +542,18 @@ def test_registration_result_json_is_serializable():
 
 
 def test_config_round_trip_and_validation():
-    config = RegistrationConfig(k=7, scale_tolerance_mm=2.5, tie_epsilon_mm=0.1)
+    config = RegistrationConfig(k=7, scale_tolerance_mm=2.5)
     assert RegistrationConfig.from_text(config.to_text()) == config
     assert RegistrationConfig.from_text("") == RegistrationConfig()
     with pytest.raises(ConfigError, match="k must be"):
         RegistrationConfig(k=0)
     with pytest.raises(ConfigError, match="non-negative"):
         RegistrationConfig(scale_tolerance_mm=-1.0)
-    for key in ("scale_tolerance_mm", "tie_epsilon_mm"):
-        for value in ("nan", "inf", "-inf"):
-            with pytest.raises(ConfigError, match=key):
-                RegistrationConfig(**{key: float(value)})
-            with pytest.raises(ConfigError, match=key):
-                RegistrationConfig.from_text(f"{key} = {value}\n")
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match="scale_tolerance_mm"):
+            RegistrationConfig(scale_tolerance_mm=float(value))
+        with pytest.raises(ConfigError, match="scale_tolerance_mm"):
+            RegistrationConfig.from_text(f"scale_tolerance_mm = {value}\n")
     with pytest.raises(ConfigError, match="unknown key"):
         RegistrationConfig.from_text("knn = 3\n")
 
@@ -570,25 +580,32 @@ def thin_triangles(rng, count, scale, offset):
     offset_exp=st.floats(-3.0, 6.0),
 )
 def test_area_bound_clears_only_triangles_that_span_a_plane(seed, scale_exp, offset_exp):
+    # the fit takes a source triangle whose area exceeds 2 * COLLINEARITY_RATIO
+    # * e1**2, which rigid._collinear's SVD test finds spans a plane; it fits
+    # such a source properly and raises for a thinner one
     scale = 10.0**scale_exp
-    points = thin_triangles(np.random.default_rng(seed), 64, scale, scale * 10.0**offset_exp)
+    rng = np.random.default_rng(seed)
+    points = thin_triangles(rng, 64, scale, scale * 10.0**offset_exp)
     shapes = _triangle_shapes(points, 1e-15)
-    centroid, centered = center_points(points)
-    cleared = (shapes.area > _PLANE_AREA_RATIO * shapes.e1**2) & (
-        np.abs(centroid).max(axis=-1) < _PLANE_OFFSET_RATIO * shapes.e1
-    )
+    cleared = shapes.area > 2.0 * COLLINEARITY_RATIO * shapes.e1**2
     assert cleared.any() and not cleared.all()
-    assert not _collinear(centered[cleared]).any()
-    assert np.array_equal(
-        _spans_plane(centroid, centered, shapes.area, shapes.e1), ~_collinear(centered)
+    assert not _collinear(center_points(points)[1][cleared]).any()
+    motion = RigidTransform(axis_angle_rotation(rng.normal(size=3), 1.0), rng.normal(size=3))
+    rotation, translation, _ = _solve_pairings(
+        points[cleared], motion.apply(points[cleared]), shapes.e1[cleared]
     )
+    for rot, trans in zip(rotation, translation):
+        RigidTransform(rot, trans)  # orthonormal and proper within 1e-9
+    row = int(np.argmin(cleared))
+    with pytest.raises(DegenerateTriangleError, match="no alignable vertex pairing"):
+        _solve_pairings(points[row : row + 1], points[row : row + 1], shapes.e1[row : row + 1])
 
 
 def sliver_scene(seed):
     """Eight CT markers and their device image.
 
-    Triple (0, 1, 7) has area 1.5e-9 * e1**2, which the area bound leaves to
-    the SVD; so do some of the other triples through 0 and 7.
+    Triple (0, 1, 7) has area 1.5e-9 * e1**2, under the fit's bound of
+    2e-9 * e1**2; so do some of the other triples through 0 and 7.
     """
     rng = np.random.default_rng(seed)
     ct = rng.uniform(-50.0, 50.0, size=(8, 3))
@@ -601,55 +618,19 @@ def sliver_scene(seed):
     return ct, RigidTransform(rotation, np.array([5.0, -3.0, 2.0])).apply(ct)
 
 
-@pytest.mark.parametrize("seed", [0, 2])  # seed 2: a sliver the SVD finds collinear
-def test_register_asks_the_svd_about_uncleared_slivers(seed):
+@pytest.mark.parametrize("seed", [0, 2])
+def test_slivers_under_the_area_bound_raise_like_the_loop(seed):
+    # with degeneracy_ratio = 1e-15 a sliver under the fit's bound keys a
+    # shape; its first candidate stops register with the loop's error
     ct, device = sliver_scene(seed)
     config = RegistrationConfig(degeneracy_ratio=1e-15)
     table = TriangleTable(degeneracy_ratio=1e-15)
     table.insert_marker(device)
-    shapes = _triangle_shapes(ct[_all_triples(len(ct))], 1e-15)
-    cleared = shapes.area > _PLANE_AREA_RATIO * shapes.e1**2
-    order = _spread_order(len(cleared))
-    order = order[shapes.shaped[order]]
-    # per block of triples scored, how many the area bound leaves to the SVD
-    uncleared = [
-        int(np.count_nonzero(~cleared[order[start : start + _TRIPLE_BLOCK]]))
-        for start in range(0, len(order), _TRIPLE_BLOCK)
-    ]
-    assert uncleared[0] > 0
-    with mock.patch.object(fidreg.triangles, "_collinear", wraps=_collinear) as svd:
-        try:
-            got = register(MarkerSet("ct", ct), table, config)
-        except DegenerateTriangleError as exc:
-            got = exc
-    calls = [call.args[0].shape for call in svd.call_args_list]
-    if isinstance(got, DegenerateTriangleError):
-        # the first block holds the collinear sliver: its SVD call is the last
-        assert calls == [(uncleared[0], 3, 3)]
-    else:
-        # each block scored asks once about its uncleared triples; the refit
-        # pairs include the winner's own triple, so it asks nothing
-        blocks = -(-got.triples_scored // _TRIPLE_BLOCK)
-        assert calls == [(count, 3, 3) for count in uncleared[:blocks] if count]
-    try:
-        want = loop_register(
-            ct, device, config, table_degeneracy_ratio=1e-15, align_degeneracy_ratio=1e-15
-        )
-    except DegenerateTriangleError as exc:
-        assert isinstance(got, DegenerateTriangleError) and str(got) == str(exc)
-        assert seed == 2
-        return
-    assert seed == 0
-    assert got.transform.rotation.tobytes() == want["transform"].rotation.tobytes()
-    assert got.transform.translation.tobytes() == want["transform"].translation.tobytes()
-    assert list(got.matched_triangle.marker_indices) == want["matched_marker_indices"]
-    assert (got.shape_distance, got.rmsd, got.flipped, got.inliers, got.triples_scored) == (
-        want["shape_distance"],
-        want["rmsd"],
-        want["flipped"],
-        want["inliers"],
-        want["triples_scored"],
-    )
+    with pytest.raises(DegenerateTriangleError, match="no alignable vertex pairing") as got:
+        register(MarkerSet("ct", ct), table, config)
+    with pytest.raises(DegenerateTriangleError) as want:
+        loop_register(ct, device, config, table_degeneracy_ratio=1e-15)
+    assert str(got.value) == str(want.value)
 
 
 def test_three_markers_return_the_winners_own_fit():
@@ -664,7 +645,7 @@ def test_three_markers_return_the_winners_own_fit():
 
 def test_register_runs_no_svd_when_the_area_bound_clears_every_triple():
     ct_markers, table, *_ = make_scene(23)
-    with mock.patch.object(fidreg.triangles, "_collinear", wraps=_collinear) as svd:
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
         register(ct_markers, table)
     assert svd.call_count == 0
 
