@@ -19,7 +19,9 @@ it reports:
 
 Usage:
     python scripts/robustness_grid.py --seeds 60 --out robustness.json
-The JSON goes to standard output when --out is not given.
+The JSON goes to standard output when --out is not given. The default grid
+is --counts 3,4,6,8,10,20,40 (three markers is the paper's case) and
+--sigmas 0.5,1,2,3 mm.
 """
 
 import argparse
@@ -65,8 +67,12 @@ def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=60, help="scenes per cell")
     parser.add_argument("--seed-base", type=int, default=1000, help="seed of each cell's first scene")
-    parser.add_argument("--counts", default="4,6,8,10,20,40", help="comma-separated marker counts")
-    parser.add_argument("--sigmas", default="1,2", help="comma-separated device noise sigmas, mm")
+    parser.add_argument(
+        "--counts", default="3,4,6,8,10,20,40", help="comma-separated marker counts"
+    )
+    parser.add_argument(
+        "--sigmas", default="0.5,1,2,3", help="comma-separated device noise sigmas, mm"
+    )
     parser.add_argument("--methods", default="triangle,icp", help="comma-separated methods")
     parser.add_argument("--out", help="write the JSON here instead of to standard output")
     return parser.parse_args(argv)

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BOOL, FLOAT, INT, TRIPLE, kv_int, read_fields, write_fields, write_json
+from .config import FLOAT, INT, TRIPLE, kv_int, read_fields, write_fields, write_json
 from .errors import ConfigError, DomainError
 from .markers import MarkerSet
 from .icp import IcpConfig, icp_register
@@ -275,7 +275,7 @@ class TrialRecord:
 
 
 # The records columns: every TrialRecord field, in order, with its writer.
-_COLUMN_WRITERS = {"int": INT[1], "float": FLOAT[1], "bool": BOOL[1], "str": str}
+_COLUMN_WRITERS = {"int": INT[1], "float": FLOAT[1], "bool": lambda b: str(b).lower(), "str": str}
 _COLUMNS = tuple(
     (field.name, _COLUMN_WRITERS[field.type]) for field in dataclasses.fields(TrialRecord)
 )

@@ -101,7 +101,7 @@ def cmd_segment(args) -> int:
     config = SegmentationConfig.from_text(_read_text(args.config))
     volume = read_volume(args.volume)
     components = segment_components(volume, config)
-    markers = markers_from_components(components, volume, config)
+    markers = markers_from_components(components, volume)
     for component, point in zip(components, markers.points):
         print(
             f"marker {component.label}: {component.voxel_count} voxels, "
@@ -129,7 +129,7 @@ def cmd_mesh(args) -> int:
 
 def cmd_register(args) -> int:
     ct, device, config = _registration_inputs(args, RegistrationConfig)
-    table = TriangleTable(degeneracy_ratio=config.degeneracy_ratio)
+    table = TriangleTable()
     table.insert_marker(device.points)  # file order
     result = register(ct, table, config)
     write_json(result.to_json_dict(), args.out)

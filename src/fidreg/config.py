@@ -84,15 +84,6 @@ def kv_int(kv: dict[str, str], key: str) -> int:
         raise ConfigError(f"config key {key!r}: not an integer: {kv[key]!r}") from exc
 
 
-def kv_bool(kv: dict[str, str], key: str) -> bool:
-    value = kv[key].lower()
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"config key {key!r}: not a boolean: {kv[key]!r}")
-
-
 def kv_triple(kv: dict[str, str], key: str) -> tuple[float, float, float]:
     parts = kv[key].split()
     if len(parts) != 3:
@@ -115,7 +106,6 @@ def require_keys(kv: dict[str, str], required: tuple[str, ...], known: tuple[str
 
 INT = (kv_int, str)
 FLOAT = (kv_float, format_float)
-BOOL = (kv_bool, lambda value: "true" if value else "false")
 TRIPLE = (kv_triple, format_triple)
 
 

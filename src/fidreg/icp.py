@@ -111,7 +111,7 @@ def icp_register(
     if len(tgt) < 3:
         raise InsufficientMarkersError(len(tgt))
     # The source never changes: center it and test it for collinearity once.
-    src_centroid, src_centered, aligned = center_source(src)
+    src_centroid, src_centered = center_source(src)
 
     rotation = config.initial_transform.rotation
     translation = config.initial_transform.translation
@@ -129,7 +129,7 @@ def icp_register(
         if iteration == config.max_iterations - 1:
             break  # cap reached; keep the transform the last rmsd describes
         fit_rotation, fit_translation = horn_solve(src_centroid, src_centered, tgt[match_idx][None])
-        check_proper(fit_rotation, aligned)
+        check_proper(fit_rotation)
         rotation, translation = fit_rotation[0], fit_translation[0]
         fitted = True
 

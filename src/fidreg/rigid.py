@@ -1,16 +1,17 @@
 """Rigid transforms and closed-form point-set alignment.
 
 A least-squares rigid fit is Horn's quaternion method, solved for a whole
-stack of point-set pairs at once in four steps: ``center_points`` (centroids
-and centered sources), ``_collinear`` (sources that span no plane carry no
-fit), ``horn_solve`` (build the 3x3 cross-covariance of each centered pair,
-lift it to the symmetric 4x4 profile matrix and take the eigenvector of the
-largest eigenvalue as the rotation quaternion) and ``check_proper``;
-``fit_rmsd`` scores the result. Because quaternions parameterize SO(3) only,
-the rotation is always proper (det = +1): reflections cannot leak in, even
-when the unconstrained optimum would be one. ``absolute_orientation`` is the
-single-pair case. A single source, like ICP's, which stays fixed across
-fits, is centered once by ``center_source``.
+stack of point-set pairs at once in three steps: ``center_points``
+(centroids and centered sources), ``horn_solve`` (build the 3x3
+cross-covariance of each centered pair, lift it to the symmetric 4x4 profile
+matrix and take the eigenvector of the largest eigenvalue as the rotation
+quaternion) and ``check_proper``; ``fit_rmsd`` scores the result. Because
+quaternions parameterize SO(3) only, the rotation is always proper
+(det = +1): reflections cannot leak in, even when the unconstrained optimum
+would be one. ``absolute_orientation`` is the single-pair case. A single
+source, like ICP's, which stays fixed across fits, is centered once by
+``center_source``, which rejects a source that spans no plane
+(``_collinear``).
 """
 
 from __future__ import annotations
@@ -109,9 +110,14 @@ def inverse(transform: RigidTransform) -> RigidTransform:
 
 
 def rotation_angle(rotation: np.ndarray) -> float:
-    """Rotation angle (rad) of a proper rotation matrix."""
+    """Rotation angle (rad) of a proper rotation matrix.
+
+    atan2 of its sine (the Frobenius norm of R - R^T over 2 sqrt(2)) and
+    cosine ((trace - 1) / 2) stays exact to rounding near 0 and near pi.
+    """
+    sin = float(np.linalg.norm(rotation - rotation.T)) / (2.0 * np.sqrt(2.0))
     cos = (float(np.trace(rotation)) - 1.0) / 2.0
-    return float(np.arccos(np.clip(cos, -1.0, 1.0)))
+    return float(np.arctan2(sin, cos))
 
 
 def axis_angle_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -172,14 +178,13 @@ def center_points(source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centroid, source - centroid[:, None, :]
 
 
-def center_source(source: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`center_points` of one source (m, 3) as a stack of one, and its
-    ``aligned`` flags; raises DegenerateGeometryError if it is collinear."""
+def center_source(source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`center_points` of one source (m, 3) as a stack of one; raises
+    DegenerateGeometryError if it is collinear."""
     centroid, centered = center_points(source[None])
-    aligned = ~_collinear(centered)
-    if not aligned[0]:
+    if _collinear(centered)[0]:
         raise DegenerateGeometryError("source points are collinear; rotation is not determined")
-    return centroid, centered, aligned
+    return centroid, centered
 
 
 def horn_solve(
@@ -188,8 +193,9 @@ def horn_solve(
     """Horn's closed-form fits of centered sources onto targets, (N, m, 3).
 
     Takes :func:`center_points` output for the sources and returns
-    ``(rotation (N, 3, 3), translation (N, 3))``. Rows whose source is
-    collinear carry no fit. The small products are written out elementwise
+    ``(rotation (N, 3, 3), translation (N, 3))``. A collinear source has no
+    unique fit (its row holds one of the rotations about its line), so
+    callers reject one first. The small products are written out elementwise
     rather than handed to BLAS, so a fit's bits do not depend on N or on how
     the stack is laid out.
     """
@@ -217,8 +223,8 @@ def horn_solve(
     return rotation, translation
 
 
-def check_proper(rotation: np.ndarray, aligned: np.ndarray) -> None:
-    """Raise ValueError unless every aligned fit's rotation is proper.
+def check_proper(rotation: np.ndarray) -> None:
+    """Raise ValueError unless every fit's rotation (N, 3, 3) is proper.
 
     The test RigidTransform makes: orthonormal and det +1, each within
     ORTHONORMALITY_TOL.
@@ -226,7 +232,7 @@ def check_proper(rotation: np.ndarray, aligned: np.ndarray) -> None:
     gram = np.swapaxes(rotation, -1, -2) @ rotation
     drift = np.abs(gram - _IDENTITY).max(axis=(1, 2))
     det_error = np.abs(np.linalg.det(rotation) - 1.0)
-    improper = aligned & ~((drift <= ORTHONORMALITY_TOL) & (det_error <= ORTHONORMALITY_TOL))
+    improper = ~((drift <= ORTHONORMALITY_TOL) & (det_error <= ORTHONORMALITY_TOL))
     if improper.any():
         bad = int(np.argmax(improper))
         raise ValueError(
@@ -255,9 +261,9 @@ def absolute_orientation(corr: PointCorrespondences) -> tuple[RigidTransform, fl
     check_coordinates(corr.source, "source point")
     check_coordinates(corr.target, "target point")
     source, target = corr.source[None], corr.target[None]
-    centroid, centered, aligned = center_source(corr.source)
+    centroid, centered = center_source(corr.source)
     rotation, translation = horn_solve(centroid, centered, target)
-    check_proper(rotation, aligned)
+    check_proper(rotation)
     rmsd = fit_rmsd(rotation, translation, source, target)
     return RigidTransform(rotation=rotation[0], translation=translation[0]), float(rmsd[0])
 

@@ -2,7 +2,9 @@
 
 Pipeline: threshold the volume at a Hounsfield floor, label 3D connected
 components, keep components whose physical volume is near the expected marker
-volume, and return component centroids as a ``ct``-frame MarkerSet.
+volume, and return component centroids as a ``ct``-frame MarkerSet. A
+centroid is the plain mean of its component's voxel centers: binary, not
+weighted by intensity.
 
 Connected-component labels are assigned 1..K in first-encounter scan order,
 where the scan runs in x-fastest linear order (``i + nx * (j + ny * k)``), and
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BOOL, FLOAT, INT, ConfigError, read_fields, write_fields
+from .config import FLOAT, INT, ConfigError, read_fields, write_fields
 from .errors import InsufficientMarkersError
 from .markers import MarkerSet
 from .volume import Volume, _concat_ranges
@@ -33,7 +35,6 @@ _SEG_FIELDS = {
     "connectivity": INT,
     "expected_mm3": FLOAT,
     "tolerance_fraction": FLOAT,
-    "intensity_weighted": BOOL,
 }
 
 
@@ -46,7 +47,6 @@ class SegmentationConfig:
     hu_min: float = 300.0
     connectivity: int = 26
     tolerance_fraction: float = 0.5
-    intensity_weighted: bool = False
 
     def __post_init__(self):
         if not (0 < self.expected_mm3 < math.inf):
@@ -55,10 +55,6 @@ class SegmentationConfig:
             )
         if not math.isfinite(self.hu_min):
             raise ConfigError(f"hu_min must be finite, got {self.hu_min!r}")
-        if self.intensity_weighted and not self.hu_min > 0:
-            raise ConfigError(
-                f"intensity_weighted needs hu_min > 0 (positive voxel weights), got {self.hu_min!r}"
-            )
         if self.connectivity not in (6, 18, 26):
             raise ConfigError(f"connectivity must be 6, 18 or 26, got {self.connectivity!r}")
         if not (0.0 < self.tolerance_fraction < 1.0):
@@ -240,22 +236,9 @@ def filter_by_size(
     return [c for c in components if lo <= c.volume_mm3(spacing) <= hi]
 
 
-def component_centroid(
-    component: Component, volume: Volume, intensity_weighted: bool = False
-) -> np.ndarray:
-    """Centroid (mm) of a component's voxel centers.
-
-    Unweighted geometric mean by default; with intensity weighting, voxel HU
-    values are the weights (all member voxels must then have positive HU).
-    """
-    world = volume.world_coords(component.voxel_indices)
-    if not intensity_weighted:
-        return world.mean(axis=0)
-    idx = component.voxel_indices
-    weights = volume.voxels[idx[:, 0], idx[:, 1], idx[:, 2]].astype(np.float64)
-    if np.any(weights <= 0):
-        raise ValueError("intensity-weighted centroid needs positive HU on all member voxels")
-    return (world * weights[:, None]).sum(axis=0) / weights.sum()
+def component_centroid(component: Component, volume: Volume) -> np.ndarray:
+    """Centroid (mm) of a component's voxel centers: their unweighted mean."""
+    return volume.world_coords(component.voxel_indices).mean(axis=0)
 
 
 def segment_components(volume: Volume, config: SegmentationConfig) -> list[Component]:
@@ -267,15 +250,10 @@ def segment_components(volume: Volume, config: SegmentationConfig) -> list[Compo
     )
 
 
-def markers_from_components(
-    components: list[Component], volume: Volume, config: SegmentationConfig
-) -> MarkerSet:
+def markers_from_components(components: list[Component], volume: Volume) -> MarkerSet:
     if len(components) < 3:
         raise InsufficientMarkersError(found=len(components))
-    centroids = [
-        component_centroid(c, volume, intensity_weighted=config.intensity_weighted)
-        for c in components
-    ]
+    centroids = [component_centroid(c, volume) for c in components]
     return MarkerSet(frame="ct", points=np.array(centroids, dtype=np.float64))
 
 
@@ -284,4 +262,4 @@ def segment_markers(volume: Volume, config: SegmentationConfig) -> MarkerSet:
 
     Raises InsufficientMarkersError when fewer than 3 components survive.
     """
-    return markers_from_components(segment_components(volume, config), volume, config)
+    return markers_from_components(segment_components(volume, config), volume)

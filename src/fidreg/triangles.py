@@ -43,12 +43,12 @@ from .rigid import (
 )
 
 # A triangle with area below this fraction of e1^2 has no stable shape key.
+# The one thin-triangle gate: device and CT triangles are keyed alike.
 DEGENERACY_RATIO = 1e-6
 
 _REG_FIELDS = {
     "k": INT,
     "scale_tolerance_mm": FLOAT,
-    "degeneracy_ratio": FLOAT,
 }
 
 
@@ -58,15 +58,12 @@ class RegistrationConfig:
 
     k: int = 4
     scale_tolerance_mm: float = 5.0
-    degeneracy_ratio: float = DEGENERACY_RATIO
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k!r}")
         if not (0 <= self.scale_tolerance_mm < math.inf):
             raise ConfigError("scale_tolerance_mm must be non-negative and finite")
-        if not (0 < self.degeneracy_ratio < 1):
-            raise ConfigError(f"degeneracy_ratio must be in (0, 1), got {self.degeneracy_ratio!r}")
 
     @classmethod
     def from_text(cls, text: str) -> "RegistrationConfig":
@@ -147,11 +144,11 @@ class _Shapes(NamedTuple):
     shaped: np.ndarray  # (N,), False for degenerate rows
 
 
-def _triangle_shapes(points: np.ndarray, degeneracy_ratio: float) -> _Shapes:
+def _triangle_shapes(points: np.ndarray) -> _Shapes:
     """Shape keys of a stack of triangles (N, 3, 3).
 
     A row is degenerate (``shaped`` False) for coincident points, area below
-    ``degeneracy_ratio * e1**2``, or edge ratios that round to no triangle
+    ``DEGENERACY_RATIO * e1**2``, or edge ratios that round to no triangle
     (r2 + r3 <= 1).
     """
     edges = _edge_lengths(points)
@@ -161,33 +158,28 @@ def _triangle_shapes(points: np.ndarray, degeneracy_ratio: float) -> _Shapes:
     perm = _canonical_perms(edges)
     with np.errstate(divide="ignore", invalid="ignore"):
         key = edges[np.arange(len(edges))[:, None], perm[:, 1:]] / e1[:, None]
-    shaped = (e1 > 0.0) & ~(area < degeneracy_ratio * e1 * e1) & (key[:, 0] + key[:, 1] > 1.0)
+    shaped = (e1 > 0.0) & ~(area < DEGENERACY_RATIO * e1 * e1) & (key[:, 0] + key[:, 1] > 1.0)
     return _Shapes(edges, perm, e1, area, key, shaped)
 
 
-def triangle_key(
-    p1: np.ndarray,
-    p2: np.ndarray,
-    p3: np.ndarray,
-    degeneracy_ratio: float = DEGENERACY_RATIO,
-) -> TriangleKey:
+def triangle_key(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> TriangleKey:
     """Shape key of the triangle (p1, p2, p3).
 
     Raises ValueError for a coordinate beyond MAX_COORDINATE_MM and
     DegenerateTriangleError when the triangle's area is below
-    ``degeneracy_ratio * e1**2`` (collinear points included).
+    ``DEGENERACY_RATIO * e1**2`` (collinear points included).
     """
     points = np.array([p1, p2, p3], dtype=np.float64)
     check_coordinates(points, "triangle vertex")
-    shapes = _triangle_shapes(points[None], degeneracy_ratio)
+    shapes = _triangle_shapes(points[None])
     longest = float(shapes.e1[0])
     if not shapes.shaped[0]:
         if not longest > 0.0:
             raise DegenerateTriangleError("coincident points have no triangle shape")
         area = float(shapes.area[0])
         raise DegenerateTriangleError(
-            f"triangle too thin: area {area:.6g} < {degeneracy_ratio:g} * e1^2"
-            if area < degeneracy_ratio * longest * longest
+            f"triangle too thin: area {area:.6g} < {DEGENERACY_RATIO:g} * e1^2"
+            if area < DEGENERACY_RATIO * longest * longest
             else "triangle too thin: its edge ratios round to a straight line"
         )
     r2, r3 = shapes.key[0].tolist()
@@ -264,10 +256,9 @@ class TriangleTable:
     canonical order. Shape distance is Euclidean in (r2, r3).
     """
 
-    def __init__(self, degeneracy_ratio: float = DEGENERACY_RATIO):
+    def __init__(self):
         self.markers = np.zeros((0, 3), dtype=np.float64)
         self.markers.setflags(write=False)
-        self.degeneracy_ratio = float(degeneracy_ratio)
         self.degenerate_skipped = 0
         self.keys = np.zeros((0, 2), dtype=np.float64)
         self.e1 = np.zeros(0, dtype=np.float64)
@@ -309,7 +300,7 @@ class TriangleTable:
         triples = _completed_triples(start, len(self.markers))
         if len(triples) == 0:
             return 0
-        shapes = _triangle_shapes(self.markers[triples], self.degeneracy_ratio)
+        shapes = _triangle_shapes(self.markers[triples])
         shaped = shapes.shaped
         canonical = _permute_rows(triples, shapes.perm)
         self.degenerate_skipped += int(np.count_nonzero(~shaped))
@@ -664,7 +655,7 @@ def register(
         raise NoMatchError("no device triangles stored (need at least 3 device markers)")
 
     triples = _all_triples(len(ct_points))
-    shapes = _triangle_shapes(ct_points[triples], config.degeneracy_ratio)
+    shapes = _triangle_shapes(ct_points[triples])
     if not shapes.shaped.any():
         raise DegenerateTriangleError("every CT marker triple is degenerate")
     order = _spread_order(len(triples))

@@ -15,6 +15,7 @@ from collections import deque
 
 import numpy as np
 
+from fidreg import triangles
 from fidreg._mc_tables import EDGE_CORNERS, TRI_TABLE
 from fidreg.bench import (
     METHODS,
@@ -52,7 +53,6 @@ from fidreg.triangles import (
     _MISS_PROBABILITY,
     _REFIT_GATE_MM,
     _TRIPLE_BLOCK,
-    DEGENERACY_RATIO,
     RegistrationConfig,
     TriangleKey,
     TriangleTable,
@@ -364,7 +364,9 @@ def loop_canonical_perm(edges: np.ndarray) -> tuple[int, int, int]:
     return (desc[0], desc[2], desc[1])
 
 
-def loop_triangle_key(points: np.ndarray, degeneracy_ratio: float = DEGENERACY_RATIO) -> TriangleKey:
+def loop_triangle_key(points: np.ndarray) -> TriangleKey:
+    """triangle_key by hand; reads triangles.DEGENERACY_RATIO at call time."""
+    degeneracy_ratio = triangles.DEGENERACY_RATIO
     points = np.asarray(points, dtype=np.float64)
     edges = loop_edge_lengths(points)
     e1 = float(edges.max())
@@ -521,7 +523,6 @@ def loop_register(
     ct_points: np.ndarray,
     device_points: np.ndarray,
     config: RegistrationConfig | None = None,
-    table_degeneracy_ratio: float = DEGENERACY_RATIO,
 ) -> dict:
     """register() as a loop over CT triples and their shape-nearest candidates.
 
@@ -547,7 +548,7 @@ def loop_register(
             triple = (a, b, new)
             points = device_points[list(triple)]
             try:
-                key = loop_triangle_key(points, table_degeneracy_ratio)
+                key = loop_triangle_key(points)
             except DegenerateTriangleError:
                 continue
             perm = loop_canonical_perm(loop_edge_lengths(points))
@@ -568,7 +569,7 @@ def loop_register(
     ct_keys = {}
     for triple in triples:
         try:
-            ct_keys[triple] = loop_triangle_key(ct_points[list(triple)], config.degeneracy_ratio)
+            ct_keys[triple] = loop_triangle_key(ct_points[list(triple)])
         except DegenerateTriangleError:
             pass
     if not ct_keys:

@@ -261,18 +261,32 @@ def test_register_accepts_config_file(tmp_path):
     assert json.loads((tmp_path / "o.json").read_text())["rmsd"] < 1e-6
 
 
-def test_register_rejects_the_retired_tie_key(tmp_path, capsys):
-    # every vertex pairing is fitted, so no edge-tie tolerance is read
-    spec = write_spec(tmp_path, "n_markers = 6\nseed = 41\n")
-    prefix = tmp_path / "s"
-    assert main(["simulate", str(spec), str(prefix)]) == 0
-    capsys.readouterr()
-    cfg = tmp_path / "reg.cfg"
-    cfg.write_text("k = 2\ntie_epsilon_mm = 0.5\n")
-    out = tmp_path / "o.json"
-    argv = ["register", f"{prefix}_ct.csv", f"{prefix}_device.csv", str(out), "--config", str(cfg)]
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("register", "tie_epsilon_mm", "0.5"),
+        ("register", "degeneracy_ratio", "1e-06"),
+        ("segment", "intensity_weighted", "false"),
+    ],
+)
+def test_retired_config_keys_exit_two(phantom_volume, tmp_path, capsys, command, key, value):
+    # every vertex pairing is fitted, one fixed area ratio gates thin
+    # triangles and centroids are binary, so none of these keys is read
+    cfg = tmp_path / "old.cfg"
+    out = tmp_path / "out"
+    if command == "register":
+        spec = write_spec(tmp_path, "n_markers = 6\nseed = 41\n")
+        prefix = tmp_path / "s"
+        assert main(["simulate", str(spec), str(prefix)]) == 0
+        capsys.readouterr()
+        cfg.write_text(f"k = 2\n{key} = {value}\n")
+        inputs = [f"{prefix}_ct.csv", f"{prefix}_device.csv"]
+        argv = ["register", *inputs, str(out), "--config", str(cfg)]
+    else:
+        cfg.write_text(f"expected_mm3 = 27\n{key} = {value}\n")
+        argv = ["segment", str(phantom_volume), str(cfg), str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: config has unknown key 'tie_epsilon_mm'\n"
+    assert capsys.readouterr().err == f"error: config has unknown key {key!r}\n"
     assert not out.exists()
 
 
@@ -410,23 +424,6 @@ def test_non_finite_scene_spec_exits_two(tmp_path, capsys, line):
     assert main(["bench", str(spec), str(csv_out), str(json_out), "--trials", "1"]) == 2
     assert line.split()[0] in assert_one_error_line(capsys)
     assert not csv_out.exists()
-
-
-def test_intensity_weighting_with_non_positive_hu_min_exits_two(tmp_path, capsys):
-    # A marker cube in air with one 0 HU voxel: with hu_min at -500 that
-    # voxel joins the marker and would carry a zero centroid weight.
-    vox = np.full((16, 16, 16), -1000, dtype=np.int16)
-    for i in (1, 6, 11):
-        vox[i : i + 3, 2:5, 2:5] = 3000
-    vox[2, 3, 3] = 0
-    volume = tmp_path / "air.vol"
-    write_volume(Volume((16, 16, 16), (1, 1, 1), (0, 0, 0), vox), volume)
-    config = tmp_path / "seg.cfg"
-    config.write_text("expected_mm3 = 27\nhu_min = -500\nintensity_weighted = true\n")
-    out = tmp_path / "out.csv"
-    assert main(["segment", str(volume), str(config), str(out)]) == 2
-    assert "intensity_weighted needs hu_min > 0" in assert_one_error_line(capsys)
-    assert not out.exists()
 
 
 def _device_csv(tmp_path):

@@ -7,7 +7,6 @@ from fidreg.config import (
     format_float,
     format_kv,
     format_triple,
-    kv_bool,
     kv_float,
     kv_int,
     kv_triple,
@@ -61,16 +60,13 @@ def test_triple_round_trip():
 
 
 def test_kv_helpers_errors():
-    kv = {"n": "3", "x": "1.5", "flag": "true", "bad": "nope", "p": "1 2"}
+    kv = {"n": "3", "x": "1.5", "bad": "nope", "p": "1 2"}
     assert kv_int(kv, "n") == 3
     assert kv_float(kv, "x") == 1.5
-    assert kv_bool(kv, "flag") is True
     with pytest.raises(ConfigError):
         kv_int(kv, "x")
     with pytest.raises(ConfigError):
         kv_float(kv, "bad")
-    with pytest.raises(ConfigError):
-        kv_bool(kv, "bad")
     with pytest.raises(ConfigError):
         kv_triple(kv, "p")
 
@@ -106,15 +102,15 @@ def test_nan_not_finite_checked_here():
 
 
 # The exact bytes of each text format: key order, float spelling and the
-# boolean and transform words.  Round trips alone would not notice a change.
+# transform words.  Round trips alone would not notice a change.
 GOLDEN_TEXTS = [
     (
         RegistrationConfig(),
-        "k = 4\nscale_tolerance_mm = 5.0\ndegeneracy_ratio = 1e-06\n",
+        "k = 4\nscale_tolerance_mm = 5.0\n",
     ),
     (
-        RegistrationConfig(k=2, scale_tolerance_mm=0.1, degeneracy_ratio=2.5e-3),
-        "k = 2\nscale_tolerance_mm = 0.1\ndegeneracy_ratio = 0.0025\n",
+        RegistrationConfig(k=2, scale_tolerance_mm=0.1),
+        "k = 2\nscale_tolerance_mm = 0.1\n",
     ),
     (IcpConfig(), "max_iterations = 100\nrmsd_delta_tolerance = 1e-06\n"),
     (
@@ -123,8 +119,7 @@ GOLDEN_TEXTS = [
     ),
     (
         SegmentationConfig(expected_mm3=27),
-        "hu_min = 300.0\nconnectivity = 26\nexpected_mm3 = 27.0\n"
-        "tolerance_fraction = 0.5\nintensity_weighted = false\n",
+        "hu_min = 300.0\nconnectivity = 26\nexpected_mm3 = 27.0\ntolerance_fraction = 0.5\n",
     ),
     (
         SegmentationConfig(
@@ -132,10 +127,8 @@ GOLDEN_TEXTS = [
             hu_min=1200.5,
             connectivity=6,
             tolerance_fraction=0.25,
-            intensity_weighted=True,
         ),
-        "hu_min = 1200.5\nconnectivity = 6\nexpected_mm3 = 4.5\n"
-        "tolerance_fraction = 0.25\nintensity_weighted = true\n",
+        "hu_min = 1200.5\nconnectivity = 6\nexpected_mm3 = 4.5\ntolerance_fraction = 0.25\n",
     ),
     (
         SceneSpec(n_markers=3),

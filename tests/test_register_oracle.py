@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fidreg.bench import SceneSpec, generate_scene
-from fidreg.errors import DegenerateTriangleError, DomainError
+from fidreg.errors import DomainError
 from fidreg.markers import MarkerSet
 from fidreg.rigid import axis_angle_rotation
 from fidreg.triangles import (
@@ -189,22 +189,6 @@ def test_scale_gate_boundary_and_rejected_ties():
     device = np.vstack([ct * 2.0, ct * 4.0 + 1000.0])
     got = check(ct, device, RegistrationConfig(scale_tolerance_mm=1.0))
     assert "longest-edge gap 50 mm" in str(got)
-
-
-def test_configured_degeneracy_ratio_is_used_throughout():
-    # area / e1^2 is about 1e-7: a shape under degeneracy_ratio = 1e-9, not
-    # under the 1e-6 default; the fit's own bound, 2e-9, lets it through
-    sliver = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [50.0, 2e-5, 0.0]])
-    config = RegistrationConfig(degeneracy_ratio=1e-9)
-    table = TriangleTable(degeneracy_ratio=1e-9)
-    for point in sliver:
-        table.insert_marker(point)
-    result = register(MarkerSet("ct", sliver), table, config)
-    assert result.rmsd < 1e-9
-    assert_same(result, loop_register(sliver, sliver, config, 1e-9))
-    # under the default ratio the CT side keys no shape
-    with pytest.raises(DegenerateTriangleError, match="every CT marker triple is degenerate"):
-        register(MarkerSet("ct", sliver), table)
 
 
 def test_scenes_large_enough_to_span_several_scan_blocks():

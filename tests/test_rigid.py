@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fidreg.errors import DegenerateGeometryError
 from fidreg.rigid import (
@@ -114,17 +114,25 @@ def test_collinear_sources_rejected():
         absolute_orientation(PointCorrespondences(line, line))
 
 
+def test_check_proper_checks_every_fit():
+    rotation = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0]), np.eye(3) * 1.01])
+    with pytest.raises(ValueError, match="fit 1 is not a proper rotation"):
+        check_proper(rotation)
+    with pytest.raises(ValueError, match="fit 0 is not a proper rotation"):
+        check_proper(rotation[2:])
+    check_proper(rotation[:1])
+
+
 def test_stacked_fits_match_single_fits_bit_for_bit():
     rng = SplitMix64(19)
     for m in (3, 9, 40):
         src = random_points(rng, 6 * m).reshape(6, m, 3)
         dst = src @ random_transform(rng).rotation.T + rng.normals(18 * m).reshape(6, m, 3)
-        src[4] = np.outer(np.arange(m), [1.0, 2.0, 3.0])  # collinear: not aligned
+        src[4] = np.outer(np.arange(m), [1.0, 2.0, 3.0])  # collinear: no unique fit
         centroid, centered = center_points(src)
-        aligned = ~_collinear(centered)
-        assert aligned.tolist() == [True, True, True, True, False, True]
+        assert _collinear(centered).tolist() == [False, False, False, False, True, False]
         rotation, translation = horn_solve(centroid, centered, dst)
-        check_proper(rotation, aligned)
+        check_proper(rotation)
         rmsd = fit_rmsd(rotation, translation, src, dst)
         for i in (0, 3, 5):
             single, single_rmsd = absolute_orientation(PointCorrespondences(src[i], dst[i]))
@@ -189,9 +197,11 @@ def test_reorthonormalize_projects_only_past_the_drift_tolerance():
 
 
 @given(st.floats(min_value=0.0, max_value=np.pi))
+@example(1e-10)
+@example(np.pi - 1e-9)
 def test_rotation_angle_round_trip(angle):
     R = axis_angle_rotation(np.array([0.0, 0.6, 0.8]), angle)
-    assert rotation_angle(R) == pytest.approx(angle, abs=1e-7)
+    assert rotation_angle(R) == pytest.approx(angle, rel=1e-12, abs=1e-15)
 
 
 def test_rotation_validation():

@@ -76,3 +76,9 @@ def test_bad_input_exits_2_with_one_error_line(monkeypatch, capsys, flags, messa
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(message)
+
+
+def test_default_grid_covers_three_markers_and_four_noise_levels():
+    # three markers is the paper's case
+    args = runpy.run_path(str(SCRIPT))["parse_args"]([])
+    assert (args.counts, args.sigmas) == ("3,4,6,8,10,20,40", "0.5,1,2,3")

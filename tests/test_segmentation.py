@@ -157,29 +157,6 @@ def test_sphere_centroid_is_exact_by_symmetry():
     np.testing.assert_allclose(centroid, expected, atol=1e-12)
 
 
-def test_intensity_weighted_centroid_hand_case():
-    vox = np.zeros((2, 1, 1), dtype=np.int16)
-    vox[0, 0, 0] = 1000
-    vox[1, 0, 0] = 3000
-    volume = make_volume(vox)
-    comps = connected_components(threshold_volume(volume, 300.0), 26)
-    (comp,) = comps
-    plain = component_centroid(comp, volume)
-    weighted = component_centroid(comp, volume, intensity_weighted=True)
-    np.testing.assert_allclose(plain, [0.5, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(weighted, [0.75, 0.0, 0.0], atol=1e-15)
-
-
-def test_intensity_weighting_rejects_nonpositive_hu():
-    vox = np.zeros((2, 1, 1), dtype=np.int16)
-    vox[0, 0, 0] = -5
-    vox[1, 0, 0] = 3000
-    volume = make_volume(vox)
-    comps = connected_components(BinaryMask((2, 1, 1), np.ones((2, 1, 1), bool)), 26)
-    with pytest.raises(ValueError, match="positive"):
-        component_centroid(comps[0], volume, intensity_weighted=True)
-
-
 def test_translation_equivariance_of_centroids():
     vox = rasterize_sphere((6, 6, 6), 3.2, (13, 13, 13))
     config = SegmentationConfig(expected_mm3=140.0, tolerance_fraction=0.5)
@@ -218,7 +195,6 @@ def test_config_round_trip_and_validation():
         hu_min=250.0,
         connectivity=18,
         tolerance_fraction=0.25,
-        intensity_weighted=True,
     )
     assert SegmentationConfig.from_text(config.to_text()) == config
     with pytest.raises(ConfigError, match="expected_mm3"):
@@ -245,19 +221,6 @@ def test_config_rejects_non_finite_values():
             SegmentationConfig.from_text(f"expected_mm3 = 27\nhu_min = {value}\n")
     with pytest.raises(ConfigError, match="hu_min"):
         SegmentationConfig(expected_mm3=27.0, hu_min=float("-inf"))
-
-
-def test_intensity_weighting_needs_a_positive_hu_min():
-    # Voxels are integers >= hu_min, so hu_min > 0 makes every weight >= 1.
-    for hu_min in (0.0, -500.0):
-        with pytest.raises(ConfigError, match="intensity_weighted needs hu_min > 0"):
-            SegmentationConfig(expected_mm3=27.0, hu_min=hu_min, intensity_weighted=True)
-        with pytest.raises(ConfigError, match="intensity_weighted needs hu_min > 0"):
-            SegmentationConfig.from_text(
-                f"expected_mm3 = 27\nhu_min = {hu_min}\nintensity_weighted = true\n"
-            )
-        SegmentationConfig(expected_mm3=27.0, hu_min=hu_min)
-    SegmentationConfig(expected_mm3=27.0, hu_min=0.5, intensity_weighted=True)
 
 
 def test_bone_block_segments_within_budget():

@@ -118,7 +118,7 @@ def test_shape_part_is_scale_invariant():
     assert general.r3 == pytest.approx(key.r3, rel=1e-12)
 
 
-def test_degenerate_triangles_are_rejected():
+def test_degenerate_triangles_are_rejected(monkeypatch):
     a, b = np.array([0.0, 0.0, 0.0]), np.array([10.0, 0.0, 0.0])
     with pytest.raises(DegenerateTriangleError, match="too thin"):
         triangle_key(a, b, np.array([5.0, 0.0, 0.0]))
@@ -128,7 +128,8 @@ def test_degenerate_triangles_are_rejected():
     with pytest.raises(DegenerateTriangleError):
         triangle_key(a, b, np.array([5.0, 1e-7, 0.0]))
     # same sliver passes with a looser gate
-    key = triangle_key(a, b, np.array([5.0, 1e-7, 0.0]), degeneracy_ratio=1e-12)
+    monkeypatch.setattr(fidreg.triangles, "DEGENERACY_RATIO", 1e-12)
+    key = triangle_key(a, b, np.array([5.0, 1e-7, 0.0]))
     assert key.e1 == 10.0
 
 
@@ -314,13 +315,14 @@ def test_query_nearest_ties_break_by_insertion_order():
         table.query_nearest(probe, k=0)
 
 
-def test_sliver_whose_edge_ratios_round_to_a_line_is_degenerate():
+def test_sliver_whose_edge_ratios_round_to_a_line_is_degenerate(monkeypatch):
     # legs of exactly 0.5 and a longest edge of 1: r2 + r3 rounds to 1, so the
     # key would describe no triangle even though the area gate passes
+    monkeypatch.setattr(fidreg.triangles, "DEGENERACY_RATIO", 1e-12)
     a, b, c = np.zeros(3), np.array([1.0, 0.0, 0.0]), np.array([0.5, 1e-9, 0.0])
-    with pytest.raises(DegenerateTriangleError, match="too thin"):
-        triangle_key(a, b, c, degeneracy_ratio=1e-12)
-    table = TriangleTable(degeneracy_ratio=1e-12)
+    with pytest.raises(DegenerateTriangleError, match="round to a straight line"):
+        triangle_key(a, b, c)
+    table = TriangleTable()
     assert [table.insert_marker(p) for p in (a, b, c)] == [0, 0, 0]
     assert table.degenerate_skipped == 1
 
@@ -586,7 +588,8 @@ def test_area_bound_clears_only_triangles_that_span_a_plane(seed, scale_exp, off
     scale = 10.0**scale_exp
     rng = np.random.default_rng(seed)
     points = thin_triangles(rng, 64, scale, scale * 10.0**offset_exp)
-    shapes = _triangle_shapes(points, 1e-15)
+    with mock.patch.object(fidreg.triangles, "DEGENERACY_RATIO", 1e-15):
+        shapes = _triangle_shapes(points)
     cleared = shapes.area > 2.0 * COLLINEARITY_RATIO * shapes.e1**2
     assert cleared.any() and not cleared.all()
     assert not _collinear(center_points(points)[1][cleared]).any()
@@ -619,17 +622,17 @@ def sliver_scene(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 2])
-def test_slivers_under_the_area_bound_raise_like_the_loop(seed):
-    # with degeneracy_ratio = 1e-15 a sliver under the fit's bound keys a
+def test_slivers_under_the_area_bound_raise_like_the_loop(seed, monkeypatch):
+    # with DEGENERACY_RATIO at 1e-15 a sliver under the fit's bound keys a
     # shape; its first candidate stops register with the loop's error
+    monkeypatch.setattr(fidreg.triangles, "DEGENERACY_RATIO", 1e-15)
     ct, device = sliver_scene(seed)
-    config = RegistrationConfig(degeneracy_ratio=1e-15)
-    table = TriangleTable(degeneracy_ratio=1e-15)
+    table = TriangleTable()
     table.insert_marker(device)
     with pytest.raises(DegenerateTriangleError, match="no alignable vertex pairing") as got:
-        register(MarkerSet("ct", ct), table, config)
+        register(MarkerSet("ct", ct), table)
     with pytest.raises(DegenerateTriangleError) as want:
-        loop_register(ct, device, config, table_degeneracy_ratio=1e-15)
+        loop_register(ct, device)
     assert str(got.value) == str(want.value)
 
 
