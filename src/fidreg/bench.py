@@ -20,10 +20,14 @@ the pinned ``SplitMix64`` stream in a frozen order.  For a spec with
 5. If ``decoy_count > 0``: ``uniforms(3*decoy_count)``, point-major, mapped
    into the axis-aligned bounding box of the transformed placement box.
 6. ``shuffle`` of the assembled device list (survivors then decoys).
+   The code shuffles the list's row numbers and gathers the rows once;
+   the draws are those of shuffling the rows.
 
 Device markers carry the originating CT index as their id (decoys carry
 none); ids exist for test bookkeeping only and are never shown to the
-registration methods.
+registration methods. A scene that draws a CT or device coordinate (decoys
+included) beyond ``markers.MAX_COORDINATE_MM`` raises ConfigError naming its
+seed, so ``fidreg simulate`` and ``fidreg bench`` exit 2 before writing.
 
 Error metrics per trial: ``tre_mm`` is the mean displacement between the
 estimated and true transforms over the CT marker positions plus the scene-box
@@ -49,11 +53,17 @@ except ``time_us``:
   outside the timed window;
 * holding one spec's scenes and reseeded specs costs about 2.1-2.6 KB per
   trial at 8 markers and 3.9 KB at 40 (tracemalloc); they are dropped once
-  the next spec's scenes are drawn.
+  the next spec's scenes are drawn;
+* the error metrics take the reductions ``np.linalg.norm`` and ``mean``
+  would (a row norm sums its squares, a vector norm is the square root of
+  a dot product), without their wrappers.
 
 The records CSV is :class:`TrialRecord`'s fields, in order, each written
-by its type; a summary cell groups the records by ``_CELL_KEYS`` and
-averages ``_METRICS`` over the cell's successful trials.
+by its type, and goes to the file as one string. A summary cell groups the
+records by ``_CELL_KEYS`` and averages ``_METRICS`` over the cell's
+successful trials: one (metric, trial) array per cell, each row reduced
+along its contiguous axis, so every mean and std has the bits of that
+metric's own 1-D array.
 
 ``generate_scene``, ``register`` and ``icp_register`` are looked up through
 this module at call time, so a caller can rebind them (a tracer does).
@@ -72,7 +82,7 @@ import numpy as np
 
 from .config import FLOAT, INT, TRIPLE, kv_int, read_fields, write_fields, write_json
 from .errors import ConfigError, DomainError
-from .markers import MarkerSet
+from .markers import MarkerSet, check_coordinates
 from .icp import IcpConfig, icp_register
 from .rigid import RigidTransform, reorthonormalize, rotation_angle
 from .rng import SplitMix64
@@ -85,6 +95,8 @@ _CELL_KEYS = ("method", "n_markers", "noise_sigma_mm", "dropout", "decoys")
 _METRICS = ("tre_mm", "rot_err_rad", "trans_err_mm", "time_us")
 # A trial that returns a pose with a TRE above this is a gross error.
 GROSS_TRE_MM = 10.0
+# The signs of a box's eight corners about its centre, x slowest, z fastest.
+_BOX_SIGNS = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
 
 
 def _format_transform(transform: RigidTransform | str) -> str:
@@ -202,38 +214,30 @@ def generate_scene(spec: SceneSpec) -> tuple[MarkerSet, MarkerSet, RigidTransfor
     noise = rng.normals(3 * n).reshape(n, 3)
     device_points = truth.apply(ct_points) + spec.noise_sigma_mm * noise
 
-    survivors = list(range(n))
+    ids: list[int | None] = list(range(n))
     if spec.dropout_count > 0:
-        order = list(range(n))
-        rng.shuffle(order)
-        dropped = set(order[: spec.dropout_count])
-        survivors = [i for i in range(n) if i not in dropped]
+        rng.shuffle(ids)
+        ids = sorted(ids[spec.dropout_count :])
+        device_points = device_points[ids]
 
-    rows: list[tuple[np.ndarray, int | None]] = [
-        (device_points[i], i) for i in survivors
-    ]
     if spec.decoy_count > 0:
-        corners = np.array(
-            [
-                [sx * extent[0] / 2.0, sy * extent[1] / 2.0, sz * extent[2] / 2.0]
-                for sx in (-1.0, 1.0)
-                for sy in (-1.0, 1.0)
-                for sz in (-1.0, 1.0)
-            ]
-        )
-        moved = truth.apply(corners)
+        moved = truth.apply(_BOX_SIGNS * extent / 2.0)
         lo = moved.min(axis=0)
         hi = moved.max(axis=0)
         decoys = lo + rng.uniforms(3 * spec.decoy_count).reshape(-1, 3) * (hi - lo)
-        rows.extend((p, None) for p in decoys)
-    rng.shuffle(rows)
+        device_points = np.concatenate([device_points, decoys])
+        ids += [None] * spec.decoy_count
+    order = list(range(len(ids)))
+    rng.shuffle(order)
+    device_points = device_points[order]
 
+    try:
+        check_coordinates(ct_points, "CT marker")
+        check_coordinates(device_points, "device marker")
+    except ValueError as exc:
+        raise ConfigError(f"scene seed {spec.seed}: {exc}") from exc
     ct = MarkerSet(frame="ct", points=ct_points, ids=tuple(range(n)))
-    device = MarkerSet(
-        frame="device",
-        points=np.array([p for p, _ in rows], dtype=np.float64).reshape(-1, 3),
-        ids=tuple(i for _, i in rows),
-    )
+    device = MarkerSet(frame="device", points=device_points, ids=tuple(ids[i] for i in order))
     return ct, device, truth
 
 
@@ -244,9 +248,9 @@ def target_registration_error(
     targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
     if len(targets) == 0:
         raise ValueError("need at least one target point")
-    return float(
-        np.linalg.norm(estimated.apply(targets) - truth.apply(targets), axis=1).mean()
-    )
+    # The norms and mean np.linalg.norm(..., axis=1).mean() takes, term for term.
+    delta = estimated.apply(targets) - truth.apply(targets)
+    return float(np.add.reduce(np.sqrt(np.add.reduce(delta * delta, axis=1)))) / len(targets)
 
 
 @dataclass
@@ -322,14 +326,13 @@ def _run_trial(
     if estimated is None:
         tre = rot_err = trans_err = float("nan")
     else:
-        targets = np.vstack([ct.points, targets_origin])
-        tre = target_registration_error(estimated, truth, targets)
+        tre = target_registration_error(estimated, truth, np.concatenate([ct.points, targets_origin]))
         # The rotation of compose(estimated, inverse(truth)), without
         # building and validating the two transforms.
         rot_err = rotation_angle(reorthonormalize(estimated.rotation @ truth.rotation.T))
-        trans_err = float(
-            np.linalg.norm(estimated.translation - truth.translation)
-        )
+        # np.linalg.norm of a vector: the square root of its dot product.
+        shift = estimated.translation - truth.translation
+        trans_err = math.sqrt(shift.dot(shift))
     return TrialRecord(
         method=method,
         seed=spec.seed,
@@ -387,9 +390,7 @@ def _record_row(record: TrialRecord) -> str:
 
 def write_records_csv(records: list[TrialRecord], path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for record in records:
-            fh.write(_record_row(record) + "\n")
+        fh.write("".join([CSV_HEADER + "\n"] + [_record_row(record) + "\n" for record in records]))
 
 
 def summarize(records: list[TrialRecord]) -> list[dict]:
@@ -409,10 +410,16 @@ def summarize(records: list[TrialRecord]) -> list[dict]:
         cell = dict(zip(_CELL_KEYS, key), trials=len(trials), failures=len(trials) - len(ok),
                     flipped=sum(1 for r in ok if r.flipped),
                     gross_error_rate=sum(1 for r in ok if r.tre_mm > GROSS_TRE_MM) / len(trials))
-        for name in _METRICS:
-            values = np.array([getattr(r, name) for r in ok])
-            std = float(values.std(ddof=1)) if len(ok) > 1 else 0.0
-            cell[name] = {"mean": float(values.mean()), "std": std} if ok else None
+        if not ok:
+            cell.update(dict.fromkeys(_METRICS))
+        else:
+            # One row per metric: reducing along the contiguous axis sums each
+            # row as the 1-D array of that metric alone would be summed.
+            values = np.array([[getattr(r, name) for r in ok] for name in _METRICS])
+            means = values.mean(axis=1).tolist()
+            stds = values.std(axis=1, ddof=1).tolist() if len(ok) > 1 else [0.0] * len(_METRICS)
+            for name, mean, std in zip(_METRICS, means, stds):
+                cell[name] = {"mean": mean, "std": std}
         summary.append(cell)
     return summary
 

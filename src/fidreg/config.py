@@ -26,9 +26,9 @@ def format_float(x: float) -> str:
 
 def write_json(data, path) -> None:
     """Write ``data`` as ASCII JSON indented by 2, ending in a newline."""
+    text = json.dumps(data, indent=2) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def parse_number(text: str, kind: type = float):

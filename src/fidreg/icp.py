@@ -5,8 +5,13 @@ under the current transform, re-solve the closed-form rigid fit from scratch
 on those pairs, repeat. Each iteration's rmsd (RMS nearest-neighbour distance
 under that iteration's transform) is non-increasing, because the solver
 minimizes over the fixed matches and re-matching can only shorten per-point
-distances. No initial-guess machinery beyond a caller-supplied transform:
-like any local method, a large initial misalignment lands in local minima.
+distances. When a matching step repeats the matches the current transform
+was fitted to, the iteration is at a fixed point: the fit would return the
+same transform and the next rmsd would repeat this one, so ICP records that
+rmsd once more and stops without the fit. The result is the one the full
+iteration gives, bit for bit. No initial-guess machinery beyond a
+caller-supplied transform: like any local method, a large initial
+misalignment lands in local minima.
 """
 
 from __future__ import annotations
@@ -96,7 +101,11 @@ def icp_register(
 
     Stops when the per-iteration rmsd changes by less than
     ``rmsd_delta_tolerance`` (converged) or at the iteration cap (not
-    converged). Raises ValueError when a coordinate of either side exceeds
+    converged). Below the cap, a matching step that repeats the matches of
+    the last fit is a fixed point: its rmsd is recorded twice and the run
+    converges without the fit, whose result would be the current transform
+    (the history, transform and counts are those of the full iteration).
+    Raises ValueError when a coordinate of either side exceeds
     MAX_COORDINATE_MM, InsufficientMarkersError when either side has fewer
     than 3 points and DegenerateGeometryError for collinear sources.
     """
@@ -115,7 +124,7 @@ def icp_register(
 
     rotation = config.initial_transform.rotation
     translation = config.initial_transform.translation
-    fitted = False
+    fitted_on = None  # the matches the current transform was fitted to
     history: list[float] = []
     converged = False
     for iteration in range(config.max_iterations):
@@ -128,13 +137,20 @@ def icp_register(
             break
         if iteration == config.max_iterations - 1:
             break  # cap reached; keep the transform the last rmsd describes
+        matches = match_idx.tobytes()
+        if matches == fitted_on:
+            # Fixed point: a fit to these matches returns the current
+            # transform, and the next iteration would repeat this rmsd.
+            history.append(rmsd)
+            converged = True
+            break
         fit_rotation, fit_translation = horn_solve(src_centroid, src_centered, tgt[match_idx][None])
         check_proper(fit_rotation)
         rotation, translation = fit_rotation[0], fit_translation[0]
-        fitted = True
+        fitted_on = matches
 
     return IcpResult(
-        transform=RigidTransform(rotation, translation) if fitted else config.initial_transform,
+        transform=config.initial_transform if fitted_on is None else RigidTransform(rotation, translation),
         rmsd=history[-1],
         iterations_used=len(history),
         converged=converged,

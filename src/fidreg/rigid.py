@@ -16,6 +16,7 @@ source, like ICP's, which stays fixed across fits, is centered once by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,8 +116,9 @@ def rotation_angle(rotation: np.ndarray) -> float:
     atan2 of its sine (the Frobenius norm of R - R^T over 2 sqrt(2)) and
     cosine ((trace - 1) / 2) stays exact to rounding near 0 and near pi.
     """
-    sin = float(np.linalg.norm(rotation - rotation.T)) / (2.0 * np.sqrt(2.0))
-    cos = (float(np.trace(rotation)) - 1.0) / 2.0
+    skew = (rotation - rotation.T).ravel()
+    sin = math.sqrt(skew.dot(skew)) / (2.0 * math.sqrt(2.0))  # np.linalg.norm's dot
+    cos = (float(rotation.trace()) - 1.0) / 2.0
     return float(np.arctan2(sin, cos))
 
 

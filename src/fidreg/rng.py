@@ -27,6 +27,8 @@ The seed-0 raw stream starts ``0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, ...``
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -126,7 +128,7 @@ class SplitMix64:
         """Uniformly random proper rotation matrix (quaternion of 4 normals)."""
         while True:
             q = self.normals(4)
-            norm = float(np.linalg.norm(q))
+            norm = math.sqrt(q.dot(q))  # np.linalg.norm(q), without its dispatch
             if norm > 1e-12:
                 return rotation_from_quaternion(q / norm)
 

@@ -295,7 +295,7 @@ class TriangleTable:
             raise ValueError("marker must be finite")
         check_coordinates(pts, "device marker")
         start = len(self.markers)
-        self.markers = np.concatenate([self.markers, pts])
+        self.markers = _extend(self.markers, pts)
         self.markers.setflags(write=False)
         triples = _completed_triples(start, len(self.markers))
         if len(triples) == 0:
@@ -304,9 +304,9 @@ class TriangleTable:
         shaped = shapes.shaped
         canonical = _permute_rows(triples, shapes.perm)
         self.degenerate_skipped += int(np.count_nonzero(~shaped))
-        self.keys = np.concatenate([self.keys, shapes.key[shaped]])
-        self.e1 = np.concatenate([self.e1, shapes.e1[shaped]])
-        self.indices = np.concatenate([self.indices, canonical[shaped]])
+        self.keys = _extend(self.keys, shapes.key[shaped])
+        self.e1 = _extend(self.e1, shapes.e1[shaped])
+        self.indices = _extend(self.indices, canonical[shaped])
         return int(np.count_nonzero(shaped))
 
     def query_nearest(self, key: TriangleKey, k: int) -> list[tuple[IndexedTriangle, float]]:
@@ -319,6 +319,11 @@ class TriangleTable:
             raise ValueError("k must be >= 1")
         index, distance = _nearest_keys(np.array([[key.r2, key.r3]]), self.keys, k)
         return [(self._triangle(row), float(d)) for row, d in zip(index[0], distance[0])]
+
+
+def _extend(stored: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``stored`` followed by the rows of ``new``, which an empty ``stored`` adopts."""
+    return np.concatenate([stored, new]) if len(stored) else new
 
 
 def _permute_rows(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -360,7 +365,8 @@ def _solve_pairings(
     edge = points[:, 1] - points[:, 0]
     normal = _cross(edge, points[:, 2] - points[:, 0])
     length = np.sqrt(_dot(normal, normal))  # twice the area
-    floor = np.concatenate([4.0 * COLLINEARITY_RATIO * source_e1 * source_e1, np.zeros(count)])
+    floor = np.zeros(2 * count)
+    np.multiply(4.0 * COLLINEARITY_RATIO * source_e1, source_e1, out=floor[:count])
     if not (length > floor).all():
         raise DegenerateTriangleError("no alignable vertex pairing (degenerate triangle)")
     n = normal / length[:, None]
@@ -368,16 +374,23 @@ def _solve_pairings(
     e2 /= np.sqrt(_dot(e2, e2))[:, None]
     e1 = _cross(e2, n)
     centroid, centered = center_points(points)
-    xy = _dot(centered[:, None], np.stack([e1, e2], axis=1)[:, :, None])  # (2C, 2, 3)
+    xy = np.empty((2 * count, 2, 3))
+    xy[:, 0] = _dot(centered, e1[:, None])
+    xy[:, 1] = _dot(centered, e2[:, None])
 
-    # products[:, i, j, p, k]: (x, y)[i] of source vertex k times (u, v)[j]
-    # of the target vertex that pairing p puts against it
+    # sums[:, i, j, p]: sum over source vertices k of (x, y)[i] of vertex k
+    # times (u, v)[j] of the target vertex that pairing p puts against it
     products = xy[:count, :, None, None, :] * xy[count:, None, :, _PAIRINGS]
-    (xu, xv), (yu, yv) = np.moveaxis(
-        products[..., 0] + products[..., 1] + products[..., 2], (1, 2), (0, 1)
-    )
-    c_sum = np.stack([xu + yv, xu - yv], axis=-1).reshape(count, 12)
-    s_sum = np.stack([xv - yu, xv + yu], axis=-1).reshape(count, 12)
+    sums = products[..., 0] + products[..., 1] + products[..., 2]
+    xu, xv, yu, yv = sums[:, 0, 0], sums[:, 0, 1], sums[:, 1, 0], sums[:, 1, 1]
+    # Columns 2p and 2p + 1: pairing p, source on its side and turned over.
+    c_sum = np.empty((count, 6, 2))
+    s_sum = np.empty((count, 6, 2))
+    np.add(xu, yv, out=c_sum[:, :, 0])
+    np.subtract(xu, yv, out=c_sum[:, :, 1])
+    np.subtract(xv, yu, out=s_sum[:, :, 0])
+    np.add(xv, yu, out=s_sum[:, :, 1])
+    c_sum, s_sum = c_sum.reshape(count, 12), s_sum.reshape(count, 12)
     best = np.argmax(c_sum * c_sum + s_sum * s_sum, axis=1)
     rows = np.arange(count)
     c_sum, s_sum = c_sum[rows, best], s_sum[rows, best]
@@ -483,6 +496,19 @@ def _scores(nearest_sq: np.ndarray) -> _Scores:
     )
 
 
+def _device_dist_sq(
+    rotation: np.ndarray,
+    translation: np.ndarray,
+    ct_points: np.ndarray,
+    dev_points: np.ndarray,
+) -> np.ndarray:
+    """Squared distances ``dx*dx + dy*dy + dz*dz``, (C, n, m), from each mapped
+    CT marker to each device marker, per transform (C, 3, 3) and (C, 3)."""
+    mapped = apply_rigid_stack(rotation, translation, ct_points)
+    dx, dy, dz = (mapped[:, :, None, axis] - dev_points[:, axis] for axis in range(3))
+    return dx * dx + dy * dy + dz * dz
+
+
 def _nearest_device(
     rotation: np.ndarray,
     translation: np.ndarray,
@@ -504,9 +530,7 @@ def _nearest_device(
     block = max(1, _SCAN_BLOCK // (n * len(dev_points)))
     for start in range(0, len(rotation), block):
         stop = start + block
-        mapped = apply_rigid_stack(rotation[start:stop], translation[start:stop], ct_points)
-        dx, dy, dz = (mapped[:, :, None, axis] - dev_points[:, axis] for axis in range(3))
-        dist_sq = dx * dx + dy * dy + dz * dz
+        dist_sq = _device_dist_sq(rotation[start:stop], translation[start:stop], ct_points, dev_points)
         nearest_sq[start:stop] = dist_sq.min(axis=2)
         nearest = dist_sq.argmin(axis=2)
         back = dist_sq.argmin(axis=1)[np.arange(len(dist_sq))[:, None], nearest]
@@ -700,7 +724,8 @@ def register(
     if len(pairs) > 3 and (partner[triples[cand.ct_row[best]]] >= 0).all():
         centroid, centered = center_points(ct_points[pairs][None])
         rotation, translation = horn_solve(centroid, centered, table.markers[partner[pairs]][None])
-        score = _scores(_nearest_device(rotation, translation, ct_points, table.markers)[0][0])
+        # One transform, as _nearest_device scores it, without the partners.
+        score = _scores(_device_dist_sq(rotation, translation, ct_points, table.markers)[0].min(axis=1))
         rotation, translation = rotation[0], translation[0]
         rmsd, inliers = float(score.rmsd), int(score.inliers)
     return RegistrationResult(

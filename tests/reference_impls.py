@@ -18,6 +18,9 @@ import numpy as np
 from fidreg import triangles
 from fidreg._mc_tables import EDGE_CORNERS, TRI_TABLE
 from fidreg.bench import (
+    _CELL_KEYS,
+    _METRICS,
+    GROSS_TRE_MM,
     METHODS,
     SceneSpec,
     TrialRecord,
@@ -34,6 +37,7 @@ from fidreg.errors import (
     NoMatchError,
 )
 from fidreg.icp import IcpConfig, IcpResult, icp_register
+from fidreg.markers import MarkerSet
 from fidreg.mesh import CORNER_OFFSETS, STL_HEADER, WELD_TOLERANCE_MM, TriangleMesh, empty_mesh
 from fidreg.rigid import (
     COLLINEARITY_RATIO,
@@ -46,7 +50,7 @@ from fidreg.rigid import (
     reorthonormalize,
     rotation_angle,
 )
-from fidreg.rng import rotation_from_quaternion
+from fidreg.rng import SplitMix64, rotation_from_quaternion
 from fidreg.segmentation import BinaryMask, Component
 from fidreg.triangles import (
     _INLIER_GATE_MM,
@@ -883,3 +887,77 @@ def loop_run_benchmark(
                 shifted = dataclasses.replace(spec, seed=spec.seed + trial)
                 records.append(loop_run_trial(shifted, method, origin))
     return records
+
+
+# ---------------------------------------------------------------------------
+# Scene rows and summary cells, one Python object at a time.
+#
+# row_tuple_generate_scene is fidreg.bench.generate_scene as it assembled the
+# device list: one (point, id) tuple per surviving marker and per decoy, the
+# list of tuples shuffled, then the points and ids unpacked from it. It draws
+# from the package's SplitMix64 in the documented order and has no coordinate
+# bound. per_metric_summarize is fidreg.bench.summarize with one 1-D array
+# per metric and cell, reduced by the array's own mean and std.
+# ---------------------------------------------------------------------------
+
+
+def row_tuple_generate_scene(spec: SceneSpec) -> tuple[MarkerSet, MarkerSet, RigidTransform]:
+    rng = SplitMix64(spec.seed)
+    n = spec.n_markers
+    extent = np.array(spec.placement_extent)
+    ct_points = (rng.uniforms(3 * n).reshape(n, 3) - 0.5) * extent
+    if isinstance(spec.true_transform, RigidTransform):
+        truth = spec.true_transform
+    else:
+        rotation = rng.rotation()
+        translation = (rng.uniforms(3) - 0.5) * np.array(spec.translation_extent)
+        truth = RigidTransform(rotation, translation)
+    noise = rng.normals(3 * n).reshape(n, 3)
+    device_points = truth.apply(ct_points) + spec.noise_sigma_mm * noise
+
+    survivors = list(range(n))
+    if spec.dropout_count > 0:
+        order = list(range(n))
+        rng.shuffle(order)
+        dropped = set(order[: spec.dropout_count])
+        survivors = [i for i in range(n) if i not in dropped]
+    rows = [(device_points[i], i) for i in survivors]
+    if spec.decoy_count > 0:
+        corners = np.array([
+            [sx * extent[0] / 2.0, sy * extent[1] / 2.0, sz * extent[2] / 2.0]
+            for sx in (-1.0, 1.0)
+            for sy in (-1.0, 1.0)
+            for sz in (-1.0, 1.0)
+        ])
+        moved = truth.apply(corners)
+        lo = moved.min(axis=0)
+        hi = moved.max(axis=0)
+        decoys = lo + rng.uniforms(3 * spec.decoy_count).reshape(-1, 3) * (hi - lo)
+        rows.extend((p, None) for p in decoys)
+    rng.shuffle(rows)
+
+    ct = MarkerSet(frame="ct", points=ct_points, ids=tuple(range(n)))
+    device = MarkerSet(
+        frame="device",
+        points=np.array([p for p, _ in rows], dtype=np.float64).reshape(-1, 3),
+        ids=tuple(i for _, i in rows),
+    )
+    return ct, device, truth
+
+
+def per_metric_summarize(records: list[TrialRecord]) -> list[dict]:
+    cells: dict[tuple, list[TrialRecord]] = {}
+    for record in records:
+        cells.setdefault(tuple(getattr(record, name) for name in _CELL_KEYS), []).append(record)
+    summary = []
+    for key, trials in cells.items():
+        ok = [r for r in trials if r.status == "ok"]
+        cell = dict(zip(_CELL_KEYS, key), trials=len(trials), failures=len(trials) - len(ok),
+                    flipped=sum(1 for r in ok if r.flipped),
+                    gross_error_rate=sum(1 for r in ok if r.tre_mm > GROSS_TRE_MM) / len(trials))
+        for name in _METRICS:
+            values = np.array([getattr(r, name) for r in ok])
+            std = float(values.std(ddof=1)) if len(ok) > 1 else 0.0
+            cell[name] = {"mean": float(values.mean()), "std": std} if ok else None
+        summary.append(cell)
+    return summary

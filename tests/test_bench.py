@@ -31,7 +31,7 @@ from fidreg.errors import (
 from fidreg.rigid import RigidTransform, axis_angle_rotation
 from fidreg.rng import SplitMix64
 
-from reference_impls import loop_run_benchmark
+from reference_impls import loop_run_benchmark, per_metric_summarize, row_tuple_generate_scene
 
 
 def test_generate_scene_is_deterministic():
@@ -581,3 +581,81 @@ def test_spec_text_seed_lies_in_the_rng_range():
             SceneSpec.from_text(f"n_markers = 4\nseed = {seed}\n")
     with pytest.raises(ConfigError, match="scene block 2: config key 'seed'"):
         parse_scene_grid("n_markers = 4\n\nn_markers = 4\nseed = -1\n")
+
+
+@pytest.mark.parametrize("dropouts", [0, 1, 2])
+@pytest.mark.parametrize("decoys", [0, 1, 3])
+def test_generate_scene_matches_the_row_tuple_copy(dropouts, decoys):
+    for n, sigma, seed in [(3 + dropouts, 0.0, 11), (5, 1.0, 12), (8, 2.5, 13), (20, 3.0, 14)]:
+        spec = SceneSpec(n_markers=n, noise_sigma_mm=sigma, dropout_count=dropouts,
+                         decoy_count=decoys, seed=seed + 100 * dropouts + 1000 * decoys)
+        ct, device, truth = generate_scene(spec)
+        ref_ct, ref_device, ref_truth = row_tuple_generate_scene(spec)
+        assert ct == ref_ct and truth == ref_truth
+        assert device.ids == ref_device.ids
+        assert np.array_equal(device.points, ref_device.points)
+        assert device.points.shape == ref_device.points.shape == (n - dropouts + decoys, 3)
+
+
+@pytest.mark.parametrize(
+    "extents, role",
+    [
+        ({"placement_extent": (4e6, 4e6, 4e6)}, "CT marker"),
+        ({"translation_extent": (4e6, 4e6, 4e6)}, "device marker"),
+    ],
+)
+def test_a_scene_beyond_the_coordinate_bound_is_a_config_error(extents, role):
+    spec = SceneSpec(n_markers=4, seed=3, **extents)
+    with pytest.raises(ConfigError, match=f"scene seed 3: {role} coordinate beyond 1e\\+06 mm"):
+        generate_scene(spec)
+    with pytest.raises(ConfigError, match="scene seed 4: "):
+        run_benchmark([dataclasses.replace(spec, seed=4)])
+
+
+def test_a_decoy_beyond_the_coordinate_bound_is_a_config_error():
+    # The markers sit inside the bound, but the decoys' box, which bounds the
+    # turned placement box, reaches past it.
+    turn = RigidTransform(axis_angle_rotation([0.0, 0.0, 1.0], math.pi / 4), np.zeros(3))
+    spec = SceneSpec(n_markers=4, decoy_count=20, seed=5, placement_extent=(1.6e6, 1.6e6, 1.0),
+                     true_transform=turn)
+    ct, device, _ = row_tuple_generate_scene(spec)
+    markers = [row for row, i in enumerate(device.ids) if i is not None]
+    assert np.abs(ct.points).max() <= 1e6 and np.abs(device.points[markers]).max() <= 1e6
+    with pytest.raises(ConfigError, match="scene seed 5: device marker coordinate beyond"):
+        generate_scene(spec)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 9, 16, 40])
+def test_tre_reduces_like_the_norm_mean(count):
+    rng = np.random.default_rng(count)
+    for _ in range(50):
+        truth = RigidTransform(axis_angle_rotation(rng.normal(size=3), rng.uniform(0, 3)),
+                               rng.normal(size=3) * 100)
+        estimate = RigidTransform(axis_angle_rotation(rng.normal(size=3), rng.uniform(0, 0.1))
+                                  @ truth.rotation, truth.translation + rng.normal(size=3))
+        targets = rng.uniform(-150, 150, size=(count, 3)) * 10.0 ** rng.uniform(-3, 3, size=(count, 1))
+        want = float(np.linalg.norm(estimate.apply(targets) - truth.apply(targets), axis=1).mean())
+        assert target_registration_error(estimate, truth, targets) == want
+
+
+@pytest.mark.parametrize("trials", [1, 2, 7, 8, 9, 17, 50])
+def test_summarize_matches_the_per_metric_form(trials, tmp_path):
+    # Pairwise summation starts at 8 values, so these counts cover both sides.
+    rng = np.random.default_rng(trials)
+    records = []
+    for method, n, failures in [("triangle", 4, 0), ("icp", 4, 1), ("triangle", 6, trials)]:
+        for t in range(trials):
+            ok = t >= failures
+            values = rng.uniform(0, 1, size=4) * 10.0 ** rng.uniform(-9, 6, size=4)
+            tre, rot, trans = values[:3] if ok else (math.nan,) * 3
+            records.append(TrialRecord(method, t, n, 1.0, 0, 0, float(tre), float(rot), float(trans),
+                                       float(values[3]), bool(t % 3 == 0) and ok,
+                                       "ok" if ok else "no-match"))
+    got, want = summarize(records), per_metric_summarize(records)
+    assert got == want
+    assert got[2]["tre_mm"] is None
+    assert all(type(v) is float for cell in got if cell["tre_mm"] for m in ("tre_mm", "time_us")
+               for v in cell[m].values())
+    write_summary_json(got, tmp_path / "got.json")
+    write_summary_json(want, tmp_path / "want.json")
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()

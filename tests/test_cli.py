@@ -548,3 +548,15 @@ def test_a_fidreg_error_outside_both_branches_exits_two(tmp_path, capsys, monkey
     assert main(["register", f"{prefix}_ct.csv", f"{prefix}_device.csv", str(out)]) == 2
     assert capsys.readouterr().err == "error: stubbed failure\n"
     assert not out.exists()
+
+
+def test_a_scene_beyond_the_coordinate_bound_exits_two_and_writes_nothing(tmp_path, capsys):
+    spec = write_spec(tmp_path, "n_markers = 4\nseed = 3\nplacement_extent = 4000000.0 4000000.0 4000000.0\n")
+    assert main(["simulate", str(spec), str(tmp_path / "scene")]) == 2
+    err = assert_one_error_line(capsys)
+    assert "scene seed 3: CT marker coordinate beyond 1e+06 mm" in err
+    assert not list(tmp_path.glob("scene_*"))
+    csv_out, json_out = tmp_path / "r.csv", tmp_path / "s.json"
+    assert main(["bench", str(spec), str(csv_out), str(json_out), "--trials", "1"]) == 2
+    assert assert_one_error_line(capsys) == err
+    assert not csv_out.exists() and not json_out.exists()

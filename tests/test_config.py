@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -12,12 +13,13 @@ from fidreg.config import (
     kv_triple,
     parse_kv_text,
     require_keys,
+    write_json,
 )
-from fidreg.bench import SceneSpec
+from fidreg.bench import SceneSpec, generate_scene, run_benchmark, summarize
 from fidreg.errors import ConfigError
-from fidreg.icp import IcpConfig
+from fidreg.icp import IcpConfig, icp_register
 from fidreg.segmentation import SegmentationConfig
-from fidreg.triangles import RegistrationConfig
+from fidreg.triangles import RegistrationConfig, TriangleTable, register
 
 
 def test_parse_basic_with_comments_and_blanks():
@@ -158,3 +160,27 @@ GOLDEN_TEXTS = [
 def test_to_text_golden_bytes(obj, text):
     assert obj.to_text() == text
     assert type(obj).from_text(text).to_text() == text
+
+
+def _json_outputs():
+    spec = SceneSpec(n_markers=6, noise_sigma_mm=1.0, dropout_count=1, decoy_count=2, seed=7)
+    ct, device, _ = generate_scene(spec)
+    table = TriangleTable()
+    table.insert_marker(device.points)
+    records = run_benchmark([spec, SceneSpec(n_markers=3, noise_sigma_mm=40.0, seed=8)],
+                            trials_per_cell=3)
+    return {
+        "register": register(ct, table).to_json_dict(),
+        "icp": icp_register(ct, device).to_json_dict(),
+        "summary": {"cells": summarize(records)},
+    }
+
+
+@pytest.mark.parametrize("name", ["register", "icp", "summary"])
+def test_write_json_bytes_are_json_dump_indented_by_two(name, tmp_path):
+    data = _json_outputs()[name]
+    write_json(data, tmp_path / "out.json")
+    with open(tmp_path / "want.json", "w", encoding="ascii") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+    assert (tmp_path / "out.json").read_bytes() == (tmp_path / "want.json").read_bytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fidreg.icp
 from fidreg.bench import SceneSpec, generate_scene
 from fidreg.config import ConfigError
 from fidreg.errors import DegenerateGeometryError, InsufficientMarkersError
@@ -193,3 +194,51 @@ def test_json_dict_shape():
     assert set(payload) == {"transform", "rmsd", "iterations_used", "converged"}
     assert isinstance(payload["converged"], bool)
     assert payload["iterations_used"] == result.iterations_used
+
+
+# Scenes for the fixed-point stop: every marker count from 3 to 40 once,
+# with noise from 0 to 3 mm and some dropouts and decoys.
+FIXED_POINT_SCENES = [
+    SceneSpec(n_markers=n, noise_sigma_mm=(0.0, 0.5, 1.0, 2.0, 3.0)[n % 5],
+              dropout_count=n % 2 if n > 3 else 0, decoy_count=n % 3, seed=2500 + n)
+    for n in range(3, 41)
+]
+
+
+@pytest.mark.parametrize("max_iterations", [1, 2, 3, 5])
+def test_fixed_point_stop_matches_the_full_iteration_at_small_caps(max_iterations):
+    # At tolerance 1e-300 only a repeated rmsd converges, so a run stops at
+    # its fixed point unless the cap comes first; at a cap of 1 or 2 the
+    # stop can never be reached.
+    config = IcpConfig(max_iterations=max_iterations, rmsd_delta_tolerance=1e-300)
+    for spec in FIXED_POINT_SCENES:
+        ct, device, _ = generate_scene(spec)
+        assert_same_bits(icp_register(ct, device, config), loop_icp(ct, device, config))
+
+
+def test_a_run_stopped_at_its_fixed_point_skips_the_last_fit(monkeypatch):
+    fits = []
+    solve = fidreg.icp.horn_solve
+
+    def counted(*args):
+        fits.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(fidreg.icp, "horn_solve", counted)
+    stopped = capped = 0
+    for spec in FIXED_POINT_SCENES:
+        ct, device, _ = generate_scene(spec)
+        for config in (IcpConfig(rmsd_delta_tolerance=1e-300), IcpConfig(max_iterations=3)):
+            fits.clear()
+            result = icp_register(ct, device, config)
+            assert_same_bits(result, loop_icp(ct, device, config))
+            if not result.converged:
+                # Capped: one fit per history entry but the last, as before.
+                assert len(fits) == result.iterations_used - 1
+                capped += 1
+            elif config.rmsd_delta_tolerance == 1e-300:
+                # Only a repeated rmsd converges here, and it repeats at the
+                # fixed point: the full iteration would fit once more.
+                assert len(fits) == result.iterations_used - 2
+                stopped += 1
+    assert stopped >= 30 and capped >= 1
