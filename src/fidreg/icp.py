@@ -1,17 +1,20 @@
 """Point-to-point ICP baseline.
 
 Classic iteration: match every source marker to its nearest target marker
-under the current transform, re-solve the closed-form rigid fit from scratch
-on those pairs, repeat. Each iteration's rmsd (RMS nearest-neighbour distance
-under that iteration's transform) is non-increasing, because the solver
-minimizes over the fixed matches and re-matching can only shorten per-point
-distances. When a matching step repeats the matches the current transform
-was fitted to, the iteration is at a fixed point: the fit would return the
-same transform and the next rmsd would repeat this one, so ICP records that
-rmsd once more and stops without the fit. The result is the one the full
-iteration gives, bit for bit. No initial-guess machinery beyond a
-caller-supplied transform: like any local method, a large initial
-misalignment lands in local minima.
+under the current transform (``markers.nearest_markers``, the lowest target
+index on ties), re-solve the closed-form rigid fit (``rigid.horn_solve``)
+from scratch on those pairs, repeat. Each iteration's rmsd (RMS
+nearest-neighbour distance under that iteration's transform) is
+non-increasing, because the solver minimizes over the fixed matches and
+re-matching can only shorten per-point distances. When a matching step
+repeats the matches the current transform was fitted to, the iteration is at
+a fixed point: the fit would return the same transform and the next rmsd
+would repeat this one, so ICP records that rmsd once more and stops without
+the fit. The result is the one the full iteration gives, bit for bit. No
+initial-guess machinery beyond a caller-supplied transform: like any local
+method, a large initial misalignment lands in local minima. The rotations of
+intermediate iterations are not checked; the pose returned is, as every
+RigidTransform is.
 """
 
 from __future__ import annotations
@@ -23,18 +26,8 @@ import numpy as np
 
 from .config import FLOAT, INT, ConfigError, read_fields, write_fields
 from .errors import InsufficientMarkersError
-from .markers import MarkerSet, check_coordinates
-from .rigid import (
-    RigidTransform,
-    center_source,
-    check_proper,
-    horn_solve,
-    transform_to_json_dict,
-)
-
-# Query-target pairs scanned per block by the nearest-neighbour search;
-# bounds the temporaries when both point sets are large.
-_SCAN_BLOCK = 1 << 16
+from .markers import MarkerSet, check_coordinates, nearest_markers
+from .rigid import RigidTransform, center_source, horn_solve, transform_to_json_dict
 
 _ICP_FIELDS = {"max_iterations": INT, "rmsd_delta_tolerance": FLOAT}
 
@@ -78,22 +71,6 @@ class IcpResult:
         }
 
 
-def _nearest_indices(query: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest target index and squared distance per query point (exact scan).
-
-    The first minimum wins, so the lowest target index breaks ties.
-    """
-    idx = np.empty(len(query), dtype=np.intp)
-    nearest_sq = np.empty(len(query), dtype=np.float64)
-    block = max(1, _SCAN_BLOCK // len(target))
-    for start in range(0, len(query), block):
-        deltas = query[start : start + block, None, :] - target[None, :, :]
-        dist_sq = np.add.reduce(deltas * deltas, axis=2)
-        idx[start : start + block] = dist_sq.argmin(axis=1)
-        nearest_sq[start : start + block] = dist_sq.min(axis=1)
-    return idx, nearest_sq
-
-
 def icp_register(
     source: MarkerSet, target: MarkerSet, config: IcpConfig | None = None
 ) -> IcpResult:
@@ -105,9 +82,12 @@ def icp_register(
     the last fit is a fixed point: its rmsd is recorded twice and the run
     converges without the fit, whose result would be the current transform
     (the history, transform and counts are those of the full iteration).
-    Raises ValueError when a coordinate of either side exceeds
-    MAX_COORDINATE_MM, InsufficientMarkersError when either side has fewer
-    than 3 points and DegenerateGeometryError for collinear sources.
+    Each source is a set of its own in the nearest-marker scan, so the
+    scan's temporaries stay bounded for large inputs. Only the transform
+    returned is validated as a proper rotation. Raises ValueError when a
+    coordinate of either side exceeds MAX_COORDINATE_MM,
+    InsufficientMarkersError when either side has fewer than 3 points and
+    DegenerateGeometryError for collinear sources.
     """
     if config is None:
         config = IcpConfig()
@@ -129,7 +109,10 @@ def icp_register(
     converged = False
     for iteration in range(config.max_iterations):
         mapped = src @ rotation.T + translation
-        match_idx, match_sq = _nearest_indices(mapped, tgt)
+        # One set per source: a scan block then holds SCAN_BLOCK // len(tgt)
+        # sources, not all of them, and the mutual flag goes unused.
+        match_sq, match_idx, _ = nearest_markers(mapped[:, None], tgt)
+        match_sq, match_idx = match_sq[:, 0], match_idx[:, 0]
         rmsd = math.sqrt(float(np.add.reduce(match_sq)) / len(match_sq))
         history.append(rmsd)
         if len(history) >= 2 and abs(history[-2] - rmsd) < config.rmsd_delta_tolerance:
@@ -145,7 +128,6 @@ def icp_register(
             converged = True
             break
         fit_rotation, fit_translation = horn_solve(src_centroid, src_centered, tgt[match_idx][None])
-        check_proper(fit_rotation)
         rotation, translation = fit_rotation[0], fit_translation[0]
         fitted_on = matches
 

@@ -1,10 +1,13 @@
-"""Marker point sets and their CSV form.
+"""Marker point sets, their CSV form and the nearest-marker scan.
 
 CSV layout: header ``frame,id,x_mm,y_mm,z_mm``, one row per marker. The id
 column is an optional integer tag identity and may be left empty; frames are
 ``ct`` (segmented from a scan) or ``device`` (optically detected). The file
 is ASCII, and ids and coordinates are plain decimals (no ``_`` grouping);
 a coordinate's magnitude is at most MAX_COORDINATE_MM.
+
+``nearest_markers`` is the one exact nearest-marker scan: ICP matches its
+sources with it, and register scores its candidates with it.
 """
 
 from __future__ import annotations
@@ -26,9 +29,46 @@ MAX_COORDINATE_MM = 1e6
 
 
 def check_coordinates(points: np.ndarray, role: str) -> None:
-    """Raise ValueError when a coordinate's magnitude exceeds MAX_COORDINATE_MM."""
-    if (np.abs(points) > MAX_COORDINATE_MM).any():
+    """Raise ValueError when a coordinate is NaN or its magnitude exceeds
+    MAX_COORDINATE_MM."""
+    if not (np.abs(points) <= MAX_COORDINATE_MM).all():
+        if np.isnan(points).any():
+            raise ValueError(f"{role} coordinates must be finite")
         raise ValueError(f"{role} coordinate beyond {MAX_COORDINATE_MM:g} mm")
+
+
+# Distances computed per block by the nearest-marker and shape-key scans;
+# bounds the temporaries when both point sets are large.
+SCAN_BLOCK = 1 << 14
+
+
+def nearest_markers(
+    points: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each point's nearest target, for a stack of point sets (B, n, 3).
+
+    Returns three (B, n) arrays: the squared distance ``dx*dx + dy*dy +
+    dz*dz`` to the nearest of ``targets`` (m, 3), that target's index, and
+    whether the point is in turn that target's nearest within its own set.
+    Ties go to the first. Sets are scanned in blocks of at most SCAN_BLOCK
+    distances (one set at a time when a set alone has more), and a set's
+    results do not depend on the stack it is in.
+    """
+    count, n = points.shape[:2]
+    nearest_sq = np.empty((count, n))
+    index = np.empty((count, n), dtype=np.intp)
+    mutual = np.empty((count, n), dtype=bool)
+    block = max(1, SCAN_BLOCK // (n * len(targets)))
+    for start in range(0, count, block):
+        stop = start + block
+        dx, dy, dz = (points[start:stop, :, None, axis] - targets[:, axis] for axis in range(3))
+        dist_sq = dx * dx + dy * dy + dz * dz
+        nearest = dist_sq.argmin(axis=2)
+        nearest_sq[start:stop] = dist_sq.min(axis=2)
+        index[start:stop] = nearest
+        back = dist_sq.argmin(axis=1)[np.arange(len(dist_sq))[:, None], nearest]
+        mutual[start:stop] = back == np.arange(n)
+    return nearest_sq, index, mutual
 
 
 @dataclass(eq=False)

@@ -1,17 +1,18 @@
 """Rigid transforms and closed-form point-set alignment.
 
 A least-squares rigid fit is Horn's quaternion method, solved for a whole
-stack of point-set pairs at once in three steps: ``center_points``
-(centroids and centered sources), ``horn_solve`` (build the 3x3
-cross-covariance of each centered pair, lift it to the symmetric 4x4 profile
-matrix and take the eigenvector of the largest eigenvalue as the rotation
-quaternion) and ``check_proper``; ``fit_rmsd`` scores the result. Because
-quaternions parameterize SO(3) only, the rotation is always proper
-(det = +1): reflections cannot leak in, even when the unconstrained optimum
-would be one. ``absolute_orientation`` is the single-pair case. A single
-source, like ICP's, which stays fixed across fits, is centered once by
-``center_source``, which rejects a source that spans no plane
-(``_collinear``).
+stack of point-set pairs at once: ``center_points`` (centroids and centered
+sources), ``_collinear`` (a source that spans no plane has no unique fit),
+``horn_solve`` (build the 3x3 cross-covariance of each centered pair, lift
+it to the symmetric 4x4 profile matrix and take the eigenvector of the
+largest eigenvalue as the rotation quaternion) and ``fit_rmsd`` (the
+residual of each fit). Because quaternions parameterize SO(3) only, the
+rotation is proper (det = +1) by construction: reflections cannot leak in,
+even when the unconstrained optimum would be one. ``RigidTransform`` is the
+one place a rotation is validated (orthonormal and det +1, each within
+ORTHONORMALITY_TOL), when a fit becomes a transform. ``absolute_orientation``
+is the single-pair case. A single source, like ICP's, which stays fixed
+across fits, is centered and tested once by ``center_source``.
 """
 
 from __future__ import annotations
@@ -225,24 +226,6 @@ def horn_solve(
     return rotation, translation
 
 
-def check_proper(rotation: np.ndarray) -> None:
-    """Raise ValueError unless every fit's rotation (N, 3, 3) is proper.
-
-    The test RigidTransform makes: orthonormal and det +1, each within
-    ORTHONORMALITY_TOL.
-    """
-    gram = np.swapaxes(rotation, -1, -2) @ rotation
-    drift = np.abs(gram - _IDENTITY).max(axis=(1, 2))
-    det_error = np.abs(np.linalg.det(rotation) - 1.0)
-    improper = ~((drift <= ORTHONORMALITY_TOL) & (det_error <= ORTHONORMALITY_TOL))
-    if improper.any():
-        bad = int(np.argmax(improper))
-        raise ValueError(
-            f"fit {bad} is not a proper rotation "
-            f"(drift {drift[bad]:.3e}, det {1.0 + det_error[bad]!r})"
-        )
-
-
 def fit_rmsd(
     rotation: np.ndarray, translation: np.ndarray, source: np.ndarray, target: np.ndarray
 ) -> np.ndarray:
@@ -265,7 +248,6 @@ def absolute_orientation(corr: PointCorrespondences) -> tuple[RigidTransform, fl
     source, target = corr.source[None], corr.target[None]
     centroid, centered = center_source(corr.source)
     rotation, translation = horn_solve(centroid, centered, target)
-    check_proper(rotation)
     rmsd = fit_rmsd(rotation, translation, source, target)
     return RigidTransform(rotation=rotation[0], translation=translation[0]), float(rmsd[0])
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import FLOAT, INT, ConfigError, read_fields, write_fields
 from .errors import DegenerateTriangleError, InsufficientMarkersError, NoMatchError
-from .markers import MarkerSet, check_coordinates
+from .markers import SCAN_BLOCK, MarkerSet, check_coordinates, nearest_markers
 from .rigid import (
     COLLINEARITY_RATIO,
     PointCorrespondences,
@@ -165,8 +165,8 @@ def _triangle_shapes(points: np.ndarray) -> _Shapes:
 def triangle_key(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> TriangleKey:
     """Shape key of the triangle (p1, p2, p3).
 
-    Raises ValueError for a coordinate beyond MAX_COORDINATE_MM and
-    DegenerateTriangleError when the triangle's area is below
+    Raises ValueError for a NaN coordinate or one beyond MAX_COORDINATE_MM,
+    and DegenerateTriangleError when the triangle's area is below
     ``DEGENERACY_RATIO * e1**2`` (collinear points included).
     """
     points = np.array([p1, p2, p3], dtype=np.float64)
@@ -186,11 +186,6 @@ def triangle_key(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> TriangleKey:
     return TriangleKey(r2=r2, r3=r3, e1=longest)
 
 
-# Entries per block when scanning shape distances and scoring candidates;
-# bounds the temporaries when both marker sets are large.
-_SCAN_BLOCK = 1 << 14
-
-
 def _nearest_keys(
     queries: np.ndarray, keys: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +202,7 @@ def _nearest_keys(
     distance = np.empty((len(queries), count), dtype=np.float64)
     if count == 0:
         return index, distance
-    block = max(1, _SCAN_BLOCK // len(keys))
+    block = max(1, SCAN_BLOCK // len(keys))
     for start in range(0, len(queries), block):
         chunk = queries[start : start + block]
         quick = chunk[:, 0, None] - keys[:, 0]
@@ -496,19 +491,6 @@ def _scores(nearest_sq: np.ndarray) -> _Scores:
     )
 
 
-def _device_dist_sq(
-    rotation: np.ndarray,
-    translation: np.ndarray,
-    ct_points: np.ndarray,
-    dev_points: np.ndarray,
-) -> np.ndarray:
-    """Squared distances ``dx*dx + dy*dy + dz*dz``, (C, n, m), from each mapped
-    CT marker to each device marker, per transform (C, 3, 3) and (C, 3)."""
-    mapped = apply_rigid_stack(rotation, translation, ct_points)
-    dx, dy, dz = (mapped[:, :, None, axis] - dev_points[:, axis] for axis in range(3))
-    return dx * dx + dy * dy + dz * dz
-
-
 def _nearest_device(
     rotation: np.ndarray,
     translation: np.ndarray,
@@ -521,24 +503,13 @@ def _nearest_device(
     (C, n) arrays: the squared distance ``dx*dx + dy*dy + dz*dz`` to the
     nearest device marker, and the refit partner: that marker's index where
     the CT marker is in turn its nearest and the distance is within
-    _REFIT_GATE_MM, -1 elsewhere. Ties go to the first marker. Transforms
-    are taken in blocks, so the (C, n, m) distances are never held at once.
+    _REFIT_GATE_MM, -1 elsewhere. Ties go to the first marker. Each
+    transform's mapped CT markers are one set of ``nearest_markers``.
     """
-    n = len(ct_points)
-    nearest_sq = np.empty((len(rotation), n))
-    partner = np.empty((len(rotation), n), dtype=np.intp)
-    block = max(1, _SCAN_BLOCK // (n * len(dev_points)))
-    for start in range(0, len(rotation), block):
-        stop = start + block
-        dist_sq = _device_dist_sq(rotation[start:stop], translation[start:stop], ct_points, dev_points)
-        nearest_sq[start:stop] = dist_sq.min(axis=2)
-        nearest = dist_sq.argmin(axis=2)
-        back = dist_sq.argmin(axis=1)[np.arange(len(dist_sq))[:, None], nearest]
-        paired = (back == np.arange(n)) & (
-            nearest_sq[start:stop] <= _REFIT_GATE_MM * _REFIT_GATE_MM
-        )
-        partner[start:stop] = np.where(paired, nearest, -1)
-    return nearest_sq, partner
+    mapped = apply_rigid_stack(rotation, translation, ct_points)
+    nearest_sq, nearest, mutual = nearest_markers(mapped, dev_points)
+    paired = mutual & (nearest_sq <= _REFIT_GATE_MM * _REFIT_GATE_MM)
+    return nearest_sq, np.where(paired, nearest, -1)
 
 
 # CT triples are scored in blocks of this many, in _spread_order; after each
@@ -724,8 +695,7 @@ def register(
     if len(pairs) > 3 and (partner[triples[cand.ct_row[best]]] >= 0).all():
         centroid, centered = center_points(ct_points[pairs][None])
         rotation, translation = horn_solve(centroid, centered, table.markers[partner[pairs]][None])
-        # One transform, as _nearest_device scores it, without the partners.
-        score = _scores(_device_dist_sq(rotation, translation, ct_points, table.markers)[0].min(axis=1))
+        score = _scores(_nearest_device(rotation, translation, ct_points, table.markers)[0][0])
         rotation, translation = rotation[0], translation[0]
         rmsd, inliers = float(score.rmsd), int(score.inliers)
     return RegistrationResult(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,8 +91,9 @@ def test_tree_path_agrees_with_brute_force_reference():
 
 
 def test_large_sorted_target_set_matches_brute_force_reference():
-    # 4000 targets on a curve increasing in x, y and z, in that order: sorted
-    # input, the worst case for an unbalanced search tree
+    # 4000 targets on a curve increasing in x, y and z, in that order: the
+    # scan takes four sources at a time against every target, and still
+    # matches the full distance matrix bit for bit
     x = np.arange(4000.0) * 0.25
     targets = np.stack([x, x * x / 400.0, 10.0 * np.sqrt(x)], axis=1)
     motion = RigidTransform(axis_angle_rotation([0.2, 0.1, 1.0], 0.01), np.array([0.4, -0.3, 0.2]))
@@ -102,6 +105,20 @@ def test_large_sorted_target_set_matches_brute_force_reference():
     assert result.rmsd_history == history
     np.testing.assert_allclose(result.transform.rotation, transform.rotation, atol=1e-15)
     np.testing.assert_allclose(result.transform.translation, transform.translation, atol=1e-15)
+
+
+def test_a_large_run_scans_its_sources_in_bounded_blocks():
+    # 2000 sources against 2000 targets: scanned whole, one (2000, 2000)
+    # distance array alone would take 32 MB
+    source, target, _ = scene(5, 2000, 0.02, 1.0)
+    tracemalloc.start()
+    try:
+        result = icp_register(source, target, IcpConfig(max_iterations=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.iterations_used == 3
+    assert peak < 16 * 2**20
 
 
 def assert_same_bits(got, want):

@@ -14,10 +14,9 @@ import pytest
 
 from fidreg.bench import SceneSpec, generate_scene
 from fidreg.errors import DomainError
-from fidreg.markers import MarkerSet
-from fidreg.rigid import axis_angle_rotation
+from fidreg.markers import SCAN_BLOCK, MarkerSet, nearest_markers
+from fidreg.rigid import apply_rigid_stack, axis_angle_rotation
 from fidreg.triangles import (
-    _SCAN_BLOCK,
     _TRIPLE_BLOCK,
     RegistrationConfig,
     TriangleTable,
@@ -193,13 +192,13 @@ def test_scale_gate_boundary_and_rejected_ties():
 
 def test_scenes_large_enough_to_span_several_scan_blocks():
     # the shape kNN takes the _TRIPLE_BLOCK CT triples of a block and scans
-    # their distances to the stored keys in chunks of at most _SCAN_BLOCK
+    # their distances to the stored keys in chunks of at most SCAN_BLOCK
     # entries; 21 device markers store 1330 triangles, so a block takes two
     spec = SceneSpec(n_markers=20, noise_sigma_mm=1.0, dropout_count=1, decoy_count=2, seed=2001)
     ct, device, _ = generate_scene(spec)
     table = TriangleTable()
     table.insert_marker(device.points)
-    assert _SCAN_BLOCK // table.n_triangles < _TRIPLE_BLOCK
+    assert SCAN_BLOCK // table.n_triangles < _TRIPLE_BLOCK
     check(ct.points, device.points)
 
 
@@ -219,7 +218,9 @@ def test_the_stop_rule_holds_after_a_block_that_rejects_every_candidate(dropout,
 def test_candidate_scores_do_not_depend_on_the_block_they_fall_in():
     rng = np.random.default_rng(31)
     ct, device = rng.uniform(-100, 100, (9, 3)), rng.uniform(-100, 100, (11, 3))
-    count = 3 * _SCAN_BLOCK // (len(ct) * len(device)) + 5
+    device[:2] = [[10.0, 20.0, 26.0], [10.0, 20.0, 34.0]]
+    block = SCAN_BLOCK // (len(ct) * len(device))
+    count = 3 * block + 5
     rotation = np.stack([axis_angle_rotation(axis, 0.7) for axis in rng.normal(size=(count, 3))])
     translation = rng.uniform(-20, 20, (count, 3))
     nearest_sq, partner = _nearest_device(rotation, translation, ct, device)
@@ -228,6 +229,22 @@ def test_candidate_scores_do_not_depend_on_the_block_they_fall_in():
         single = _nearest_device(rotation[row : row + 1], translation[row : row + 1], ct, device)
         np.testing.assert_array_equal(single[0][0], nearest_sq[row])
         np.testing.assert_array_equal(single[1][0], partner[row])
+
+    # The shared scan: each set's results alone and inside the stack. In the
+    # tie sets, marker 0 lies 4 mm from device markers 0 and 1 (its nearest
+    # is the first), and marker 1 lies 4 mm from device marker 0 (whose
+    # nearest in the set is marker 0, the first).
+    sets = apply_rigid_stack(rotation, translation, ct)
+    ties = [0, block - 1, block, count - 1]
+    sets[ties, :2] = [[10.0, 20.0, 30.0], [10.0, 20.0, 22.0]]
+    stacked = nearest_markers(sets, device)
+    for row in range(count):
+        for alone, within in zip(nearest_markers(sets[row : row + 1], device), stacked):
+            np.testing.assert_array_equal(alone[0], within[row])
+    stacked_sq, index, mutual = stacked
+    assert stacked_sq[ties, :2].tolist() == [[16.0, 16.0]] * 4
+    assert index[ties, :2].tolist() == [[0, 0]] * 4
+    assert mutual[ties, :2].tolist() == [[True, False]] * 4
 
 
 def test_refit_pairs_are_mutual_first_on_ties_and_within_the_refit_gate():

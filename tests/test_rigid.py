@@ -10,7 +10,6 @@ from fidreg.rigid import (
     absolute_orientation,
     axis_angle_rotation,
     center_points,
-    check_proper,
     compose,
     fit_rmsd,
     horn_solve,
@@ -114,15 +113,6 @@ def test_collinear_sources_rejected():
         absolute_orientation(PointCorrespondences(line, line))
 
 
-def test_check_proper_checks_every_fit():
-    rotation = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0]), np.eye(3) * 1.01])
-    with pytest.raises(ValueError, match="fit 1 is not a proper rotation"):
-        check_proper(rotation)
-    with pytest.raises(ValueError, match="fit 0 is not a proper rotation"):
-        check_proper(rotation[2:])
-    check_proper(rotation[:1])
-
-
 def test_stacked_fits_match_single_fits_bit_for_bit():
     rng = SplitMix64(19)
     for m in (3, 9, 40):
@@ -132,7 +122,8 @@ def test_stacked_fits_match_single_fits_bit_for_bit():
         centroid, centered = center_points(src)
         assert _collinear(centered).tolist() == [False, False, False, False, True, False]
         rotation, translation = horn_solve(centroid, centered, dst)
-        check_proper(rotation)
+        for row in range(6):  # every fit is a proper rotation, the collinear one too
+            RigidTransform(rotation[row], translation[row])
         rmsd = fit_rmsd(rotation, translation, src, dst)
         for i in (0, 3, 5):
             single, single_rmsd = absolute_orientation(PointCorrespondences(src[i], dst[i]))

@@ -275,6 +275,12 @@ def test_public_fits_bound_coordinates_before_any_arithmetic(entry):
         entry(tri * 1e154)
     far = tri * 50.0 + MAX_COORDINATE_MM - 250.0
     entry(far)
+    # a NaN vertex is a bad input, not a degenerate triangle
+    nan = tri.copy()
+    nan[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite") as raised:
+        entry(nan)
+    assert not isinstance(raised.value, DegenerateTriangleError)
 
 
 def test_query_nearest_matches_exhaustive_shape_distance():
