@@ -127,8 +127,7 @@ def icp_register(
             history.append(rmsd)
             converged = True
             break
-        fit_rotation, fit_translation = horn_solve(src_centroid, src_centered, tgt[match_idx][None])
-        rotation, translation = fit_rotation[0], fit_translation[0]
+        rotation, translation = horn_solve(src_centroid, src_centered, tgt[match_idx])
         fitted_on = matches
 
     return IcpResult(

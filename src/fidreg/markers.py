@@ -29,10 +29,10 @@ MAX_COORDINATE_MM = 1e6
 
 
 def check_coordinates(points: np.ndarray, role: str) -> None:
-    """Raise ValueError when a coordinate is NaN or its magnitude exceeds
-    MAX_COORDINATE_MM."""
+    """Raise ValueError when a coordinate is not finite (NaN or +-inf) or its
+    magnitude exceeds MAX_COORDINATE_MM."""
     if not (np.abs(points) <= MAX_COORDINATE_MM).all():
-        if np.isnan(points).any():
+        if not np.isfinite(points).all():
             raise ValueError(f"{role} coordinates must be finite")
         raise ValueError(f"{role} coordinate beyond {MAX_COORDINATE_MM:g} mm")
 

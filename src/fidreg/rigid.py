@@ -1,18 +1,19 @@
 """Rigid transforms and closed-form point-set alignment.
 
-A least-squares rigid fit is Horn's quaternion method, solved for a whole
-stack of point-set pairs at once: ``center_points`` (centroids and centered
-sources), ``_collinear`` (a source that spans no plane has no unique fit),
-``horn_solve`` (build the 3x3 cross-covariance of each centered pair, lift
-it to the symmetric 4x4 profile matrix and take the eigenvector of the
-largest eigenvalue as the rotation quaternion) and ``fit_rmsd`` (the
-residual of each fit). Because quaternions parameterize SO(3) only, the
-rotation is proper (det = +1) by construction: reflections cannot leak in,
-even when the unconstrained optimum would be one. ``RigidTransform`` is the
-one place a rotation is validated (orthonormal and det +1, each within
-ORTHONORMALITY_TOL), when a fit becomes a transform. ``absolute_orientation``
-is the single-pair case. A single source, like ICP's, which stays fixed
-across fits, is centered and tested once by ``center_source``.
+A least-squares rigid fit of one point-set pair is Horn's quaternion method:
+``center_points`` (centroid and centered source), ``_collinear`` (a source
+that spans no plane has no unique fit), ``horn_solve`` (build the 3x3
+cross-covariance of the centered pair, lift it to the symmetric 4x4 profile
+matrix and take the eigenvector of the largest eigenvalue as the rotation
+quaternion) and ``fit_rmsd`` (the residual of the fit). Because quaternions
+parameterize SO(3) only, the rotation is proper (det = +1) by construction:
+reflections cannot leak in, even when the unconstrained optimum would be
+one. ``RigidTransform`` is the one place a rotation is validated
+(orthonormal and det +1, each within ORTHONORMALITY_TOL), when a fit becomes
+a transform. ``absolute_orientation`` is the checked entry point. A source
+that stays fixed across fits, like ICP's, is centered and tested once by
+``center_source``. ``center_points``, ``apply_rigid_stack`` and ``fit_rmsd``
+also take stacks of sets, as triangle registration scores its candidates.
 """
 
 from __future__ import annotations
@@ -133,7 +134,9 @@ def axis_angle_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class PointCorrespondences:
-    """Paired source/target points (row i of one corresponds to row i of the other)."""
+    """Paired source/target points (row i of one corresponds to row i of the other).
+
+    Raises ValueError unless both are (n, 3), n >= 3, and pass check_coordinates."""
 
     source: np.ndarray  # (n, 3) float64
     target: np.ndarray  # (n, 3) float64
@@ -145,8 +148,8 @@ class PointCorrespondences:
             raise ValueError(f"need matching (n, 3) arrays, got {src.shape} and {dst.shape}")
         if len(src) < 3:
             raise ValueError(f"need at least 3 correspondences, got {len(src)}")
-        if not (np.all(np.isfinite(src)) and np.all(np.isfinite(dst))):
-            raise ValueError("correspondences must be finite")
+        check_coordinates(src, "source point")
+        check_coordinates(dst, "target point")
         self.source = src
         self.target = dst
 
@@ -163,29 +166,31 @@ def _collinear(centered: np.ndarray) -> np.ndarray:
 def apply_rigid_stack(
     rotation: np.ndarray, translation: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
-    """Apply each of N transforms, (N, 3, 3) and (N, 3), to points.
+    """Apply one transform, (3, 3) and (3,), or a stack of N, to points.
 
     ``points`` is either one set per transform, (N, m, 3), or a single (m, 3)
-    set shared by all of them; the result is (N, m, 3). Written out
-    elementwise, so a row's bits do not depend on N.
+    set shared by all of them; the result is (m, 3) for one transform and
+    (N, m, 3) for a stack. Written out elementwise, so a row's bits do not
+    depend on N.
     """
-    rows = rotation[:, None, :, :]
+    rows = rotation[..., None, :, :]
     mapped = points[..., 0:1] * rows[..., 0] + points[..., 1:2] * rows[..., 1]
     mapped += points[..., 2:3] * rows[..., 2]
-    return mapped + translation[:, None, :]
+    return mapped + translation[..., None, :]
 
 
 def center_points(source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centroids (N, 3) and centered points (N, m, 3) of a stack of point sets."""
+    """Centroid (3,) and centered points (m, 3) of a point set (m, 3), or of
+    each set of a stack (N, m, 3), with the bits that set gets alone."""
     centroid = np.add.reduce(source, axis=-2) / source.shape[-2]
-    return centroid, source - centroid[:, None, :]
+    return centroid, source - centroid[..., None, :]
 
 
 def center_source(source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`center_points` of one source (m, 3) as a stack of one; raises
+    """:func:`center_points` of one source (m, 3); raises
     DegenerateGeometryError if it is collinear."""
-    centroid, centered = center_points(source[None])
-    if _collinear(centered)[0]:
+    centroid, centered = center_points(source)
+    if _collinear(centered):
         raise DegenerateGeometryError("source points are collinear; rotation is not determined")
     return centroid, centered
 
@@ -193,43 +198,37 @@ def center_source(source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def horn_solve(
     src_centroid: np.ndarray, src_centered: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Horn's closed-form fits of centered sources onto targets, (N, m, 3).
+    """Horn's closed-form fit of a centered source (m, 3) onto a target (m, 3).
 
-    Takes :func:`center_points` output for the sources and returns
-    ``(rotation (N, 3, 3), translation (N, 3))``. A collinear source has no
-    unique fit (its row holds one of the rotations about its line), so
-    callers reject one first. The small products are written out elementwise
-    rather than handed to BLAS, so a fit's bits do not depend on N or on how
-    the stack is laid out.
+    Takes :func:`center_points` output for the source and returns
+    ``(rotation (3, 3), translation (3,))``. A collinear source has no unique
+    fit (the rotation is one of those about its line), so callers reject
+    one first. The profile matrix is built in Python floats, which round
+    exactly like float64 arrays without numpy's per-call overhead.
     """
-    dst_centroid = np.add.reduce(target, axis=-2) / src_centered.shape[-2]
-    dst_centered = target - dst_centroid[:, None, :]
-    products = src_centered[:, :, :, None] * dst_centered[:, :, None, :]
-    covariance = np.add.reduce(products, axis=1)
-
-    # A single fit is evaluated in Python floats, which round exactly like
-    # float64 arrays without numpy's per-call overhead.
-    pairs = covariance.reshape(-1, 9)
-    sxx, sxy, sxz, syx, syy, syz, szx, szy, szz = pairs[0].tolist() if len(pairs) == 1 else pairs.T
-    profile = [
-        sxx + syy + szz, syz - szy, szx - sxz, sxy - syx,
-        syz - szy, sxx - syy - szz, sxy + syx, szx + sxz,
-        szx - sxz, sxy + syx, syy - sxx - szz, syz + szy,
-        sxy - syx, szx + sxz, syz + szy, szz - sxx - syy,
-    ]
-    profile = np.array(profile).T.reshape(-1, 4, 4)
+    dst_centroid = np.add.reduce(target) / len(target)
+    dst_centered = target - dst_centroid
+    products = src_centered[:, :, None] * dst_centered[:, None, :]
+    sxx, sxy, sxz, syx, syy, syz, szx, szy, szz = np.add.reduce(products).ravel().tolist()
+    profile = np.array([
+        [sxx + syy + szz, syz - szy, szx - sxz, sxy - syx],
+        [syz - szy, sxx - syy - szz, sxy + syx, szx + sxz],
+        [szx - sxz, sxy + syx, syy - sxx - szz, syz + szy],
+        [sxy - syx, szx + sxz, syz + szy, szz - sxx - syy],
+    ])
     eigvals, eigvecs = np.linalg.eigh(profile)
-    quaternion = eigvecs[np.arange(len(eigvecs)), :, np.argmax(eigvals, axis=-1)]
-    quaternion = quaternion / np.sqrt(np.vecdot(quaternion, quaternion))[:, None]
+    # A contiguous copy: np.vecdot rounds a strided column differently.
+    quaternion = eigvecs[:, np.argmax(eigvals)].copy()
+    quaternion = quaternion / np.sqrt(np.vecdot(quaternion, quaternion))
     rotation = rotation_from_quaternion(quaternion)
-    translation = dst_centroid - np.add.reduce(rotation * src_centroid[:, None, :], axis=-1)
+    translation = dst_centroid - np.add.reduce(rotation * src_centroid, axis=-1)
     return rotation, translation
 
 
 def fit_rmsd(
     rotation: np.ndarray, translation: np.ndarray, source: np.ndarray, target: np.ndarray
 ) -> np.ndarray:
-    """RMS residual of each fit in a stack over its own pairs, (N,)."""
+    """RMS residual of a fit over its pairs; of each fit in a stack, (N,)."""
     residuals = apply_rigid_stack(rotation, translation, source) - target
     squared = np.add.reduce(residuals * residuals, axis=-1)
     return np.sqrt(np.add.reduce(squared, axis=-1) / source.shape[-2])
@@ -239,17 +238,13 @@ def absolute_orientation(corr: PointCorrespondences) -> tuple[RigidTransform, fl
     """Least-squares rigid fit of corr.source onto corr.target.
 
     Returns the optimal proper transform and the rmsd of the fitted residuals.
-    Raises ValueError for a coordinate beyond MAX_COORDINATE_MM and
-    DegenerateGeometryError for a collinear source.
-    Solving a pair alone or inside a stack gives the identical fit.
+    Raises DegenerateGeometryError for a collinear source; PointCorrespondences
+    has bounded the coordinates.
     """
-    check_coordinates(corr.source, "source point")
-    check_coordinates(corr.target, "target point")
-    source, target = corr.source[None], corr.target[None]
     centroid, centered = center_source(corr.source)
-    rotation, translation = horn_solve(centroid, centered, target)
-    rmsd = fit_rmsd(rotation, translation, source, target)
-    return RigidTransform(rotation=rotation[0], translation=translation[0]), float(rmsd[0])
+    rotation, translation = horn_solve(centroid, centered, corr.target)
+    rmsd = fit_rmsd(rotation, translation, corr.source, corr.target)
+    return RigidTransform(rotation=rotation, translation=translation), float(rmsd)
 
 
 def transform_to_json_dict(transform: RigidTransform) -> dict:

@@ -134,20 +134,17 @@ class SplitMix64:
 
 
 def rotation_from_quaternion(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix from a unit quaternion (w, x, y, z).
+    """Rotation matrix (3, 3) from one unit quaternion (w, x, y, z).
 
-    A stack of quaternions (N, 4) gives a stack of matrices (N, 3, 3).
-    A single quaternion is evaluated in Python floats, which round exactly
-    like float64 arrays without numpy's per-call overhead.
+    Evaluated in Python floats, which round exactly like float64 arrays
+    without numpy's per-call overhead.
     """
-    q = np.asarray(q, dtype=np.float64)
-    w, x, y, z = q.reshape(4).tolist() if q.size == 4 else q.T
+    w, x, y, z = np.asarray(q, dtype=np.float64).tolist()
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     wx, wy, wz = w * x, w * y, w * z
-    entries = [
-        1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy),
-        2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx),
-        2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy),
-    ]
-    return np.array(entries).T.reshape(q.shape[:-1] + (3, 3))
+    return np.array([
+        [1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy)],
+        [2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx)],
+        [2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy)],
+    ])

@@ -286,8 +286,6 @@ class TriangleTable:
             pts = pts[None]
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"markers must be a (3,) or (n, 3) array, got shape {np.shape(points)}")
-        if not np.isfinite(pts).all():
-            raise ValueError("marker must be finite")
         check_coordinates(pts, "device marker")
         start = len(self.markers)
         self.markers = _extend(self.markers, pts)
@@ -636,9 +634,10 @@ def register(
     is its RMS nearest-device-marker distance over all CT markers.
 
     Raises ValueError (a CT coordinate beyond MAX_COORDINATE_MM),
-    InsufficientMarkersError (< 3 CT markers), DegenerateTriangleError
-    (no CT triple carries a shape), or NoMatchError (no candidate survives,
-    which only shows once every triple has been visited).
+    InsufficientMarkersError (< 3 CT markers), NoMatchError (fewer than 3
+    device markers stored, or no candidate survives, which only shows once
+    every triple has been visited) or DegenerateTriangleError (no device or
+    no CT triple carries a shape).
     """
     if config is None:
         config = RegistrationConfig()
@@ -647,6 +646,8 @@ def register(
     if len(ct_points) < 3:
         raise InsufficientMarkersError(found=len(ct_points))
     if table.n_triangles == 0:
+        if len(table.markers) >= 3:
+            raise DegenerateTriangleError("every device marker triple is degenerate")
         raise NoMatchError("no device triangles stored (need at least 3 device markers)")
 
     triples = _all_triples(len(ct_points))
@@ -693,10 +694,9 @@ def register(
     # The refit pairs must include the winner's own CT triple, which spans a
     # plane, and at least one marker more.
     if len(pairs) > 3 and (partner[triples[cand.ct_row[best]]] >= 0).all():
-        centroid, centered = center_points(ct_points[pairs][None])
-        rotation, translation = horn_solve(centroid, centered, table.markers[partner[pairs]][None])
-        score = _scores(_nearest_device(rotation, translation, ct_points, table.markers)[0][0])
-        rotation, translation = rotation[0], translation[0]
+        centroid, centered = center_points(ct_points[pairs])
+        rotation, translation = horn_solve(centroid, centered, table.markers[partner[pairs]])
+        score = _scores(_nearest_device(rotation[None], translation[None], ct_points, table.markers)[0][0])
         rmsd, inliers = float(score.rmsd), int(score.inliers)
     return RegistrationResult(
         transform=RigidTransform(rotation=rotation, translation=translation),

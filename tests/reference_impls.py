@@ -558,6 +558,8 @@ def loop_register(
             perm = loop_canonical_perm(loop_edge_lengths(points))
             stored.append((tuple(triple[i] for i in perm), key))
     if not stored:
+        if len(device_points) >= 3:
+            raise DegenerateTriangleError("every device marker triple is degenerate")
         raise NoMatchError("no device triangles stored (need at least 3 device markers)")
 
     def query(probe: TriangleKey) -> list[tuple[tuple[int, int, int], TriangleKey, float]]:

@@ -131,6 +131,16 @@ def test_degenerate_ct_triples_are_skipped_or_reported():
     assert "every CT marker triple is degenerate" in str(got)
 
 
+def test_a_device_table_of_degenerate_triples_is_reported():
+    ct = np.random.default_rng(92).uniform(-60.0, 60.0, (5, 3))
+    for count in (3, 4):  # collinear device markers: not a missing table
+        got = check(ct, np.outer(np.arange(float(count)), [3.0, 1.0, 2.0]))
+        assert "every device marker triple is degenerate" in str(got)
+    # two copies of one marker and a third: every triple is degenerate
+    got = check(ct, np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [9.0, 0.0, 4.0]]))
+    assert "every device marker triple is degenerate" in str(got)
+
+
 def test_no_match_reports_the_same_best_rejected_candidate():
     for seed in range(5):
         spec = SceneSpec(n_markers=6, noise_sigma_mm=2.0, decoy_count=2, seed=700 + seed)

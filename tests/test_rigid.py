@@ -113,23 +113,30 @@ def test_collinear_sources_rejected():
         absolute_orientation(PointCorrespondences(line, line))
 
 
-def test_stacked_fits_match_single_fits_bit_for_bit():
+def test_horn_fits_match_absolute_orientation_bit_for_bit():
     rng = SplitMix64(19)
     for m in (3, 9, 40):
         src = random_points(rng, 6 * m).reshape(6, m, 3)
         dst = src @ random_transform(rng).rotation.T + rng.normals(18 * m).reshape(6, m, 3)
         src[4] = np.outer(np.arange(m), [1.0, 2.0, 3.0])  # collinear: no unique fit
-        centroid, centered = center_points(src)
-        assert _collinear(centered).tolist() == [False, False, False, False, True, False]
-        rotation, translation = horn_solve(centroid, centered, dst)
-        for row in range(6):  # every fit is a proper rotation, the collinear one too
-            RigidTransform(rotation[row], translation[row])
-        rmsd = fit_rmsd(rotation, translation, src, dst)
+        stack_centroid, stack_centered = center_points(src)
+        fits = []
+        for i in range(6):
+            centroid, centered = center_points(src[i])
+            # a set alone gets the bits it gets inside a stack
+            assert np.array_equal(centroid, stack_centroid[i])
+            assert np.array_equal(centered, stack_centered[i])
+            assert bool(_collinear(centered)) == (i == 4)
+            rotation, translation = horn_solve(centroid, centered, dst[i])
+            RigidTransform(rotation, translation)  # a proper rotation, the collinear fit too
+            fits.append((rotation, translation, fit_rmsd(rotation, translation, src[i], dst[i])))
+        rotations, translations, rmsds = (np.array(column) for column in zip(*fits))
+        assert np.array_equal(fit_rmsd(rotations, translations, src, dst), rmsds)
         for i in (0, 3, 5):
             single, single_rmsd = absolute_orientation(PointCorrespondences(src[i], dst[i]))
-            assert np.array_equal(single.rotation, rotation[i])
-            assert np.array_equal(single.translation, translation[i])
-            assert single_rmsd == rmsd[i]
+            assert np.array_equal(single.rotation, rotations[i])
+            assert np.array_equal(single.translation, translations[i])
+            assert single_rmsd == rmsds[i]
 
 
 def test_minimum_three_points():

@@ -107,15 +107,6 @@ def test_rotation_from_quaternion_identity_and_halves():
     assert np.allclose(Rz, np.diag([-1.0, -1.0, 1.0]))
 
 
-def test_rotation_from_quaternion_stack_matches_single_bit_for_bit():
-    q = SplitMix64(23).normals(4 * 60).reshape(60, 4)
-    q /= np.linalg.norm(q, axis=1)[:, None]
-    stacked = rotation_from_quaternion(q)
-    assert stacked.shape == (60, 3, 3)
-    for row, rotation in zip(q, stacked):
-        assert np.array_equal(rotation_from_quaternion(row), rotation)
-
-
 def test_rotation_statistics_cover_so3():
     # column-z direction should spread over the sphere, not cluster
     zs = np.array([SplitMix64(s).rotation()[:, 2] for s in range(500)])

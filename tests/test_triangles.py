@@ -275,12 +275,13 @@ def test_public_fits_bound_coordinates_before_any_arithmetic(entry):
         entry(tri * 1e154)
     far = tri * 50.0 + MAX_COORDINATE_MM - 250.0
     entry(far)
-    # a NaN vertex is a bad input, not a degenerate triangle
-    nan = tri.copy()
-    nan[1, 2] = np.nan
-    with pytest.raises(ValueError, match="finite") as raised:
-        entry(nan)
-    assert not isinstance(raised.value, DegenerateTriangleError)
+    # a non-finite vertex is a bad input, not a degenerate triangle
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = tri.copy()
+        broken[1, 2] = bad
+        with pytest.raises(ValueError, match="coordinates must be finite") as raised:
+            entry(broken)
+        assert not isinstance(raised.value, DegenerateTriangleError)
 
 
 def test_query_nearest_matches_exhaustive_shape_distance():
@@ -526,6 +527,10 @@ def test_register_error_cases():
     collinear = np.array(
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]
     )
+    line = TriangleTable()
+    line.insert_marker(collinear)
+    with pytest.raises(DegenerateTriangleError, match="every device marker triple"):
+        register(ct_markers, line)
     with pytest.raises(DegenerateTriangleError, match="every CT marker triple"):
         register(MarkerSet("ct", collinear), table)
 
