@@ -26,8 +26,9 @@ the pinned ``SplitMix64`` stream in a frozen order.  For a spec with
 Device markers carry the originating CT index as their id (decoys carry
 none); ids exist for test bookkeeping only and are never shown to the
 registration methods. A scene that draws a CT or device coordinate (decoys
-included) beyond ``markers.MAX_COORDINATE_MM`` raises ConfigError naming its
-seed, so ``fidreg simulate`` and ``fidreg bench`` exit 2 before writing.
+included) beyond ``markers.MAX_COORDINATE_MM`` fails its MarkerSet's bound
+and raises ConfigError naming its seed, so ``fidreg simulate`` and ``fidreg
+bench`` exit 2 before writing.
 
 Error metrics per trial: ``tre_mm`` is the mean displacement between the
 estimated and true transforms over the CT marker positions plus the scene-box
@@ -82,7 +83,7 @@ import numpy as np
 
 from .config import FLOAT, INT, TRIPLE, kv_int, read_fields, write_fields, write_json
 from .errors import ConfigError, DomainError
-from .markers import MarkerSet, check_coordinates
+from .markers import MarkerSet
 from .icp import IcpConfig, icp_register
 from .rigid import RigidTransform, reorthonormalize, rotation_angle
 from .rng import SplitMix64
@@ -232,12 +233,10 @@ def generate_scene(spec: SceneSpec) -> tuple[MarkerSet, MarkerSet, RigidTransfor
     device_points = device_points[order]
 
     try:
-        check_coordinates(ct_points, "CT marker")
-        check_coordinates(device_points, "device marker")
+        ct = MarkerSet(frame="ct", points=ct_points, ids=tuple(range(n)))
+        device = MarkerSet(frame="device", points=device_points, ids=tuple(ids[i] for i in order))
     except ValueError as exc:
         raise ConfigError(f"scene seed {spec.seed}: {exc}") from exc
-    ct = MarkerSet(frame="ct", points=ct_points, ids=tuple(range(n)))
-    device = MarkerSet(frame="device", points=device_points, ids=tuple(ids[i] for i in order))
     return ct, device, truth
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import FLOAT, INT, ConfigError, read_fields, write_fields
 from .errors import InsufficientMarkersError
-from .markers import MarkerSet, check_coordinates, nearest_markers
+from .markers import MarkerSet, nearest_markers
 from .rigid import RigidTransform, center_source, horn_solve, transform_to_json_dict
 
 _ICP_FIELDS = {"max_iterations": INT, "rmsd_delta_tolerance": FLOAT}
@@ -84,8 +84,8 @@ def icp_register(
     (the history, transform and counts are those of the full iteration).
     Each source is a set of its own in the nearest-marker scan, so the
     scan's temporaries stay bounded for large inputs. Only the transform
-    returned is validated as a proper rotation. Raises ValueError when a
-    coordinate of either side exceeds MAX_COORDINATE_MM,
+    returned is validated as a proper rotation. Both sides are MarkerSets,
+    so their coordinates are finite and within MAX_COORDINATE_MM. Raises
     InsufficientMarkersError when either side has fewer than 3 points and
     DegenerateGeometryError for collinear sources.
     """
@@ -93,8 +93,6 @@ def icp_register(
         config = IcpConfig()
     src = source.points
     tgt = target.points
-    check_coordinates(src, "source marker")
-    check_coordinates(tgt, "target marker")
     if len(src) < 3:
         raise InsufficientMarkersError(len(src))
     if len(tgt) < 3:

@@ -4,7 +4,8 @@ CSV layout: header ``frame,id,x_mm,y_mm,z_mm``, one row per marker. The id
 column is an optional integer tag identity and may be left empty; frames are
 ``ct`` (segmented from a scan) or ``device`` (optically detected). The file
 is ASCII, and ids and coordinates are plain decimals (no ``_`` grouping);
-a coordinate's magnitude is at most MAX_COORDINATE_MM.
+a coordinate's magnitude is at most MAX_COORDINATE_MM. A MarkerSet holds the
+same bound, so every set fidreg registers or writes is one it reads.
 
 ``nearest_markers`` is the one exact nearest-marker scan: ICP matches its
 sources with it, and register scores its candidates with it.
@@ -73,7 +74,11 @@ def nearest_markers(
 
 @dataclass(eq=False)
 class MarkerSet:
-    """3D marker positions (mm) in a named frame, optionally tagged with ids."""
+    """3D marker positions (mm) in a named frame, optionally tagged with ids.
+
+    The points are (n, 3) and pass check_coordinates, as "CT marker" or
+    "device marker" by frame; ValueError otherwise.
+    """
 
     frame: str
     points: np.ndarray  # (n, 3) float64, read-only
@@ -85,8 +90,7 @@ class MarkerSet:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must be (n, 3), got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
+        check_coordinates(pts, "CT marker" if self.frame == "ct" else "device marker")
         if pts.flags.writeable:
             pts = pts.copy()
             pts.setflags(write=False)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FLOAT, INT, ConfigError, read_fields, write_fields
-from .errors import InsufficientMarkersError
+from .errors import FormatError, InsufficientMarkersError
 from .markers import MarkerSet
 from .volume import Volume, _concat_ranges
 
@@ -254,12 +254,16 @@ def markers_from_components(components: list[Component], volume: Volume) -> Mark
     if len(components) < 3:
         raise InsufficientMarkersError(found=len(components))
     centroids = [component_centroid(c, volume) for c in components]
-    return MarkerSet(frame="ct", points=np.array(centroids, dtype=np.float64))
+    try:
+        return MarkerSet(frame="ct", points=np.array(centroids, dtype=np.float64))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def segment_markers(volume: Volume, config: SegmentationConfig) -> MarkerSet:
     """Full pipeline: threshold -> components -> size filter -> centroids.
 
-    Raises InsufficientMarkersError when fewer than 3 components survive.
+    Raises InsufficientMarkersError when fewer than 3 components survive
+    and FormatError when a centroid lies beyond MAX_COORDINATE_MM.
     """
     return markers_from_components(segment_components(volume, config), volume)

@@ -33,7 +33,6 @@ from .config import FLOAT, INT, ConfigError, read_fields, write_fields
 from .errors import DegenerateTriangleError, InsufficientMarkersError, NoMatchError
 from .markers import SCAN_BLOCK, MarkerSet, check_coordinates, nearest_markers
 from .rigid import (
-    COLLINEARITY_RATIO,
     PointCorrespondences,
     RigidTransform,
     apply_rigid_stack,
@@ -331,7 +330,7 @@ _ODD_PAIRING = np.linalg.det(np.eye(3)[_PAIRINGS]) < 0.0
 
 
 def _solve_pairings(
-    source: np.ndarray, target: np.ndarray, source_e1: np.ndarray
+    source: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit ``source[i]`` onto ``target[i]`` (C, 3, 3) under the best vertex pairing.
 
@@ -348,21 +347,15 @@ def _solve_pairings(
     sqrt(C**2 + S**2). Every step is elementwise, so a row's bits do not
     depend on the stack.
 
-    ``source_e1`` (C,) holds each source's longest edge. Returns
-    ``(rotation, translation, pairing)``, the kept pairing as an index into
-    _PAIRINGS. Raises DegenerateTriangleError when a source's area is at
-    most 2 * COLLINEARITY_RATIO * e1**2, or a target's normal has no length.
+    Both callers pass shaped triangles only (area >= DEGENERACY_RATIO *
+    e1**2, see _triangle_shapes), which span a plane. Returns ``(rotation,
+    translation, pairing)``, the kept pairing as an index into _PAIRINGS.
     """
     count = len(target)
     points = np.concatenate([source, target])
     edge = points[:, 1] - points[:, 0]
     normal = _cross(edge, points[:, 2] - points[:, 0])
-    length = np.sqrt(_dot(normal, normal))  # twice the area
-    floor = np.zeros(2 * count)
-    np.multiply(4.0 * COLLINEARITY_RATIO * source_e1, source_e1, out=floor[:count])
-    if not (length > floor).all():
-        raise DegenerateTriangleError("no alignable vertex pairing (degenerate triangle)")
-    n = normal / length[:, None]
+    n = normal / np.sqrt(_dot(normal, normal))[:, None]
     e2 = _cross(n, edge)
     e2 /= np.sqrt(_dot(e2, e2))[:, None]
     e1 = _cross(e2, n)
@@ -410,14 +403,14 @@ def align_with_flip(corr: PointCorrespondences) -> tuple[RigidTransform, float, 
     reflection through the triangle's own plane induces; the rotation is
     proper either way. Raises ValueError for a coordinate beyond
     MAX_COORDINATE_MM and DegenerateTriangleError when either triangle
-    carries no shape.
+    carries no shape (triangle_key), which is the fit's precondition.
     """
     if len(corr) != 3:
         raise ValueError(f"align_with_flip needs exactly 3 correspondences, got {len(corr)}")
-    source_e1 = triangle_key(*corr.source).e1
+    triangle_key(*corr.source)
     triangle_key(*corr.target)
     source, target = corr.source[None], corr.target[None]
-    rotation, translation, pairing = _solve_pairings(source, target, np.array([source_e1]))
+    rotation, translation, pairing = _solve_pairings(source, target)
     rmsd = fit_rmsd(rotation, translation, source, _permute_rows(target, _PAIRINGS[pairing]))
     transform = RigidTransform(rotation=rotation[0], translation=translation[0])
     return transform, float(rmsd[0]), bool(_ODD_PAIRING[pairing[0]])
@@ -592,9 +585,7 @@ def _score_block(
 
     ct = _permute_rows(ct_points[triples[cand_row]], shapes.perm[cand_row])
     dev_points = table.markers
-    rotation, translation, pairing = _solve_pairings(
-        ct, dev_points[table.indices[cand_tri]], shapes.e1[cand_row]
-    )
+    rotation, translation, pairing = _solve_pairings(ct, dev_points[table.indices[cand_tri]])
     nearest_sq, partner = _nearest_device(rotation, translation, ct_points, dev_points)
     score = _scores(nearest_sq)
     return _Scored(
@@ -633,16 +624,15 @@ def register(
     more. The result's rmsd and inliers score the transform returned: rmsd
     is its RMS nearest-device-marker distance over all CT markers.
 
-    Raises ValueError (a CT coordinate beyond MAX_COORDINATE_MM),
-    InsufficientMarkersError (< 3 CT markers), NoMatchError (fewer than 3
-    device markers stored, or no candidate survives, which only shows once
-    every triple has been visited) or DegenerateTriangleError (no device or
-    no CT triple carries a shape).
+    ``ct_markers`` is a MarkerSet, so its coordinates are finite and within
+    MAX_COORDINATE_MM. Raises InsufficientMarkersError (< 3 CT markers),
+    NoMatchError (fewer than 3 device markers stored, or no candidate
+    survives, which only shows once every triple has been visited) or
+    DegenerateTriangleError (no device or no CT triple carries a shape).
     """
     if config is None:
         config = RegistrationConfig()
     ct_points = ct_markers.points
-    check_coordinates(ct_points, "CT marker")
     if len(ct_points) < 3:
         raise InsufficientMarkersError(found=len(ct_points))
     if table.n_triangles == 0:

@@ -40,7 +40,6 @@ from fidreg.icp import IcpConfig, IcpResult, icp_register
 from fidreg.markers import MarkerSet
 from fidreg.mesh import CORNER_OFFSETS, STL_HEADER, WELD_TOLERANCE_MM, TriangleMesh, empty_mesh
 from fidreg.rigid import (
-    COLLINEARITY_RATIO,
     PointCorrespondences,
     RigidTransform,
     _collinear,
@@ -393,7 +392,7 @@ def loop_is_odd(perm) -> bool:
     return sum(perm[i] > perm[j] for i, j in itertools.combinations(range(3), 2)) % 2 == 1
 
 
-def loop_solve_pairings(source, target, source_e1):
+def loop_solve_pairings(source, target):
     """``fidreg.triangles._solve_pairings`` one candidate at a time, in Python floats.
 
     Per candidate: each triangle's plane frame (n along (p1 - p0) x
@@ -404,8 +403,9 @@ def loop_solve_pairings(source, target, source_e1):
     Python floats round each operation like float64 arrays, and every sum
     is taken left to right as the package takes it, so the fits agree bit
     for bit. Centering comes from the package, called with a
-    stack of one. Returns ``(rotation, translation, pairing)`` arrays, the
-    pairing as its index in LOOP_PAIRINGS.
+    stack of one. Every triangle must be shaped, as the package's are.
+    Returns ``(rotation, translation, pairing)`` arrays, the pairing as its
+    index in LOOP_PAIRINGS.
     """
 
     def dot(a, b):
@@ -418,14 +418,11 @@ def loop_solve_pairings(source, target, source_e1):
         length = math.sqrt(dot(a, a))
         return [value / length for value in a]
 
-    def frame(points, floor):
-        """(centroid, x, y, (e1, e2, n)) of one triangle, or None if it is too thin."""
+    def frame(points):
+        """(centroid, x, y, (e1, e2, n)) of one triangle."""
         p0, p1, p2 = points.tolist()
         edge = [b - a for a, b in zip(p0, p1)]
-        normal = cross(edge, [b - a for a, b in zip(p0, p2)])
-        if not math.sqrt(dot(normal, normal)) > floor:
-            return None
-        n = unit(normal)
+        n = unit(cross(edge, [b - a for a, b in zip(p0, p2)]))
         e2 = unit(cross(n, edge))
         e1 = cross(e2, n)
         centroid, centered = center_points(points[None])
@@ -438,12 +435,9 @@ def loop_solve_pairings(source, target, source_e1):
         )
 
     fits = []
-    for triangle, other, e1 in zip(source, target, source_e1):
-        src = frame(triangle, 4.0 * COLLINEARITY_RATIO * float(e1) * float(e1))
-        dst = frame(other, 0.0)
-        if src is None or dst is None:
-            raise DegenerateTriangleError("no alignable vertex pairing (degenerate triangle)")
-        (src_centroid, x, y, (se1, se2, sn)), (dst_centroid, u, v, (te1, te2, tn)) = src, dst
+    for triangle, other in zip(source, target):
+        src_centroid, x, y, (se1, se2, sn) = frame(triangle)
+        dst_centroid, u, v, (te1, te2, tn) = frame(other)
         best = None
         for pairing, perm in enumerate(LOOP_PAIRINGS):
             pu, pv = [u[j] for j in perm], [v[j] for j in perm]
@@ -600,7 +594,7 @@ def loop_register(
                     best_rejected = rejected
                 continue
             rotation, translation, pairing = loop_solve_pairings(
-                ct_triangle[None], device_points[list(indices)][None], [ct_key.e1]
+                ct_triangle[None], device_points[list(indices)][None]
             )
             transform = RigidTransform(rotation[0], translation[0])
             flipped = loop_is_odd(LOOP_PAIRINGS[pairing[0]])
@@ -896,14 +890,16 @@ def loop_run_benchmark(
 #
 # row_tuple_generate_scene is fidreg.bench.generate_scene as it assembled the
 # device list: one (point, id) tuple per surviving marker and per decoy, the
-# list of tuples shuffled, then the points and ids unpacked from it. It draws
-# from the package's SplitMix64 in the documented order and has no coordinate
-# bound. per_metric_summarize is fidreg.bench.summarize with one 1-D array
+# list of tuples shuffled, then the points and ids unpacked from it. Its draw,
+# row_tuple_draw_scene, takes the package's SplitMix64 in the documented order
+# and bounds no coordinate; the MarkerSets it is assembled into do.
+# per_metric_summarize is fidreg.bench.summarize with one 1-D array
 # per metric and cell, reduced by the array's own mean and std.
 # ---------------------------------------------------------------------------
 
 
-def row_tuple_generate_scene(spec: SceneSpec) -> tuple[MarkerSet, MarkerSet, RigidTransform]:
+def row_tuple_draw_scene(spec: SceneSpec) -> tuple[np.ndarray, list[tuple], RigidTransform]:
+    """(CT points, shuffled device rows as (point, id or None), truth)."""
     rng = SplitMix64(spec.seed)
     n = spec.n_markers
     extent = np.array(spec.placement_extent)
@@ -937,8 +933,12 @@ def row_tuple_generate_scene(spec: SceneSpec) -> tuple[MarkerSet, MarkerSet, Rig
         decoys = lo + rng.uniforms(3 * spec.decoy_count).reshape(-1, 3) * (hi - lo)
         rows.extend((p, None) for p in decoys)
     rng.shuffle(rows)
+    return ct_points, rows, truth
 
-    ct = MarkerSet(frame="ct", points=ct_points, ids=tuple(range(n)))
+
+def row_tuple_generate_scene(spec: SceneSpec) -> tuple[MarkerSet, MarkerSet, RigidTransform]:
+    ct_points, rows, truth = row_tuple_draw_scene(spec)
+    ct = MarkerSet(frame="ct", points=ct_points, ids=tuple(range(len(ct_points))))
     device = MarkerSet(
         frame="device",
         points=np.array([p for p, _ in rows], dtype=np.float64).reshape(-1, 3),

@@ -31,7 +31,12 @@ from fidreg.errors import (
 from fidreg.rigid import RigidTransform, axis_angle_rotation
 from fidreg.rng import SplitMix64
 
-from reference_impls import loop_run_benchmark, per_metric_summarize, row_tuple_generate_scene
+from reference_impls import (
+    loop_run_benchmark,
+    per_metric_summarize,
+    row_tuple_draw_scene,
+    row_tuple_generate_scene,
+)
 
 
 def test_generate_scene_is_deterministic():
@@ -618,9 +623,11 @@ def test_a_decoy_beyond_the_coordinate_bound_is_a_config_error():
     turn = RigidTransform(axis_angle_rotation([0.0, 0.0, 1.0], math.pi / 4), np.zeros(3))
     spec = SceneSpec(n_markers=4, decoy_count=20, seed=5, placement_extent=(1.6e6, 1.6e6, 1.0),
                      true_transform=turn)
-    ct, device, _ = row_tuple_generate_scene(spec)
-    markers = [row for row, i in enumerate(device.ids) if i is not None]
-    assert np.abs(ct.points).max() <= 1e6 and np.abs(device.points[markers]).max() <= 1e6
+    ct_points, rows, _ = row_tuple_draw_scene(spec)
+    markers = np.array([point for point, i in rows if i is not None])
+    decoys = np.array([point for point, i in rows if i is None])
+    assert np.abs(ct_points).max() <= 1e6 and np.abs(markers).max() <= 1e6
+    assert np.abs(decoys).max() > 1e6
     with pytest.raises(ConfigError, match="scene seed 5: device marker coordinate beyond"):
         generate_scene(spec)
 

@@ -63,6 +63,26 @@ def test_segment_without_markers_is_a_domain_error(tmp_path, seg_config, capsys)
     assert "error: insufficient markers: found 0" in capsys.readouterr().err
 
 
+def far_origin_volume(tmp_path):
+    """Three 27-voxel markers in a volume whose origin lies 2e6 mm out on x."""
+    vox = np.full((12, 8, 8), 40, dtype=np.int16)
+    for i in (1, 5, 9):
+        vox[i : i + 3, 2 : 2 + 3, (i % 4) : (i % 4) + 3] = 3000
+    path = tmp_path / "far.vol"
+    write_volume(Volume(vox.shape, (1.0, 1.0, 1.0), (2e6, 0.0, 0.0), vox), path)
+    return path
+
+
+def test_segment_beyond_the_coordinate_bound_exits_two_and_writes_nothing(
+    tmp_path, seg_config, capsys
+):
+    # its centroids are no marker CSV fidreg reads, so segment writes none
+    out = tmp_path / "far.csv"
+    assert main(["segment", str(far_origin_volume(tmp_path)), str(seg_config), str(out)]) == 2
+    assert "error: CT marker coordinate beyond 1e+06 mm" in assert_one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_mesh_writes_stl_and_obj(phantom_volume, tmp_path, capsys):
     stl = tmp_path / "skin.stl"
     assert main(["mesh", str(phantom_volume), str(stl), "--iso", "1500"]) == 0

@@ -98,6 +98,45 @@ def test_points_must_be_finite():
         MarkerSet(frame="ct", points=np.array([[np.nan, 0, 0]]))
 
 
+@pytest.mark.parametrize("frame, role", [("ct", "CT marker"), ("device", "device marker")])
+def test_points_hold_the_csv_coordinate_bound(frame, role):
+    at_bound = np.array([[1e6, -1e6, 0.0], [-1e6, 0.0, 1e6]])
+    assert MarkerSet(frame, at_bound).points.tolist() == at_bound.tolist()
+    past = np.nextafter(1e6, np.inf)
+    for bad, needle in [
+        (past, "coordinate beyond 1e+06 mm"),
+        (-past, "coordinate beyond 1e+06 mm"),
+        (np.nan, "coordinates must be finite"),
+        (np.inf, "coordinates must be finite"),
+        (-np.inf, "coordinates must be finite"),
+    ]:
+        points = at_bound.copy()
+        points[1, 2] = bad
+        with pytest.raises(ValueError) as err:
+            MarkerSet(frame, points)
+        assert str(err.value) == f"{role} {needle}"
+
+
+any_float = st.floats(-2e6, 2e6) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@given(st.tuples(any_float, any_float, any_float), st.sampled_from(["ct", "device"]))
+def test_a_row_builds_a_set_exactly_when_the_csv_reads_it(tmp_path_factory, row, frame):
+    path = tmp_path_factory.mktemp("mk") / "m.csv"
+    path.write_text(CSV_HEADER + f"\n{frame},," + ",".join(map(repr, row)) + "\n")
+    try:
+        read = read_marker_csv(path)
+    except FormatError:
+        read = None
+    try:
+        built = MarkerSet(frame, np.array([row]))
+    except ValueError:
+        built = None
+    assert (read is None) == (built is None)
+    if built is not None:
+        assert read == built
+
+
 def test_ids_length_checked():
     with pytest.raises(ValueError):
         MarkerSet(frame="ct", points=np.zeros((2, 3)), ids=(1,))

@@ -3,14 +3,13 @@
 ``_solve_pairings`` fits all six vertex pairings of every candidate in one
 elementwise pass. ``reference_impls.loop_solve_pairings`` computes the same
 closed form one candidate at a time in Python floats; the two must agree
-bit for bit, errors included. Brute-force ``absolute_orientation`` over the
+bit for bit. Brute-force ``absolute_orientation`` over the
 six pairings checks that the closed form is the least-squares fit.
 """
 
 import numpy as np
 import pytest
 
-from fidreg.errors import DegenerateTriangleError
 from fidreg.rigid import (
     PointCorrespondences,
     RigidTransform,
@@ -18,7 +17,7 @@ from fidreg.rigid import (
     axis_angle_rotation,
     fit_rmsd,
 )
-from fidreg.triangles import _ODD_PAIRING, _PAIRINGS, _edge_lengths, _permute_rows, _solve_pairings
+from fidreg.triangles import _ODD_PAIRING, _PAIRINGS, _permute_rows, _solve_pairings
 
 from reference_impls import LOOP_PAIRINGS, loop_is_odd, loop_solve_pairings
 
@@ -26,10 +25,6 @@ from reference_impls import LOOP_PAIRINGS, loop_is_odd, loop_solve_pairings
 def random_motion(rng, scale):
     rotation = axis_angle_rotation(rng.normal(size=3), rng.uniform(0.0, np.pi))
     return RigidTransform(rotation, rng.normal(size=3) * 100.0 * scale)
-
-
-def solver_args(source, target):
-    return source, target, _edge_lengths(source).max(axis=-1)
 
 
 def pairing_case(rng, scale, offset, noise=0.05, candidates=40):
@@ -60,25 +55,15 @@ def pairing_case(rng, scale, offset, noise=0.05, candidates=40):
             points = rng.normal(size=(3, 3)) * scale
         moved = random_motion(rng, scale).apply(points)
         target[row] = moved + noise * scale * rng.normal(size=(3, 3))
-    return solver_args(source, target)
+    return source, target
 
 
 def solve_both(args):
-    """(package outcome, oracle outcome): the three arrays or the error."""
-    outcomes = []
-    for solve in (_solve_pairings, loop_solve_pairings):
-        try:
-            outcomes.append(solve(*args))
-        except DegenerateTriangleError as exc:
-            outcomes.append(exc)
-    return outcomes
+    """(package fit, oracle fit), each the three arrays."""
+    return _solve_pairings(*args), loop_solve_pairings(*args)
 
 
 def assert_identical(got, want):
-    if isinstance(want, Exception):
-        assert type(got) is type(want) and str(got) == str(want)
-        return
-    assert not isinstance(got, Exception), f"got {got!r}"
     for mine, theirs in zip(got, want, strict=True):
         assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
         assert mine.tobytes() == theirs.tobytes()
@@ -99,25 +84,12 @@ def test_two_stage_solve_matches_every_flip_solve(scale_exp, offset_exp):
     assert flips > 0  # some odd pairings won
 
 
-def test_collinear_sources_raise_the_same_error():
-    # a collinear source, or a collinear target, in row 7 of the stack
-    rng = np.random.default_rng(3)
-    source, target, _ = pairing_case(rng, 1.0, 0.0)
-    line = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [3.0, 6.0, 9.0]])
-    for points in (source, target):
-        points[7] = line
-        got, want = solve_both(solver_args(source, target))
-        assert isinstance(want, DegenerateTriangleError)
-        assert_identical(got, want)
-        points[7] = rng.normal(size=(3, 3))
-
-
 def test_a_flip_that_only_ties_does_not_win():
     # An isosceles triangle fitted onto itself: the given pairing and the
     # one exchanging the ends of its base both fit exactly, and the first of
     # them in _PAIRINGS order is kept.
     source = np.array([[[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [2.0, 3.0, 0.0]]])
-    got, want = solve_both(solver_args(source, source.copy()))
+    got, want = solve_both((source, source.copy()))
     assert_identical(got, want)
     assert got[2].tolist() == [0]
     assert fit_rmsd(got[0], got[1], source, source).tolist() == [0.0]
@@ -156,7 +128,7 @@ def test_closed_form_is_the_best_of_six_horn_fits():
             sources.append(source)
             targets.append(target + rng.normal(0.0, rng.choice([0.0, 0.5, 3.0]), (3, 3)))
     sources, targets = np.array(sources), np.array(targets)
-    rotation, translation, pairing = _solve_pairings(*solver_args(sources, targets))
+    rotation, translation, pairing = _solve_pairings(sources, targets)
     rmsd = fit_rmsd(rotation, translation, sources, _permute_rows(targets, _PAIRINGS[pairing]))
     flipped = _ODD_PAIRING[pairing]
     np.testing.assert_allclose(np.linalg.det(rotation), 1.0, rtol=0, atol=1e-12)
@@ -175,9 +147,9 @@ def test_closed_form_is_the_best_of_six_horn_fits():
 
 def test_a_row_solves_alike_alone_and_in_a_stack():
     rng = np.random.default_rng(64)
-    source, target, e1 = pairing_case(rng, 10.0, 100.0, noise=0.3, candidates=64)
-    stacked = _solve_pairings(source, target, e1)
+    source, target = pairing_case(rng, 10.0, 100.0, noise=0.3, candidates=64)
+    stacked = _solve_pairings(source, target)
     for row in range(len(source)):
-        alone = _solve_pairings(source[row : row + 1], target[row : row + 1], e1[row : row + 1])
+        alone = _solve_pairings(source[row : row + 1], target[row : row + 1])
         for whole, single in zip(stacked, alone, strict=True):
             assert whole[row : row + 1].tobytes() == single.tobytes()

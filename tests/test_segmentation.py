@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fidreg.config import ConfigError
-from fidreg.errors import InsufficientMarkersError
+from fidreg.errors import FormatError, InsufficientMarkersError
 from fidreg.segmentation import (
     BinaryMask,
     SegmentationConfig,
@@ -180,6 +180,16 @@ def test_full_pipeline_filters_decoy_blob():
     np.testing.assert_allclose(
         markers.points, [[3, 3, 3], [21, 3, 11], [11, 11, 11]], atol=1e-12
     )
+
+
+def test_centroids_beyond_the_coordinate_bound_are_a_format_error():
+    # a volume this far out holds no marker set fidreg can register
+    vox = np.zeros((12, 5, 5), dtype=np.int16)
+    for i in (0, 4, 8):
+        vox[i : i + 3, 1:4, 1:4] = 3000
+    volume = make_volume(vox, origin=(0.0, -2e6, 0.0))
+    with pytest.raises(FormatError, match=r"^CT marker coordinate beyond 1e\+06 mm$"):
+        segment_markers(volume, SegmentationConfig(expected_mm3=27.0))
 
 
 def test_insufficient_markers_message():

@@ -18,7 +18,6 @@ from fidreg.errors import (
 )
 from fidreg.markers import MAX_COORDINATE_MM, MarkerSet
 from fidreg.rigid import (
-    COLLINEARITY_RATIO,
     PointCorrespondences,
     RigidTransform,
     _collinear,
@@ -27,6 +26,7 @@ from fidreg.rigid import (
     center_points,
 )
 from fidreg.triangles import (
+    DEGENERACY_RATIO,
     _TRIPLE_BLOCK,
     RegistrationConfig,
     TriangleKey,
@@ -406,9 +406,9 @@ def test_equilateral_ties_try_all_six_pairings():
     calls = []
     solve = fidreg.triangles._solve_pairings
 
-    def spy_solve(source, target, source_e1):
+    def spy_solve(source, target):
         calls.append(("candidates", len(target)))
-        return solve(source, target, source_e1)
+        return solve(source, target)
 
     with mock.patch.object(fidreg.triangles, "_solve_pairings", spy_solve), mock.patch.object(
         fidreg.triangles, "horn_solve", side_effect=AssertionError("no Horn fit expected")
@@ -572,14 +572,14 @@ def test_config_round_trip_and_validation():
 
 
 def thin_triangles(rng, count, scale, offset):
-    """Triangles whose area / e1**2 spreads over 0.05 .. 8 * COLLINEARITY_RATIO."""
+    """Triangles whose area / e1**2 spreads over 0.05 .. 20 * DEGENERACY_RATIO."""
     a = rng.normal(size=(count, 3))
     b = rng.normal(size=(count, 3))
     base = b - a
     length = np.linalg.norm(base, axis=1)[:, None]
     normal = np.cross(base, rng.normal(size=(count, 3)))
     normal /= np.linalg.norm(normal, axis=1)[:, None]
-    ratio = COLLINEARITY_RATIO * np.exp(rng.uniform(np.log(0.05), np.log(8.0), size=(count, 1)))
+    ratio = DEGENERACY_RATIO * np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=(count, 1)))
     t = rng.uniform(0.0, 1.0, size=(count, 1))
     # area = length * height / 2 = ratio * length**2 while e1 is the base
     c = a + t * base + 2.0 * ratio * length * normal
@@ -593,58 +593,19 @@ def thin_triangles(rng, count, scale, offset):
     offset_exp=st.floats(-3.0, 6.0),
 )
 def test_area_bound_clears_only_triangles_that_span_a_plane(seed, scale_exp, offset_exp):
-    # the fit takes a source triangle whose area exceeds 2 * COLLINEARITY_RATIO
-    # * e1**2, which rigid._collinear's SVD test finds spans a plane; it fits
-    # such a source properly and raises for a thinner one
+    # the fit trusts the shape gate: a shaped triangle, area at least
+    # DEGENERACY_RATIO * e1**2, is one rigid._collinear finds spans a plane,
+    # and the fit maps it by a proper rotation, as register's refit needs
     scale = 10.0**scale_exp
     rng = np.random.default_rng(seed)
     points = thin_triangles(rng, 64, scale, scale * 10.0**offset_exp)
-    with mock.patch.object(fidreg.triangles, "DEGENERACY_RATIO", 1e-15):
-        shapes = _triangle_shapes(points)
-    cleared = shapes.area > 2.0 * COLLINEARITY_RATIO * shapes.e1**2
-    assert cleared.any() and not cleared.all()
-    assert not _collinear(center_points(points)[1][cleared]).any()
+    shaped = _triangle_shapes(points).shaped
+    assert shaped.any() and not shaped.all()
+    assert not _collinear(center_points(points[shaped])[1]).any()
     motion = RigidTransform(axis_angle_rotation(rng.normal(size=3), 1.0), rng.normal(size=3))
-    rotation, translation, _ = _solve_pairings(
-        points[cleared], motion.apply(points[cleared]), shapes.e1[cleared]
-    )
+    rotation, translation, _ = _solve_pairings(points[shaped], motion.apply(points[shaped]))
     for rot, trans in zip(rotation, translation):
         RigidTransform(rot, trans)  # orthonormal and proper within 1e-9
-    row = int(np.argmin(cleared))
-    with pytest.raises(DegenerateTriangleError, match="no alignable vertex pairing"):
-        _solve_pairings(points[row : row + 1], points[row : row + 1], shapes.e1[row : row + 1])
-
-
-def sliver_scene(seed):
-    """Eight CT markers and their device image.
-
-    Triple (0, 1, 7) has area 1.5e-9 * e1**2, under the fit's bound of
-    2e-9 * e1**2; so do some of the other triples through 0 and 7.
-    """
-    rng = np.random.default_rng(seed)
-    ct = rng.uniform(-50.0, 50.0, size=(8, 3))
-    base = ct[1] - ct[0]
-    length = np.linalg.norm(base)
-    normal = np.cross(base, [0.0, 0.0, 1.0])
-    normal /= np.linalg.norm(normal)
-    ct[7] = ct[0] + 1e-9 * base + 3e-9 * length * normal
-    rotation = axis_angle_rotation(np.array([1.0, 2.0, 3.0]), 0.4)
-    return ct, RigidTransform(rotation, np.array([5.0, -3.0, 2.0])).apply(ct)
-
-
-@pytest.mark.parametrize("seed", [0, 2])
-def test_slivers_under_the_area_bound_raise_like_the_loop(seed, monkeypatch):
-    # with DEGENERACY_RATIO at 1e-15 a sliver under the fit's bound keys a
-    # shape; its first candidate stops register with the loop's error
-    monkeypatch.setattr(fidreg.triangles, "DEGENERACY_RATIO", 1e-15)
-    ct, device = sliver_scene(seed)
-    table = TriangleTable()
-    table.insert_marker(device)
-    with pytest.raises(DegenerateTriangleError, match="no alignable vertex pairing") as got:
-        register(MarkerSet("ct", ct), table)
-    with pytest.raises(DegenerateTriangleError) as want:
-        loop_register(ct, device)
-    assert str(got.value) == str(want.value)
 
 
 def test_three_markers_return_the_winners_own_fit():
