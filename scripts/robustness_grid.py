@@ -40,7 +40,6 @@ from fidreg.bench import (
 )
 from fidreg.config import write_json
 from fidreg.errors import ConfigError
-from fidreg.icp import IcpConfig
 from fidreg.markers import MarkerSet
 from fidreg.rigid import RigidTransform
 from fidreg.rng import SplitMix64
@@ -158,11 +157,11 @@ def main(argv=None):
         if not methods or any(m not in METHODS for m in methods):
             raise ConfigError(f"--methods must name some of {METHODS}, got {args.methods!r}")
         cells = []
-        configs = {"triangle": RegistrationConfig(), "icp": IcpConfig()}
+        config = RegistrationConfig()  # the triangle method's; ICP has no settings
         for cell, cell_scenes in scenes(counts, sigmas, args.seeds, args.seed_base):
             for method in methods:
                 cells.append({**cell, "method": method,
-                              **run_cell(method, configs[method], cell_scenes)})
+                              **run_cell(method, config, cell_scenes)})
                 print(
                     f"{cell['layout']:<20} n={cell['n_markers']:<3} sigma={cell['noise_sigma_mm']:g} "
                     f"{cell['dropout']}/{cell['decoys']} {method:<8} "

@@ -27,7 +27,7 @@ from .errors import (
     TruncationError,
     VolumeFormatError,
 )
-from .icp import IcpConfig, IcpResult, icp_register
+from .icp import IcpResult, icp_register
 from .markers import MarkerSet, read_marker_csv, write_marker_csv
 from .mesh import TriangleMesh, marching_cubes, write_obj, write_stl
 from .rigid import (
@@ -65,7 +65,6 @@ __all__ = [
     "DomainError",
     "FidregError",
     "FormatError",
-    "IcpConfig",
     "IcpResult",
     "InsufficientMarkersError",
     "MarkerSet",

@@ -50,8 +50,8 @@ except ``time_us``:
   first spec's trial-0 scene, with no metrics and no record, whatever
   status it ends in; so two calls make two warm-ups and ``time_us`` never
   depends on what ran earlier in the process;
-* ``RegistrationConfig()`` and ``IcpConfig()`` are built once per call,
-  outside the timed window;
+* one ``RegistrationConfig()`` is built per call, outside the timed
+  window; only the triangle method reads it, since ICP has no settings;
 * holding one spec's scenes and reseeded specs costs about 2.1-2.6 KB per
   trial at 8 markers and 3.9 KB at 40 (tracemalloc); they are dropped once
   the next spec's scenes are drawn;
@@ -84,7 +84,7 @@ import numpy as np
 from .config import FLOAT, INT, TRIPLE, kv_int, read_fields, write_fields, write_json
 from .errors import ConfigError, DomainError
 from .markers import MarkerSet
-from .icp import IcpConfig, icp_register
+from .icp import icp_register
 from .rigid import RigidTransform, reorthonormalize, rotation_angle
 from .rng import SplitMix64
 from .triangles import RegistrationConfig, TriangleTable, register
@@ -292,9 +292,12 @@ def _status_token(exc: DomainError) -> str:
 
 
 def _register_scene(
-    method: str, ct: MarkerSet, device: MarkerSet, config: RegistrationConfig | IcpConfig
+    method: str, ct: MarkerSet, device: MarkerSet, config: RegistrationConfig
 ) -> tuple[RigidTransform | None, bool, str, float]:
-    """One timed registration: ``(estimated or None, flipped, status, seconds)``."""
+    """One timed registration: ``(estimated or None, flipped, status, seconds)``.
+
+    ``config`` is the triangle method's; ICP has no settings.
+    """
     estimated = None
     flipped = False
     status = "ok"
@@ -307,7 +310,7 @@ def _register_scene(
             estimated = result.transform
             flipped = result.flipped
         else:
-            estimated = icp_register(ct, device, config).transform
+            estimated = icp_register(ct, device).transform
     except DomainError as exc:
         status = _status_token(exc)
     return estimated, flipped, status, time.perf_counter() - start
@@ -317,7 +320,7 @@ def _run_trial(
     spec: SceneSpec,
     method: str,
     scene: tuple[MarkerSet, MarkerSet, RigidTransform],
-    config: RegistrationConfig | IcpConfig,
+    config: RegistrationConfig,
     targets_origin: np.ndarray,
 ) -> TrialRecord:
     ct, device, truth = scene
@@ -367,7 +370,7 @@ def run_benchmark(
     for method in methods:
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r} (choose from {METHODS})")
-    configs = {"triangle": RegistrationConfig(), "icp": IcpConfig()}
+    config = RegistrationConfig()
     origin = np.zeros((1, 3))
     records = []
     for position, spec in enumerate(spec_grid):
@@ -375,7 +378,6 @@ def run_benchmark(
         scenes = [generate_scene(trial) for trial in trials]
         ct, device, _ = scenes[0]
         for method in (m for m in METHODS if m in methods):
-            config = configs[method]
             if position == 0:
                 _register_scene(method, ct, device, config)  # warm-up, discarded
             for trial, scene in zip(trials, scenes):

@@ -32,7 +32,7 @@ from .bench import (
 )
 from .config import format_float, parse_number, write_json
 from .errors import DomainError, FidregError, FormatError
-from .icp import IcpConfig, icp_register
+from .icp import icp_register
 from .markers import read_marker_csv, write_marker_csv
 from .mesh import marching_cubes, write_obj, write_stl
 from .rigid import transform_to_json_dict
@@ -84,16 +84,15 @@ def _read_text(path) -> str:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _registration_inputs(args, config_class):
-    """``(ct, device, config)`` for register and icp; each CSV must hold its frame."""
+def _registration_inputs(args):
+    """``(ct, device)`` for register and icp; each CSV must hold its frame."""
     markers = []
     for path, frame in ((args.ct, "ct"), (args.device, "device")):
         found = read_marker_csv(path)
         if found.frame != frame:
             raise FormatError(f"{path}: expected frame {frame!r}, found {found.frame!r}")
         markers.append(found)
-    config = config_class.from_text(_read_text(args.config)) if args.config else config_class()
-    return (*markers, config)
+    return markers
 
 
 def cmd_segment(args) -> int:
@@ -128,7 +127,10 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_register(args) -> int:
-    ct, device, config = _registration_inputs(args, RegistrationConfig)
+    ct, device = _registration_inputs(args)
+    config = (
+        RegistrationConfig.from_text(_read_text(args.config)) if args.config else RegistrationConfig()
+    )
     table = TriangleTable()
     table.insert_marker(device.points)  # file order
     result = register(ct, table, config)
@@ -142,8 +144,8 @@ def cmd_register(args) -> int:
 
 
 def cmd_icp(args) -> int:
-    ct, device, config = _registration_inputs(args, IcpConfig)
-    result = icp_register(ct, device, config)
+    ct, device = _registration_inputs(args)
+    result = icp_register(ct, device)
     write_json(result.to_json_dict(), args.out)
     print(
         f"icp: rmsd {format_float(result.rmsd)} mm after "
@@ -210,18 +212,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=cmd_mesh)
 
-    for name, handler, about, config_help in (
-        ("register", cmd_register, "triangle-match CT markers onto device markers",
-         "registration config (key = value text)"),
-        ("icp", cmd_icp, "iterative-closest-point baseline registration",
-         "ICP config (key = value text)"),
+    for name, handler, about in (
+        ("register", cmd_register, "triangle-match CT markers onto device markers"),
+        ("icp", cmd_icp, "iterative-closest-point baseline registration from the identity"),
     ):
         p = sub.add_parser(name, help=about)
         p.add_argument("ct", help="CT marker CSV (frame ct)")
         p.add_argument("device", help="device marker CSV (frame device)")
         p.add_argument("out", help="output transform JSON")
-        p.add_argument("--config", help=config_help)
         p.set_defaults(handler=handler)
+        if name == "register":
+            p.add_argument("--config", help="registration config (key = value text)")
 
     p = sub.add_parser("simulate", help="generate one synthetic scene from a spec")
     p.add_argument("spec", help="scene spec (key = value text)")

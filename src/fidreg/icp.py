@@ -10,48 +10,29 @@ re-matching can only shorten per-point distances. When a matching step
 repeats the matches the current transform was fitted to, the iteration is at
 a fixed point: the fit would return the same transform and the next rmsd
 would repeat this one, so ICP records that rmsd once more and stops without
-the fit. The result is the one the full iteration gives, bit for bit. No
-initial-guess machinery beyond a caller-supplied transform: like any local
-method, a large initial misalignment lands in local minima. The rotations of
-intermediate iterations are not checked; the pose returned is, as every
-RigidTransform is.
+the fit. The result is the one the full iteration gives, bit for bit.
+
+ICP always starts at the identity (Besl & McKay 1992), runs at most
+``MAX_ITERATIONS`` iterations and converges when the rmsd changes by less
+than ``RMSD_DELTA_TOLERANCE_MM``; none of the three is a setting. Like any
+local method, a large initial misalignment lands in local minima. The
+rotations of intermediate iterations are not checked; the pose returned is,
+as every RigidTransform is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FLOAT, INT, ConfigError, read_fields, write_fields
 from .errors import InsufficientMarkersError
 from .markers import MarkerSet, nearest_markers
 from .rigid import RigidTransform, center_source, horn_solve, transform_to_json_dict
 
-_ICP_FIELDS = {"max_iterations": INT, "rmsd_delta_tolerance": FLOAT}
-
-
-@dataclass
-class IcpConfig:
-    max_iterations: int = 100
-    rmsd_delta_tolerance: float = 1e-6  # mm
-    initial_transform: RigidTransform = field(default_factory=RigidTransform.identity)
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
-        if not (0 < self.rmsd_delta_tolerance < math.inf):
-            raise ConfigError(
-                f"rmsd_delta_tolerance must be positive and finite, got {self.rmsd_delta_tolerance!r}"
-            )
-
-    @classmethod
-    def from_text(cls, text: str) -> "IcpConfig":
-        return cls(**read_fields(text, _ICP_FIELDS))
-
-    def to_text(self) -> str:
-        return write_fields(self, _ICP_FIELDS)
+MAX_ITERATIONS = 100
+RMSD_DELTA_TOLERANCE_MM = 1e-6
 
 
 @dataclass(eq=False)
@@ -71,13 +52,11 @@ class IcpResult:
         }
 
 
-def icp_register(
-    source: MarkerSet, target: MarkerSet, config: IcpConfig | None = None
-) -> IcpResult:
-    """Iteratively align source markers onto target markers.
+def icp_register(source: MarkerSet, target: MarkerSet) -> IcpResult:
+    """Iteratively align source markers onto target markers from the identity.
 
     Stops when the per-iteration rmsd changes by less than
-    ``rmsd_delta_tolerance`` (converged) or at the iteration cap (not
+    ``RMSD_DELTA_TOLERANCE_MM`` (converged) or at ``MAX_ITERATIONS`` (not
     converged). Below the cap, a matching step that repeats the matches of
     the last fit is a fixed point: its rmsd is recorded twice and the run
     converges without the fit, whose result would be the current transform
@@ -89,8 +68,6 @@ def icp_register(
     InsufficientMarkersError when either side has fewer than 3 points and
     DegenerateGeometryError for collinear sources.
     """
-    if config is None:
-        config = IcpConfig()
     src = source.points
     tgt = target.points
     if len(src) < 3:
@@ -100,12 +77,11 @@ def icp_register(
     # The source never changes: center it and test it for collinearity once.
     src_centroid, src_centered = center_source(src)
 
-    rotation = config.initial_transform.rotation
-    translation = config.initial_transform.translation
+    rotation, translation = np.eye(3), np.zeros(3)
     fitted_on = None  # the matches the current transform was fitted to
     history: list[float] = []
     converged = False
-    for iteration in range(config.max_iterations):
+    for iteration in range(MAX_ITERATIONS):
         mapped = src @ rotation.T + translation
         # One set per source: a scan block then holds SCAN_BLOCK // len(tgt)
         # sources, not all of them, and the mutual flag goes unused.
@@ -113,10 +89,10 @@ def icp_register(
         match_sq, match_idx = match_sq[:, 0], match_idx[:, 0]
         rmsd = math.sqrt(float(np.add.reduce(match_sq)) / len(match_sq))
         history.append(rmsd)
-        if len(history) >= 2 and abs(history[-2] - rmsd) < config.rmsd_delta_tolerance:
+        if len(history) >= 2 and abs(history[-2] - rmsd) < RMSD_DELTA_TOLERANCE_MM:
             converged = True
             break
-        if iteration == config.max_iterations - 1:
+        if iteration == MAX_ITERATIONS - 1:
             break  # cap reached; keep the transform the last rmsd describes
         matches = match_idx.tobytes()
         if matches == fitted_on:
@@ -129,7 +105,7 @@ def icp_register(
         fitted_on = matches
 
     return IcpResult(
-        transform=config.initial_transform if fitted_on is None else RigidTransform(rotation, translation),
+        transform=RigidTransform(rotation, translation),
         rmsd=history[-1],
         iterations_used=len(history),
         converged=converged,

@@ -10,8 +10,9 @@ Connected-component labels are assigned 1..K in first-encounter scan order,
 where the scan runs in x-fastest linear order (``i + nx * (j + ny * k)``), and
 each component lists its voxels in that same scan order, so identical inputs
 always produce the identical labeling, marker ordering and centroid rounding.
-Labelling is whole-array union-find over runs of consecutive set voxels along
-x, not a per-voxel flood fill.
+Labelling is 26-connected (voxels sharing a face, an edge or a corner join)
+and is whole-array union-find over runs of consecutive set voxels along x,
+not a per-voxel flood fill.
 """
 
 from __future__ import annotations
@@ -21,18 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FLOAT, INT, ConfigError, read_fields, write_fields
+from .config import FLOAT, ConfigError, read_fields, write_fields
 from .errors import FormatError, InsufficientMarkersError
 from .markers import MarkerSet
 from .volume import Volume, _concat_ranges
 
-# Largest Manhattan step |di| + |dj| + |dk| between neighbours, per
-# connectivity (faces, plus edges, plus corners).
-_MAX_STEP = {6: 1, 18: 2, 26: 3}
-
 _SEG_FIELDS = {
     "hu_min": FLOAT,
-    "connectivity": INT,
     "expected_mm3": FLOAT,
     "tolerance_fraction": FLOAT,
 }
@@ -45,7 +41,6 @@ class SegmentationConfig:
 
     expected_mm3: float
     hu_min: float = 300.0
-    connectivity: int = 26
     tolerance_fraction: float = 0.5
 
     def __post_init__(self):
@@ -55,8 +50,6 @@ class SegmentationConfig:
             )
         if not math.isfinite(self.hu_min):
             raise ConfigError(f"hu_min must be finite, got {self.hu_min!r}")
-        if self.connectivity not in (6, 18, 26):
-            raise ConfigError(f"connectivity must be 6, 18 or 26, got {self.connectivity!r}")
         if not (0.0 < self.tolerance_fraction < 1.0):
             raise ConfigError(
                 f"tolerance_fraction must be in (0, 1), got {self.tolerance_fraction!r}"
@@ -115,8 +108,8 @@ def threshold_volume(volume: Volume, hu_min: float) -> BinaryMask:
     return BinaryMask(dims=volume.dims, bits=volume.voxels >= bound)
 
 
-def connected_components(mask: BinaryMask, connectivity: int = 26) -> list[Component]:
-    """Label connected set-voxel regions.
+def connected_components(mask: BinaryMask) -> list[Component]:
+    """Label 26-connected set-voxel regions.
 
     Components are maximal and disjoint; labels follow first-encounter scan
     order and voxels within a component follow scan order.
@@ -125,8 +118,6 @@ def connected_components(mask: BinaryMask, connectivity: int = 26) -> list[Compo
     compressed into runs of consecutive x, runs in neighbouring rows that
     touch are joined, and each component is labelled by its first run.
     """
-    if connectivity not in _MAX_STEP:
-        raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity!r}")
     nx, ny, nz = mask.dims
     # x-fastest linearization: C-order ravel of the (nz, ny, nx) transpose.
     linear = np.flatnonzero(mask.bits.transpose(2, 1, 0).ravel())
@@ -142,9 +133,7 @@ def connected_components(mask: BinaryMask, connectivity: int = 26) -> list[Compo
     run_last = linear[np.append(starts[1:], len(linear)) - 1]
     run_len = run_last - run_first + 1
 
-    parent = _union_runs(
-        _run_pairs(run_first, run_last, mask.dims, connectivity), len(starts)
-    )
+    parent = _union_runs(_run_pairs(run_first, run_last, mask.dims), len(starts))
     # Roots are each component's smallest run, so ascending roots are
     # ascending first voxels: the first-encounter label order.
     roots, run_label = np.unique(parent, return_inverse=True)
@@ -166,30 +155,24 @@ def connected_components(mask: BinaryMask, connectivity: int = 26) -> list[Compo
     ]
 
 
-def _run_pairs(run_first, run_last, dims, connectivity: int) -> np.ndarray:
-    """(P, 2) pairs of run ids whose voxels are neighbours, each pair once.
+def _run_pairs(run_first, run_last, dims) -> np.ndarray:
+    """(P, 2) pairs of 26-connected run ids, each pair once.
 
     Runs in one row never touch, so only the forward row offsets (dj, dk)
-    matter, and each offset meets a different target row.  A row is a
-    neighbour when |dj| + |dk| is within the connectivity's Manhattan step.
-    A run covering x0..x1 reaches x0-reach..x1+reach of the target row, where
-    reach is 1 when the step leaves room for one more in x.
+    matter, and each offset meets a different target row.  A run covering
+    x0..x1 touches the target row's voxels x0-1..x1+1.
     """
     nx, ny, nz = dims
     row = run_first // nx
     j, k = row % ny, row // ny
-    max_step = _MAX_STEP[connectivity]
-    pairs = [np.empty((0, 2), dtype=np.int64)]
+    pairs = []
     for dj, dk in ((-1, 1), (0, 1), (1, 0), (1, 1)):
-        if abs(dj) + abs(dk) > max_step:
-            continue
-        reach = 1 if abs(dj) + abs(dk) < max_step else 0
         ok = (j + dj >= 0) & (j + dj < ny) & (k + dk < nz)
         src = np.flatnonzero(ok)
         target_row_first = (row[src] + dj + ny * dk) * nx
         shift = nx * (dj + ny * dk)
-        lo = np.maximum(run_first[src] + shift - reach, target_row_first)
-        hi = np.minimum(run_last[src] + shift + reach, target_row_first + nx - 1)
+        lo = np.maximum(run_first[src] + shift - 1, target_row_first)
+        hi = np.minimum(run_last[src] + shift + 1, target_row_first + nx - 1)
         # Runs are sorted and disjoint: those meeting [lo, hi] are a slice.
         first = np.searchsorted(run_last, lo, side="left")
         count = np.searchsorted(run_first, hi, side="right") - first
@@ -244,7 +227,7 @@ def component_centroid(component: Component, volume: Volume) -> np.ndarray:
 def segment_components(volume: Volume, config: SegmentationConfig) -> list[Component]:
     """Threshold + label + size-filter; the shared front half of segment_markers."""
     mask = threshold_volume(volume, config.hu_min)
-    components = connected_components(mask, config.connectivity)
+    components = connected_components(mask)
     return filter_by_size(
         components, volume.spacing, config.expected_mm3, config.tolerance_fraction
     )

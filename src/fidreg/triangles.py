@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,7 +60,14 @@ class RegistrationConfig:
     scale_tolerance_mm: float = 5.0
 
     def __post_init__(self):
-        if self.k < 1:
+        # bool is an int subclass; a shape-neighbour count of True is a slip.
+        try:
+            k = None if isinstance(self.k, bool) else operator.index(self.k)
+        except TypeError:
+            k = None
+        if k is None:
+            raise ConfigError(f"k must be an integer, got {self.k!r}")
+        if k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k!r}")
         if not (0 <= self.scale_tolerance_mm < math.inf):
             raise ConfigError("scale_tolerance_mm must be non-negative and finite")
@@ -135,7 +143,6 @@ def _canonical_perm(edges: np.ndarray) -> tuple[int, int, int]:
 class _Shapes(NamedTuple):
     """Shape data of a stack of triangles (N, 3, 3), one row per triangle."""
 
-    edges: np.ndarray  # (N, 3), edge i opposite vertex i
     perm: np.ndarray  # (N, 3), canonical vertex order
     e1: np.ndarray  # (N,), longest edge
     area: np.ndarray  # (N,)
@@ -158,7 +165,7 @@ def _triangle_shapes(points: np.ndarray) -> _Shapes:
     with np.errstate(divide="ignore", invalid="ignore"):
         key = edges[np.arange(len(edges))[:, None], perm[:, 1:]] / e1[:, None]
     shaped = (e1 > 0.0) & ~(area < DEGENERACY_RATIO * e1 * e1) & (key[:, 0] + key[:, 1] > 1.0)
-    return _Shapes(edges, perm, e1, area, key, shaped)
+    return _Shapes(perm, e1, area, key, shaped)
 
 
 def triangle_key(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> TriangleKey:

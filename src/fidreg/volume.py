@@ -78,7 +78,18 @@ class Volume:
 
     @classmethod
     def from_voxels(cls, voxels: np.ndarray, spacing, origin=(0.0, 0.0, 0.0)) -> "Volume":
-        vox = np.asarray(voxels, dtype=np.int16)
+        """A volume of ``voxels`` cast to int16.
+
+        Raises ValueError when the cast would change a value (beyond int16,
+        fractional or NaN) rather than store a wrapped or truncated HU.
+        """
+        given = np.asarray(voxels)
+        with np.errstate(invalid="ignore", over="ignore"):
+            vox = given.astype(np.int16, copy=False)
+        if vox is not given:
+            changed = vox != given
+            if changed.any():
+                raise ValueError(f"voxel value {given[changed][0].item()!r} is not an int16 integer")
         return cls(dims=vox.shape, spacing=tuple(spacing), origin=tuple(origin), voxels=vox)
 
     def world_coords(self, indices: np.ndarray) -> np.ndarray:

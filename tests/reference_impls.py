@@ -15,7 +15,7 @@ from collections import deque
 
 import numpy as np
 
-from fidreg import triangles
+from fidreg import icp, triangles
 from fidreg._mc_tables import EDGE_CORNERS, TRI_TABLE
 from fidreg.bench import (
     _CELL_KEYS,
@@ -36,7 +36,7 @@ from fidreg.errors import (
     InsufficientMarkersError,
     NoMatchError,
 )
-from fidreg.icp import IcpConfig, IcpResult, icp_register
+from fidreg.icp import IcpResult, icp_register
 from fidreg.markers import MarkerSet
 from fidreg.mesh import CORNER_OFFSETS, STL_HEADER, WELD_TOLERANCE_MM, TriangleMesh, empty_mesh
 from fidreg.rigid import (
@@ -84,25 +84,24 @@ def kabsch_svd(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return R, t
 
 
-def brute_force_icp(
-    src: np.ndarray, tgt: np.ndarray, config
-) -> tuple[list[float], RigidTransform]:
+def brute_force_icp(src: np.ndarray, tgt: np.ndarray) -> tuple[list[float], RigidTransform]:
     """Point-to-point ICP from the identity over a full distance matrix.
 
     Returns (rmsd history, final transform) under icp_register's stopping
-    rules. The fit is the package's absolute_orientation.
+    rules, reading its cap and tolerance at call time. The fit is the
+    package's absolute_orientation.
     """
     n = len(src)
     transform = RigidTransform.identity()
     history: list[float] = []
-    for iteration in range(config.max_iterations):
+    for iteration in range(icp.MAX_ITERATIONS):
         mapped = transform.apply(src)
         d2 = np.sum((mapped[:, None] - tgt[None]) ** 2, axis=2)
         idx = np.argmin(d2, axis=1)
         history.append(float(np.sqrt(np.mean(d2[np.arange(n), idx]))))
-        if len(history) >= 2 and abs(history[-2] - history[-1]) < config.rmsd_delta_tolerance:
+        if len(history) >= 2 and abs(history[-2] - history[-1]) < icp.RMSD_DELTA_TOLERANCE_MM:
             break
-        if iteration == config.max_iterations - 1:
+        if iteration == icp.MAX_ITERATIONS - 1:
             break
         transform, _ = absolute_orientation(PointCorrespondences(src, tgt[idx]))
     return history, transform
@@ -122,16 +121,15 @@ def _loop_nearest_indices(query: np.ndarray, target: np.ndarray) -> tuple[np.nda
     return idx, nearest_sq
 
 
-def loop_icp(source, target, config: IcpConfig | None = None) -> IcpResult:
+def loop_icp(source, target) -> IcpResult:
     """icp_register with one validated absolute_orientation fit per iteration.
 
     Every iteration re-centers the fixed source, repeats its collinearity
     test and builds a checked PointCorrespondences and RigidTransform. The
     rounding of each step is the package's: agreement shows that hoisting
-    the source terms out of the loop changed no bit.
+    the source terms out of the loop changed no bit. The cap and tolerance
+    are icp_register's, read at call time.
     """
-    if config is None:
-        config = IcpConfig()
     src = source.points
     tgt = target.points
     if len(src) < 3:
@@ -141,18 +139,18 @@ def loop_icp(source, target, config: IcpConfig | None = None) -> IcpResult:
     if _collinear(src - src.mean(axis=0)):
         raise DegenerateGeometryError("source points are collinear; rotation is not determined")
 
-    transform = config.initial_transform
+    transform = RigidTransform.identity()
     history: list[float] = []
     converged = False
-    for iteration in range(config.max_iterations):
+    for iteration in range(icp.MAX_ITERATIONS):
         mapped = transform.apply(src)
         match_idx, match_sq = _loop_nearest_indices(mapped, tgt)
         rmsd = float(np.sqrt(np.mean(match_sq)))
         history.append(rmsd)
-        if len(history) >= 2 and abs(history[-2] - rmsd) < config.rmsd_delta_tolerance:
+        if len(history) >= 2 and abs(history[-2] - rmsd) < icp.RMSD_DELTA_TOLERANCE_MM:
             converged = True
             break
-        if iteration == config.max_iterations - 1:
+        if iteration == icp.MAX_ITERATIONS - 1:
             break  # cap reached; keep the transform the last rmsd describes
         transform, _ = absolute_orientation(PointCorrespondences(src, tgt[match_idx]))
 
@@ -824,7 +822,7 @@ def loop_run_trial(spec: SceneSpec, method: str, targets_origin: np.ndarray) -> 
     elif method == "icp":
         start = time.perf_counter()
         try:
-            estimated = icp_register(ct, device, IcpConfig()).transform
+            estimated = icp_register(ct, device).transform
         except DomainError as exc:
             status = _status_token(exc)
         elapsed = time.perf_counter() - start

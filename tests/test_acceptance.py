@@ -17,7 +17,7 @@ import pytest
 
 from fidreg.bench import SceneSpec, generate_scene, run_benchmark, summarize
 from fidreg.cli import main
-from fidreg.icp import IcpConfig, icp_register
+from fidreg.icp import icp_register
 from fidreg.markers import MarkerSet, read_marker_csv
 from fidreg.mesh import marching_cubes, write_stl
 from fidreg.rigid import (

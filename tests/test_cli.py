@@ -287,11 +287,13 @@ def test_register_accepts_config_file(tmp_path):
         ("register", "tie_epsilon_mm", "0.5"),
         ("register", "degeneracy_ratio", "1e-06"),
         ("segment", "intensity_weighted", "false"),
+        ("segment", "connectivity", "26"),
     ],
 )
 def test_retired_config_keys_exit_two(phantom_volume, tmp_path, capsys, command, key, value):
     # every vertex pairing is fitted, one fixed area ratio gates thin
-    # triangles and centroids are binary, so none of these keys is read
+    # triangles, centroids are binary and labelling is 26-connected, so
+    # none of these keys is read
     cfg = tmp_path / "old.cfg"
     out = tmp_path / "out"
     if command == "register":
@@ -486,15 +488,18 @@ def test_undecodable_text_inputs_exit_two(phantom_volume, tmp_path, capsys):
     ct = tmp_path / "ct.csv"
     write_marker_csv(MarkerSet("ct", np.array([[0.0, 0, 0], [5.0, 0, 0], [0.0, 5, 0]])), ct)
     out = tmp_path / "out"
-    for argv in (
-        ["segment", str(phantom_volume), str(bad), str(out)],
-        ["register", str(ct), str(_device_csv(tmp_path)), str(out), "--config", str(bad)],
-        ["icp", str(ct), str(_device_csv(tmp_path)), str(out), "--config", str(bad)],
-        ["simulate", str(bad), str(out)],
-        ["bench", str(bad), str(out), str(tmp_path / "s.json"), "--trials", "1"],
+    for argv, message in (
+        (["segment", str(phantom_volume), str(bad), str(out)], "not UTF-8 text"),
+        (["register", str(ct), str(_device_csv(tmp_path)), str(out), "--config", str(bad)],
+         "not UTF-8 text"),
+        # ICP has no settings, so argparse refuses the flag before any file is read.
+        (["icp", str(ct), str(_device_csv(tmp_path)), str(out), "--config", str(bad)],
+         "unrecognized arguments: --config"),
+        (["simulate", str(bad), str(out)], "not UTF-8 text"),
+        (["bench", str(bad), str(out), str(tmp_path / "s.json"), "--trials", "1"], "not UTF-8 text"),
     ):
         assert main(argv) == 2
-        assert "not UTF-8 text" in assert_one_error_line(capsys)
+        assert message in assert_one_error_line(capsys)
         assert not list(tmp_path.glob("out*")) and not (tmp_path / "s.json").exists()
 
 

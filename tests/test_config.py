@@ -17,7 +17,7 @@ from fidreg.config import (
 )
 from fidreg.bench import SceneSpec, generate_scene, run_benchmark, summarize
 from fidreg.errors import ConfigError
-from fidreg.icp import IcpConfig, icp_register
+from fidreg.icp import icp_register
 from fidreg.segmentation import SegmentationConfig
 from fidreg.triangles import RegistrationConfig, TriangleTable, register
 
@@ -114,23 +114,13 @@ GOLDEN_TEXTS = [
         RegistrationConfig(k=2, scale_tolerance_mm=0.1),
         "k = 2\nscale_tolerance_mm = 0.1\n",
     ),
-    (IcpConfig(), "max_iterations = 100\nrmsd_delta_tolerance = 1e-06\n"),
-    (
-        IcpConfig(max_iterations=7, rmsd_delta_tolerance=1e-9),
-        "max_iterations = 7\nrmsd_delta_tolerance = 1e-09\n",
-    ),
     (
         SegmentationConfig(expected_mm3=27),
-        "hu_min = 300.0\nconnectivity = 26\nexpected_mm3 = 27.0\ntolerance_fraction = 0.5\n",
+        "hu_min = 300.0\nexpected_mm3 = 27.0\ntolerance_fraction = 0.5\n",
     ),
     (
-        SegmentationConfig(
-            expected_mm3=4.5,
-            hu_min=1200.5,
-            connectivity=6,
-            tolerance_fraction=0.25,
-        ),
-        "hu_min = 1200.5\nconnectivity = 6\nexpected_mm3 = 4.5\ntolerance_fraction = 0.25\n",
+        SegmentationConfig(expected_mm3=4.5, hu_min=1200.5, tolerance_fraction=0.25),
+        "hu_min = 1200.5\nexpected_mm3 = 4.5\ntolerance_fraction = 0.25\n",
     ),
     (
         SceneSpec(n_markers=3),
@@ -160,6 +150,12 @@ GOLDEN_TEXTS = [
 def test_to_text_golden_bytes(obj, text):
     assert obj.to_text() == text
     assert type(obj).from_text(text).to_text() == text
+
+
+def test_segmentation_config_has_no_connectivity_key():
+    # Labelling is always 26-connected; naming the retired key is an error.
+    with pytest.raises(ConfigError, match="config has unknown key 'connectivity'"):
+        SegmentationConfig.from_text("expected_mm3 = 27\nconnectivity = 26\n")
 
 
 def _json_outputs():

@@ -5,9 +5,8 @@ import pytest
 
 import fidreg.icp
 from fidreg.bench import SceneSpec, generate_scene
-from fidreg.config import ConfigError
 from fidreg.errors import DegenerateGeometryError, InsufficientMarkersError
-from fidreg.icp import IcpConfig, icp_register
+from fidreg.icp import icp_register
 from fidreg.markers import MarkerSet
 from fidreg.rigid import RigidTransform, axis_angle_rotation, rotation_angle
 
@@ -53,7 +52,7 @@ def test_history_is_non_increasing():
             assert current <= previous + 1e-12
 
 
-def test_reported_transform_matches_final_rmsd():
+def test_reported_transform_matches_final_rmsd(monkeypatch):
     def rmsd_of(transform, source, target):
         mapped = transform.apply(source.points)
         d2 = np.min(
@@ -69,28 +68,29 @@ def test_reported_transform_matches_final_rmsd():
 
     # iteration-cap exit: the transform must still be the one the last
     # history entry describes, not one re-solve ahead of it
-    capped = icp_register(source, target, IcpConfig(max_iterations=3))
+    monkeypatch.setattr(fidreg.icp, "MAX_ITERATIONS", 3)
+    capped = icp_register(source, target)
     assert not capped.converged
     assert capped.iterations_used == 3
     assert len(capped.rmsd_history) == 3
     assert rmsd_of(capped.transform, source, target) == pytest.approx(capped.rmsd, abs=1e-12)
 
 
-def test_tree_path_agrees_with_brute_force_reference():
+def test_tree_path_agrees_with_brute_force_reference(monkeypatch):
     # a 40-marker scene: the exact scan must match the reference at this size too
     n = 40
     source, target, _ = scene(11, n, 0.4, 15.0)
-    config = IcpConfig(max_iterations=50)
-    result = icp_register(source, target, config)
+    monkeypatch.setattr(fidreg.icp, "MAX_ITERATIONS", 50)
+    result = icp_register(source, target)
 
-    history, transform = brute_force_icp(source.points, target.points, config)
+    history, transform = brute_force_icp(source.points, target.points)
 
     assert result.rmsd_history == history
     np.testing.assert_allclose(result.transform.rotation, transform.rotation, atol=1e-15)
     np.testing.assert_allclose(result.transform.translation, transform.translation, atol=1e-15)
 
 
-def test_large_sorted_target_set_matches_brute_force_reference():
+def test_large_sorted_target_set_matches_brute_force_reference(monkeypatch):
     # 4000 targets on a curve increasing in x, y and z, in that order: the
     # scan takes four sources at a time against every target, and still
     # matches the full distance matrix bit for bit
@@ -98,22 +98,23 @@ def test_large_sorted_target_set_matches_brute_force_reference():
     targets = np.stack([x, x * x / 400.0, 10.0 * np.sqrt(x)], axis=1)
     motion = RigidTransform(axis_angle_rotation([0.2, 0.1, 1.0], 0.01), np.array([0.4, -0.3, 0.2]))
     source = motion.apply(targets[::160])
-    config = IcpConfig(max_iterations=30)
-    result = icp_register(MarkerSet("ct", source), MarkerSet("device", targets), config)
-    history, transform = brute_force_icp(source, targets, config)
+    monkeypatch.setattr(fidreg.icp, "MAX_ITERATIONS", 30)
+    result = icp_register(MarkerSet("ct", source), MarkerSet("device", targets))
+    history, transform = brute_force_icp(source, targets)
     assert len(history) > 2
     assert result.rmsd_history == history
     np.testing.assert_allclose(result.transform.rotation, transform.rotation, atol=1e-15)
     np.testing.assert_allclose(result.transform.translation, transform.translation, atol=1e-15)
 
 
-def test_a_large_run_scans_its_sources_in_bounded_blocks():
+def test_a_large_run_scans_its_sources_in_bounded_blocks(monkeypatch):
     # 2000 sources against 2000 targets: scanned whole, one (2000, 2000)
     # distance array alone would take 32 MB
     source, target, _ = scene(5, 2000, 0.02, 1.0)
+    monkeypatch.setattr(fidreg.icp, "MAX_ITERATIONS", 3)
     tracemalloc.start()
     try:
-        result = icp_register(source, target, IcpConfig(max_iterations=3))
+        result = icp_register(source, target)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -145,20 +146,10 @@ RANK_DEFICIENT = SceneSpec(n_markers=8, noise_sigma_mm=1, dropout_count=1, decoy
     ],
 )
 @pytest.mark.parametrize("max_iterations", [1, 2, 100])
-def test_loop_matches_per_iteration_fit_bit_for_bit(spec, max_iterations):
+def test_loop_matches_per_iteration_fit_bit_for_bit(monkeypatch, spec, max_iterations):
     ct, device, _ = generate_scene(spec)
-    config = IcpConfig(max_iterations=max_iterations)
-    assert_same_bits(icp_register(ct, device, config), loop_icp(ct, device, config))
-
-
-def test_initial_transform_is_followed_bit_for_bit():
-    source, target, truth = scene(4, 9, 0.3, 12.0)
-    start = RigidTransform(axis_angle_rotation([1.0, -2.0, 0.5], 0.2), np.array([3.0, -1.0, 2.0]))
-    for max_iterations in (1, 2, 100):
-        config = IcpConfig(max_iterations=max_iterations, initial_transform=start)
-        got = icp_register(source, target, config)
-        assert_same_bits(got, loop_icp(source, target, config))
-    assert icp_register(source, target, IcpConfig(max_iterations=1, initial_transform=start)).transform is start
+    monkeypatch.setattr(fidreg.icp, "MAX_ITERATIONS", max_iterations)
+    assert_same_bits(icp_register(ct, device), loop_icp(ct, device))
 
 
 def test_insufficient_markers_either_side():
@@ -186,23 +177,6 @@ def test_collinear_source_is_degenerate():
         icp_register(MarkerSet("ct", line), target)
 
 
-def test_config_round_trip_and_validation():
-    config = IcpConfig(max_iterations=25, rmsd_delta_tolerance=1e-4)
-    assert IcpConfig.from_text(config.to_text()).max_iterations == 25
-    assert IcpConfig.from_text("") == IcpConfig()
-    with pytest.raises(ConfigError, match="max_iterations"):
-        IcpConfig(max_iterations=0)
-    with pytest.raises(ConfigError, match="rmsd_delta_tolerance"):
-        IcpConfig(rmsd_delta_tolerance=0.0)
-    for value in ("nan", "inf", "-inf"):
-        with pytest.raises(ConfigError, match="rmsd_delta_tolerance"):
-            IcpConfig(rmsd_delta_tolerance=float(value))
-        with pytest.raises(ConfigError, match="rmsd_delta_tolerance"):
-            IcpConfig.from_text(f"rmsd_delta_tolerance = {value}\n")
-    with pytest.raises(ConfigError, match="unknown key"):
-        IcpConfig.from_text("iterations = 5\n")
-
-
 def test_json_dict_shape():
     source, target, _ = scene(7, 8, 0.2, 5.0)
     result = icp_register(source, target)
@@ -222,14 +196,15 @@ FIXED_POINT_SCENES = [
 
 
 @pytest.mark.parametrize("max_iterations", [1, 2, 3, 5])
-def test_fixed_point_stop_matches_the_full_iteration_at_small_caps(max_iterations):
+def test_fixed_point_stop_matches_the_full_iteration_at_small_caps(monkeypatch, max_iterations):
     # At tolerance 1e-300 only a repeated rmsd converges, so a run stops at
     # its fixed point unless the cap comes first; at a cap of 1 or 2 the
     # stop can never be reached.
-    config = IcpConfig(max_iterations=max_iterations, rmsd_delta_tolerance=1e-300)
+    monkeypatch.setattr(fidreg.icp, "MAX_ITERATIONS", max_iterations)
+    monkeypatch.setattr(fidreg.icp, "RMSD_DELTA_TOLERANCE_MM", 1e-300)
     for spec in FIXED_POINT_SCENES:
         ct, device, _ = generate_scene(spec)
-        assert_same_bits(icp_register(ct, device, config), loop_icp(ct, device, config))
+        assert_same_bits(icp_register(ct, device), loop_icp(ct, device))
 
 
 def test_a_run_stopped_at_its_fixed_point_skips_the_last_fit(monkeypatch):
@@ -241,18 +216,22 @@ def test_a_run_stopped_at_its_fixed_point_skips_the_last_fit(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(fidreg.icp, "horn_solve", counted)
+    # (cap, tolerance): only a repeated rmsd converges, or a cap of 3.
+    settings = ((fidreg.icp.MAX_ITERATIONS, 1e-300), (3, fidreg.icp.RMSD_DELTA_TOLERANCE_MM))
     stopped = capped = 0
     for spec in FIXED_POINT_SCENES:
         ct, device, _ = generate_scene(spec)
-        for config in (IcpConfig(rmsd_delta_tolerance=1e-300), IcpConfig(max_iterations=3)):
+        for cap, tolerance in settings:
+            monkeypatch.setattr(fidreg.icp, "MAX_ITERATIONS", cap)
+            monkeypatch.setattr(fidreg.icp, "RMSD_DELTA_TOLERANCE_MM", tolerance)
             fits.clear()
-            result = icp_register(ct, device, config)
-            assert_same_bits(result, loop_icp(ct, device, config))
+            result = icp_register(ct, device)
+            assert_same_bits(result, loop_icp(ct, device))
             if not result.converged:
                 # Capped: one fit per history entry but the last, as before.
                 assert len(fits) == result.iterations_used - 1
                 capped += 1
-            elif config.rmsd_delta_tolerance == 1e-300:
+            elif tolerance == 1e-300:
                 # Only a repeated rmsd converges here, and it repeats at the
                 # fixed point: the full iteration would fit once more.
                 assert len(fits) == result.iterations_used - 2

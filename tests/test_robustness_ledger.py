@@ -33,11 +33,11 @@ def grid_counts() -> dict:
     counts = grid["parse_list"](args.counts, int, "counts")
     sigmas = grid["parse_list"](args.sigmas, float, "sigmas")
     methods = args.methods.split(",")
-    configs = {"triangle": grid["RegistrationConfig"](), "icp": grid["IcpConfig"]()}
+    config = grid["RegistrationConfig"]()
     cells = []
     for cell, cell_scenes in grid["scenes"](counts, sigmas, args.seeds, args.seed_base):
         for method in methods:
-            rates = grid["run_cell"](method, configs[method], cell_scenes)
+            rates = grid["run_cell"](method, config, cell_scenes)
             cells.append({
                 **cell, "method": method,
                 **{name: round(rates[rate] * rates["trials"]) for name, rate in COUNTS.items()},

@@ -63,49 +63,46 @@ def test_threshold_matches_float_comparison(hu_min):
     assert np.array_equal(mask.bits, _THRESHOLD_VOXELS >= hu_min)
 
 
-@pytest.mark.parametrize(
-    "connectivity,expected_count",
-    [(6, 2), (18, 2), (26, 1)],
-)
+@pytest.mark.parametrize("connectivity,expected_count", [(26, 1)])
 def test_corner_touching_pair(connectivity, expected_count):
     # voxels at (0,0,0) and (1,1,1) share only a corner
     bits = np.zeros((2, 2, 2), dtype=bool)
     bits[0, 0, 0] = True
     bits[1, 1, 1] = True
-    comps = connected_components(BinaryMask((2, 2, 2), bits), connectivity)
+    comps = connected_components(BinaryMask((2, 2, 2), bits))
     assert len(comps) == expected_count
+    assert mask_from_sets(comps) == flood_fill_partition(bits, connectivity)
 
 
-@pytest.mark.parametrize("connectivity,expected_count", [(6, 2), (18, 1), (26, 1)])
+@pytest.mark.parametrize("connectivity,expected_count", [(26, 1)])
 def test_edge_touching_pair(connectivity, expected_count):
     # voxels at (0,0,0) and (1,1,0) share an edge
     bits = np.zeros((2, 2, 1), dtype=bool)
     bits[0, 0, 0] = True
     bits[1, 1, 0] = True
-    comps = connected_components(BinaryMask((2, 2, 1), bits), connectivity)
+    comps = connected_components(BinaryMask((2, 2, 1), bits))
     assert len(comps) == expected_count
+    assert mask_from_sets(comps) == flood_fill_partition(bits, connectivity)
 
 
 def test_face_touching_pair_joins_everywhere():
     bits = np.zeros((2, 1, 1), dtype=bool)
     bits[:, 0, 0] = True
-    for connectivity in (6, 18, 26):
-        comps = connected_components(BinaryMask((2, 1, 1), bits), connectivity)
-        assert len(comps) == 1
-        assert comps[0].voxel_count == 2
+    comps = connected_components(BinaryMask((2, 1, 1), bits))
+    assert len(comps) == 1
+    assert comps[0].voxel_count == 2
 
 
 @settings(max_examples=30)
 @given(
     st.integers(0, 2**48 - 1),
-    st.sampled_from([6, 18, 26]),
     st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
 )
-def test_partition_matches_flood_fill_reference(seed_bits, connectivity, dims):
+def test_partition_matches_flood_fill_reference(seed_bits, dims):
     rng = np.random.default_rng(seed_bits)
     bits = rng.random(dims) < 0.4
-    comps = connected_components(BinaryMask(dims, bits), connectivity)
-    assert mask_from_sets(comps) == flood_fill_partition(bits, connectivity)
+    comps = connected_components(BinaryMask(dims, bits))
+    assert mask_from_sets(comps) == flood_fill_partition(bits, 26)
     # components partition the set voxels
     assert sum(c.voxel_count for c in comps) == int(bits.sum())
 
@@ -116,7 +113,7 @@ def test_labels_follow_x_fastest_first_encounter():
     bits[4, 0, 0] = True  # linear index 4
     bits[0, 2, 0] = True  # linear index 10
     bits[2, 0, 2] = True  # linear index 32
-    comps = connected_components(BinaryMask((5, 3, 3), bits), 26)
+    comps = connected_components(BinaryMask((5, 3, 3), bits))
     assert [c.label for c in comps] == [1, 2, 3]
     firsts = [tuple(c.voxel_indices[0]) for c in comps]
     assert firsts == [(4, 0, 0), (0, 2, 0), (2, 0, 2)]
@@ -124,18 +121,18 @@ def test_labels_follow_x_fastest_first_encounter():
 
 def test_size_filter_interval_is_closed():
     bits_small = np.ones((1, 1, 1), dtype=bool)
-    comps = connected_components(BinaryMask((1, 1, 1), bits_small), 26)
+    comps = connected_components(BinaryMask((1, 1, 1), bits_small))
     # expected 2 mm^3, tolerance 0.5 -> closed interval [1, 3]
     assert filter_by_size(comps, (1, 1, 1), expected_mm3=2.0, tolerance_fraction=0.5)
     assert not filter_by_size(comps, (1, 1, 1), expected_mm3=2.0 + 1e-9, tolerance_fraction=0.5)
     bits_big = np.ones((3, 1, 1), dtype=bool)
-    comps3 = connected_components(BinaryMask((3, 1, 1), bits_big), 26)
+    comps3 = connected_components(BinaryMask((3, 1, 1), bits_big))
     assert filter_by_size(comps3, (1, 1, 1), expected_mm3=2.0, tolerance_fraction=0.5)
     assert not filter_by_size(comps3, (1, 1, 1), expected_mm3=2.0 - 1e-9, tolerance_fraction=0.5)
 
 
 def test_size_filter_uses_physical_spacing():
-    comps = connected_components(BinaryMask((1, 1, 1), np.ones((1, 1, 1), bool)), 26)
+    comps = connected_components(BinaryMask((1, 1, 1), np.ones((1, 1, 1), bool)))
     # one voxel at 0.5 x 0.5 x 2.0 mm = 0.5 mm^3
     assert filter_by_size(comps, (0.5, 0.5, 2.0), expected_mm3=0.5, tolerance_fraction=0.1)
     assert not filter_by_size(comps, (1.0, 1.0, 1.0), expected_mm3=0.5, tolerance_fraction=0.1)
@@ -150,7 +147,7 @@ def rasterize_sphere(center_idx, radius_vox, dims, inside=3000, outside=0):
 def test_sphere_centroid_is_exact_by_symmetry():
     vox = rasterize_sphere((8, 9, 10), 4.0, (20, 20, 20))
     volume = make_volume(vox, spacing=(0.7, 0.8, 0.9), origin=(-3.0, 2.0, 11.0))
-    comps = connected_components(threshold_volume(volume, 300.0), 26)
+    comps = connected_components(threshold_volume(volume, 300.0))
     assert len(comps) == 1
     centroid = component_centroid(comps[0], volume)
     expected = np.array([-3.0 + 8 * 0.7, 2.0 + 9 * 0.8, 11.0 + 10 * 0.9])
@@ -200,19 +197,12 @@ def test_insufficient_markers_message():
 
 
 def test_config_round_trip_and_validation():
-    config = SegmentationConfig(
-        expected_mm3=65.4,
-        hu_min=250.0,
-        connectivity=18,
-        tolerance_fraction=0.25,
-    )
+    config = SegmentationConfig(expected_mm3=65.4, hu_min=250.0, tolerance_fraction=0.25)
     assert SegmentationConfig.from_text(config.to_text()) == config
     with pytest.raises(ConfigError, match="expected_mm3"):
         SegmentationConfig.from_text("hu_min = 300\n")
     with pytest.raises(ConfigError, match="unknown key"):
         SegmentationConfig.from_text("expected_mm3 = 27\nhu_max = 2\n")
-    with pytest.raises(ConfigError, match="connectivity"):
-        SegmentationConfig(expected_mm3=27.0, connectivity=8)
     with pytest.raises(ConfigError, match="tolerance_fraction"):
         SegmentationConfig(expected_mm3=27.0, tolerance_fraction=1.0)
     with pytest.raises(ConfigError, match="positive"):

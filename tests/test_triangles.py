@@ -571,6 +571,17 @@ def test_config_round_trip_and_validation():
         RegistrationConfig.from_text("knn = 3\n")
 
 
+@pytest.mark.parametrize("k", [2.5, True, "3", None])
+def test_config_refuses_a_k_that_is_not_an_integer(k):
+    # register needs an integer shape-neighbour count; refuse others when built.
+    with pytest.raises(ConfigError, match="k must be an integer"):
+        RegistrationConfig(k=k)
+
+
+def test_config_takes_a_numpy_integer_k():
+    assert RegistrationConfig(k=np.int64(3)).k == 3
+
+
 def thin_triangles(rng, count, scale, offset):
     """Triangles whose area / e1**2 spreads over 0.05 .. 20 * DEGENERACY_RATIO."""
     a = rng.normal(size=(count, 3))

@@ -131,6 +131,30 @@ def test_spacing_must_be_positive():
         Volume.from_voxels(np.zeros((2, 2, 2), np.int16), (0.0, 1.0, 1.0), (0, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "voxels, bad",
+    [
+        ([[[40000.0, 1.7], [np.nan, -1.2]]], "40000.0"),  # a metal-bright marker
+        ([[[1.0, 1.7]]], "1.7"),
+        ([[[0.0, np.nan]]], "nan"),
+        (np.array([[[70000]]], dtype=np.int64), "70000"),
+        (np.array([[[-32769]]], dtype=np.int32), "-32769"),
+    ],
+)
+def test_from_voxels_refuses_values_int16_cannot_hold(voxels, bad):
+    # Wrapped, a metal-bright 40000 HU reads -25536 (air) and its marker drops out.
+    with pytest.raises(ValueError, match=f"voxel value {bad} is not an int16 integer"):
+        Volume.from_voxels(np.array(voxels), (1, 1, 1))
+
+
+def test_from_voxels_keeps_values_int16_holds():
+    given = np.array([[[-32768.0, 32767.0], [0.0, -0.0]]])
+    vol = Volume.from_voxels(given, (1, 1, 1))
+    assert vol.voxels.dtype == np.int16
+    assert vol.voxels.tolist() == [[[-32768, 32767], [0, 0]]]
+    assert Volume.from_voxels(np.array([[[True, False]]]), (1, 1, 1)).voxels.tolist() == [[[1, 0]]]
+
+
 def test_voxels_read_only():
     vol = Volume.from_voxels(np.zeros((2, 2, 2), np.int16), (1, 1, 1), (0, 0, 0))
     with pytest.raises(ValueError):
