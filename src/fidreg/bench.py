@@ -81,7 +81,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FLOAT, INT, TRIPLE, kv_int, read_fields, write_fields, write_json
+from .config import (
+    format_float, integer, kv_float, kv_int, kv_triple, read_fields, real, write_json,
+)
 from .errors import ConfigError, DomainError
 from .markers import MarkerSet
 from .icp import icp_register
@@ -100,14 +102,6 @@ GROSS_TRE_MM = 10.0
 _BOX_SIGNS = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
 
 
-def _format_transform(transform: RigidTransform | str) -> str:
-    if transform == "random":
-        return "random"
-    if transform == RigidTransform.identity():
-        return "identity"
-    raise ConfigError("only 'random' and 'identity' transforms have a text form")
-
-
 def _kv_seed(kv: dict[str, str], key: str) -> int:
     # SceneSpec wraps any integer onto the rng's seeds; text must name one.
     seed = kv_int(kv, key)
@@ -118,14 +112,14 @@ def _kv_seed(kv: dict[str, str], key: str) -> int:
 
 # ``true_transform`` is read as the raw word; SceneSpec validates it.
 _SPEC_FIELDS = {
-    "n_markers": INT,
-    "noise_sigma_mm": FLOAT,
-    "dropout_count": INT,
-    "decoy_count": INT,
-    "seed": (_kv_seed, str),
-    "placement_extent": TRIPLE,
-    "translation_extent": TRIPLE,
-    "true_transform": (lambda kv, key: kv[key], _format_transform),
+    "n_markers": kv_int,
+    "noise_sigma_mm": kv_float,
+    "dropout_count": kv_int,
+    "decoy_count": kv_int,
+    "seed": _kv_seed,
+    "placement_extent": kv_triple,
+    "translation_extent": kv_triple,
+    "true_transform": lambda kv, key: kv[key],
 }
 
 
@@ -143,13 +137,15 @@ class SceneSpec:
     true_transform: RigidTransform | str = "random"
 
     def __post_init__(self) -> None:
-        self.n_markers = int(self.n_markers)
-        self.noise_sigma_mm = float(self.noise_sigma_mm)
-        self.dropout_count = int(self.dropout_count)
-        self.decoy_count = int(self.decoy_count)
-        self.seed = int(self.seed) % (1 << 64)
-        self.placement_extent = tuple(float(e) for e in self.placement_extent)
-        self.translation_extent = tuple(float(e) for e in self.translation_extent)
+        self.n_markers = integer(self.n_markers, "n_markers")
+        self.noise_sigma_mm = real(self.noise_sigma_mm, "noise_sigma_mm")
+        self.dropout_count = integer(self.dropout_count, "dropout_count")
+        self.decoy_count = integer(self.decoy_count, "decoy_count")
+        self.seed = integer(self.seed, "seed") % (1 << 64)
+        self.placement_extent = tuple(real(e, "placement_extent") for e in self.placement_extent)
+        self.translation_extent = tuple(
+            real(e, "translation_extent") for e in self.translation_extent
+        )
         if self.n_markers < 3:
             raise ConfigError("n_markers must be at least 3")
         if not (0.0 <= self.noise_sigma_mm < math.inf):
@@ -177,9 +173,6 @@ class SceneSpec:
     @classmethod
     def from_text(cls, text: str) -> "SceneSpec":
         return cls(**read_fields(text, _SPEC_FIELDS, required=("n_markers",)))
-
-    def to_text(self) -> str:
-        return write_fields(self, _SPEC_FIELDS)
 
 
 def parse_scene_grid(text: str) -> list[SceneSpec]:
@@ -278,7 +271,7 @@ class TrialRecord:
 
 
 # The records columns: every TrialRecord field, in order, with its writer.
-_COLUMN_WRITERS = {"int": INT[1], "float": FLOAT[1], "bool": lambda b: str(b).lower(), "str": str}
+_COLUMN_WRITERS = {"int": str, "float": format_float, "bool": lambda b: str(b).lower(), "str": str}
 _COLUMNS = tuple(
     (field.name, _COLUMN_WRITERS[field.type]) for field in dataclasses.fields(TrialRecord)
 )
@@ -363,6 +356,7 @@ def run_benchmark(
     token and nan errors, never exceptions.  Each trial's scene is drawn
     once and shared by the methods, so one spec's scenes are held at a time.
     """
+    trials_per_cell = integer(trials_per_cell, "trials_per_cell")
     if trials_per_cell < 1:
         raise ConfigError("trials_per_cell must be >= 1")
     if not methods:

@@ -1,13 +1,14 @@
-"""Flat key/value config blocks.
+"""Flat key/value config blocks, and the type check of every option value.
 
 All on-disk configs use the same trivial format: one ``key = value`` pair per
-line, ``#`` comments, blank lines ignored. Values keep full round-trip float
-precision (shortest decimal that parses back exactly, i.e. Python ``repr``).
+line, ``#`` comments, blank lines ignored. fidreg reads them, never writes.
+Each format is one field table, ``{key: parser}`` such as :func:`kv_int`,
+and :func:`read_fields` is its only reader.
 
-Each text format is one field table, ``{key: kind}`` in output order, where a
-kind is a ``(parse, format)`` pair such as :data:`INT` or :data:`FLOAT`.
-:func:`read_fields` and :func:`write_fields` are the only reader and writer,
-so a format's keys, their order and their spelling live in its table alone.
+:func:`integer` and :func:`real` are the only type checks of option values:
+a config class passes every field through one of them before its range
+checks. A ``bool``, ``str`` or ``None`` is refused, not coerced, and a numpy
+scalar becomes a plain number.
 
 :func:`write_json` is the one writer of fidreg's JSON outputs.
 """
@@ -15,6 +16,7 @@ so a format's keys, their order and their spelling live in its table alone.
 from __future__ import annotations
 
 import json
+import numbers
 
 from .errors import ConfigError
 
@@ -36,10 +38,6 @@ def parse_number(text: str, kind: type = float):
     if not text.isascii() or "_" in text:
         raise ValueError(f"not a plain ASCII number: {text!r}")
     return kind(text)
-
-
-def format_triple(v) -> str:
-    return " ".join(format_float(c) for c in v)
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -64,10 +62,6 @@ def parse_kv_text(text: str) -> dict[str, str]:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
-
-
-def format_kv(pairs: dict[str, str]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in pairs.items())
 
 
 def kv_float(kv: dict[str, str], key: str) -> float:
@@ -104,11 +98,6 @@ def require_keys(kv: dict[str, str], required: tuple[str, ...], known: tuple[str
             raise ConfigError(f"config has unknown key {key!r}")
 
 
-INT = (kv_int, str)
-FLOAT = (kv_float, format_float)
-TRIPLE = (kv_triple, format_triple)
-
-
 def read_fields(text: str, fields: dict, required: tuple[str, ...] = ()) -> dict:
     """Parse ``text`` against a field table into constructor keyword arguments.
 
@@ -117,9 +106,19 @@ def read_fields(text: str, fields: dict, required: tuple[str, ...] = ()) -> dict
     """
     kv = parse_kv_text(text)
     require_keys(kv, required=required, known=tuple(fields))
-    return {key: parse(kv, key) for key, (parse, _) in fields.items() if key in kv}
+    return {key: parse(kv, key) for key, parse in fields.items() if key in kv}
 
 
-def write_fields(obj, fields: dict) -> str:
-    """Format every field of ``obj`` named in the table, in table order."""
-    return format_kv({key: fmt(getattr(obj, key)) for key, (_, fmt) in fields.items()})
+# Each check tests the plain type first: the ABC test costs several times more.
+def integer(value, key: str) -> int:
+    """``value`` as a plain int: an int or numpy integer, never a bool."""
+    if type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def real(value, key: str) -> float:
+    """``value`` as a plain float: an int, float or numpy number, never a bool."""
+    if type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{key} must be a number, got {value!r}")

@@ -22,15 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FLOAT, ConfigError, read_fields, write_fields
+from .config import ConfigError, kv_float, read_fields, real
 from .errors import FormatError, InsufficientMarkersError
 from .markers import MarkerSet
 from .volume import Volume, _concat_ranges
 
 _SEG_FIELDS = {
-    "hu_min": FLOAT,
-    "expected_mm3": FLOAT,
-    "tolerance_fraction": FLOAT,
+    "hu_min": kv_float,
+    "expected_mm3": kv_float,
+    "tolerance_fraction": kv_float,
 }
 
 
@@ -44,6 +44,9 @@ class SegmentationConfig:
     tolerance_fraction: float = 0.5
 
     def __post_init__(self):
+        self.expected_mm3 = real(self.expected_mm3, "expected_mm3")
+        self.hu_min = real(self.hu_min, "hu_min")
+        self.tolerance_fraction = real(self.tolerance_fraction, "tolerance_fraction")
         if not (0 < self.expected_mm3 < math.inf):
             raise ConfigError(
                 f"expected_mm3 must be positive and finite, got {self.expected_mm3!r}"
@@ -58,9 +61,6 @@ class SegmentationConfig:
     @classmethod
     def from_text(cls, text: str) -> "SegmentationConfig":
         return cls(**read_fields(text, _SEG_FIELDS, required=("expected_mm3",)))
-
-    def to_text(self) -> str:
-        return write_fields(self, _SEG_FIELDS)
 
 
 @dataclass(eq=False)

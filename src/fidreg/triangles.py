@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import FLOAT, INT, ConfigError, read_fields, write_fields
+from .config import ConfigError, integer, kv_float, kv_int, read_fields, real
 from .errors import DegenerateTriangleError, InsufficientMarkersError, NoMatchError
 from .markers import SCAN_BLOCK, MarkerSet, check_coordinates, nearest_markers
 from .rigid import (
@@ -47,8 +46,8 @@ from .rigid import (
 DEGENERACY_RATIO = 1e-6
 
 _REG_FIELDS = {
-    "k": INT,
-    "scale_tolerance_mm": FLOAT,
+    "k": kv_int,
+    "scale_tolerance_mm": kv_float,
 }
 
 
@@ -60,14 +59,9 @@ class RegistrationConfig:
     scale_tolerance_mm: float = 5.0
 
     def __post_init__(self):
-        # bool is an int subclass; a shape-neighbour count of True is a slip.
-        try:
-            k = None if isinstance(self.k, bool) else operator.index(self.k)
-        except TypeError:
-            k = None
-        if k is None:
-            raise ConfigError(f"k must be an integer, got {self.k!r}")
-        if k < 1:
+        self.k = integer(self.k, "k")
+        self.scale_tolerance_mm = real(self.scale_tolerance_mm, "scale_tolerance_mm")
+        if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k!r}")
         if not (0 <= self.scale_tolerance_mm < math.inf):
             raise ConfigError("scale_tolerance_mm must be non-negative and finite")
@@ -75,9 +69,6 @@ class RegistrationConfig:
     @classmethod
     def from_text(cls, text: str) -> "RegistrationConfig":
         return cls(**read_fields(text, _REG_FIELDS))
-
-    def to_text(self) -> str:
-        return write_fields(self, _REG_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -314,6 +305,10 @@ class TriangleTable:
         Ordered by (distance, insertion order); fewer than ``k`` when the
         table is smaller.
         """
+        try:
+            k = integer(k, "k")
+        except ConfigError as exc:
+            raise ValueError(str(exc)) from None
         if k < 1:
             raise ValueError("k must be >= 1")
         index, distance = _nearest_keys(np.array([[key.r2, key.r3]]), self.keys, k)

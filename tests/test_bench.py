@@ -190,16 +190,13 @@ def test_spec_text_round_trip():
         seed=314,
         placement_extent=(250.0, 250.0, 100.0),
     )
-    assert SceneSpec.from_text(spec.to_text()) == spec
-    identity = SceneSpec(n_markers=4, true_transform="identity")
-    again = SceneSpec.from_text(identity.to_text())
-    assert again.true_transform == RigidTransform.identity()
-    explicit = SceneSpec(
-        n_markers=4,
-        true_transform=RigidTransform(axis_angle_rotation([1, 0, 0], 0.1), np.zeros(3)),
+    text = (
+        "n_markers = 9\nnoise_sigma_mm = 2.5\ndropout_count = 1\ndecoy_count = 2\n"
+        "seed = 314\nplacement_extent = 250 250 100\n"
     )
-    with pytest.raises(ConfigError, match="text form"):
-        explicit.to_text()
+    assert SceneSpec.from_text(text) == spec
+    again = SceneSpec.from_text("n_markers = 4\ntrue_transform = identity\n")
+    assert again.true_transform == RigidTransform.identity()
 
 
 def test_parse_scene_grid_blocks_and_errors():

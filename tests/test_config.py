@@ -1,13 +1,14 @@
+import functools
 import json
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fidreg.config import (
     format_float,
-    format_kv,
-    format_triple,
     kv_float,
     kv_int,
     kv_triple,
@@ -50,15 +51,9 @@ def test_format_float_is_repr_style():
     assert format_float(2) == "2.0"
 
 
-def test_format_kv_and_reparse():
-    pairs = {"alpha": "1.5", "beta": "x y z"}
-    assert parse_kv_text(format_kv(pairs)) == pairs
-
-
 def test_triple_round_trip():
-    t = (1.5, -2.25, 1e-9)
-    kv = parse_kv_text(f"p = {format_triple(t)}")
-    assert kv_triple(kv, "p") == t
+    kv = parse_kv_text("p = 1.5 -2.25 1e-09")
+    assert kv_triple(kv, "p") == (1.5, -2.25, 1e-9)
 
 
 def test_kv_helpers_errors():
@@ -103,8 +98,8 @@ def test_nan_not_finite_checked_here():
     assert math.isinf(float(format_float(float("inf"))))
 
 
-# The exact bytes of each text format: key order, float spelling and the
-# transform words.  Round trips alone would not notice a change.
+# A golden text of each format and the object it reads as: key spelling,
+# float spelling and the transform words.
 GOLDEN_TEXTS = [
     (
         RegistrationConfig(),
@@ -147,9 +142,79 @@ GOLDEN_TEXTS = [
 
 
 @pytest.mark.parametrize("obj, text", GOLDEN_TEXTS)
-def test_to_text_golden_bytes(obj, text):
-    assert obj.to_text() == text
-    assert type(obj).from_text(text).to_text() == text
+def test_from_text_golden_text(obj, text):
+    assert type(obj).from_text(text) == obj
+
+
+def _seg(**options):
+    return SegmentationConfig(**{"expected_mm3": 27.0, **options})
+
+
+def _spec(**options):
+    return SceneSpec(**{"n_markers": 6, **options})
+
+
+def _bench(trials_per_cell):
+    """What run_benchmark made of ``trials_per_cell``: the trials it ran."""
+    records = run_benchmark([SceneSpec(n_markers=3, seed=1)], methods=("icp",),
+                            trials_per_cell=trials_per_cell)
+    return SimpleNamespace(trials_per_cell=len(records))
+
+
+# (build, key, kind) for every option value a library caller passes; an
+# extent's value goes into its first slot.
+OPTIONS = [
+    (RegistrationConfig, "k", int),
+    (RegistrationConfig, "scale_tolerance_mm", float),
+    (_seg, "expected_mm3", float),
+    (_seg, "hu_min", float),
+    (_seg, "tolerance_fraction", float),
+    (_spec, "n_markers", int),
+    (_spec, "noise_sigma_mm", float),
+    (_spec, "dropout_count", int),
+    (_spec, "decoy_count", int),
+    (_spec, "seed", int),
+    (_spec, "placement_extent", float),
+    (_spec, "translation_extent", float),
+    (_bench, "trials_per_cell", int),
+]
+
+
+def _option(build, key, value):
+    if key.endswith("_extent"):
+        value = (value, 100.0, 100.0)
+    return functools.partial(build, **{key: value})
+
+
+WRONG_VALUES = [
+    pytest.param(_option(build, key, value), key, id=f"{key}={value!r}")
+    for build, key, kind in OPTIONS
+    for value in [True, np.True_, "3", None] + ([3.0, np.float64(3.0)] if kind is int else [])
+] + [
+    # Values the old coercions let through or met with a bare TypeError.
+    pytest.param(lambda: SceneSpec(n_markers=3.9, seed=2.7), "n_markers", id="n3.9-seed2.7"),
+    pytest.param(lambda: SceneSpec(n_markers="5", placement_extent="123"), "n_markers",
+                 id="str-n-and-extent"),
+    pytest.param(lambda: SceneSpec(n_markers=5, placement_extent="123"), "placement_extent",
+                 id="str-extent"),
+    pytest.param(lambda: SegmentationConfig(expected_mm3="27"), "expected_mm3", id="str-mm3"),
+    pytest.param(lambda: _bench(2.5), "trials_per_cell", id="trials2.5"),
+]
+
+
+@pytest.mark.parametrize("build, key", WRONG_VALUES)
+def test_option_values_of_the_wrong_type_are_refused(build, key):
+    with pytest.raises(ConfigError, match=f"^{key} must be (an integer|a number), got "):
+        build()
+
+
+@pytest.mark.parametrize("build, key, kind", OPTIONS)
+def test_numpy_scalar_options_become_plain_numbers(build, key, kind):
+    value = np.int64(3) if kind is int else np.float32(0.5)
+    stored = getattr(_option(build, key, value)(), key)
+    if key.endswith("_extent"):
+        stored = stored[0]
+    assert type(stored) is kind and stored == value
 
 
 def test_segmentation_config_has_no_connectivity_key():

