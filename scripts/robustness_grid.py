@@ -24,7 +24,6 @@ is --counts 3,4,6,8,10,20,40 (three markers is the paper's case) and
 --sigmas 0.5,1,2,3 mm.
 """
 
-import argparse
 import json
 import sys
 
@@ -38,8 +37,9 @@ from fidreg.bench import (
     generate_scene,
     target_registration_error,
 )
-from fidreg.config import write_json
-from fidreg.errors import ConfigError
+from fidreg.cli import _Parser, _plain_int
+from fidreg.config import parse_number, write_json
+from fidreg.errors import ConfigError, FormatError
 from fidreg.markers import MarkerSet
 from fidreg.rigid import RigidTransform
 from fidreg.rng import SplitMix64
@@ -63,9 +63,11 @@ LAYOUTS = {
 
 
 def parse_args(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=60, help="scenes per cell")
-    parser.add_argument("--seed-base", type=int, default=1000, help="seed of each cell's first scene")
+    parser = _Parser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=_plain_int, default=60, help="scenes per cell")
+    parser.add_argument(
+        "--seed-base", type=_plain_int, default=1000, help="seed of each cell's first scene"
+    )
     parser.add_argument(
         "--counts", default="3,4,6,8,10,20,40", help="comma-separated marker counts"
     )
@@ -79,7 +81,7 @@ def parse_args(argv=None):
 
 def parse_list(text, kind, name):
     try:
-        return [kind(item) for item in text.split(",")]
+        return [parse_number(item, kind) for item in text.split(",")]
     except ValueError:
         raise ConfigError(f"--{name} must be a comma-separated list, got {text!r}") from None
 
@@ -145,8 +147,8 @@ def run_cell(method, config, cell_scenes):
 
 
 def main(argv=None):
-    args = parse_args(argv)
     try:
+        args = parse_args(argv)
         counts = parse_list(args.counts, int, "counts")
         sigmas = parse_list(args.sigmas, float, "sigmas")
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -168,7 +170,7 @@ def main(argv=None):
                     f"gross {cells[-1]['gross_error_rate']:.3f}",
                     file=sys.stderr,
                 )
-    except ConfigError as exc:
+    except FormatError as exc:  # a bad flag or flag value
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {

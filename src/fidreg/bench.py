@@ -123,6 +123,14 @@ _SPEC_FIELDS = {
 }
 
 
+def _lengths(extent, key: str) -> tuple:
+    """The items of ``extent`` as plain floats; SceneSpec checks their count and range."""
+    try:
+        return tuple(real(e, key) for e in extent)
+    except TypeError:  # not iterable
+        raise ConfigError(f"{key} must be three positive finite lengths") from None
+
+
 @dataclass
 class SceneSpec:
     """One benchmark cell: marker count, corruption levels, geometry, seed."""
@@ -142,10 +150,8 @@ class SceneSpec:
         self.dropout_count = integer(self.dropout_count, "dropout_count")
         self.decoy_count = integer(self.decoy_count, "decoy_count")
         self.seed = integer(self.seed, "seed") % (1 << 64)
-        self.placement_extent = tuple(real(e, "placement_extent") for e in self.placement_extent)
-        self.translation_extent = tuple(
-            real(e, "translation_extent") for e in self.translation_extent
-        )
+        self.placement_extent = _lengths(self.placement_extent, "placement_extent")
+        self.translation_extent = _lengths(self.translation_extent, "translation_extent")
         if self.n_markers < 3:
             raise ConfigError("n_markers must be at least 3")
         if not (0.0 <= self.noise_sigma_mm < math.inf):

@@ -60,6 +60,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _plain_int(text: str) -> int:
+    try:
+        return parse_number(text, int)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+
+
 def _join_iso_value(argv: list[str]) -> list[str]:
     """Pass ``--iso VALUE`` on as ``--iso=VALUE`` when VALUE starts with '-'.
 
@@ -233,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid", help="scene-spec blocks separated by blank lines")
     p.add_argument("out_csv", help="per-trial records CSV")
     p.add_argument("out_json", help="per-cell summary JSON")
-    p.add_argument("--trials", type=int, default=10, help="trials per cell (default 10)")
+    p.add_argument("--trials", type=_plain_int, default=10, help="trials per cell (default 10)")
     p.add_argument(
         "--methods",
         default=",".join(METHODS),

@@ -144,9 +144,11 @@ class _Shapes(NamedTuple):
 def _triangle_shapes(points: np.ndarray) -> _Shapes:
     """Shape keys of a stack of triangles (N, 3, 3).
 
-    A row is degenerate (``shaped`` False) for coincident points, area below
-    ``DEGENERACY_RATIO * e1**2``, or edge ratios that round to no triangle
-    (r2 + r3 <= 1).
+    A row is degenerate (``shaped`` False) for coincident points or area
+    below ``DEGENERACY_RATIO * e1**2``. That gate alone keeps r2 + r3 > 1: an
+    apex at height h >= 2 * DEGENERACY_RATIO * e1 puts e2 + e3 - e1 at
+    h**2 / e1 or more, so r2 + r3 - 1 >= (2 * DEGENERACY_RATIO)**2 = 4e-12,
+    far above rounding.
     """
     edges = _edge_lengths(points)
     e1 = edges.max(axis=-1)
@@ -155,7 +157,7 @@ def _triangle_shapes(points: np.ndarray) -> _Shapes:
     perm = _canonical_perms(edges)
     with np.errstate(divide="ignore", invalid="ignore"):
         key = edges[np.arange(len(edges))[:, None], perm[:, 1:]] / e1[:, None]
-    shaped = (e1 > 0.0) & ~(area < DEGENERACY_RATIO * e1 * e1) & (key[:, 0] + key[:, 1] > 1.0)
+    shaped = (e1 > 0.0) & ~(area < DEGENERACY_RATIO * e1 * e1)
     return _Shapes(perm, e1, area, key, shaped)
 
 
@@ -173,11 +175,8 @@ def triangle_key(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> TriangleKey:
     if not shapes.shaped[0]:
         if not longest > 0.0:
             raise DegenerateTriangleError("coincident points have no triangle shape")
-        area = float(shapes.area[0])
         raise DegenerateTriangleError(
-            f"triangle too thin: area {area:.6g} < {DEGENERACY_RATIO:g} * e1^2"
-            if area < DEGENERACY_RATIO * longest * longest
-            else "triangle too thin: its edge ratios round to a straight line"
+            f"triangle too thin: area {float(shapes.area[0]):.6g} < {DEGENERACY_RATIO:g} * e1^2"
         )
     r2, r3 = shapes.key[0].tolist()
     return TriangleKey(r2=r2, r3=r3, e1=longest)

@@ -49,6 +49,8 @@ def test_blank_method_entries_are_dropped(tmp_path):
         (["--methods", " , "], "error: no method given"),
         (["--methods", "triangle,affine"], "error: unknown method 'affine'"),
         (["--trials", "0"], "error: trials_per_cell must be >= 1"),
+        (["--trials", "1_0"], "error: argument --trials: must be an integer, got '1_0'"),
+        (["--trials", "\u0663"], "error: argument --trials: must be an integer, got '\u0663'"),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, flags, message):

@@ -93,7 +93,9 @@ def test_mesh_writes_stl_and_obj(phantom_volume, tmp_path, capsys):
 
     obj = tmp_path / "skin.obj"
     assert main(["mesh", str(phantom_volume), str(obj), "--iso", "1500"]) == 0
-    assert obj.read_text().startswith("#")
+    text = obj.read_text()
+    assert text.startswith("#")
+    assert sum(line.startswith("f ") for line in text.splitlines()) == n_faces
 
     assert main(["mesh", str(phantom_volume), str(tmp_path / "skin.ply")]) == 2
     assert "must end in .stl or .obj" in capsys.readouterr().err
@@ -585,3 +587,69 @@ def test_a_scene_beyond_the_coordinate_bound_exits_two_and_writes_nothing(tmp_pa
     assert main(["bench", str(spec), str(csv_out), str(json_out), "--trials", "1"]) == 2
     assert assert_one_error_line(capsys) == err
     assert not csv_out.exists() and not json_out.exists()
+
+
+def test_register_with_no_scale_tolerance_exits_one_and_writes_nothing(tmp_path, capsys):
+    spec = write_spec(tmp_path, "n_markers = 6\nnoise_sigma_mm = 0.5\nseed = 7\n")
+    prefix = tmp_path / "s"
+    assert main(["simulate", str(spec), str(prefix)]) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "strict.cfg"
+    cfg.write_text("scale_tolerance_mm = 0\n")
+    out = tmp_path / "o.json"
+    argv = ["register", f"{prefix}_ct.csv", f"{prefix}_device.csv", str(out), "--config", str(cfg)]
+    assert main(argv) == 1
+    assert assert_one_error_line(capsys).startswith(
+        "error: no device triangle passed scale verification; best rejected candidate: "
+    )
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_fractional_marker_count(tmp_path, capsys):
+    spec = write_spec(tmp_path, "n_markers = 6.5\nseed = 7\n")
+    assert main(["simulate", str(spec), str(tmp_path / "scene")]) == 2
+    assert capsys.readouterr().err == "error: config key 'n_markers': not an integer: '6.5'\n"
+    assert not list(tmp_path.glob("scene_*"))
+
+
+def reject_constant(name):
+    raise ValueError(f"JSON holds {name}")
+
+
+def test_json_outputs_hold_only_finite_numbers(tmp_path):
+    spec = write_spec(tmp_path, "n_markers = 6\nnoise_sigma_mm = 0.5\nseed = 7\n")
+    prefix = tmp_path / "s"
+    inputs = [f"{prefix}_ct.csv", f"{prefix}_device.csv"]
+    for argv in (
+        ["simulate", str(spec), str(prefix)],
+        ["register", *inputs, str(tmp_path / "register.json")],
+        ["icp", *inputs, str(tmp_path / "icp.json")],
+        # one trial per cell: each summary std is the single-trial fallback
+        ["bench", str(spec), str(tmp_path / "r.csv"), str(tmp_path / "summary.json"), "--trials", "1"],
+    ):
+        assert main(argv) == 0
+    for name in ("s_truth.json", "register.json", "icp.json", "summary.json"):
+        json.loads((tmp_path / name).read_text(), parse_constant=reject_constant)
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["success", "error"])
+@pytest.mark.parametrize("command", ["segment", "mesh", "register", "icp", "simulate", "bench"])
+def test_stdout_stays_clean(phantom_volume, seg_config, tmp_path, capsys, command, fails):
+    # notes and errors go to stderr, so stdout can be redirected
+    spec = write_spec(tmp_path, "n_markers = 5\nseed = 9\n")
+    prefix = tmp_path / "s"
+    assert main(["simulate", str(spec), str(prefix)]) == 0
+    capsys.readouterr()
+    inputs = [f"{prefix}_ct.csv", f"{prefix}_device.csv"]
+    out = str(tmp_path / "out")
+    argvs = {  # (success, error) arguments; each error is a malformed input
+        "segment": ([phantom_volume, seg_config, out], [phantom_volume, spec, out]),
+        "mesh": ([phantom_volume, out + ".stl"], [phantom_volume, out + ".ply"]),
+        "register": ([*inputs, out], [*inputs[::-1], out]),
+        "icp": ([*inputs, out], [*inputs[::-1], out]),
+        "simulate": ([spec, out], [seg_config, out]),
+        "bench": ([spec, out + ".csv", out + ".json", "--trials", "1"],
+                  [spec, out + ".csv", out + ".json", "--trials", "0"]),
+    }[command]
+    assert main([command, *map(str, argvs[fails])]) == (2 if fails else 0)
+    assert capsys.readouterr().out == ""

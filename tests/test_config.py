@@ -217,6 +217,15 @@ def test_numpy_scalar_options_become_plain_numbers(build, key, kind):
     assert type(stored) is kind and stored == value
 
 
+@pytest.mark.parametrize(
+    "key, extent", [("placement_extent", 5.0), ("translation_extent", None),
+                    ("placement_extent", (100.0, 100.0)), ("translation_extent", (0.0, 1.0, 1.0))]
+)
+def test_an_extent_that_is_not_three_positive_lengths_is_refused(key, extent):
+    with pytest.raises(ConfigError, match=f"^{key} must be three positive finite lengths$"):
+        _spec(**{key: extent})
+
+
 def test_segmentation_config_has_no_connectivity_key():
     # Labelling is always 26-connected; naming the retired key is an error.
     with pytest.raises(ConfigError, match="config has unknown key 'connectivity'"):

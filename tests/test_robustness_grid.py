@@ -60,6 +60,17 @@ def test_grid_reports_every_cell_with_its_rates(tmp_path, monkeypatch, capsys):
     assert [{k: v for k, v in cell.items() if k != "time_p95_ms"} for cell in again] == first
 
 
+def reject(constant):
+    raise ValueError(f"JSON holds {constant}")
+
+
+def test_the_report_on_stdout_has_its_keys_and_only_finite_numbers(monkeypatch, capsys):
+    assert run_script(monkeypatch, "--seeds", "2", "--counts", "3,4,6") == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert set(report) == {"seeds", "gross_tre_mm", "cells"}
+    assert report["cells"] and all(set(cell) == CELL_KEYS for cell in report["cells"])
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -68,6 +79,10 @@ def test_grid_reports_every_cell_with_its_rates(tmp_path, monkeypatch, capsys):
         (["--sigmas", "1,?"], "error: --sigmas must be a comma-separated list"),
         (["--methods", "triangle,affine"], "error: --methods must name some of"),
         (["--counts", "4,2"], "error: --counts must each be at least 3"),
+        (["--seeds", "1_0"], "error: argument --seeds: must be an integer, got '1_0'"),
+        (["--seeds", "\u0663"], "error: argument --seeds: must be an integer, got '\u0663'"),
+        (["--counts", "1_0"], "error: --counts must be a comma-separated list"),
+        (["--sigmas", "\u0663"], "error: --sigmas must be a comma-separated list"),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(monkeypatch, capsys, flags, message):

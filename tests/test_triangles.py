@@ -333,18 +333,6 @@ def test_query_nearest_refuses_a_k_that_is_not_an_integer(k):
     assert len(table.query_nearest(probe, np.int64(1))) == 1
 
 
-def test_sliver_whose_edge_ratios_round_to_a_line_is_degenerate(monkeypatch):
-    # legs of exactly 0.5 and a longest edge of 1: r2 + r3 rounds to 1, so the
-    # key would describe no triangle even though the area gate passes
-    monkeypatch.setattr(fidreg.triangles, "DEGENERACY_RATIO", 1e-12)
-    a, b, c = np.zeros(3), np.array([1.0, 0.0, 0.0]), np.array([0.5, 1e-9, 0.0])
-    with pytest.raises(DegenerateTriangleError, match="round to a straight line"):
-        triangle_key(a, b, c)
-    table = TriangleTable()
-    assert [table.insert_marker(p) for p in (a, b, c)] == [0, 0, 0]
-    assert table.degenerate_skipped == 1
-
-
 def test_stored_indices_are_canonically_ordered():
     rng = np.random.default_rng(11)
     table = TriangleTable()
@@ -593,15 +581,15 @@ def test_config_takes_a_numpy_integer_k():
     assert RegistrationConfig(k=np.int64(3)).k == 3
 
 
-def thin_triangles(rng, count, scale, offset):
-    """Triangles whose area / e1**2 spreads over 0.05 .. 20 * DEGENERACY_RATIO."""
+def thin_triangles(rng, count, scale, offset, spread=(0.05, 20.0)):
+    """Triangles whose area / e1**2 spreads over ``spread`` times DEGENERACY_RATIO."""
     a = rng.normal(size=(count, 3))
     b = rng.normal(size=(count, 3))
     base = b - a
     length = np.linalg.norm(base, axis=1)[:, None]
     normal = np.cross(base, rng.normal(size=(count, 3)))
     normal /= np.linalg.norm(normal, axis=1)[:, None]
-    ratio = DEGENERACY_RATIO * np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=(count, 1)))
+    ratio = DEGENERACY_RATIO * np.exp(rng.uniform(*np.log(spread), size=(count, 1)))
     t = rng.uniform(0.0, 1.0, size=(count, 1))
     # area = length * height / 2 = ratio * length**2 while e1 is the base
     c = a + t * base + 2.0 * ratio * length * normal
@@ -628,6 +616,17 @@ def test_area_bound_clears_only_triangles_that_span_a_plane(seed, scale_exp, off
     rotation, translation, _ = _solve_pairings(points[shaped], motion.apply(points[shaped]))
     for rot, trans in zip(rotation, translation):
         RigidTransform(rot, trans)  # orthonormal and proper within 1e-9
+
+
+def test_the_area_gate_alone_keeps_every_shaped_key_a_triangle():
+    # an apex at height h >= 2 * DEGENERACY_RATIO * e1 puts r2 + r3 - 1 at
+    # (h / e1)**2 = 4e-12 or more, so no shaped key rounds to a straight line
+    rng = np.random.default_rng(33)
+    for scale, offset in itertools.product(10.0 ** np.arange(-3, 6), (0.0, 1e3, 2e5)):
+        shapes = _triangle_shapes(thin_triangles(rng, 4000, scale, offset, spread=(0.5, 2.0)))
+        assert shapes.shaped.any() and not shapes.shaped.all()
+        r2, r3 = shapes.key[shapes.shaped].T
+        assert (r2 + r3 > 1.0).all()
 
 
 def test_three_markers_return_the_winners_own_fit():
